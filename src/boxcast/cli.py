@@ -241,7 +241,7 @@ def _parse_config_file(path: str, opts: list[Opt]) -> dict[str, Any]:
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ConfigError(f"cannot read config file {path}: {e}") from None
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()

@@ -9,6 +9,7 @@ one detection per row, pixels as floats. A corner-format variant
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass, replace
 
@@ -124,12 +125,12 @@ def parse_tracks(path, fmt: CsvFormat = CsvFormat()) -> list[Track]:
     Rows group by (video_id, track_id) and sort by frame. A group whose
     frames have gaps is split at every gap into separate tracks whose ids
     get a ``~<segment>`` suffix. An empty file (header only or nothing)
-    yields an empty list. Malformed rows raise ParseError with the 1-based
-    line number.
+    yields an empty list. Malformed rows, and bytes that are not UTF-8,
+    raise ParseError with the 1-based line number.
     """
     expected = CORNER_HEADER if fmt.corner_format else CENTROID_HEADER
     groups: dict[tuple[str, str], list[tuple[int, float, float, float, float]]] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
+    with io.StringIO(_read_utf8(path), newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -184,6 +185,18 @@ def parse_tracks(path, fmt: CsvFormat = CsvFormat()) -> list[Track]:
             t.validate()
             tracks.append(t)
     return tracks
+
+
+def _read_utf8(path) -> str:
+    """The file's text; ParseError naming the line of the first byte that
+    is not valid UTF-8."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise ParseError(f"not UTF-8 text: {e.reason} at byte {e.start}",
+                         line=raw.count(b"\n", 0, e.start) + 1) from None
 
 
 def write_tracks(tracks, path) -> None:

@@ -4,6 +4,12 @@ benchmark, and the loss-mode ablation harness.
 
 Displacement metrics use box centroids only; width/height errors never
 enter them.
+
+Input-range policy: coordinates are accepted as long as they are finite, but
+a metric is never reported as inf or NaN. When forecasts from extreme inputs
+(such as centroids near +-1e308) overflow, `evaluate_predictions` raises
+NumericError, naming how many samples went non-finite, instead of returning
+a non-finite ADE or FDE.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import MiniTrack, SynthSpec, boxes_to_array, synth_tracks
-from .errors import ConfigError, DataError, ShapeError
+from .errors import ConfigError, DataError, NumericError, ShapeError
 from .model import (
     LOSS_MODES,
     ModelParams,
@@ -97,17 +103,28 @@ def fde(pred, gt) -> float:
 
 def evaluate_predictions(pairs: list[tuple[np.ndarray, np.ndarray]],
                          input_k: int) -> MetricReport:
-    """Aggregate a list of (predicted, ground-truth) box sequences."""
+    """Aggregate a list of (predicted, ground-truth) box sequences.
+
+    Raises NumericError when the ADE or FDE is not finite (see the module's
+    input-range policy).
+    """
     if not pairs:
         raise ConfigError("nothing to evaluate: empty prediction set")
     disp = np.stack([_centroid_displacements(pr, gt) for pr, gt in pairs])
     p = disp.shape[1]
     per_step = disp.mean(axis=0)
+    ade_all, fde_all = float(disp.mean()), float(per_step[-1])
+    if not (np.isfinite(ade_all) and np.isfinite(fde_all)):
+        n_bad = int(np.count_nonzero(~np.isfinite(disp).all(axis=1)))
+        raise NumericError(
+            f"ADE {ade_all} / FDE {fde_all} over {len(pairs)} samples, "
+            f"{n_bad} of them with a non-finite centroid displacement; "
+            f"coordinates are outside the range the metrics can represent")
     bad = sum(int(np.count_nonzero(np.asarray(pr)[:, 2:] <= 0))
               for pr, _ in pairs)
     return MetricReport(
-        ade=float(disp.mean()),
-        fde=float(per_step[-1]),
+        ade=ade_all,
+        fde=fde_all,
         fde_at={t: float(per_step[t - 1]) for t in range(1, p + 1)},
         n_samples=len(pairs),
         horizon_p=p,

@@ -19,7 +19,16 @@ A parameter-free concatenation layer turns the delta sequence into absolute
 boxes by running a cumulative sum seeded at the last observed box.
 
 Functions here accept a single sample (window of shape (k, 8)) or a batch
-((N, k, 8)); batch results stack along the leading axis. The public ops
+((N, k, 8)); batch results stack along the leading axis.
+
+The network runs in ``params.dtype``: the inference ops cast their feature
+window (and ``z`` or the encoder state, where those are inputs) to it once
+at entry, so a float32 model loaded from a weight file runs every LSTM step
+in float32 even though ``build_features`` returns float64. The trajectory
+anchor is not cast: ``concat_trajectory`` accumulates on the window's own
+anchor, so a float64 window keeps float64 box arithmetic and only the deltas
+come from the float32 network. Training (``init_params``,
+``loss_and_grads``) stays float64. The public ops
 (`encode`, `reconstruct`, `decode_future`, `concat_trajectory`,
 `forward_train`, `predict`) are composable pieces; `loss_and_grads` is the
 training engine that runs the same math with caches and returns analytic
@@ -278,9 +287,9 @@ def _run_encoder(params: ModelParams, window: np.ndarray,
     k = window.shape[-2]
     batch_shape = window.shape[:-2]
     H = params.dims.hidden
-    init = LstmCellState.zeros(H, batch_shape, dtype=window.dtype)
+    init = LstmCellState.zeros(H, batch_shape, dtype=params.dtype)
     state = init
-    hs = np.empty(batch_shape + (k, H), dtype=window.dtype)
+    hs = np.empty(batch_shape + (k, H), dtype=params.dtype)
     caches = [] if want_cache else None
     for t in range(k):
         state, cache = lstm_cell_forward(params.enc, window[..., t, :], state)
@@ -301,7 +310,7 @@ def _run_constant_decoder(cell: LstmCellParams, z: np.ndarray, steps: int,
     H = cell.hidden_size
     x_pre = z @ cell.wx.T + cell.bx
     state = init
-    hs = np.empty(z.shape[:-1] + (steps, H), dtype=z.dtype)
+    hs = np.empty(z.shape[:-1] + (steps, H), dtype=cell.wh.dtype)
     caches = [] if want_cache else None
     for t in range(steps):
         state, cache = _lstm_cell_from_preact(cell, x_pre, state)
@@ -315,14 +324,24 @@ def _run_constant_decoder(cell: LstmCellParams, z: np.ndarray, steps: int,
 # public forward ops
 
 
+def _in_net_dtype(params: ModelParams, *arrays: np.ndarray) -> list[np.ndarray]:
+    """The inputs cast to ``params.dtype`` (no copy when they already match).
+
+    Done once at entry to each op: a float64 input reaching a float32 step
+    would make NumPy upcast the whole recurrent weight matrix on every step.
+    """
+    return [np.asarray(a, dtype=params.dtype) for a in arrays]
+
+
 def encode(params: ModelParams, window: np.ndarray
            ) -> tuple[np.ndarray, LstmCellState]:
     """Map a (k, 8) window to (latent vector z, encoder final state).
 
     The returned state is the raw final (h, c); the ReLU sits only on the
-    path into the latent projection.
+    path into the latent projection. All three are in ``params.dtype``.
     """
     _check_window(window, params.dims.k)
+    window, = _in_net_dtype(params, window)
     run = _run_encoder(params, window, want_cache=False)
     z = linear_forward(params.fc_latent.w, params.fc_latent.b, relu(run.final.h))
     return z, run.final
@@ -332,7 +351,9 @@ def reconstruct(params: ModelParams, z: np.ndarray) -> np.ndarray:
     """Run the reconstruction branch for k steps from a zero state; the rows
     approximate ``reconstruction_target`` of the encoded window."""
     _check_last_dim_model(z, params.dims.latent, "z")
-    init = LstmCellState.zeros(params.dims.hidden, z.shape[:-1], dtype=z.dtype)
+    z, = _in_net_dtype(params, z)
+    init = LstmCellState.zeros(params.dims.hidden, z.shape[:-1],
+                               dtype=params.dtype)
     run = _run_constant_decoder(params.auto_dec, z, params.dims.k, init, False)
     return run.hs @ params.fc_recon.w.T + params.fc_recon.b
 
@@ -349,10 +370,8 @@ def decode_future(params: ModelParams, z: np.ndarray,
         raise ShapeError(
             f"encoder state h has shape {enc_state.h.shape}, expected "
             f"{z.shape[:-1] + (params.dims.hidden,)}")
-    if params.carry_cell_state:
-        init = LstmCellState(enc_state.h, enc_state.c)
-    else:
-        init = LstmCellState(enc_state.h, np.zeros_like(enc_state.h))
+    z, h, c = _in_net_dtype(params, z, enc_state.h, enc_state.c)
+    init = LstmCellState(h, c if params.carry_cell_state else np.zeros_like(h))
     run = _run_constant_decoder(params.fut_dec, z, params.dims.p, init, False)
     return run.hs @ params.fc_delta.w.T + params.fc_delta.b
 
@@ -368,7 +387,9 @@ def concat_trajectory(deltas: np.ndarray, anchor: np.ndarray) -> np.ndarray:
     ``anchor`` is the (cx, cy, w, h) 4-vector of the last observed box (with
     a leading batch shape matching ``deltas`` when batched). Box i of the
     result is anchor plus the first i+1 deltas, accumulated strictly in step
-    order, so ``out[i] - out[i-1]`` reproduces each delta row.
+    order, so ``out[i] - out[i-1]`` reproduces each delta row. The sum runs
+    in the wider of the two dtypes, so float32 deltas on a float64 anchor
+    give float64 boxes.
     """
     deltas = np.asarray(deltas)
     anchor = np.asarray(anchor)
@@ -381,6 +402,7 @@ def concat_trajectory(deltas: np.ndarray, anchor: np.ndarray) -> np.ndarray:
         raise ShapeError(
             f"anchor has shape {anchor.shape}, expected "
             f"{deltas.shape[:-2] + (OUTPUT_DIM,)}")
+    deltas = deltas.astype(np.result_type(deltas, anchor), copy=False)
     out = np.empty_like(deltas)
     acc = anchor
     for i in range(deltas.shape[-2]):

@@ -257,7 +257,11 @@ def save_model(params: ModelParams, path) -> None:
 
 def load_model(path, expect_dims: ModelDims | None = None
                ) -> tuple[ModelParams, dict]:
-    """Read a weight file back into float64 parameters plus a header echo.
+    """Read a weight file back into float32 parameters plus a header echo.
+
+    The tensors hold the stored float32 values as writable arrays, so a
+    loaded model runs inference at the precision it was saved in and
+    ``save_model`` writes the same bytes back.
 
     Rejects wrong magic bytes, unsupported versions or convention tags,
     truncated or oversized payloads, and checksum mismatches. When
@@ -304,7 +308,7 @@ def load_model(path, expect_dims: ModelDims | None = None
         raise DataError(
             f"weight file is {len(raw)} bytes, expected {expected_size}; "
             f"truncated or corrupt")
-    payload = raw[_HEADER.size:]
+    payload = memoryview(raw)[_HEADER.size:]
     if zlib.crc32(payload) != crc:
         raise DataError("weight-file checksum mismatch; payload is corrupt")
 
@@ -315,7 +319,7 @@ def load_model(path, expect_dims: ModelDims | None = None
         n = int(np.prod(shape))
         arr = np.frombuffer(payload, dtype="<f4", count=n, offset=offset)
         offset += 4 * n
-        return arr.reshape(shape).astype(np.float64)
+        return arr.reshape(shape).astype(np.float32)
 
     H, Z = hidden, latent
     params = ModelParams(

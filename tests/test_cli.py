@@ -276,6 +276,39 @@ class TestConfigFilesAndExitCodes:
                      "--data", str(bad), "--out", str(tmp_path / "p.csv")])
         assert code == 3  # weight file missing is already a data/I-O error
 
+    def test_non_utf8_data_file_exits_three(self, tmp_path, capsys):
+        data = tmp_path / "bad.csv"
+        data.write_bytes(b"video_id,track_id,frame,cx,cy,w,h\n"
+                         b"v,t,0,1,1,2,2\n"
+                         b"v,t,1,\xff\xfe,1,2,2\n")
+        code = main(["eval", "--baseline", "constant-velocity", "--data",
+                     str(data), "--out", str(tmp_path / "ev")])
+        assert code == 3
+        assert "line 3: not UTF-8" in capsys.readouterr().err
+
+    def test_non_utf8_config_file_exits_two(self, tmp_path, capsys):
+        config = tmp_path / "synth.txt"
+        config.write_bytes(b"count = 2\n# \xff\xfe\n")
+        code = main(["synth", "--config", str(config),
+                     "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert "cannot read config file" in capsys.readouterr().err
+
+    def test_extreme_coordinates_exit_four_not_inf(self, tmp_path, capsys):
+        rows = ["video_id,track_id,frame,cx,cy,w,h"]
+        rows += [f"v,t,{f},{1e308 if f % 2 else -1e308!r},5,2,2"
+                 for f in range(12)]
+        data = tmp_path / "extreme.csv"
+        data.write_text("\n".join(rows) + "\n")
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["eval", "--baseline", "constant-velocity",
+                         "--data", str(data), "--out", str(tmp_path / "ev"),
+                         "--k", "6", "--p", "6", "--stride", "6"])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert "inf" not in captured.out
+        assert "1 of them" in captured.err
+
     def test_unknown_flag_exits_two(self, capsys):
         assert main(["synth", "--flux", "9"]) == 2
 

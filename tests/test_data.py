@@ -175,6 +175,16 @@ class TestParseErrors:
                                                           ("ped~1", 42)]
         assert tracks[1].boxes[0].frame == 60
 
+    def test_non_utf8_bytes_name_their_line(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes(
+            b"video_id,track_id,frame,cx,cy,w,h\n"
+            b"v,t,0,1,1,2,2\n"
+            b"v,t,1,\xff\xfe1,1,2,2\n")
+        with pytest.raises(ParseError, match="line 3: not UTF-8") as exc:
+            parse_tracks(path)
+        assert exc.value.line == 3
+
     def test_contiguous_track_keeps_its_id(self, tmp_path):
         path = tmp_path / "t.csv"
         write_tracks([make_track(4, track_id="ped")], path)

@@ -7,8 +7,14 @@ import math
 import numpy as np
 import pytest
 
-from boxcast.data import SynthSpec, slice_minitracks, synth_tracks
-from boxcast.errors import ConfigError, DataError, ShapeError
+from boxcast.data import (
+    SYNTH_KINDS,
+    SynthSpec,
+    slice_all_minitracks,
+    slice_minitracks,
+    synth_tracks,
+)
+from boxcast.errors import ConfigError, DataError, NumericError, ShapeError
 from boxcast.evaluation import (
     BASELINE_KINDS,
     MetricReport,
@@ -24,8 +30,8 @@ from boxcast.evaluation import (
     fde_at,
     summarize_folds,
 )
-from boxcast.model import MODE_TRAJ, ModelDims, init_params
-from boxcast.training import TrainConfig
+from boxcast.model import MODE_TRAJ, ModelDims, init_params, predict
+from boxcast.training import TrainConfig, load_model, save_model
 
 
 def cv_minitracks(k, p, count=4, velocity=(2.0, 1.0), seed=0, **kw):
@@ -110,6 +116,25 @@ class TestEvaluatePredictions:
     def test_empty_set_rejected(self):
         with pytest.raises(ConfigError, match="empty"):
             evaluate_predictions([], input_k=2)
+
+    def test_non_finite_metrics_raise_and_count_the_bad_samples(self):
+        gt = np.tile([10.0, 20.0, 5.0, 8.0], (4, 1))
+        inf_pred = gt.copy()
+        inf_pred[3, 0] = np.inf
+        nan_pred = gt.copy()
+        nan_pred[1, 1] = np.nan
+        pairs = [(gt, gt), (inf_pred, gt), (gt, gt), (nan_pred, gt)]
+        with pytest.raises(NumericError, match="2 of them"):
+            evaluate_predictions(pairs, input_k=2)
+
+    def test_extreme_coordinates_are_a_numeric_error_not_inf(self):
+        # finite input whose constant-velocity extrapolation overflows
+        track = np.tile([0.0, 5.0, 2.0, 2.0], (8, 1))
+        track[:, 0] = [1e308 if i % 2 else -1e308 for i in range(8)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            pred = baseline_predict("constant-velocity", track[:5], 3)
+        with pytest.raises(NumericError, match="1 of them"):
+            evaluate_predictions([(pred, track[5:])], input_k=5)
 
 
 class TestBaselines:
@@ -200,6 +225,42 @@ class TestEvaluateModel:
         params = init_params(ModelDims(k=5, p=6, hidden=8, latent=4), seed=4)
         with pytest.raises(ConfigError, match="empty"):
             evaluate_with(lambda b, pr: None, [], 5, 6)
+
+
+class TestInferencePrecision:
+    """A loaded model infers at the weight file's float32; its forecasts
+    must stay within a stated bound of the same weights run at float64."""
+
+    BOUND_PX = 1e-3
+
+    def test_float32_forecasts_and_metrics_stay_within_the_bound(
+            self, tmp_path, capsys):
+        dims = ModelDims(k=30, p=60, hidden=512, latent=256)
+        path = tmp_path / "full.bxw"
+        save_model(init_params(dims, seed=7), path)
+        p32, _ = load_model(path)
+        p64 = p32.astype(np.float64)
+        tracks = []
+        for i, kind in enumerate(SYNTH_KINDS):
+            tracks += synth_tracks(SynthSpec(
+                kind=kind, length=dims.k + dims.p + 30, noise_std=0.75,
+                start_jitter=200.0, velocity_jitter=2.0, seed=70 + i), 2)
+        mts = slice_all_minitracks(tracks, dims.k + dims.p, 30)
+        assert len(mts) == 16
+        worst = max(
+            float(np.abs(predict(p32, mt.boxes[:dims.k], mt.predecessor)
+                         - predict(p64, mt.boxes[:dims.k],
+                                   mt.predecessor)).max())
+            for mt in mts)
+        r32, r64 = evaluate(p32, mts), evaluate(p64, mts)
+        ade_gap, fde_gap = abs(r32.ade - r64.ade), abs(r32.fde - r64.fde)
+        with capsys.disabled():
+            print(f"\n[f32 vs f64] {len(mts)} windows: max forecast diff "
+                  f"{worst:.3g} px, ADE gap {ade_gap:.3g} px, "
+                  f"FDE gap {fde_gap:.3g} px (bound {self.BOUND_PX} px)")
+        assert worst <= self.BOUND_PX
+        assert ade_gap <= self.BOUND_PX
+        assert fde_gap <= self.BOUND_PX
 
 
 class TestSummarizeFolds:

@@ -37,7 +37,7 @@ from boxcast.model import (
     reconstruction_target,
 )
 from boxcast.nn import LstmCellState, linear_forward, lstm_cell_forward, relu
-from boxcast.training import param_count_for
+from boxcast.training import load_model, param_count_for, save_model
 
 TINY = ModelDims(k=4, p=3, hidden=8, latent=6)
 
@@ -330,6 +330,65 @@ class TestForwardTrainAndPredict:
         out = predict_from_window(params, window.astype(np.float32))
         assert out.dtype == np.float32
         assert np.all(np.isfinite(out))
+
+
+class TestInferenceDtypeFlow:
+    """A float32 model fed the float64 windows ``build_features`` makes must
+    run its network in float32 (a mixed-dtype step upcasts the recurrent
+    weights on every call) and still return float64 boxes."""
+
+    def f32_case(self, seed):
+        params = init_params(TINY, seed=seed).astype(np.float32)
+        rng = np.random.default_rng(seed)
+        rows = np.abs(rng.normal(100, 10, size=(TINY.k + 1, 4))) + 1.0
+        boxes = boxes_from(rows.tolist())
+        return params, boxes[1:], boxes[0]
+
+    def test_encode_runs_in_the_params_dtype(self):
+        params, boxes, before = self.f32_case(40)
+        window = build_features(boxes, before)
+        assert window.dtype == np.float64
+        z, state = encode(params, window)
+        assert (z.dtype, state.h.dtype, state.c.dtype) == (np.float32,) * 3
+
+    def test_decoders_cast_float64_inputs_to_the_params_dtype(self):
+        params, _, _ = self.f32_case(41)
+        rng = np.random.default_rng(41)
+        z = rng.normal(size=TINY.latent).astype(np.float32)
+        h, c = rng.normal(size=(2, TINY.hidden)).astype(np.float32)
+        want = decode_future(params, z, LstmCellState(h, c))
+        got = decode_future(params, z.astype(np.float64),
+                            LstmCellState(h.astype(np.float64),
+                                          c.astype(np.float64)))
+        assert got.dtype == want.dtype == np.float32
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(
+            reconstruct(params, z.astype(np.float64)), reconstruct(params, z))
+
+    def test_predict_equals_forward_train_future_head_bitwise(self):
+        params, boxes, before = self.f32_case(42)
+        _, from_train = forward_train(params, build_features(boxes, before))
+        np.testing.assert_array_equal(predict(params, boxes, before),
+                                      from_train)
+
+    def test_predict_returns_float64_boxes_on_the_float64_anchor(self):
+        params, boxes, before = self.f32_case(43)
+        window = build_features(boxes, before)
+        out = predict(params, boxes, before)
+        assert out.dtype == np.float64
+        z, state = encode(params, window)
+        deltas = decode_future(params, z, state)
+        np.testing.assert_array_equal(
+            out, concat_trajectory(deltas.astype(np.float64), window[-1, :4]))
+
+    def test_loaded_tensors_are_float32(self, tmp_path):
+        path = tmp_path / "m.bxw"
+        save_model(init_params(TINY, seed=44), path)
+        loaded, _ = load_model(path)
+        assert loaded.dtype == np.float32
+        for name, t in loaded.tensors().items():
+            assert t.dtype == np.float32, name
+            assert t.flags.writeable, name
 
 
 class TestParamCount:
