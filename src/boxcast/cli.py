@@ -5,7 +5,8 @@ can come from a flat ``key = value`` config file (``--config``); precedence
 is CLI flag > config file > built-in default, and the effective merged
 configuration is echoed into the run's output so any run can be reproduced
 from its echo alone. Exit codes: 0 success, 2 configuration errors, 3 data
-or I/O errors, 4 numeric failures.
+or I/O errors, 4 numeric failures such as a forecast or metric that is not
+finite.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ import os
 import sys
 from dataclasses import dataclass, fields
 from typing import Any, Callable
+
+import numpy as np
 
 from .data import (
     CsvFormat,
@@ -398,6 +401,10 @@ def _cmd_predict(vals: dict[str, Any]) -> None:
         history = t.boxes[-k:]
         predecessor = t.boxes[-k - 1] if len(t) > k else None
         pred = predict(params, history, predecessor)
+        if not np.isfinite(pred).all():
+            raise NumericError(
+                f"forecast for track {t.key} is not finite; coordinates are "
+                f"outside the range the model can represent")
         for step in range(p):
             cx, cy, w, h = pred[step]
             rows.append([t.video_id, t.track_id, step + 1,
@@ -545,7 +552,10 @@ def main(argv=None) -> int:
     fn = _COMMANDS[command][0]
     try:
         vals = _merge(_command_opts(command), args)
-        fn(vals)
+        # every output path checks finiteness itself, so floating-point
+        # warnings would only print source lines ahead of the error line
+        with np.errstate(all="ignore"):
+            fn(vals)
         return 0
     except ConfigError as e:
         print(f"configuration error: {e}", file=sys.stderr)

@@ -133,11 +133,9 @@ def evaluate_predictions(pairs: list[tuple[np.ndarray, np.ndarray]],
     )
 
 
-def evaluate_with(predict_fn, minitracks: list[MiniTrack], k: int, p: int
-                  ) -> MetricReport:
-    """Shared protocol: forecast from each mini-track's first k boxes and
-    score against its last p. ``predict_fn(boxes, predecessor)`` must return
-    a (p, 4) box array."""
+def _forecast_pairs(predict_fn, minitracks: list[MiniTrack], k: int, p: int
+                    ) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(forecast from the first k boxes, last p boxes) per mini-track."""
     if not minitracks:
         raise ConfigError("nothing to evaluate: empty mini-track set")
     pairs = []
@@ -148,7 +146,16 @@ def evaluate_with(predict_fn, minitracks: list[MiniTrack], k: int, p: int
         pred = predict_fn(mt.boxes[:k], mt.predecessor)
         gt = boxes_to_array(mt.boxes[k:])
         pairs.append((pred, gt))
-    return evaluate_predictions(pairs, input_k=k)
+    return pairs
+
+
+def evaluate_with(predict_fn, minitracks: list[MiniTrack], k: int, p: int
+                  ) -> MetricReport:
+    """Shared protocol: forecast from each mini-track's first k boxes and
+    score against its last p. ``predict_fn(boxes, predecessor)`` must return
+    a (p, 4) box array."""
+    return evaluate_predictions(_forecast_pairs(predict_fn, minitracks, k, p),
+                                input_k=k)
 
 
 def evaluate(params: ModelParams, minitracks: list[MiniTrack]) -> MetricReport:
@@ -345,11 +352,9 @@ def ablation_run(minitracks: list[MiniTrack], cfg, modes=LOSS_MODES,
                 f"horizon {horizons[-1]} exceeds the model horizon p={cfg.p}")
         cfg_m = replace(cfg, loss_mode=mode)
         pars, _ = train(cfg_m, minitracks)
-        pairs = []
-        for mt in eval_minitracks:
-            pred = predict(pars, mt.boxes[:cfg.k], mt.predecessor)
-            gt = boxes_to_array(mt.boxes[cfg.k:])
-            pairs.append((pred, gt))
+        pairs = _forecast_pairs(
+            lambda boxes, predecessor: predict(pars, boxes, predecessor),
+            eval_minitracks, cfg.k, cfg.p)
         for h in horizons:
             trunc = [(pr[:h], gt[:h]) for pr, gt in pairs]
             rep = evaluate_predictions(trunc, input_k=cfg.k)

@@ -38,14 +38,17 @@ parameter gradients.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
+from .data import boxes_to_array
 from .errors import ConfigError, DataError, ShapeError
 from .nn import (
     LinearParams,
     LstmCellParams,
     LstmCellState,
+    _check_last_dim,
     _lstm_cell_from_preact,
     l1_loss,
     linear_backward,
@@ -132,64 +135,68 @@ class ModelParams:
 
     def tensors(self) -> dict[str, np.ndarray]:
         """Live views of every learnable tensor, in the serialization order."""
-        return {
-            "enc.wx": self.enc.wx, "enc.wh": self.enc.wh,
-            "enc.bx": self.enc.bx, "enc.bh": self.enc.bh,
-            "fc_latent.w": self.fc_latent.w, "fc_latent.b": self.fc_latent.b,
-            "auto_dec.wx": self.auto_dec.wx, "auto_dec.wh": self.auto_dec.wh,
-            "auto_dec.bx": self.auto_dec.bx, "auto_dec.bh": self.auto_dec.bh,
-            "fc_recon.w": self.fc_recon.w, "fc_recon.b": self.fc_recon.b,
-            "fut_dec.wx": self.fut_dec.wx, "fut_dec.wh": self.fut_dec.wh,
-            "fut_dec.bx": self.fut_dec.bx, "fut_dec.bh": self.fut_dec.bh,
-            "fc_delta.w": self.fc_delta.w, "fc_delta.b": self.fc_delta.b,
-        }
+        return {f"{layer}.{name}": getattr(getattr(self, layer), name)
+                for layer, (_kind, shapes) in _layout(self.dims).items()
+                for name in shapes}
 
     @property
     def dtype(self):
         return self.enc.wx.dtype
 
+    @classmethod
+    def build(cls, dims: ModelDims, make: Callable, carry_cell_state: bool = True
+              ) -> "ModelParams":
+        """A model whose tensors are ``make(name, shape)``, called once per
+        tensor in the serialization order, with names as in `tensors()`."""
+        return cls(**{layer: kind(**{name: make(f"{layer}.{name}", shape)
+                                     for name, shape in shapes.items()})
+                      for layer, (kind, shapes) in _layout(dims).items()},
+                   dims=dims, carry_cell_state=carry_cell_state)
+
     def astype(self, dtype) -> "ModelParams":
         """Copy of the model with every tensor cast to ``dtype``."""
-        return ModelParams(
-            enc=LstmCellParams(*(t.astype(dtype) for t in
-                                 (self.enc.wx, self.enc.wh, self.enc.bx, self.enc.bh))),
-            fc_latent=LinearParams(self.fc_latent.w.astype(dtype),
-                                   self.fc_latent.b.astype(dtype)),
-            auto_dec=LstmCellParams(*(t.astype(dtype) for t in
-                                      (self.auto_dec.wx, self.auto_dec.wh,
-                                       self.auto_dec.bx, self.auto_dec.bh))),
-            fc_recon=LinearParams(self.fc_recon.w.astype(dtype),
-                                  self.fc_recon.b.astype(dtype)),
-            fut_dec=LstmCellParams(*(t.astype(dtype) for t in
-                                     (self.fut_dec.wx, self.fut_dec.wh,
-                                      self.fut_dec.bx, self.fut_dec.bh))),
-            fc_delta=LinearParams(self.fc_delta.w.astype(dtype),
-                                  self.fc_delta.b.astype(dtype)),
-            dims=self.dims,
-            carry_cell_state=self.carry_cell_state,
-        )
+        tensors = self.tensors()
+        return ModelParams.build(self.dims,
+                                 lambda name, _shape: tensors[name].astype(dtype),
+                                 self.carry_cell_state)
+
+
+def _layout(dims: ModelDims) -> dict[str, tuple[type, dict[str, tuple]]]:
+    """The parameter layout: each layer's type and its tensors' shapes, in
+    serialization order (the weight-file payload order and the draw order of
+    `init_params`). LSTM tensors are gate-major (i, f, g, o) on the 4H axis."""
+    H, Z, G = dims.hidden, dims.latent, 4 * dims.hidden
+
+    def cell(d: int):
+        return LstmCellParams, {"wx": (G, d), "wh": (G, H), "bx": (G,), "bh": (G,)}
+
+    def affine(n_in: int, n_out: int):
+        return LinearParams, {"w": (n_out, n_in), "b": (n_out,)}
+
+    return {"enc": cell(INPUT_DIM), "fc_latent": affine(H, Z),
+            "auto_dec": cell(Z), "fc_recon": affine(H, INPUT_DIM),
+            "fut_dec": cell(Z), "fc_delta": affine(H, OUTPUT_DIM)}
 
 
 def init_params(dims: ModelDims, seed: int | np.random.Generator = 0,
                 carry_cell_state: bool = True, dtype=np.float64) -> ModelParams:
     """Seeded parameter init.
 
-    LSTM weights draw uniform on +-1/sqrt(hidden); affine weights uniform on
-    +-1/sqrt(fan_in); all biases start at zero. Tensors are drawn in the
+    Every weight matrix draws uniform on +-1/sqrt(hidden), which is
+    +-1/sqrt(fan_in) for the affine maps too since they all read a hidden
+    state; all biases start at zero. Tensors are drawn in the
     `ModelParams.tensors()` order, so a fixed seed fixes every value.
     """
     dims.validate()
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    return ModelParams(
-        enc=LstmCellParams.init(rng, INPUT_DIM, dims.hidden, dtype),
-        fc_latent=LinearParams.init(rng, dims.hidden, dims.latent, dtype),
-        auto_dec=LstmCellParams.init(rng, dims.latent, dims.hidden, dtype),
-        fc_recon=LinearParams.init(rng, dims.hidden, INPUT_DIM, dtype),
-        fut_dec=LstmCellParams.init(rng, dims.latent, dims.hidden, dtype),
-        fc_delta=LinearParams.init(rng, dims.hidden, OUTPUT_DIM, dtype),
-        dims=dims,
-        carry_cell_state=carry_cell_state,
-    )
+    s = 1.0 / np.sqrt(dims.hidden)
+
+    def draw(_name: str, shape: tuple) -> np.ndarray:
+        if len(shape) == 1:  # a bias
+            return np.zeros(shape, dtype=dtype)
+        return rng.uniform(-s, s, shape).astype(dtype, copy=False)
+
+    return ModelParams.build(dims, draw, carry_cell_state)
 
 
 def param_count(params: ModelParams) -> int:
@@ -244,8 +251,7 @@ def _boxes_as_array(boxes) -> tuple[np.ndarray, np.ndarray | None]:
         if boxes.ndim != 2 or boxes.shape[1] != 4:
             raise ShapeError(f"box array has shape {boxes.shape}, expected (n, 4)")
         return boxes.astype(np.float64, copy=False), None
-    arr = np.array([[b.cx, b.cy, b.w, b.h] for b in boxes], dtype=np.float64)
-    arr = arr.reshape(len(boxes), 4)
+    arr = boxes_to_array(boxes)
     frames = np.array([b.frame for b in boxes], dtype=np.int64)
     return arr, frames
 
@@ -278,25 +284,34 @@ class _SeqRun:
 
     hs: np.ndarray                 # (..., steps, H)
     final: LstmCellState
-    init: LstmCellState
     caches: list | None = None
+
+
+def _unroll(step, cell: LstmCellParams, xs, init: LstmCellState,
+            want_cache: bool) -> _SeqRun:
+    """The sequence driver: ``state, cache = step(cell, x, state)`` for each
+    step input ``x`` in ``xs``, starting from ``init``."""
+    state = init
+    hs = np.empty(init.h.shape[:-1] + (len(xs), cell.hidden_size),
+                  dtype=cell.wh.dtype)
+    caches = [] if want_cache else None
+    for t, x in enumerate(xs):
+        state, cache = step(cell, x, state)
+        hs[..., t, :] = state.h
+        if want_cache:
+            caches.append(cache)
+    return _SeqRun(hs=hs, final=state, caches=caches)
 
 
 def _run_encoder(params: ModelParams, window: np.ndarray,
                  want_cache: bool) -> _SeqRun:
-    k = window.shape[-2]
-    batch_shape = window.shape[:-2]
-    H = params.dims.hidden
-    init = LstmCellState.zeros(H, batch_shape, dtype=params.dtype)
-    state = init
-    hs = np.empty(batch_shape + (k, H), dtype=params.dtype)
-    caches = [] if want_cache else None
-    for t in range(k):
-        state, cache = lstm_cell_forward(params.enc, window[..., t, :], state)
-        hs[..., t, :] = state.h
-        if want_cache:
-            caches.append(cache)
-    return _SeqRun(hs=hs, final=state, init=init, caches=caches)
+    """Unroll the encoder over the window rows from a zero state. Each step
+    projects its own row: one GEMM over the whole window would round
+    differently from the per-row products the bitwise tests pin."""
+    init = LstmCellState.zeros(params.dims.hidden, window.shape[:-2],
+                               dtype=params.dtype)
+    return _unroll(lstm_cell_forward, params.enc, np.moveaxis(window, -2, 0),
+                   init, want_cache)
 
 
 def _run_constant_decoder(cell: LstmCellParams, z: np.ndarray, steps: int,
@@ -304,20 +319,11 @@ def _run_constant_decoder(cell: LstmCellParams, z: np.ndarray, steps: int,
     """Unroll a decoder that reads the same latent vector at every step.
 
     The input projection ``z @ wx.T + bx`` is computed once and reused, which
-    is what makes the inference path cheap; the caches therefore carry no
-    per-step input copy.
+    is what makes the inference path cheap.
     """
-    H = cell.hidden_size
     x_pre = z @ cell.wx.T + cell.bx
-    state = init
-    hs = np.empty(z.shape[:-1] + (steps, H), dtype=cell.wh.dtype)
-    caches = [] if want_cache else None
-    for t in range(steps):
-        state, cache = _lstm_cell_from_preact(cell, x_pre, state)
-        hs[..., t, :] = state.h
-        if want_cache:
-            caches.append(cache)
-    return _SeqRun(hs=hs, final=state, init=init, caches=caches)
+    return _unroll(_lstm_cell_from_preact, cell, [x_pre] * steps, init,
+                   want_cache)
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +356,7 @@ def encode(params: ModelParams, window: np.ndarray
 def reconstruct(params: ModelParams, z: np.ndarray) -> np.ndarray:
     """Run the reconstruction branch for k steps from a zero state; the rows
     approximate ``reconstruction_target`` of the encoded window."""
-    _check_last_dim_model(z, params.dims.latent, "z")
+    _check_last_dim("z", z, params.dims.latent)
     z, = _in_net_dtype(params, z)
     init = LstmCellState.zeros(params.dims.hidden, z.shape[:-1],
                                dtype=params.dtype)
@@ -365,7 +371,7 @@ def decode_future(params: ModelParams, z: np.ndarray,
     The branch starts from the encoder's final state: (h, c) when the model
     was built with carry_cell_state, h with a fresh zero cell otherwise.
     """
-    _check_last_dim_model(z, params.dims.latent, "z")
+    _check_last_dim("z", z, params.dims.latent)
     if enc_state.h.shape != z.shape[:-1] + (params.dims.hidden,):
         raise ShapeError(
             f"encoder state h has shape {enc_state.h.shape}, expected "
@@ -374,11 +380,6 @@ def decode_future(params: ModelParams, z: np.ndarray,
     init = LstmCellState(h, c if params.carry_cell_state else np.zeros_like(h))
     run = _run_constant_decoder(params.fut_dec, z, params.dims.p, init, False)
     return run.hs @ params.fc_delta.w.T + params.fc_delta.b
-
-
-def _check_last_dim_model(arr: np.ndarray, expected: int, name: str) -> None:
-    if arr.shape[-1] != expected:
-        raise ShapeError(f"{name} has shape {arr.shape}, expected last dim {expected}")
 
 
 def concat_trajectory(deltas: np.ndarray, anchor: np.ndarray) -> np.ndarray:
@@ -431,11 +432,11 @@ def predict(params: ModelParams, boxes, predecessor=None) -> np.ndarray:
     The reconstruction branch never runs here. Matches the future-box head
     of ``forward_train`` bit for bit.
     """
-    arr, _ = _boxes_as_array(boxes)
-    if arr.shape[0] != params.dims.k:
+    window = build_features(boxes, predecessor)
+    if window.shape[0] != params.dims.k:
         raise DataError(
-            f"predict needs exactly k={params.dims.k} boxes, got {arr.shape[0]}")
-    return predict_from_window(params, build_features(boxes, predecessor))
+            f"predict needs exactly k={params.dims.k} boxes, got {window.shape[0]}")
+    return predict_from_window(params, window)
 
 
 def predict_from_window(params: ModelParams, window: np.ndarray) -> np.ndarray:
@@ -620,8 +621,37 @@ def loss_and_grads(params: ModelParams, window: np.ndarray,
     grads["fc_latent.b"] += db
     dh_final = d_hrelu * (h_final > 0) + d_enc_h
 
-    _encoder_backward(params.enc, enc_run, window, dh_final, d_enc_c, grads)
+    da_all, _, _ = _unroll_backward(enc_run, dh_final, d_enc_c, None, grads,
+                                    "enc")
+    da2 = da_all.reshape(-1, da_all.shape[-1])
+    grads["enc.wx"] += da2.T @ window.reshape(-1, window.shape[-1])
     return loss, terms, grads
+
+
+def _unroll_backward(run: _SeqRun, dh: np.ndarray, dc: np.ndarray,
+                     d_hs: np.ndarray | None, grads: dict[str, np.ndarray],
+                     prefix: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Backward through an unrolled run, input side excluded.
+
+    The upstream gradient enters at the final state and, when ``d_hs`` is
+    given, at every per-step hidden state. Accumulates the ``wh``/``bx``/``bh``
+    gradients into ``grads`` and returns (per-step gate gradients, dh_init,
+    dc_init).
+    """
+    da_all = np.empty(run.hs.shape[:-1] + (4 * run.hs.shape[-1],),
+                      dtype=run.hs.dtype)
+    for t in reversed(range(len(run.caches))):
+        if d_hs is not None:
+            dh = dh + d_hs[..., t, :]
+        da, dh, dc = lstm_gate_backward(run.caches[t], dh, dc)
+        da_all[..., t, :] = da
+    h_prev = np.stack([c.h_prev for c in run.caches], axis=-2)
+    da2 = da_all.reshape(-1, da_all.shape[-1])
+    grads[prefix + ".wh"] += da2.T @ h_prev.reshape(-1, h_prev.shape[-1])
+    db = da2.sum(axis=0)
+    grads[prefix + ".bx"] += db
+    grads[prefix + ".bh"] += db
+    return da_all, dh, dc
 
 
 def _constant_decoder_backward(cell: LstmCellParams, run: _SeqRun, z: np.ndarray,
@@ -635,42 +665,11 @@ def _constant_decoder_backward(cell: LstmCellParams, run: _SeqRun, z: np.ndarray
     the input-side weight gradient reduces to one product with the summed
     gate gradients.
     """
-    steps = len(run.caches)
-    da_all = np.empty(run.hs.shape[:-1] + (cell.wx.shape[0],), dtype=run.hs.dtype)
-    dh = np.zeros_like(run.final.h)
-    dc = np.zeros_like(run.final.c)
-    for t in reversed(range(steps)):
-        da, dh, dc = lstm_gate_backward(run.caches[t], dh + d_hs[..., t, :], dc)
-        da_all[..., t, :] = da
-    h_prev = np.concatenate([run.init.h[..., None, :], run.hs[..., :-1, :]], axis=-2)
-    da2 = da_all.reshape(-1, da_all.shape[-1])
-    grads[prefix + ".wh"] += da2.T @ h_prev.reshape(-1, h_prev.shape[-1])
-    db = da2.sum(axis=0)
-    grads[prefix + ".bx"] += db
-    grads[prefix + ".bh"] += db
+    da_all, dh, dc = _unroll_backward(run, np.zeros_like(run.final.h),
+                                      np.zeros_like(run.final.c), d_hs, grads,
+                                      prefix)
     da_sum = da_all.sum(axis=-2)
     grads[prefix + ".wx"] += da_sum.reshape(-1, da_sum.shape[-1]).T \
         @ z.reshape(-1, z.shape[-1])
     dz = da_sum @ cell.wx
     return dz, dh, dc
-
-
-def _encoder_backward(cell: LstmCellParams, run: _SeqRun, window: np.ndarray,
-                      dh_final: np.ndarray, dc_final: np.ndarray,
-                      grads: dict[str, np.ndarray]) -> None:
-    """Backward through the encoder; upstream gradient enters at the final
-    state only. Accumulates the cell's weight gradients into ``grads``."""
-    steps = len(run.caches)
-    da_all = np.empty(run.hs.shape[:-1] + (cell.wx.shape[0],), dtype=run.hs.dtype)
-    dh = dh_final
-    dc = dc_final
-    for t in reversed(range(steps)):
-        da, dh, dc = lstm_gate_backward(run.caches[t], dh, dc)
-        da_all[..., t, :] = da
-    h_prev = np.concatenate([run.init.h[..., None, :], run.hs[..., :-1, :]], axis=-2)
-    da2 = da_all.reshape(-1, da_all.shape[-1])
-    grads["enc.wx"] += da2.T @ window.reshape(-1, window.shape[-1])
-    grads["enc.wh"] += da2.T @ h_prev.reshape(-1, h_prev.shape[-1])
-    db = da2.sum(axis=0)
-    grads["enc.bx"] += db
-    grads["enc.bh"] += db

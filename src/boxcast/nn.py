@@ -27,7 +27,6 @@ __all__ = [
     "AdamState",
     "LinearParams",
     "LstmCellCache",
-    "LstmCellGrads",
     "LstmCellParams",
     "LstmCellState",
     "adam_step",
@@ -35,7 +34,6 @@ __all__ = [
     "l1_loss",
     "linear_backward",
     "linear_forward",
-    "lstm_cell_backward",
     "lstm_cell_forward",
     "lstm_gate_backward",
     "relu",
@@ -104,26 +102,15 @@ class LstmCellState:
 
 
 @dataclass
-class LstmCellGrads:
-    """Parameter gradients of one cell step; same shapes as LstmCellParams."""
-
-    wx: np.ndarray
-    wh: np.ndarray
-    bx: np.ndarray
-    bh: np.ndarray
-
-
-@dataclass
 class LstmCellCache:
     """Everything the backward pass needs from one forward step.
 
     ``gates`` packs the post-activation (i, f, g, o) values along the last
-    axis; ``tc`` is tanh of the new cell state. ``x`` is None when the caller
-    supplied a precomputed input projection and handles the input-side
-    gradient itself.
+    axis; ``tc`` is tanh of the new cell state. The step's input is not kept:
+    the caller owns the input projection and turns the gate gradients into
+    its input-side gradients itself.
     """
 
-    x: np.ndarray | None
     h_prev: np.ndarray
     c_prev: np.ndarray
     gates: np.ndarray
@@ -154,12 +141,12 @@ def lstm_cell_forward(params: LstmCellParams, x: np.ndarray,
         raise ShapeError(
             f"batch shapes differ: x {x.shape} vs state.h {state.h.shape}")
     x_pre = x @ params.wx.T + params.bx
-    return _lstm_cell_from_preact(params, x_pre, state, x=x)
+    return _lstm_cell_from_preact(params, x_pre, state)
 
 
 def _lstm_cell_from_preact(params: LstmCellParams, x_pre: np.ndarray,
-                           state: LstmCellState,
-                           x: np.ndarray | None = None):
+                           state: LstmCellState
+                           ) -> tuple[LstmCellState, LstmCellCache]:
     """Cell step given the already-projected input ``x @ wx.T + bx``.
 
     Lets sequence drivers with a constant input compute that projection once
@@ -178,7 +165,7 @@ def _lstm_cell_from_preact(params: LstmCellParams, x_pre: np.ndarray,
     c_new = f * state.c + i * g
     tc = np.tanh(c_new)
     h_new = o * tc
-    cache = LstmCellCache(x=x, h_prev=state.h, c_prev=state.c,
+    cache = LstmCellCache(h_prev=state.h, c_prev=state.c,
                           gates=gates, tc=tc, params=params)
     return LstmCellState(h_new, c_new), cache
 
@@ -189,9 +176,9 @@ def lstm_gate_backward(cache: LstmCellCache, dh: np.ndarray,
 
     Inputs are the gradients flowing into this step's outputs h and c.
     Returns ``(da, dh_prev, dc_prev)`` where ``da`` is the gradient on the
-    packed (i, f, g, o) pre-activation vector. Callers that own the input
-    projection turn ``da`` into weight gradients themselves;
-    ``lstm_cell_backward`` does it for the standalone case.
+    packed (i, f, g, o) pre-activation vector; it is also the gradient on
+    each bias, and the caller turns it into the weight gradients (``da.T``
+    times the step's input for ``wx``, times ``cache.h_prev`` for ``wh``).
     """
     H = cache.params.hidden_size
     gates = cache.gates
@@ -209,27 +196,6 @@ def lstm_gate_backward(cache: LstmCellCache, dh: np.ndarray,
     dh_prev = da @ cache.params.wh
     dc_prev = dc_total * f
     return da, dh_prev, dc_prev
-
-
-def lstm_cell_backward(cache: LstmCellCache, dh: np.ndarray, dc: np.ndarray
-                       ) -> tuple[LstmCellGrads, np.ndarray, LstmCellState]:
-    """Full backward through one cell step.
-
-    Returns (parameter gradients, dx, gradient on the previous state). For
-    batched caches the parameter gradients are summed over the batch axis.
-    """
-    if cache.x is None:
-        raise ShapeError(
-            "cache lacks the raw input x; it came from a precomputed-input "
-            "forward whose caller owns the input-side gradient")
-    da, dh_prev, dc_prev = lstm_gate_backward(cache, dh, dc)
-    da2 = da.reshape(-1, da.shape[-1])
-    x2 = cache.x.reshape(-1, cache.x.shape[-1])
-    h2 = cache.h_prev.reshape(-1, cache.h_prev.shape[-1])
-    db = da2.sum(axis=0)
-    grads = LstmCellGrads(wx=da2.T @ x2, wh=da2.T @ h2, bx=db, bh=db.copy())
-    dx = da @ cache.params.wx
-    return grads, dx, LstmCellState(dh_prev, dc_prev)
 
 
 @dataclass

@@ -12,7 +12,7 @@ from typing import Callable
 
 import numpy as np
 
-from .data import MiniTrack
+from .data import MiniTrack, boxes_to_array
 from .errors import ConfigError, DataError, NumericError
 from .model import (
     INPUT_DIM,
@@ -26,7 +26,7 @@ from .model import (
     init_params,
     loss_and_grads,
 )
-from .nn import AdamState, LinearParams, LstmCellParams, adam_step
+from .nn import AdamState, adam_step
 
 __all__ = [
     "EpochStats",
@@ -124,8 +124,7 @@ def stack_minitracks(minitracks: list[MiniTrack], k: int, p: int
             raise DataError(
                 f"mini-track {j} has {len(mt)} boxes, expected k+p={k + p}")
         windows[j] = build_features(mt.boxes[:k], predecessor=mt.predecessor)
-        for s, b in enumerate(mt.boxes[k:]):
-            targets[j, s] = (b.cx, b.cy, b.w, b.h)
+        targets[j] = boxes_to_array(mt.boxes[k:])
     return windows, targets
 
 
@@ -314,27 +313,14 @@ def load_model(path, expect_dims: ModelDims | None = None
 
     offset = 0
 
-    def take(shape) -> np.ndarray:
+    def take(_name: str, shape: tuple) -> np.ndarray:
         nonlocal offset
         n = int(np.prod(shape))
         arr = np.frombuffer(payload, dtype="<f4", count=n, offset=offset)
         offset += 4 * n
         return arr.reshape(shape).astype(np.float32)
 
-    H, Z = hidden, latent
-    params = ModelParams(
-        enc=LstmCellParams(wx=take((4 * H, INPUT_DIM)), wh=take((4 * H, H)),
-                           bx=take((4 * H,)), bh=take((4 * H,))),
-        fc_latent=LinearParams(w=take((Z, H)), b=take((Z,))),
-        auto_dec=LstmCellParams(wx=take((4 * H, Z)), wh=take((4 * H, H)),
-                                bx=take((4 * H,)), bh=take((4 * H,))),
-        fc_recon=LinearParams(w=take((INPUT_DIM, H)), b=take((INPUT_DIM,))),
-        fut_dec=LstmCellParams(wx=take((4 * H, Z)), wh=take((4 * H, H)),
-                               bx=take((4 * H,)), bh=take((4 * H,))),
-        fc_delta=LinearParams(w=take((OUTPUT_DIM, H)), b=take((OUTPUT_DIM,))),
-        dims=dims,
-        carry_cell_state=(dec_tag == b"hc"),
-    )
+    params = ModelParams.build(dims, take, carry_cell_state=(dec_tag == b"hc"))
     meta = {
         "version": version,
         "k": k, "p": p, "hidden": hidden, "latent": latent,

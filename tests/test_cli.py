@@ -4,6 +4,7 @@ reproduce-from-echo invariant, API/CLI output equivalence, and the exit-code
 contract."""
 
 import csv
+import warnings
 
 import numpy as np
 import pytest
@@ -28,6 +29,17 @@ def synth_file(tmp_path, name="tracks.csv", count=4, length=10, seed=9,
                  "--start-jitter", "6", "--velocity-jitter", "0.5",
                  *extra])
     assert code == 0
+    return path
+
+
+def extreme_file(tmp_path, frames=12):
+    """One track whose cx alternates between +-1e308, so every difference
+    overflows."""
+    rows = ["video_id,track_id,frame,cx,cy,w,h"]
+    rows += [f"v,t,{f},{1e308 if f % 2 else -1e308!r},5,2,2"
+             for f in range(frames)]
+    path = tmp_path / "extreme.csv"
+    path.write_text("\n".join(rows) + "\n")
     return path
 
 
@@ -308,6 +320,35 @@ class TestConfigFilesAndExitCodes:
         assert code == 4
         assert "inf" not in captured.out
         assert "1 of them" in captured.err
+
+    def test_non_finite_forecast_exits_four_and_writes_nothing(
+            self, tmp_path, capsys):
+        weights = TestPredict().make_weights(tmp_path)
+        out = tmp_path / "pred.csv"
+        code = main(["predict", "--weights", str(weights), "--data",
+                     str(extreme_file(tmp_path)), "--out", str(out)])
+        assert code == 4
+        assert "track ('v', 't')" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["predict", "eval"])
+    def test_numeric_failure_prints_only_its_error_line(
+            self, tmp_path, capsys, command):
+        data = extreme_file(tmp_path)
+        if command == "predict":
+            args = ["predict", "--weights",
+                    str(TestPredict().make_weights(tmp_path)),
+                    "--out", str(tmp_path / "pred.csv")]
+        else:
+            args = ["eval", "--baseline", "constant-velocity", "--k", "6",
+                    "--p", "6", "--stride", "6", "--out", str(tmp_path / "ev")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main([*args, "--data", str(data)])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: ")
+        assert err.count("\n") == 1
 
     def test_unknown_flag_exits_two(self, capsys):
         assert main(["synth", "--flux", "9"]) == 2

@@ -13,6 +13,7 @@ from helpers import (
     random_window_and_targets,
 )
 
+from boxcast import model
 from boxcast.data import Box
 from boxcast.errors import ConfigError, DataError, ShapeError
 from boxcast.model import (
@@ -330,6 +331,41 @@ class TestForwardTrainAndPredict:
         out = predict_from_window(params, window.astype(np.float32))
         assert out.dtype == np.float32
         assert np.all(np.isfinite(out))
+
+
+class TestTracedStepNames:
+    """The benchmark times each LSTM step by rebinding these names in
+    `boxcast.model`, so the drivers must call them through that module, once
+    per step."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {}
+        for name in ("lstm_cell_forward", "_lstm_cell_from_preact",
+                     "lstm_gate_backward"):
+            def counting(*args, _name=name, _fn=getattr(model, name)):
+                counts[_name] = counts.get(_name, 0) + 1
+                return _fn(*args)
+
+            monkeypatch.setattr(model, name, counting)
+        return counts
+
+    def test_predict_runs_k_encoder_and_p_decoder_steps(self, calls):
+        params = init_params(TINY, seed=30)
+        predict(params, boxes_from([(10.0 + i, 20.0, 5.0, 8.0)
+                                    for i in range(TINY.k)]))
+        assert calls == {"lstm_cell_forward": TINY.k,
+                         "_lstm_cell_from_preact": TINY.p}
+
+    def test_autoenc_training_step_runs_2k_plus_p_gate_backwards(self, calls):
+        params = init_params(TINY, seed=31)
+        window, targets = random_window_and_targets(
+            np.random.default_rng(31), 4, 3)
+        loss_and_grads(params, window, targets,
+                       LossWeights(mode=MODE_TRAJ_AUTOENC))
+        assert calls == {"lstm_cell_forward": TINY.k,
+                         "_lstm_cell_from_preact": TINY.k + TINY.p,
+                         "lstm_gate_backward": 2 * TINY.k + TINY.p}
 
 
 class TestInferenceDtypeFlow:

@@ -17,8 +17,8 @@ from boxcast.nn import (
     l1_loss,
     linear_backward,
     linear_forward,
-    lstm_cell_backward,
     lstm_cell_forward,
+    lstm_gate_backward,
     relu,
     sigmoid,
 )
@@ -138,31 +138,28 @@ class TestLstmCell:
         dh = rng.normal(size=4)
         dc = rng.normal(size=4)
 
-        def objective(params):
-            new, _ = lstm_cell_forward(params, x, s)
-            return float(np.sum(new.h * dh) + np.sum(new.c * dc))
-
         _, cache = lstm_cell_forward(p, x, s)
-        grads, dx, dstate = lstm_cell_backward(cache, dh, dc)
+        da, dh_prev, dc_prev = lstm_gate_backward(cache, dh, dc)
 
-        def with_inputs(xx, hh, cc):
-            new, _ = lstm_cell_forward(p, xx, LstmCellState(hh, cc))
+        def with_inputs(params, hh, cc):
+            new, _ = lstm_cell_forward(params, x, LstmCellState(hh, cc))
             return float(np.sum(new.h * dh) + np.sum(new.c * dc))
 
-        for name in ("wx", "wh", "bx", "bh"):
+        # for one sample the gate gradient is the gradient on either bias,
+        # and the weight gradients are its outer products with the inputs
+        analytic = {"wx": np.outer(da, x), "wh": np.outer(da, s.h),
+                    "bx": da, "bh": da}
+        for name, grad in analytic.items():
             def f(v, name=name):
-                q = LstmCellParams(**{**p.__dict__, name: v})
-                return objective(q)
+                return with_inputs(LstmCellParams(**{**p.__dict__, name: v}),
+                                   s.h, s.c)
 
-            assert_close_to_fd(getattr(grads, name),
-                               finite_diff_grad(f, getattr(p, name)))
+            assert_close_to_fd(grad, finite_diff_grad(f, getattr(p, name)))
 
-        assert_close_to_fd(dx, finite_diff_grad(
-            lambda v: with_inputs(v, s.h, s.c), x))
-        assert_close_to_fd(dstate.h, finite_diff_grad(
-            lambda v: with_inputs(x, v, s.c), s.h))
-        assert_close_to_fd(dstate.c, finite_diff_grad(
-            lambda v: with_inputs(x, s.h, v), s.c))
+        assert_close_to_fd(dh_prev, finite_diff_grad(
+            lambda v: with_inputs(p, v, s.c), s.h))
+        assert_close_to_fd(dc_prev, finite_diff_grad(
+            lambda v: with_inputs(p, s.h, v), s.c))
 
     def test_batched_backward_sums_parameter_grads(self):
         rng = np.random.default_rng(6)
@@ -172,19 +169,22 @@ class TestLstmCell:
         dh = rng.normal(size=(4, 4))
         dc = rng.normal(size=(4, 4))
         _, cache = lstm_cell_forward(p, xb, sb)
-        grads, dx, dstate = lstm_cell_backward(cache, dh, dc)
+        da, dh_prev, dc_prev = lstm_gate_backward(cache, dh, dc)
 
-        acc = {k: 0.0 for k in ("wx", "wh", "bx", "bh")}
+        acc_wh = 0.0
+        acc_b = 0.0
         for n in range(4):
             _, c1 = lstm_cell_forward(p, xb[n], LstmCellState(sb.h[n], sb.c[n]))
-            g1, dx1, ds1 = lstm_cell_backward(c1, dh[n], dc[n])
-            for k in acc:
-                acc[k] = acc[k] + getattr(g1, k)
-            np.testing.assert_allclose(dx[n], dx1, rtol=1e-12, atol=1e-14)
-            np.testing.assert_allclose(dstate.h[n], ds1.h, rtol=1e-12, atol=1e-14)
-        for k in acc:
-            np.testing.assert_allclose(getattr(grads, k), acc[k],
-                                       rtol=1e-12, atol=1e-14)
+            da1, dh1, dc1 = lstm_gate_backward(c1, dh[n], dc[n])
+            acc_wh = acc_wh + np.outer(da1, sb.h[n])
+            acc_b = acc_b + da1
+            np.testing.assert_allclose(da[n], da1, rtol=1e-12, atol=1e-14)
+            np.testing.assert_allclose(dh_prev[n], dh1, rtol=1e-12, atol=1e-14)
+            np.testing.assert_allclose(dc_prev[n], dc1, rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(da.T @ cache.h_prev, acc_wh,
+                                   rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(da.sum(axis=0), acc_b,
+                                   rtol=1e-12, atol=1e-14)
 
 
 class TestLinear:
