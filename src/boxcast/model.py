@@ -27,12 +27,15 @@ at entry, so a float32 model loaded from a weight file runs every LSTM step
 in float32 even though ``build_features`` returns float64. The trajectory
 anchor is not cast: ``concat_trajectory`` accumulates on the window's own
 anchor, so a float64 window keeps float64 box arithmetic and only the deltas
-come from the float32 network. Training (``init_params``,
-``loss_and_grads``) stays float64. The public ops
+come from the float32 network. ``loss_and_grads`` casts its window and
+targets the same way, so its forward pass, backward pass and gradients all
+run in ``params.dtype``; `training.train` optimises float32 parameters,
+while ``init_params`` keeps its float64 default for the finite-difference
+checks. The public ops
 (`encode`, `reconstruct`, `decode_future`, `concat_trajectory`,
 `forward_train`, `predict`) are composable pieces; `loss_and_grads` is the
-training engine that runs the same math with caches and returns analytic
-parameter gradients.
+training engine that runs the same math, keeps each sequence's stacked
+buffers as its caches, and returns analytic parameter gradients.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ from .nn import (
     LinearParams,
     LstmCellParams,
     LstmCellState,
+    LstmSeq,
     _check_last_dim,
     _lstm_cell_from_preact,
     l1_loss,
@@ -278,52 +282,41 @@ def _check_window(window: np.ndarray, k: int | None) -> None:
 # sequence drivers
 
 
-@dataclass
-class _SeqRun:
-    """One unrolled LSTM pass: per-step hidden states, final state, caches."""
-
-    hs: np.ndarray                 # (..., steps, H)
-    final: LstmCellState
-    caches: list | None = None
-
-
-def _unroll(step, cell: LstmCellParams, xs, init: LstmCellState,
-            want_cache: bool) -> _SeqRun:
-    """The sequence driver: ``state, cache = step(cell, x, state)`` for each
-    step input ``x`` in ``xs``, starting from ``init``."""
-    state = init
-    hs = np.empty(init.h.shape[:-1] + (len(xs), cell.hidden_size),
-                  dtype=cell.wh.dtype)
-    caches = [] if want_cache else None
+def _unroll(step, xs, seq: LstmSeq) -> LstmSeq:
+    """The sequence driver: ``step(seq.cell, x, seq, t)`` for each step input
+    ``x`` in ``xs``, each call filling step ``t`` of ``seq`` in place."""
     for t, x in enumerate(xs):
-        state, cache = step(cell, x, state)
-        hs[..., t, :] = state.h
-        if want_cache:
-            caches.append(cache)
-    return _SeqRun(hs=hs, final=state, caches=caches)
+        step(seq.cell, x, seq, t)
+    return seq
 
 
-def _run_encoder(params: ModelParams, window: np.ndarray,
-                 want_cache: bool) -> _SeqRun:
+def _run_encoder(params: ModelParams, window: np.ndarray) -> LstmSeq:
     """Unroll the encoder over the window rows from a zero state. Each step
     projects its own row: one GEMM over the whole window would round
     differently from the per-row products the bitwise tests pin."""
     init = LstmCellState.zeros(params.dims.hidden, window.shape[:-2],
                                dtype=params.dtype)
-    return _unroll(lstm_cell_forward, params.enc, np.moveaxis(window, -2, 0),
-                   init, want_cache)
+    xs = np.moveaxis(window, -2, 0)
+    return _unroll(lstm_cell_forward, xs,
+                   LstmSeq.start(params.enc, init, len(xs)))
 
 
 def _run_constant_decoder(cell: LstmCellParams, z: np.ndarray, steps: int,
-                          init: LstmCellState, want_cache: bool) -> _SeqRun:
+                          init: LstmCellState) -> LstmSeq:
     """Unroll a decoder that reads the same latent vector at every step.
 
-    The input projection ``z @ wx.T + bx`` is computed once and reused, which
-    is what makes the inference path cheap.
+    The input projection ``z @ wx.T + bx + bh`` is computed once and reused,
+    which is what makes the inference path cheap.
     """
-    x_pre = z @ cell.wx.T + cell.bx
-    return _unroll(_lstm_cell_from_preact, cell, [x_pre] * steps, init,
-                   want_cache)
+    seq = LstmSeq.start(cell, init, steps)
+    x_pre = z @ cell.wx.T
+    x_pre += seq.bias
+    return _unroll(_lstm_cell_from_preact, [x_pre] * steps, seq)
+
+
+def _head(seq: LstmSeq, layer: LinearParams) -> np.ndarray:
+    """The affine map of every step's hidden state, as (..., steps, out)."""
+    return np.moveaxis(seq.h[1:] @ layer.w.T + layer.b, 0, -2)
 
 
 # ---------------------------------------------------------------------------
@@ -348,9 +341,9 @@ def encode(params: ModelParams, window: np.ndarray
     """
     _check_window(window, params.dims.k)
     window, = _in_net_dtype(params, window)
-    run = _run_encoder(params, window, want_cache=False)
-    z = linear_forward(params.fc_latent.w, params.fc_latent.b, relu(run.final.h))
-    return z, run.final
+    final = _run_encoder(params, window).final
+    z = linear_forward(params.fc_latent.w, params.fc_latent.b, relu(final.h))
+    return z, final
 
 
 def reconstruct(params: ModelParams, z: np.ndarray) -> np.ndarray:
@@ -360,8 +353,8 @@ def reconstruct(params: ModelParams, z: np.ndarray) -> np.ndarray:
     z, = _in_net_dtype(params, z)
     init = LstmCellState.zeros(params.dims.hidden, z.shape[:-1],
                                dtype=params.dtype)
-    run = _run_constant_decoder(params.auto_dec, z, params.dims.k, init, False)
-    return run.hs @ params.fc_recon.w.T + params.fc_recon.b
+    return _head(_run_constant_decoder(params.auto_dec, z, params.dims.k, init),
+                 params.fc_recon)
 
 
 def decode_future(params: ModelParams, z: np.ndarray,
@@ -378,8 +371,8 @@ def decode_future(params: ModelParams, z: np.ndarray,
             f"{z.shape[:-1] + (params.dims.hidden,)}")
     z, h, c = _in_net_dtype(params, z, enc_state.h, enc_state.c)
     init = LstmCellState(h, c if params.carry_cell_state else np.zeros_like(h))
-    run = _run_constant_decoder(params.fut_dec, z, params.dims.p, init, False)
-    return run.hs @ params.fc_delta.w.T + params.fc_delta.b
+    return _head(_run_constant_decoder(params.fut_dec, z, params.dims.p, init),
+                 params.fc_delta)
 
 
 def concat_trajectory(deltas: np.ndarray, anchor: np.ndarray) -> np.ndarray:
@@ -547,7 +540,9 @@ def loss_and_grads(params: ModelParams, window: np.ndarray,
     """Composite loss plus analytic gradients for every learnable tensor.
 
     ``window`` is (k, 8) or (N, k, 8); ``target_boxes`` is the matching
-    (p, 4) or (N, p, 4). Gradients come back keyed like
+    (p, 4) or (N, p, 4). Both are cast to ``params.dtype`` once at entry, so
+    the whole pass, gradients included, runs in the params' dtype; the loss
+    is summed in float64. Gradients come back keyed like
     ``ModelParams.tensors()``; inactive branches contribute zeros. Batched
     gradients are the gradient of the batch-mean loss, which equals the mean
     of the per-sample gradients.
@@ -559,27 +554,26 @@ def loss_and_grads(params: ModelParams, window: np.ndarray,
         raise ShapeError(
             f"target boxes have shape {target_boxes.shape}, expected "
             f"{window.shape[:-2] + (dims.p, OUTPUT_DIM)}")
+    window, target_boxes = _in_net_dtype(params, window, target_boxes)
 
-    # forward, keeping caches
-    enc_run = _run_encoder(params, window, want_cache=True)
-    h_final = enc_run.final.h
+    # forward; the sequence buffers are the caches
+    enc = _run_encoder(params, window)
+    h_final = enc.h[-1]
     h_relu = relu(h_final)
     z = linear_forward(params.fc_latent.w, params.fc_latent.b, h_relu)
 
     need_auto = weights.mode == MODE_TRAJ_AUTOENC
-    auto_run = None
+    auto = None
     recon = None
     if need_auto:
         auto_init = LstmCellState.zeros(dims.hidden, z.shape[:-1], dtype=z.dtype)
-        auto_run = _run_constant_decoder(params.auto_dec, z, dims.k, auto_init, True)
-        recon = auto_run.hs @ params.fc_recon.w.T + params.fc_recon.b
+        auto = _run_constant_decoder(params.auto_dec, z, dims.k, auto_init)
+        recon = _head(auto, params.fc_recon)
 
-    if params.carry_cell_state:
-        fut_init = LstmCellState(enc_run.final.h, enc_run.final.c)
-    else:
-        fut_init = LstmCellState(enc_run.final.h, np.zeros_like(enc_run.final.h))
-    fut_run = _run_constant_decoder(params.fut_dec, z, dims.p, fut_init, True)
-    deltas = fut_run.hs @ params.fc_delta.w.T + params.fc_delta.b
+    fut_init = LstmCellState(h_final, enc.c[-1] if params.carry_cell_state
+                             else np.zeros_like(h_final))
+    fut = _run_constant_decoder(params.fut_dec, z, dims.p, fut_init)
+    deltas = _head(fut, params.fc_delta)
 
     anchor = window[..., -1, :4]
     pred_boxes = None
@@ -600,20 +594,15 @@ def loss_and_grads(params: ModelParams, window: np.ndarray,
     else:
         d_deltas = head.d_deltas
 
-    dw, db, d_hs = linear_backward(params.fc_delta.w, fut_run.hs, d_deltas)
-    grads["fc_delta.w"] += dw
-    grads["fc_delta.b"] += db
     dz, d_enc_h, d_enc_c = _constant_decoder_backward(
-        params.fut_dec, fut_run, z, d_hs, grads, "fut_dec")
+        fut, params.fc_delta, z, d_deltas, grads, "fut_dec", "fc_delta")
     if not params.carry_cell_state:
         d_enc_c = np.zeros_like(d_enc_c)
 
     if need_auto:
-        dw, db, d_hs = linear_backward(params.fc_recon.w, auto_run.hs, head.d_recon)
-        grads["fc_recon.w"] += dw
-        grads["fc_recon.b"] += db
         dz_auto, _, _ = _constant_decoder_backward(
-            params.auto_dec, auto_run, z, d_hs, grads, "auto_dec")
+            auto, params.fc_recon, z, head.d_recon, grads, "auto_dec",
+            "fc_recon")
         dz = dz + dz_auto
 
     dw, db, d_hrelu = linear_backward(params.fc_latent.w, h_relu, dz)
@@ -621,55 +610,57 @@ def loss_and_grads(params: ModelParams, window: np.ndarray,
     grads["fc_latent.b"] += db
     dh_final = d_hrelu * (h_final > 0) + d_enc_h
 
-    da_all, _, _ = _unroll_backward(enc_run, dh_final, d_enc_c, None, grads,
-                                    "enc")
-    da2 = da_all.reshape(-1, da_all.shape[-1])
-    grads["enc.wx"] += da2.T @ window.reshape(-1, window.shape[-1])
+    da, _, _ = _unroll_backward(enc, dh_final, d_enc_c, None, grads, "enc")
+    xs = np.moveaxis(window, -2, 0)
+    grads["enc.wx"] += da.reshape(-1, da.shape[-1]).T \
+        @ xs.reshape(-1, xs.shape[-1])
     return loss, terms, grads
 
 
-def _unroll_backward(run: _SeqRun, dh: np.ndarray, dc: np.ndarray,
+def _unroll_backward(seq: LstmSeq, dh: np.ndarray, dc: np.ndarray,
                      d_hs: np.ndarray | None, grads: dict[str, np.ndarray],
                      prefix: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Backward through an unrolled run, input side excluded.
 
-    The upstream gradient enters at the final state and, when ``d_hs`` is
-    given, at every per-step hidden state. Accumulates the ``wh``/``bx``/``bh``
-    gradients into ``grads`` and returns (per-step gate gradients, dh_init,
-    dc_init).
+    The upstream gradient enters at the final state and, when ``d_hs``
+    ((steps, ..., H)) is given, at every per-step hidden state. Accumulates
+    the ``wh``/``bx``/``bh`` gradients into ``grads`` and returns (per-step
+    gate gradients (steps, ..., 4H), dh_init, dc_init).
     """
-    da_all = np.empty(run.hs.shape[:-1] + (4 * run.hs.shape[-1],),
-                      dtype=run.hs.dtype)
-    for t in reversed(range(len(run.caches))):
+    da = np.empty_like(seq.gates)
+    for t in reversed(range(len(da))):
         if d_hs is not None:
-            dh = dh + d_hs[..., t, :]
-        da, dh, dc = lstm_gate_backward(run.caches[t], dh, dc)
-        da_all[..., t, :] = da
-    h_prev = np.stack([c.h_prev for c in run.caches], axis=-2)
-    da2 = da_all.reshape(-1, da_all.shape[-1])
+            dh = dh + d_hs[t]
+        dh, dc = lstm_gate_backward(seq, t, dh, dc, da)
+    da2 = da.reshape(-1, da.shape[-1])
+    h_prev = seq.h[:-1]
     grads[prefix + ".wh"] += da2.T @ h_prev.reshape(-1, h_prev.shape[-1])
     db = da2.sum(axis=0)
     grads[prefix + ".bx"] += db
     grads[prefix + ".bh"] += db
-    return da_all, dh, dc
+    return da, dh, dc
 
 
-def _constant_decoder_backward(cell: LstmCellParams, run: _SeqRun, z: np.ndarray,
-                               d_hs: np.ndarray, grads: dict[str, np.ndarray],
-                               prefix: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Backward through a constant-input decoder run.
+def _constant_decoder_backward(seq: LstmSeq, head: LinearParams, z: np.ndarray,
+                               d_out: np.ndarray, grads: dict[str, np.ndarray],
+                               prefix: str, head_prefix: str
+                               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Backward through a constant-input decoder run and its output head.
 
-    ``d_hs`` carries the upstream gradient on every per-step hidden state.
-    Accumulates the cell's weight gradients into ``grads`` and returns
-    (dz, dh_init, dc_init). Because the input is the same z at every step,
-    the input-side weight gradient reduces to one product with the summed
-    gate gradients.
+    ``d_out`` is the upstream gradient on the head's (..., steps, out) rows.
+    Accumulates the head's and the cell's gradients into ``grads`` and
+    returns (dz, dh_init, dc_init). Because the input is the same z at every
+    step, the input-side weight gradient reduces to one product with the
+    summed gate gradients.
     """
-    da_all, dh, dc = _unroll_backward(run, np.zeros_like(run.final.h),
-                                      np.zeros_like(run.final.c), d_hs, grads,
-                                      prefix)
-    da_sum = da_all.sum(axis=-2)
+    dw, db, d_hs = linear_backward(head.w, seq.h[1:],
+                                   np.moveaxis(d_out, -2, 0))
+    grads[head_prefix + ".w"] += dw
+    grads[head_prefix + ".b"] += db
+    da, dh, dc = _unroll_backward(seq, np.zeros_like(seq.h[0]),
+                                  np.zeros_like(seq.c[0]), d_hs, grads, prefix)
+    da_sum = da.sum(axis=0)
     grads[prefix + ".wx"] += da_sum.reshape(-1, da_sum.shape[-1]).T \
         @ z.reshape(-1, z.shape[-1])
-    dz = da_sum @ cell.wx
+    dz = da_sum @ seq.cell.wx
     return dz, dh, dc

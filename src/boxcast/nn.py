@@ -12,6 +12,12 @@ Packed LSTM gate tensors use a fixed slice layout along the ``4H`` axis:
 input gate, forget gate, cell candidate, output gate, in that order. Both
 the input side and the recurrent side carry their own bias vector, and the
 two are simply added, so the effective bias is ``bx + bh``.
+
+An unrolled LSTM pass keeps its forward cache as stacked buffers allocated
+once per sequence (`LstmSeq`): each step call writes its gates and new state
+into its own index in place, and `lstm_gate_backward` reads them back and
+writes the gate gradients into a stacked buffer of the same shape. The ops
+run in the dtype of their parameters; the loss is summed in float64.
 """
 
 from __future__ import annotations
@@ -26,9 +32,9 @@ from .errors import NumericError, ShapeError
 __all__ = [
     "AdamState",
     "LinearParams",
-    "LstmCellCache",
     "LstmCellParams",
     "LstmCellState",
+    "LstmSeq",
     "adam_step",
     "finite_diff_grad",
     "l1_loss",
@@ -42,7 +48,11 @@ __all__ = [
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function; never overflows on finite input."""
+    """Numerically stable logistic function; never overflows on finite input.
+
+    The LSTM step computes its gates through tanh instead (one pass over all
+    four lanes); this exp form is the reference its tests compare against.
+    """
     z = np.exp(-np.abs(x))
     return np.where(x >= 0, 1.0, z) / (1.0 + z)
 
@@ -74,18 +84,6 @@ class LstmCellParams:
     def input_size(self) -> int:
         return self.wx.shape[1]
 
-    @classmethod
-    def init(cls, rng: np.random.Generator, input_size: int, hidden_size: int,
-             dtype=np.float64) -> "LstmCellParams":
-        """Seeded init: weights uniform on +-1/sqrt(H), both biases zero."""
-        s = 1.0 / np.sqrt(hidden_size)
-        return cls(
-            wx=rng.uniform(-s, s, (4 * hidden_size, input_size)).astype(dtype),
-            wh=rng.uniform(-s, s, (4 * hidden_size, hidden_size)).astype(dtype),
-            bx=np.zeros(4 * hidden_size, dtype=dtype),
-            bh=np.zeros(4 * hidden_size, dtype=dtype),
-        )
-
 
 @dataclass
 class LstmCellState:
@@ -102,20 +100,50 @@ class LstmCellState:
 
 
 @dataclass
-class LstmCellCache:
-    """Everything the backward pass needs from one forward step.
+class LstmSeq:
+    """The forward cache of one unrolled LSTM pass of T steps, as stacked
+    buffers preallocated for the whole pass.
 
-    ``gates`` packs the post-activation (i, f, g, o) values along the last
-    axis; ``tc`` is tanh of the new cell state. The step's input is not kept:
-    the caller owns the input projection and turns the gate gradients into
-    its input-side gradients itself.
+    gates : (T, ..., 4H) post-activation (i, f, g, o) of every step
+    c, h  : (T+1, ..., H) cell and hidden states; index 0 holds the initial
+            state and index t+1 the output of step t, so ``h[:-1]`` are the
+            steps' previous hidden states
+    tc    : (T, ..., H) tanh of every step's new cell state
+    cell  : the cell this pass runs, and ``bias`` its summed ``bx + bh``
+
+    `start` checks the state shape once for the whole pass; each step call
+    fills its own index in place. The network runs in the cell's dtype.
     """
 
-    h_prev: np.ndarray
-    c_prev: np.ndarray
+    cell: LstmCellParams
+    bias: np.ndarray
     gates: np.ndarray
+    c: np.ndarray
+    h: np.ndarray
     tc: np.ndarray
-    params: LstmCellParams
+
+    @classmethod
+    def start(cls, cell: LstmCellParams, init: LstmCellState,
+              steps: int) -> "LstmSeq":
+        """Buffers for ``steps`` steps starting from ``init``."""
+        H = cell.hidden_size
+        _check_last_dim("state.h", init.h, H)
+        if init.c.shape != init.h.shape:
+            raise ShapeError(f"state.c has shape {init.c.shape}, state.h "
+                             f"{init.h.shape}")
+        dtype = cell.wh.dtype
+        batch = init.h.shape[:-1]
+        c = np.empty((steps + 1,) + batch + (H,), dtype=dtype)
+        h = np.empty_like(c)
+        c[0] = init.c
+        h[0] = init.h
+        return cls(cell=cell, bias=cell.bx + cell.bh,
+                   gates=np.empty((steps,) + batch + (4 * H,), dtype=dtype),
+                   c=c, h=h, tc=np.empty_like(c[1:]))
+
+    @property
+    def final(self) -> LstmCellState:
+        return LstmCellState(self.h[-1], self.c[-1])
 
 
 def _check_last_dim(name: str, arr: np.ndarray, expected: int) -> None:
@@ -124,78 +152,104 @@ def _check_last_dim(name: str, arr: np.ndarray, expected: int) -> None:
             f"{name} has shape {arr.shape}, expected last dim {expected}")
 
 
-def lstm_cell_forward(params: LstmCellParams, x: np.ndarray,
-                      state: LstmCellState) -> tuple[LstmCellState, LstmCellCache]:
-    """One LSTM step.
+def _gate_lanes(a: np.ndarray, H: int) -> tuple[np.ndarray, ...]:
+    """Views of the (i, f, g, o) lanes of a packed (..., 4H) gate array."""
+    return a[..., :H], a[..., H: 2 * H], a[..., 2 * H: 3 * H], a[..., 3 * H:]
 
-    Inputs
-    ------
-    x : (D,) or (N, D) input vector(s)
-    state : previous (h, c), shapes (H,) or (N, H) matching x's batch shape
 
-    Returns (new state, cache for the backward pass).
+def lstm_cell_forward(params: LstmCellParams, x: np.ndarray, state,
+                      t: int = 0) -> tuple[LstmCellState, LstmSeq]:
+    """One LSTM step on input x, (D,) or (N, D).
+
+    ``state`` is either the previous (h, c) as an `LstmCellState`, shapes
+    (H,) or (N, H) matching x's batch shape, or an `LstmSeq` whose step
+    ``t`` this computes in place (the sequence drivers' form, whose shapes
+    were checked once when the sequence started).
+
+    Returns (new state, the cache holding this step).
     """
-    _check_last_dim("x", x, params.input_size)
-    _check_last_dim("state.h", state.h, params.hidden_size)
-    if x.shape[:-1] != state.h.shape[:-1]:
-        raise ShapeError(
-            f"batch shapes differ: x {x.shape} vs state.h {state.h.shape}")
-    x_pre = x @ params.wx.T + params.bx
-    return _lstm_cell_from_preact(params, x_pre, state)
+    if isinstance(state, LstmCellState):
+        _check_last_dim("x", x, params.input_size)
+        if x.shape[:-1] != state.h.shape[:-1]:
+            raise ShapeError(
+                f"batch shapes differ: x {x.shape} vs state.h {state.h.shape}")
+        state, t = LstmSeq.start(params, state, 1), 0
+    x_pre = x @ params.wx.T
+    x_pre += state.bias
+    return _lstm_cell_from_preact(params, x_pre, state, t)
 
 
 def _lstm_cell_from_preact(params: LstmCellParams, x_pre: np.ndarray,
-                           state: LstmCellState
-                           ) -> tuple[LstmCellState, LstmCellCache]:
-    """Cell step given the already-projected input ``x @ wx.T + bx``.
+                           seq: LstmSeq, t: int
+                           ) -> tuple[LstmCellState, LstmSeq]:
+    """Step ``t`` of ``seq`` given the already-projected input
+    ``x @ wx.T + bx + bh``, written in place into ``seq``.
 
     Lets sequence drivers with a constant input compute that projection once
     instead of once per step.
     """
     H = params.hidden_size
-    a = x_pre + state.h @ params.wh.T + params.bh
-    gates = np.empty_like(a)
-    gates[..., : 2 * H] = sigmoid(a[..., : 2 * H])
-    gates[..., 2 * H: 3 * H] = np.tanh(a[..., 2 * H: 3 * H])
-    gates[..., 3 * H:] = sigmoid(a[..., 3 * H:])
-    i = gates[..., :H]
-    f = gates[..., H: 2 * H]
-    g = gates[..., 2 * H: 3 * H]
-    o = gates[..., 3 * H:]
-    c_new = f * state.c + i * g
-    tc = np.tanh(c_new)
-    h_new = o * tc
-    cache = LstmCellCache(h_prev=state.h, c_prev=state.c,
-                          gates=gates, tc=tc, params=params)
-    return LstmCellState(h_new, c_new), cache
+    a = seq.gates[t]
+    np.matmul(seq.h[t], params.wh.T, out=a)
+    a += x_pre
+    # One tanh pass over all four lanes, since sigmoid(x) = (1 + tanh(x/2))/2:
+    # halve the sigmoid lanes, tanh everything, then map those lanes back.
+    i, f, g, o = _gate_lanes(a, H)
+    sigmoid_lanes = (a[..., : 2 * H], o)
+    for lane in sigmoid_lanes:
+        lane *= 0.5
+    np.tanh(a, out=a)
+    for lane in sigmoid_lanes:
+        lane *= 0.5
+        lane += 0.5
+    c = seq.c[t + 1]
+    np.multiply(f, seq.c[t], out=c)
+    c += i * g
+    tc = np.tanh(c, out=seq.tc[t])
+    h = np.multiply(o, tc, out=seq.h[t + 1])
+    return LstmCellState(h, c), seq
 
 
-def lstm_gate_backward(cache: LstmCellCache, dh: np.ndarray,
-                       dc: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Backward through one cell step, stopping at the gate pre-activations.
+def lstm_gate_backward(seq: LstmSeq, t: int, dh: np.ndarray, dc: np.ndarray,
+                       da: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Backward through step ``t`` of ``seq``, stopping at the gate
+    pre-activations.
 
-    Inputs are the gradients flowing into this step's outputs h and c.
-    Returns ``(da, dh_prev, dc_prev)`` where ``da`` is the gradient on the
-    packed (i, f, g, o) pre-activation vector; it is also the gradient on
-    each bias, and the caller turns it into the weight gradients (``da.T``
-    times the step's input for ``wx``, times ``cache.h_prev`` for ``wh``).
+    Inputs are the gradients flowing into the step's outputs h and c.
+    Writes the gradient on the packed (i, f, g, o) pre-activation vector into
+    ``da[t]`` (``da`` is shaped like ``seq.gates``) and returns
+    ``(dh_prev, dc_prev)``. ``da[t]`` is also the gradient on each bias; the
+    caller turns it into the weight gradients (times the step's input for
+    ``wx``, times ``seq.h[t]`` for ``wh``).
     """
-    H = cache.params.hidden_size
-    gates = cache.gates
-    i = gates[..., :H]
-    f = gates[..., H: 2 * H]
-    g = gates[..., 2 * H: 3 * H]
-    o = gates[..., 3 * H:]
-    tc = cache.tc
-    dc_total = dc + dh * o * (1.0 - tc * tc)
-    da = np.empty_like(gates)
-    da[..., :H] = dc_total * g * i * (1.0 - i)
-    da[..., H: 2 * H] = dc_total * cache.c_prev * f * (1.0 - f)
-    da[..., 2 * H: 3 * H] = dc_total * i * (1.0 - g * g)
-    da[..., 3 * H:] = dh * tc * o * (1.0 - o)
-    dh_prev = da @ cache.params.wh
-    dc_prev = dc_total * f
-    return da, dh_prev, dc_prev
+    H = seq.cell.hidden_size
+    y = seq.gates[t]
+    i, f, g, o = _gate_lanes(y, H)
+    tc = seq.tc[t]
+    d = da[t]
+    di, df, dg, do = _gate_lanes(d, H)
+    # each lane's activation derivative: s(1 - s), or (1 - g)(1 + g)
+    np.subtract(1.0, y, out=d)
+    d[..., : 2 * H] *= y[..., : 2 * H]
+    do *= o
+    dg *= 1.0 + g
+    # gradient reaching the new cell state: dc + dh * o * (1 - tanh(c)^2)
+    dc_total = np.multiply(tc, tc)
+    np.subtract(1.0, dc_total, out=dc_total)
+    dc_total *= o
+    dc_total *= dh
+    dc_total += dc
+    di *= dc_total
+    di *= g
+    df *= dc_total
+    df *= seq.c[t]
+    dg *= dc_total
+    dg *= i
+    do *= dh
+    do *= tc
+    dh_prev = d @ seq.cell.wh
+    dc_total *= f
+    return dh_prev, dc_total
 
 
 @dataclass
@@ -204,16 +258,6 @@ class LinearParams:
 
     w: np.ndarray
     b: np.ndarray
-
-    @classmethod
-    def init(cls, rng: np.random.Generator, in_features: int,
-             out_features: int, dtype=np.float64) -> "LinearParams":
-        """Seeded init: weights uniform on +-1/sqrt(fan_in), bias zero."""
-        s = 1.0 / np.sqrt(in_features)
-        return cls(
-            w=rng.uniform(-s, s, (out_features, in_features)).astype(dtype),
-            b=np.zeros(out_features, dtype=dtype),
-        )
 
 
 def linear_forward(w: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -236,14 +280,16 @@ def l1_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean absolute error over every element.
 
     Returns ``(loss, grad)`` with ``grad = sign(pred - target) / n`` where n
-    is the total element count; the subgradient at exact ties is 0.
+    is the total element count; the subgradient at exact ties is 0. The loss
+    is summed in float64 whatever the inputs' dtype, so float32 differences
+    too large to sum in float32 still give a finite loss.
     """
     if pred.shape != target.shape:
         raise ShapeError(
             f"pred shape {pred.shape} != target shape {target.shape}")
     diff = pred - target
     n = diff.size
-    loss = float(np.abs(diff).sum() / n)
+    loss = float(np.abs(diff).sum(dtype=np.float64) / n)
     return loss, np.sign(diff) / n
 
 

@@ -138,15 +138,22 @@ def train(cfg: TrainConfig, minitracks: list[MiniTrack],
     composite loss with gradients averaged over the batch, and applies one
     Adam step at the scheduled rate. Deterministic for a fixed seed: two
     runs produce bit-identical parameters and histories (timing aside).
-    Never mutates the input mini-tracks. A non-finite loss or gradient
-    aborts with epoch/batch diagnostics.
+    Never mutates the input mini-tracks. A non-finite loss, gradient or
+    gradient norm aborts with epoch/batch diagnostics.
+
+    Training runs in float32, the precision of the weight file: the seeded
+    initial values are drawn as float64 and rounded once, and the returned
+    parameters and the Adam moments are float32. Losses and the clipping
+    norm are summed in float64.
     """
     cfg.validate()
-    windows, targets = stack_minitracks(minitracks, cfg.k, cfg.p)
+    windows, targets = (a.astype(np.float32) for a in
+                        stack_minitracks(minitracks, cfg.k, cfg.p))
     m = windows.shape[0]
     rng = np.random.default_rng(cfg.seed)
     params = init_params(cfg.dims(), seed=rng,
-                         carry_cell_state=cfg.carry_cell_state)
+                         carry_cell_state=cfg.carry_cell_state,
+                         dtype=np.float32)
     weights = LossWeights(alpha=cfg.alpha, beta=cfg.beta, mode=cfg.loss_mode)
     tensors = params.tensors()
     opt = AdamState.init(tensors, beta1=cfg.adam_beta1, beta2=cfg.adam_beta2,
@@ -166,9 +173,9 @@ def train(cfg: TrainConfig, minitracks: list[MiniTrack],
             if not np.isfinite(loss):
                 raise NumericError(
                     f"non-finite loss {loss!r} at epoch {epoch}, batch {bi}")
-            if cfg.grad_clip > 0:
-                _clip_global_norm(grads, cfg.grad_clip)
             try:
+                if cfg.grad_clip > 0:
+                    _clip_global_norm(grads, cfg.grad_clip)
                 adam_step(opt, tensors, grads, lr)
             except NumericError as e:
                 raise NumericError(f"epoch {epoch}, batch {bi}: {e}") from None
@@ -191,10 +198,16 @@ def train(cfg: TrainConfig, minitracks: list[MiniTrack],
 
 
 def _clip_global_norm(grads: dict[str, np.ndarray], clip: float) -> None:
+    """Scale every gradient in place so their joint L2 norm is at most
+    ``clip``. The squares are summed in float64, so a float32 gradient
+    whose square overflows float32 still clips; a norm that is not finite
+    even so raises NumericError."""
     total = 0.0
     for g in grads.values():
-        total += float((g * g).sum())
+        total += float(np.square(g, dtype=np.float64).sum())
     norm = np.sqrt(total)
+    if not np.isfinite(norm):
+        raise NumericError(f"non-finite gradient norm {norm!r}")
     if norm > clip:
         scale = clip / norm
         for g in grads.values():

@@ -339,25 +339,47 @@ class TestTracedStepNames:
     per step."""
 
     @pytest.fixture
-    def calls(self, monkeypatch):
+    def steps(self):
+        return []
+
+    @pytest.fixture
+    def calls(self, monkeypatch, steps):
         counts = {}
         for name in ("lstm_cell_forward", "_lstm_cell_from_preact",
                      "lstm_gate_backward"):
             def counting(*args, _name=name, _fn=getattr(model, name)):
                 counts[_name] = counts.get(_name, 0) + 1
+                if _name != "lstm_gate_backward":
+                    steps.append((_name, args[0], args[1]))
                 return _fn(*args)
 
             monkeypatch.setattr(model, name, counting)
         return counts
 
-    def test_predict_runs_k_encoder_and_p_decoder_steps(self, calls):
+    @staticmethod
+    def assert_step_args(steps, dtype):
+        """What the tracer reads of a step call: the cell's widths from
+        ``args[0]``; from ``args[1]`` the batch shape and the itemsize, and
+        a last dim of D (an encoder row) or 4H (a decoder pre-activation)."""
+        assert steps
+        for name, cell, x in steps:
+            assert isinstance(cell.input_size, int), name
+            assert isinstance(cell.hidden_size, int), name
+            width = cell.input_size if name == "lstm_cell_forward" \
+                else 4 * cell.hidden_size
+            assert x.shape[-1] == width, name
+            assert x.dtype == dtype, name
+
+    def test_predict_runs_k_encoder_and_p_decoder_steps(self, calls, steps):
         params = init_params(TINY, seed=30)
         predict(params, boxes_from([(10.0 + i, 20.0, 5.0, 8.0)
                                     for i in range(TINY.k)]))
         assert calls == {"lstm_cell_forward": TINY.k,
                          "_lstm_cell_from_preact": TINY.p}
+        self.assert_step_args(steps, np.float64)
 
-    def test_autoenc_training_step_runs_2k_plus_p_gate_backwards(self, calls):
+    def test_autoenc_training_step_runs_2k_plus_p_gate_backwards(self, calls,
+                                                                 steps):
         params = init_params(TINY, seed=31)
         window, targets = random_window_and_targets(
             np.random.default_rng(31), 4, 3)
@@ -366,6 +388,18 @@ class TestTracedStepNames:
         assert calls == {"lstm_cell_forward": TINY.k,
                          "_lstm_cell_from_preact": TINY.k + TINY.p,
                          "lstm_gate_backward": 2 * TINY.k + TINY.p}
+        self.assert_step_args(steps, np.float64)
+
+    def test_float32_model_steps_read_float32_inputs(self, calls, steps):
+        """Fed float64 windows and targets, a float32 model's inference and
+        training steps both take float32 inputs."""
+        params = init_params(TINY, seed=32).astype(np.float32)
+        window, targets = random_window_and_targets(
+            np.random.default_rng(32), 4, 3)
+        predict_from_window(params, window)
+        loss_and_grads(params, window, targets,
+                       LossWeights(mode=MODE_TRAJ_AUTOENC))
+        self.assert_step_args(steps, np.float32)
 
 
 class TestInferenceDtypeFlow:
@@ -425,6 +459,52 @@ class TestInferenceDtypeFlow:
         for name, t in loaded.tensors().items():
             assert t.dtype == np.float32, name
             assert t.flags.writeable, name
+
+
+class TestTrainingDtypeFlow:
+    """`loss_and_grads` casts its window and targets to ``params.dtype`` once
+    at entry and runs the whole pass, backward included, in that dtype."""
+
+    def test_float32_params_give_float32_gradients(self):
+        params = init_params(TINY, seed=50).astype(np.float32)
+        window, targets = random_window_and_targets(
+            np.random.default_rng(50), 4, 3)
+        assert window.dtype == targets.dtype == np.float64
+        loss, terms, grads = loss_and_grads(params, window, targets,
+                                            LossWeights())
+        assert type(loss) is float
+        assert all(type(v) is float for v in terms.values())
+        for name, g in grads.items():
+            assert g.dtype == np.float32, name
+        # no float64 step ran: float32 inputs give the very same bits
+        loss32, _, grads32 = loss_and_grads(
+            params, window.astype(np.float32), targets.astype(np.float32),
+            LossWeights())
+        assert loss == loss32
+        for name, g in grads.items():
+            np.testing.assert_array_equal(g, grads32[name], err_msg=name)
+
+    @pytest.mark.parametrize("mode", LOSS_MODES)
+    def test_float32_matches_float64_on_the_same_weights(self, mode):
+        """Same weights, same batch of 8 pixel-scale windows: the float32
+        loss is within 1e-5 of the float64 one (relative), and every float32
+        gradient tensor within 2e-5 of the float64 tensor's largest entry
+        (measured on this case: 3.4e-7 and 1.3e-6)."""
+        dims = ModelDims(k=6, p=5, hidden=32, latent=16)
+        rng = np.random.default_rng(4)
+        p32 = init_params(dims, seed=4).astype(np.float32)
+        p64 = p32.astype(np.float64)
+        pairs = [random_window_and_targets(rng, dims.k, dims.p)
+                 for _ in range(8)]
+        window = np.stack([w for w, _ in pairs])
+        targets = np.stack([t for _, t in pairs])
+        weights = LossWeights(mode=mode)
+        l32, _, g32 = loss_and_grads(p32, window, targets, weights)
+        l64, _, g64 = loss_and_grads(p64, window, targets, weights)
+        assert abs(l32 - l64) <= 1e-5 * abs(l64)
+        for name, want in g64.items():
+            gap = np.abs(g32[name] - want).max()
+            assert gap <= 2e-5 * np.abs(want).max(), name
 
 
 class TestParamCount:

@@ -7,6 +7,7 @@ import copy
 import numpy as np
 import pytest
 
+from boxcast import training
 from boxcast.data import Box, MiniTrack, SynthSpec, slice_minitracks, synth_tracks
 from boxcast.errors import ConfigError, DataError, NumericError
 from boxcast.model import (
@@ -18,6 +19,7 @@ from boxcast.model import (
 )
 from boxcast.training import (
     TrainConfig,
+    _clip_global_norm,
     load_model,
     lr_schedule,
     param_count_for,
@@ -172,6 +174,56 @@ class TestTrain:
         cfg = TrainConfig(loss_mode=MODE_TRAJ, seed=0, epochs=2, **SMALL)
         with pytest.raises(NumericError, match="epoch 0, batch 0"):
             train(cfg, [mt])
+
+
+class TestFloat32Training:
+    def test_trains_in_float32_from_the_seeded_draws(self, monkeypatch):
+        cfg = TrainConfig(seed=9, epochs=2, **SMALL)
+        real = training.adam_step
+        steps = []
+
+        def recording(state, params, grads, lr):
+            if not steps:
+                steps.append({n: t.copy() for n, t in params.items()})
+            steps.append({a.dtype for d in (state.m, state.v, params, grads)
+                          for a in d.values()})
+            real(state, params, grads, lr)
+
+        monkeypatch.setattr(training, "adam_step", recording)
+        params, _ = train(cfg, small_minitracks(seed=9))
+        # the first step starts from the float64 draws, rounded once
+        start = init_params(cfg.dims(), seed=np.random.default_rng(cfg.seed))
+        for name, t in start.tensors().items():
+            np.testing.assert_array_equal(steps[0][name],
+                                          t.astype(np.float32), err_msg=name)
+        assert len(steps) > 1
+        assert all(s == {np.dtype(np.float32)} for s in steps[1:])
+        for name, t in params.tensors().items():
+            assert t.dtype == np.float32, name
+
+    def test_float32_gradient_norm_is_summed_in_float64(self):
+        # 1e20 squared overflows float32: a float32 sum made the norm inf
+        # and scaled every gradient to 0
+        grads = {"w": np.array([1e20, 0.0], dtype=np.float32),
+                 "b": np.array([0.0], dtype=np.float32)}
+        _clip_global_norm(grads, 1.0)
+        np.testing.assert_allclose(grads["w"], [1.0, 0.0], rtol=1e-6)
+        assert grads["w"].dtype == np.float32
+
+    def test_non_finite_gradient_norm_aborts_with_location(self, monkeypatch):
+        real = training.loss_and_grads
+
+        def inf_gradient(*args):
+            loss, terms, grads = real(*args)
+            grads["enc.wx"][0, 0] = np.inf
+            return loss, terms, grads
+
+        monkeypatch.setattr(training, "loss_and_grads", inf_gradient)
+        cfg = TrainConfig(loss_mode=MODE_TRAJ, seed=0, epochs=1,
+                          grad_clip=1.0, **SMALL)
+        with pytest.raises(NumericError, match="epoch 0, batch 0: "
+                                               "non-finite gradient norm"):
+            train(cfg, small_minitracks(seed=0))
 
 
 class TestHistoryFile:
