@@ -5,11 +5,18 @@ benchmark, and the loss-mode ablation harness.
 Displacement metrics use box centroids only; width/height errors never
 enter them.
 
+Evaluation is array-first: `evaluate`, `evaluate_baseline` and
+`ablation_run` stack their N mini-tracks once with `stack_minitracks` (which
+refuses an empty set or a length other than k + p) into (N, k, 8) windows and
+(N, p, 4) targets. A model forecasts the windows in chunks of
+`FORECAST_CHUNK` rows, a baseline in one `baseline_predict` call, and
+`evaluate_predictions` scores the (N, p, 4) forecasts.
+
 Input-range policy: coordinates are accepted as long as they are finite, but
 a metric is never reported as inf or NaN. When forecasts from extreme inputs
 (such as centroids near +-1e308) overflow, `evaluate_predictions` raises
-NumericError, naming how many samples went non-finite, instead of returning
-a non-finite ADE or FDE.
+NumericError, naming how many of the N samples went non-finite, instead of
+returning a non-finite ADE or FDE.
 """
 
 from __future__ import annotations
@@ -26,12 +33,18 @@ from .model import (
     LOSS_MODES,
     ModelParams,
     build_features,
-    predict,
+    predict,  # noqa: F401  only perfbench's tracer reads evaluation.predict
     predict_from_window,
 )
-from .training import train
+from .training import stack_minitracks, train
 
 BASELINE_KINDS = ("constant-velocity", "constant-acceleration", "stationary")
+
+# Rows per `predict_from_window` call. A full-size float32 forecast holds
+# about 1 MB of transient buffers per row (mostly the decoder's stacked
+# gates), so a chunk peaks near 64 MB. Measured on one BLAS thread, full
+# size: 43/71/213/244/312 forecasts/s at batch 1/8/32/64/128.
+FORECAST_CHUNK = 64
 
 __all__ = [
     "BASELINE_KINDS",
@@ -44,7 +57,6 @@ __all__ = [
     "evaluate",
     "evaluate_baseline",
     "evaluate_predictions",
-    "evaluate_with",
     "fde",
     "fde_at",
     "summarize_folds",
@@ -70,15 +82,18 @@ class MetricReport:
     nonpositive_size_count: int = 0
 
 
-def _centroid_displacements(pred: np.ndarray, gt: np.ndarray) -> np.ndarray:
+def _centroid_displacements(pred: np.ndarray, gt: np.ndarray,
+                            batched: bool = False) -> np.ndarray:
+    """Per-step centroid distances of (p, 4) boxes, or (N, p, 4) if batched."""
     pred = np.asarray(pred, dtype=np.float64)
     gt = np.asarray(gt, dtype=np.float64)
     if pred.shape != gt.shape:
         raise ShapeError(f"pred shape {pred.shape} != gt shape {gt.shape}")
-    if pred.ndim != 2 or pred.shape[0] < 1 or pred.shape[1] != 4:
-        raise ShapeError(f"expected (p, 4) box sequences, got {pred.shape}")
-    d = pred[:, :2] - gt[:, :2]
-    return np.hypot(d[:, 0], d[:, 1])
+    ndim, layout = (3, "(N, p, 4)") if batched else (2, "(p, 4)")
+    if pred.ndim != ndim or pred.shape[-1] != 4 or pred.shape[-2] < 1:
+        raise ShapeError(f"expected {layout} box sequences, got {pred.shape}")
+    d = pred[..., :2] - gt[..., :2]
+    return np.hypot(d[..., 0], d[..., 1])
 
 
 def ade(pred, gt) -> float:
@@ -101,77 +116,60 @@ def fde(pred, gt) -> float:
     return float(disp[-1])
 
 
-def evaluate_predictions(pairs: list[tuple[np.ndarray, np.ndarray]],
+def evaluate_predictions(pred: np.ndarray, gt: np.ndarray,
                          input_k: int) -> MetricReport:
-    """Aggregate a list of (predicted, ground-truth) box sequences.
+    """Aggregate (N, p, 4) predicted boxes against (N, p, 4) ground truth.
 
-    Raises NumericError when the ADE or FDE is not finite (see the module's
+    Raises ShapeError on other shapes, ConfigError when N is 0, and
+    NumericError when the ADE or FDE is not finite (see the module's
     input-range policy).
     """
-    if not pairs:
+    disp = _centroid_displacements(pred, gt, batched=True)
+    n, p = disp.shape
+    if n == 0:
         raise ConfigError("nothing to evaluate: empty prediction set")
-    disp = np.stack([_centroid_displacements(pr, gt) for pr, gt in pairs])
-    p = disp.shape[1]
     per_step = disp.mean(axis=0)
     ade_all, fde_all = float(disp.mean()), float(per_step[-1])
     if not (np.isfinite(ade_all) and np.isfinite(fde_all)):
         n_bad = int(np.count_nonzero(~np.isfinite(disp).all(axis=1)))
         raise NumericError(
-            f"ADE {ade_all} / FDE {fde_all} over {len(pairs)} samples, "
+            f"ADE {ade_all} / FDE {fde_all} over {n} samples, "
             f"{n_bad} of them with a non-finite centroid displacement; "
             f"coordinates are outside the range the metrics can represent")
-    bad = sum(int(np.count_nonzero(np.asarray(pr)[:, 2:] <= 0))
-              for pr, _ in pairs)
     return MetricReport(
         ade=ade_all,
         fde=fde_all,
         fde_at={t: float(per_step[t - 1]) for t in range(1, p + 1)},
-        n_samples=len(pairs),
+        n_samples=n,
         horizon_p=p,
         input_k=input_k,
-        nonpositive_size_count=bad,
+        nonpositive_size_count=int(np.count_nonzero(
+            np.asarray(pred)[..., 2:] <= 0)),
     )
 
 
-def _forecast_pairs(predict_fn, minitracks: list[MiniTrack], k: int, p: int
-                    ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(forecast from the first k boxes, last p boxes) per mini-track."""
-    if not minitracks:
-        raise ConfigError("nothing to evaluate: empty mini-track set")
-    pairs = []
-    for j, mt in enumerate(minitracks):
-        if len(mt) != k + p:
-            raise DataError(
-                f"mini-track {j} has {len(mt)} boxes, expected k+p={k + p}")
-        pred = predict_fn(mt.boxes[:k], mt.predecessor)
-        gt = boxes_to_array(mt.boxes[k:])
-        pairs.append((pred, gt))
-    return pairs
-
-
-def evaluate_with(predict_fn, minitracks: list[MiniTrack], k: int, p: int
-                  ) -> MetricReport:
-    """Shared protocol: forecast from each mini-track's first k boxes and
-    score against its last p. ``predict_fn(boxes, predecessor)`` must return
-    a (p, 4) box array."""
-    return evaluate_predictions(_forecast_pairs(predict_fn, minitracks, k, p),
-                                input_k=k)
+def _forecast(params: ModelParams, windows: np.ndarray) -> np.ndarray:
+    """(N, p, 4) model forecasts of (N, k, 8) windows, FORECAST_CHUNK rows
+    per `predict_from_window` call."""
+    return np.concatenate([
+        predict_from_window(params, windows[i:i + FORECAST_CHUNK])
+        for i in range(0, len(windows), FORECAST_CHUNK)])
 
 
 def evaluate(params: ModelParams, minitracks: list[MiniTrack]) -> MetricReport:
     """Evaluate a trained model over mini-tracks of length k + p."""
     d = params.dims
-    return evaluate_with(
-        lambda boxes, predecessor: predict(params, boxes, predecessor),
-        minitracks, d.k, d.p)
+    windows, targets = stack_minitracks(minitracks, d.k, d.p)
+    return evaluate_predictions(_forecast(params, windows), targets,
+                                input_k=d.k)
 
 
 def evaluate_baseline(kind: str, minitracks: list[MiniTrack], k: int, p: int
                       ) -> MetricReport:
     """Evaluate one analytic baseline under the same protocol as `evaluate`."""
-    return evaluate_with(
-        lambda boxes, _pred: baseline_predict(kind, boxes, p),
-        minitracks, k, p)
+    windows, targets = stack_minitracks(minitracks, k, p)
+    return evaluate_predictions(baseline_predict(kind, windows[..., :4], p),
+                                targets, input_k=k)
 
 
 def summarize_folds(reports: list[MetricReport]) -> dict:
@@ -195,6 +193,9 @@ def summarize_folds(reports: list[MetricReport]) -> dict:
 def baseline_predict(kind: str, past_boxes, steps: int) -> np.ndarray:
     """Extrapolate ``steps`` future boxes from past boxes without a model.
 
+    ``past_boxes`` is a Box sequence or an (..., n, 4) array with any leading
+    batch shape; the result is (..., steps, 4).
+
     constant-velocity       repeats the last observed per-frame change
     constant-acceleration   fits velocity and acceleration to the last three
     stationary              repeats the last box
@@ -206,22 +207,27 @@ def baseline_predict(kind: str, past_boxes, steps: int) -> np.ndarray:
         raise ConfigError(f"steps must be >= 1, got {steps}")
     arr = past_boxes if isinstance(past_boxes, np.ndarray) \
         else boxes_to_array(past_boxes)
-    n = arr.shape[0]
-    anchor = arr[-1]
+    if arr.ndim < 2 or arr.shape[-1] != 4:
+        raise ShapeError(f"past boxes have shape {arr.shape}, expected "
+                         f"(..., n, 4)")
+    n = arr.shape[-2]
+    # the last boxes keep a length-1 step axis, (..., 1, 4), so they
+    # broadcast against the (steps, 1) step counts
+    anchor, before = arr[..., -1:, :], arr[..., -2:-1, :]
     i = np.arange(1, steps + 1, dtype=np.float64)[:, None]
     if kind == "stationary":
         if n < 1:
             raise DataError("stationary baseline needs at least 1 box")
-        return np.tile(anchor, (steps, 1))
+        return np.repeat(anchor, steps, axis=-2)
     if kind == "constant-velocity":
         if n < 2:
             raise DataError("constant-velocity baseline needs at least 2 boxes")
-        v = arr[-1] - arr[-2]
+        v = anchor - before
         return anchor + i * v
     if n < 3:
         raise DataError("constant-acceleration baseline needs at least 3 boxes")
-    v2 = arr[-1] - arr[-2]
-    v1 = arr[-2] - arr[-3]
+    v2 = anchor - before
+    v1 = before - arr[..., -3:-2, :]
     a = v2 - v1
     # under constant acceleration the i-th future step advances by
     # i*v2 + (1+2+...+i)*a
@@ -337,6 +343,11 @@ def ablation_run(minitracks: list[MiniTrack], cfg, modes=LOSS_MODES,
             raise ConfigError(f"unknown loss mode {m!r}")
     if eval_minitracks is None:
         eval_minitracks = minitracks
+    if not retrain_per_horizon:
+        if horizons[-1] > cfg.p:
+            raise ConfigError(
+                f"horizon {horizons[-1]} exceeds the model horizon p={cfg.p}")
+        windows, targets = stack_minitracks(eval_minitracks, cfg.k, cfg.p)
     rows: list[dict] = []
     for mode in modes:
         if retrain_per_horizon:
@@ -347,17 +358,11 @@ def ablation_run(minitracks: list[MiniTrack], cfg, modes=LOSS_MODES,
                 rows.append({"mode": mode, "horizon": h,
                              "ade": rep.ade, "fde": rep.fde})
             continue
-        if horizons[-1] > cfg.p:
-            raise ConfigError(
-                f"horizon {horizons[-1]} exceeds the model horizon p={cfg.p}")
-        cfg_m = replace(cfg, loss_mode=mode)
-        pars, _ = train(cfg_m, minitracks)
-        pairs = _forecast_pairs(
-            lambda boxes, predecessor: predict(pars, boxes, predecessor),
-            eval_minitracks, cfg.k, cfg.p)
+        pars, _ = train(replace(cfg, loss_mode=mode), minitracks)
+        pred = _forecast(pars, windows)
         for h in horizons:
-            trunc = [(pr[:h], gt[:h]) for pr, gt in pairs]
-            rep = evaluate_predictions(trunc, input_k=cfg.k)
+            rep = evaluate_predictions(pred[:, :h], targets[:, :h],
+                                       input_k=cfg.k)
             rows.append({"mode": mode, "horizon": h,
                          "ade": rep.ade, "fde": rep.fde})
     return rows

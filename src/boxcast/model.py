@@ -46,7 +46,7 @@ from typing import Callable
 import numpy as np
 
 from .data import boxes_to_array
-from .errors import ConfigError, DataError, ShapeError
+from .errors import ConfigError, DataError, NumericError, ShapeError
 from .nn import (
     LinearParams,
     LstmCellParams,
@@ -545,7 +545,8 @@ def loss_and_grads(params: ModelParams, window: np.ndarray,
     is summed in float64. Gradients come back keyed like
     ``ModelParams.tensors()``; inactive branches contribute zeros. Batched
     gradients are the gradient of the batch-mean loss, which equals the mean
-    of the per-sample gradients.
+    of the per-sample gradients. A loss that is not finite raises
+    NumericError before the backward pass runs.
     """
     weights.validate()
     dims = params.dims
@@ -582,6 +583,8 @@ def loss_and_grads(params: ModelParams, window: np.ndarray,
 
     loss, terms, head = composite_loss(recon, window, pred_boxes, target_boxes,
                                        weights, pred_deltas=deltas)
+    if not np.isfinite(loss):
+        raise NumericError(f"non-finite loss {loss!r}")
 
     # backward
     grads = {name: np.zeros_like(t) for name, t in params.tensors().items()}

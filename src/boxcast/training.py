@@ -168,12 +168,9 @@ def train(cfg: TrainConfig, minitracks: list[MiniTrack],
         sum_traj = 0.0
         for bi, start in enumerate(range(0, m, cfg.batch_size)):
             idx = order[start:start + cfg.batch_size]
-            loss, terms, grads = loss_and_grads(
-                params, windows[idx], targets[idx], weights)
-            if not np.isfinite(loss):
-                raise NumericError(
-                    f"non-finite loss {loss!r} at epoch {epoch}, batch {bi}")
             try:
+                loss, terms, grads = loss_and_grads(
+                    params, windows[idx], targets[idx], weights)
                 if cfg.grad_clip > 0:
                     _clip_global_norm(grads, cfg.grad_clip)
                 adam_step(opt, tensors, grads, lr)

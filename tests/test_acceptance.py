@@ -411,7 +411,7 @@ def test_08_metric_closed_forms(capsys):
     offset = np.zeros((p, 4))
     offset[:, 0] = 3.0
     offset[:, 1] = 4.0
-    r = evaluate_predictions([(gt + offset, gt)], input_k=30)
+    r = evaluate_predictions((gt + offset)[None], gt[None], input_k=30)
     assert r.ade == 5.0
     assert r.fde == 5.0
     assert all(r.fde_at[step] == 5.0 for step in range(1, p + 1))
@@ -420,7 +420,7 @@ def test_08_metric_closed_forms(capsys):
     # so fde_at(t) = t, FDE = p, and ADE = (1 + ... + p)/p = 30.5 exactly
     divergence = np.zeros((p, 4))
     divergence[:, 0] = t
-    r2 = evaluate_predictions([(gt + divergence, gt)], input_k=30)
+    r2 = evaluate_predictions((gt + divergence)[None], gt[None], input_k=30)
     assert all(r2.fde_at[step] == float(step) for step in range(1, p + 1))
     assert r2.fde == float(p)
     assert r2.ade == 30.5

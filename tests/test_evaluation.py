@@ -7,9 +7,11 @@ import math
 import numpy as np
 import pytest
 
+from boxcast import evaluation
 from boxcast.data import (
     SYNTH_KINDS,
     SynthSpec,
+    boxes_to_array,
     slice_all_minitracks,
     slice_minitracks,
     synth_tracks,
@@ -25,7 +27,6 @@ from boxcast.evaluation import (
     evaluate,
     evaluate_baseline,
     evaluate_predictions,
-    evaluate_with,
     fde,
     fde_at,
     summarize_folds,
@@ -91,7 +92,9 @@ class TestEvaluatePredictions:
             gt = rng.normal(100.0, 20.0, size=(7, 4))
             pred = gt + rng.normal(0.0, 3.0, size=(7, 4))
             pairs.append((pred, gt))
-        report = evaluate_predictions(pairs, input_k=9)
+        report = evaluate_predictions(np.stack([pr for pr, _ in pairs]),
+                                      np.stack([gt for _, gt in pairs]),
+                                      input_k=9)
         disp = np.stack([np.hypot(*(pr[:, :2] - gt[:, :2]).T)
                          for pr, gt in pairs])
         assert report.ade == pytest.approx(disp.mean(), rel=1e-15)
@@ -109,13 +112,24 @@ class TestEvaluatePredictions:
         pred = gt.copy()
         pred[0, 2] = 0.0
         pred[2, 3] = -1.0
-        report = evaluate_predictions([(pred, gt)], input_k=2)
+        report = evaluate_predictions(pred[None], gt[None], input_k=2)
         assert report.nonpositive_size_count == 2
         assert report.ade == 0.0
 
     def test_empty_set_rejected(self):
         with pytest.raises(ConfigError, match="empty"):
-            evaluate_predictions([], input_k=2)
+            evaluate_predictions(np.empty((0, 3, 4)), np.empty((0, 3, 4)),
+                                 input_k=2)
+
+    def test_only_matching_stacks_of_box_sequences_are_accepted(self):
+        a = np.zeros((2, 3, 4))
+        for pred, gt in ((a, np.zeros((2, 4, 4))),  # mismatched
+                         (a[0], a[0]),  # one (p, 4) sequence, unstacked
+                         (a[..., :3], a[..., :3]),  # not boxes
+                         (a[:, :0], a[:, :0]),  # p = 0
+                         (a[None], a[None])):  # an extra batch axis
+            with pytest.raises(ShapeError):
+                evaluate_predictions(pred, gt, input_k=2)
 
     def test_non_finite_metrics_raise_and_count_the_bad_samples(self):
         gt = np.tile([10.0, 20.0, 5.0, 8.0], (4, 1))
@@ -125,7 +139,9 @@ class TestEvaluatePredictions:
         nan_pred[1, 1] = np.nan
         pairs = [(gt, gt), (inf_pred, gt), (gt, gt), (nan_pred, gt)]
         with pytest.raises(NumericError, match="2 of them"):
-            evaluate_predictions(pairs, input_k=2)
+            evaluate_predictions(np.stack([pr for pr, _ in pairs]),
+                                 np.stack([gt for _, gt in pairs]),
+                                 input_k=2)
 
     def test_extreme_coordinates_are_a_numeric_error_not_inf(self):
         # finite input whose constant-velocity extrapolation overflows
@@ -134,7 +150,7 @@ class TestEvaluatePredictions:
         with np.errstate(over="ignore", invalid="ignore"):
             pred = baseline_predict("constant-velocity", track[:5], 3)
         with pytest.raises(NumericError, match="1 of them"):
-            evaluate_predictions([(pred, track[5:])], input_k=5)
+            evaluate_predictions(pred[None], track[5:][None], input_k=5)
 
 
 class TestBaselines:
@@ -196,6 +212,8 @@ class TestBaselines:
             baseline_predict("constant-velocity", boxes[:1], steps=2)
         with pytest.raises(DataError):
             baseline_predict("constant-acceleration", boxes[:2], steps=2)
+        with pytest.raises(ShapeError):
+            baseline_predict("stationary", boxes[0], steps=2)
         assert set(BASELINE_KINDS) == {"constant-velocity",
                                        "constant-acceleration", "stationary"}
 
@@ -224,7 +242,112 @@ class TestEvaluateModel:
     def test_empty_set_rejected(self):
         params = init_params(ModelDims(k=5, p=6, hidden=8, latent=4), seed=4)
         with pytest.raises(ConfigError, match="empty"):
-            evaluate_with(lambda b, pr: None, [], 5, 6)
+            evaluate(params, [])
+
+
+def mixed_minitracks(k, p, per_kind, seed, **kw):
+    """Noisy mini-tracks of every synthetic kind, with predecessors."""
+    tracks = []
+    for i, kind in enumerate(SYNTH_KINDS):
+        tracks += synth_tracks(SynthSpec(
+            kind=kind, length=k + p + 2, noise_std=0.75, start_jitter=200.0,
+            velocity_jitter=2.0, seed=seed + i, **kw), per_kind)
+    return slice_all_minitracks(tracks, k + p, 2)
+
+
+def per_sample_displacements(forecast, mts, k, p):
+    """The per-sample protocol as the reference: one forecast per
+    mini-track, its centroid distance at every step from `fde_at` (so
+    ``ade`` is the row mean and ``fde`` the last entry), stacked to
+    (N, p); and the count of predicted sizes <= 0."""
+    rows, nonpositive = [], 0
+    for mt in mts:
+        pred = forecast(mt.boxes[:k], mt.predecessor)
+        gt = boxes_to_array(mt.boxes[k:])
+        rows.append([fde_at(pred, gt, t) for t in range(1, p + 1)])
+        nonpositive += int(np.count_nonzero(pred[:, 2:] <= 0))
+    return np.array(rows), nonpositive
+
+
+class TestBatchedEvaluation:
+    """Stacked scoring against the per-sample protocol: baselines bit for
+    bit, a model within a stated bound (a batched GEMM may round
+    differently from per-row products)."""
+
+    BOUND_PX = 1e-3
+
+    @pytest.mark.parametrize("kind", BASELINE_KINDS)
+    def test_baseline_reports_equal_per_sample_scoring_bitwise(self, kind):
+        k, p = 8, 10
+        # small boxes, so noisy extrapolations reach sizes <= 0
+        mts = mixed_minitracks(k, p, per_kind=3, seed=50, size=(4.0, 6.0))
+        disp, nonpositive = per_sample_displacements(
+            lambda boxes, _: baseline_predict(kind, boxes, p), mts, k, p)
+        report = evaluate_baseline(kind, mts, k, p)
+        per_step = disp.mean(axis=0)
+        assert report.ade == float(disp.mean())
+        assert report.fde == float(per_step[-1])
+        assert report.fde_at == {t: float(per_step[t - 1])
+                                 for t in range(1, p + 1)}
+        assert report.nonpositive_size_count == nonpositive
+        assert report.n_samples == len(mts) == 24
+        if kind == "constant-acceleration":
+            assert nonpositive > 0
+
+    @pytest.mark.parametrize("kind", BASELINE_KINDS)
+    def test_baseline_predict_over_a_batch_equals_stacked_rows(self, kind):
+        mts = mixed_minitracks(6, 4, per_kind=2, seed=60)
+        rows = [mt.boxes[:6] for mt in mts]
+        obs = np.stack([boxes_to_array(r) for r in rows])
+        want = np.stack([baseline_predict(kind, r, 5) for r in rows])
+        np.testing.assert_array_equal(baseline_predict(kind, obs, 5), want)
+        np.testing.assert_array_equal(
+            baseline_predict(kind, obs.reshape(4, -1, 6, 4), 5),
+            want.reshape(4, -1, 5, 4))
+
+    def test_model_reports_stay_within_the_bound_of_per_sample_predict(
+            self, tmp_path, capsys):
+        dims = ModelDims(k=30, p=60, hidden=512, latent=256)
+        path = tmp_path / "full.bxw"
+        save_model(init_params(dims, seed=8), path)
+        params, _ = load_model(path)
+        mts = mixed_minitracks(dims.k, dims.p, per_kind=2, seed=80)
+        disp, nonpositive = per_sample_displacements(
+            lambda boxes, before: predict(params, boxes, before), mts,
+            dims.k, dims.p)
+        report = evaluate(params, mts)
+        per_step = disp.mean(axis=0)
+        gaps = [abs(report.ade - disp.mean())] + [
+            abs(report.fde_at[t] - per_step[t - 1])
+            for t in range(1, dims.p + 1)]
+        with capsys.disabled():
+            print(f"\n[batched vs per-sample] {len(mts)} windows: worst "
+                  f"ADE/FDE@t gap {max(gaps):.3g} px "
+                  f"(bound {self.BOUND_PX} px)")
+        assert max(gaps) <= self.BOUND_PX
+        assert report.fde == report.fde_at[dims.p]
+        assert report.nonpositive_size_count == nonpositive
+        assert report.n_samples == len(mts) == 16
+
+    def test_sets_longer_than_one_chunk_keep_every_row(self, monkeypatch):
+        dims = ModelDims(k=5, p=6, hidden=8, latent=4)
+        params = init_params(dims, seed=9).astype(np.float32)
+        mts = cv_minitracks(k=5, p=6, count=2 * evaluation.FORECAST_CHUNK + 1,
+                            start_jitter=20.0, velocity_jitter=1.0, seed=9)
+        chunks = []
+        real = evaluation.predict_from_window
+
+        def recording(params, windows):
+            chunks.append(real(params, windows))
+            return chunks[-1]
+
+        monkeypatch.setattr(evaluation, "predict_from_window", recording)
+        report = evaluate(params, mts)
+        assert [len(c) for c in chunks] == [evaluation.FORECAST_CHUNK] * 2 + [1]
+        assert report.n_samples == len(mts)
+        want = np.stack([predict(params, mt.boxes[:5], mt.predecessor)
+                         for mt in mts])
+        assert np.abs(np.concatenate(chunks) - want).max() <= self.BOUND_PX
 
 
 class TestInferencePrecision:

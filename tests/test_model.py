@@ -3,6 +3,9 @@ oracles, the concatenation layer against an exact prefix-sum oracle, loss
 values against closed forms, and the full backward pass against finite
 differences."""
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -400,6 +403,24 @@ class TestTracedStepNames:
         loss_and_grads(params, window, targets,
                        LossWeights(mode=MODE_TRAJ_AUTOENC))
         self.assert_step_args(steps, np.float32)
+
+
+class TestTracerTargets:
+    """perfbench's traced run rebinds each (module, attribute) its tracing
+    module lists, so every one must exist; checked here because tier-1 does
+    not collect perfbench's own tests."""
+
+    def test_every_traced_name_resolves(self):
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+        spec = importlib.util.spec_from_file_location("perfbench_tracing",
+                                                      path)
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        targets = tracing.targets()
+        assert targets
+        for module, attr, *_ in targets:
+            assert callable(getattr(module, attr, None)), \
+                f"{module.__name__}.{attr}"
 
 
 class TestInferenceDtypeFlow:

@@ -7,7 +7,7 @@ import copy
 import numpy as np
 import pytest
 
-from boxcast import training
+from boxcast import model, training
 from boxcast.data import Box, MiniTrack, SynthSpec, slice_minitracks, synth_tracks
 from boxcast.errors import ConfigError, DataError, NumericError
 from boxcast.model import (
@@ -174,6 +174,27 @@ class TestTrain:
         cfg = TrainConfig(loss_mode=MODE_TRAJ, seed=0, epochs=2, **SMALL)
         with pytest.raises(NumericError, match="epoch 0, batch 0"):
             train(cfg, [mt])
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_non_finite_loss_skips_the_backward_pass(self, monkeypatch):
+        boxes = [Box(cx=1e308 if i < 6 else -1e308, cy=0.0, w=2.0, h=2.0,
+                     frame=i) for i in range(10)]
+        mt = MiniTrack(video_id="v", track_id="t", start_frame=0,
+                       boxes=boxes, predecessor=None)
+        cfg = TrainConfig(loss_mode=MODE_TRAJ, seed=0, epochs=1, **SMALL)
+        calls = []
+        real = model.lstm_gate_backward
+
+        def counting(*args):
+            calls.append(args[1])
+            return real(*args)
+
+        monkeypatch.setattr(model, "lstm_gate_backward", counting)
+        with pytest.raises(NumericError, match="non-finite loss"):
+            train(cfg, [mt])
+        assert calls == []
+        train(cfg, small_minitracks(count=1))
+        assert calls, "the counter must see the backward of a finite loss"
 
 
 class TestFloat32Training:
