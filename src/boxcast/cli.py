@@ -429,6 +429,7 @@ def _cmd_eval(vals: dict[str, Any]) -> None:
         k, p = params.dims.k, params.dims.p
     else:
         params, k, p = None, vals["k"], vals["p"]
+        ModelDims(k=k, p=p).validate()  # before k + p sizes the slices
     tracks = _load_tracks(vals)
     mts = slice_all_minitracks(tracks, k + p, vals["stride"])
     if not mts:

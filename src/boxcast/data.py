@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -31,6 +32,7 @@ __all__ = [
     "SYNTH_KINDS",
     "SynthSpec",
     "Track",
+    "box_fields",
     "boxes_to_array",
     "parse_tracks",
     "slice_all_minitracks",
@@ -66,6 +68,20 @@ def boxes_to_array(boxes) -> np.ndarray:
     """(n, 4) float array of (cx, cy, w, h) rows."""
     return np.array([[b.cx, b.cy, b.w, b.h] for b in boxes],
                     dtype=np.float64).reshape(len(boxes), 4)
+
+
+_BOX_FIELDS = operator.attrgetter("cx", "cy", "w", "h", "frame")
+_BOX_RECORD = np.dtype([("cx", np.float64), ("cy", np.float64),
+                        ("w", np.float64), ("h", np.float64),
+                        ("frame", np.int64)])
+
+
+def box_fields(boxes, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (count, 4) float (cx, cy, w, h) rows and the (count,) int frames
+    of ``count`` Box records from any iterable, gathered in one pass."""
+    rec = np.fromiter(map(_BOX_FIELDS, boxes), dtype=_BOX_RECORD, count=count)
+    return (np.stack([rec["cx"], rec["cy"], rec["w"], rec["h"]], axis=-1),
+            rec["frame"])
 
 
 @dataclass

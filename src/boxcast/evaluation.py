@@ -7,10 +7,10 @@ enter them.
 
 Evaluation is array-first: `evaluate`, `evaluate_baseline` and
 `ablation_run` stack their N mini-tracks once with `stack_minitracks` (which
-refuses an empty set or a length other than k + p) into (N, k, 8) windows and
-(N, p, 4) targets. A model forecasts the windows in chunks of
-`FORECAST_CHUNK` rows, a baseline in one `baseline_predict` call, and
-`evaluate_predictions` scores the (N, p, 4) forecasts.
+refuses k or p below 1, an empty set, or a length other than k + p) into
+(N, k, 8) windows and (N, p, 4) targets. A model forecasts the windows in
+chunks of `FORECAST_CHUNK` rows, a baseline in one `baseline_predict` call,
+and `evaluate_predictions` scores the (N, p, 4) forecasts.
 
 Input-range policy: coordinates are accepted as long as they are finite, but
 a metric is never reported as inf or NaN. When forecasts from extreme inputs
@@ -41,9 +41,10 @@ from .training import stack_minitracks, train
 BASELINE_KINDS = ("constant-velocity", "constant-acceleration", "stationary")
 
 # Rows per `predict_from_window` call. A full-size float32 forecast holds
-# about 1 MB of transient buffers per row (mostly the decoder's stacked
-# gates), so a chunk peaks near 64 MB. Measured on one BLAS thread, full
-# size: 43/71/213/244/312 forecasts/s at batch 1/8/32/64/128.
+# about 0.89 MB of transient buffers per row (mostly the decoder's stacked
+# gates), so a chunk peaks near 56 MB (tracemalloc). Measured on one BLAS
+# thread, full size, 2-core Xeon VM: 52/91/235/309/366 forecasts/s at batch
+# 1/8/32/64/128 (best of 5).
 FORECAST_CHUNK = 64
 
 __all__ = [

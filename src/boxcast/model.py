@@ -35,7 +35,9 @@ checks. The public ops
 (`encode`, `reconstruct`, `decode_future`, `concat_trajectory`,
 `forward_train`, `predict`) are composable pieces; `loss_and_grads` is the
 training engine that runs the same math, keeps each sequence's stacked
-buffers as its caches, and returns analytic parameter gradients.
+buffers as its caches, runs its backward pass inside them (overwriting the
+gate activations with their gradients), and returns analytic parameter
+gradients.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from typing import Callable
 
 import numpy as np
 
-from .data import boxes_to_array
+from .data import box_fields
 from .errors import ConfigError, DataError, NumericError, ShapeError
 from .nn import (
     LinearParams,
@@ -86,6 +88,7 @@ __all__ = [
     "concat_trajectory",
     "decode_future",
     "encode",
+    "feature_windows",
     "forward_train",
     "init_params",
     "loss_and_grads",
@@ -219,33 +222,64 @@ def build_features(boxes, predecessor=None) -> np.ndarray:
     (cx, cy, w, h) rows; Box frames must be consecutive. Row i holds the box
     followed by its difference from row i-1. The first row's difference is
     taken against ``predecessor`` when one is supplied (it must sit exactly
-    one frame before the window) and is zero otherwise.
+    one frame before the window) and is zero otherwise. The one-window case
+    of `feature_windows`.
     """
     arr, frames = _boxes_as_array(boxes)
     if arr.shape[0] < 1:
         raise DataError("feature window needs at least one box")
+    if predecessor is None:
+        pred_arr, pred_frames = arr[:1], frames
+    else:
+        pred_arr, pred_frames = box_fields([predecessor], 1)
+    ext = np.concatenate([pred_arr, arr])[None]
+    ext_frames = None if frames is None \
+        else np.concatenate([pred_frames[:1], frames])[None]
+    return feature_windows(ext, ext_frames,
+                           np.array([predecessor is not None]))[0]
+
+
+def feature_windows(boxes: np.ndarray, frames: np.ndarray | None,
+                    has_pred: np.ndarray) -> np.ndarray:
+    """The (M, k, 8) feature windows of M stacked box windows, each as
+    `build_features` builds it.
+
+    ``boxes`` is (M, k + 1, 4) float64: row 0 of window j is its
+    predecessor when ``has_pred[j]`` and is ignored otherwise, rows 1..k
+    are the window.
+    ``frames`` is the matching (M, k + 1) frame numbers, or None for boxes
+    without frames (then no frame is checked). Raises the DataError
+    `build_features` raises for the first faulty window, in window order.
+    """
+    window, window_frames = boxes[:, 1:], None
+    gap = np.zeros(len(boxes), dtype=bool)
+    pred_frame_bad = np.zeros_like(gap)
     if frames is not None:
-        gaps = np.flatnonzero(np.diff(frames) != 1)
-        if gaps.size:
-            i = int(gaps[0])
+        window_frames = frames[:, 1:]
+        gaps = np.diff(window_frames, axis=1) != 1
+        gap = gaps.any(axis=1)
+        pred_frame_bad = has_pred & (frames[:, 0] != window_frames[:, 0] - 1)
+    size_bad = (window[..., 2:] <= 0).any(axis=(1, 2))
+    pred_size_bad = has_pred & (boxes[:, 0, 2:] <= 0).any(axis=1)
+    bad = np.flatnonzero(gap | size_bad | pred_frame_bad | pred_size_bad)
+    if bad.size:
+        j = int(bad[0])
+        if gap[j]:
+            f = window_frames[j]
+            i = int(np.flatnonzero(gaps[j])[0])
+            raise DataError(f"frames must be consecutive: frame {f[i + 1]} "
+                            f"follows {f[i]}")
+        if size_bad[j]:
+            raise DataError("box width and height must be positive")
+        if pred_frame_bad[j]:
             raise DataError(
-                f"frames must be consecutive: frame {frames[i + 1]} follows "
-                f"{frames[i]}")
-    if np.any(arr[:, 2:] <= 0):
-        raise DataError("box width and height must be positive")
-    out = np.zeros((arr.shape[0], INPUT_DIM), dtype=np.float64)
-    out[:, :4] = arr
-    out[1:, 4:] = arr[1:] - arr[:-1]
-    if predecessor is not None:
-        pred_arr, pred_frames = _boxes_as_array([predecessor])
-        if frames is not None and pred_frames is not None \
-                and pred_frames[0] != frames[0] - 1:
-            raise DataError(
-                f"predecessor frame {pred_frames[0]} is not one before the "
-                f"window start {frames[0]}")
-        if np.any(pred_arr[0, 2:] <= 0):
-            raise DataError("predecessor width and height must be positive")
-        out[0, 4:] = arr[0] - pred_arr[0]
+                f"predecessor frame {frames[j, 0]} is not one before the "
+                f"window start {frames[j, 1]}")
+        raise DataError("predecessor width and height must be positive")
+    out = np.empty(window.shape[:-1] + (INPUT_DIM,), dtype=np.float64)
+    out[..., :4] = window
+    out[..., 4:] = boxes[:, 1:] - boxes[:, :-1]
+    out[~has_pred, 0, 4:] = 0.0
     return out
 
 
@@ -255,9 +289,7 @@ def _boxes_as_array(boxes) -> tuple[np.ndarray, np.ndarray | None]:
         if boxes.ndim != 2 or boxes.shape[1] != 4:
             raise ShapeError(f"box array has shape {boxes.shape}, expected (n, 4)")
         return boxes.astype(np.float64, copy=False), None
-    arr = boxes_to_array(boxes)
-    frames = np.array([b.frame for b in boxes], dtype=np.int64)
-    return arr, frames
+    return box_fields(boxes, len(boxes))
 
 
 def reconstruction_target(window: np.ndarray) -> np.ndarray:
@@ -626,15 +658,18 @@ def _unroll_backward(seq: LstmSeq, dh: np.ndarray, dc: np.ndarray,
     """Backward through an unrolled run, input side excluded.
 
     The upstream gradient enters at the final state and, when ``d_hs``
-    ((steps, ..., H)) is given, at every per-step hidden state. Accumulates
-    the ``wh``/``bx``/``bh`` gradients into ``grads`` and returns (per-step
-    gate gradients (steps, ..., 4H), dh_init, dc_init).
+    ((steps, ..., H)) is given, at every per-step hidden state. The pass
+    consumes the forward cache: each step's gate gradients overwrite its
+    gate activations in ``seq.gates``, so ``seq`` cannot be run backward
+    twice. Accumulates the ``wh``/``bx``/``bh`` gradients into ``grads`` and
+    returns (per-step gate gradients, i.e. ``seq.gates`` (steps, ..., 4H),
+    dh_init, dc_init).
     """
-    da = np.empty_like(seq.gates)
+    da = seq.gates
     for t in reversed(range(len(da))):
         if d_hs is not None:
             dh = dh + d_hs[t]
-        dh, dc = lstm_gate_backward(seq, t, dh, dc, da)
+        dh, dc = lstm_gate_backward(seq, t, dh, dc)
     da2 = da.reshape(-1, da.shape[-1])
     h_prev = seq.h[:-1]
     grads[prefix + ".wh"] += da2.T @ h_prev.reshape(-1, h_prev.shape[-1])

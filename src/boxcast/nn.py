@@ -15,9 +15,12 @@ two are simply added, so the effective bias is ``bx + bh``.
 
 An unrolled LSTM pass keeps its forward cache as stacked buffers allocated
 once per sequence (`LstmSeq`): each step call writes its gates and new state
-into its own index in place, and `lstm_gate_backward` reads them back and
-writes the gate gradients into a stacked buffer of the same shape. The ops
-run in the dtype of their parameters; the loss is summed in float64.
+into its own index in place. The backward pass runs inside that cache:
+`lstm_gate_backward` reads step t's gate activations and overwrites them
+with their gradients, recomputing tanh(c) rather than storing it, so a
+sequence's backward allocates no buffer of its own beyond a few per-step
+temporaries. The ops run in the dtype of their parameters; the loss is
+summed in float64.
 """
 
 from __future__ import annotations
@@ -104,13 +107,16 @@ class LstmSeq:
     """The forward cache of one unrolled LSTM pass of T steps, as stacked
     buffers preallocated for the whole pass.
 
-    gates : (T, ..., 4H) post-activation (i, f, g, o) of every step
+    gates : (T, ..., 4H) post-activation (i, f, g, o) of every step; the
+            backward pass overwrites step t's with its pre-activation
+            gradient (`lstm_gate_backward`), so after it the buffer holds
+            gradients, not activations
     c, h  : (T+1, ..., H) cell and hidden states; index 0 holds the initial
             state and index t+1 the output of step t, so ``h[:-1]`` are the
             steps' previous hidden states
-    tc    : (T, ..., H) tanh of every step's new cell state
     cell  : the cell this pass runs, and ``bias`` its summed ``bx + bh``
 
+    tanh(c) is not kept: the backward pass recomputes it from ``c``.
     `start` checks the state shape once for the whole pass; each step call
     fills its own index in place. The network runs in the cell's dtype.
     """
@@ -120,7 +126,6 @@ class LstmSeq:
     gates: np.ndarray
     c: np.ndarray
     h: np.ndarray
-    tc: np.ndarray
 
     @classmethod
     def start(cls, cell: LstmCellParams, init: LstmCellState,
@@ -139,7 +144,7 @@ class LstmSeq:
         h[0] = init.h
         return cls(cell=cell, bias=cell.bx + cell.bh,
                    gates=np.empty((steps,) + batch + (4 * H,), dtype=dtype),
-                   c=c, h=h, tc=np.empty_like(c[1:]))
+                   c=c, h=h)
 
     @property
     def final(self) -> LstmCellState:
@@ -205,51 +210,57 @@ def _lstm_cell_from_preact(params: LstmCellParams, x_pre: np.ndarray,
     c = seq.c[t + 1]
     np.multiply(f, seq.c[t], out=c)
     c += i * g
-    tc = np.tanh(c, out=seq.tc[t])
-    h = np.multiply(o, tc, out=seq.h[t + 1])
+    h = np.tanh(c, out=seq.h[t + 1])
+    h *= o
     return LstmCellState(h, c), seq
 
 
-def lstm_gate_backward(seq: LstmSeq, t: int, dh: np.ndarray, dc: np.ndarray,
-                       da: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def lstm_gate_backward(seq: LstmSeq, t: int, dh: np.ndarray, dc: np.ndarray
+                       ) -> tuple[np.ndarray, np.ndarray]:
     """Backward through step ``t`` of ``seq``, stopping at the gate
     pre-activations.
 
     Inputs are the gradients flowing into the step's outputs h and c.
-    Writes the gradient on the packed (i, f, g, o) pre-activation vector into
-    ``da[t]`` (``da`` is shaped like ``seq.gates``) and returns
-    ``(dh_prev, dc_prev)``. ``da[t]`` is also the gradient on each bias; the
-    caller turns it into the weight gradients (times the step's input for
-    ``wx``, times ``seq.h[t]`` for ``wh``).
+    Overwrites ``seq.gates[t]`` with the gradient on the packed (i, f, g, o)
+    pre-activation vector, consuming the step's gate activations, and returns
+    ``(dh_prev, dc_prev)``. ``seq.gates[t]`` is then also the gradient on
+    each bias; the caller turns it into the weight gradients (times the
+    step's input for ``wx``, times ``seq.h[t]`` for ``wh``). tanh of the new
+    cell state is recomputed from ``seq.c[t + 1]``.
     """
     H = seq.cell.hidden_size
-    y = seq.gates[t]
-    i, f, g, o = _gate_lanes(y, H)
-    tc = seq.tc[t]
-    d = da[t]
-    di, df, dg, do = _gate_lanes(d, H)
-    # each lane's activation derivative: s(1 - s), or (1 - g)(1 + g)
-    np.subtract(1.0, y, out=d)
-    d[..., : 2 * H] *= y[..., : 2 * H]
-    do *= o
-    dg *= 1.0 + g
+    i, f, g, o = _gate_lanes(seq.gates[t], H)
+    tc = np.tanh(seq.c[t + 1])
     # gradient reaching the new cell state: dc + dh * o * (1 - tanh(c)^2)
     dc_total = np.multiply(tc, tc)
     np.subtract(1.0, dc_total, out=dc_total)
     dc_total *= o
     dc_total *= dh
     dc_total += dc
-    di *= dc_total
-    di *= g
-    df *= dc_total
-    df *= seq.c[t]
+    dc_prev = dc_total * f
+    # Each lane's gradient is its activation derivative, s(1 - s) or
+    # (1 - g)(1 + g), times the upstream factors, written over the lane once
+    # every other lane that reads that activation is done with it: the o and
+    # f lanes read only themselves, the i and g lanes read each other, so dg
+    # is built aside and copied in after di.
+    tmp = np.subtract(1.0, o)
+    o *= tmp
+    o *= dh
+    o *= tc
+    np.subtract(1.0, f, out=tmp)
+    f *= tmp
+    f *= dc_total
+    f *= seq.c[t]
+    dg = np.subtract(1.0, g)
+    dg *= 1.0 + g
     dg *= dc_total
     dg *= i
-    do *= dh
-    do *= tc
-    dh_prev = d @ seq.cell.wh
-    dc_total *= f
-    return dh_prev, dc_total
+    np.subtract(1.0, i, out=tmp)
+    i *= tmp
+    i *= dc_total
+    i *= g
+    g[...] = dg
+    return seq.gates[t] @ seq.cell.wh, dc_prev
 
 
 @dataclass

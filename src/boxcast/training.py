@@ -8,11 +8,12 @@ import struct
 import time
 import zlib
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable
 
 import numpy as np
 
-from .data import MiniTrack, boxes_to_array
+from .data import MiniTrack, box_fields
 from .errors import ConfigError, DataError, NumericError
 from .model import (
     INPUT_DIM,
@@ -22,7 +23,8 @@ from .model import (
     LossWeights,
     ModelDims,
     ModelParams,
-    build_features,
+    build_features,  # bound here only for the benchmark's tracer
+    feature_windows,
     init_params,
     loss_and_grads,
 )
@@ -113,19 +115,37 @@ def stack_minitracks(minitracks: list[MiniTrack], k: int, p: int
                      ) -> tuple[np.ndarray, np.ndarray]:
     """Build the training arrays: feature windows (M, k, 8) over the first k
     boxes (using each mini-track's predecessor when present) and target
-    boxes (M, p, 4) over the last p."""
+    boxes (M, p, 4) over the last p.
+
+    Every mini-track's boxes are gathered in one pass and the windows built
+    by one `feature_windows` call; a faulty mini-track raises the error
+    `build_features` raises on it, the first one in list order.
+    """
+    ModelDims(k=k, p=p).validate()
     if not minitracks:
         raise ConfigError("empty mini-track set")
-    m = len(minitracks)
-    windows = np.empty((m, k, INPUT_DIM), dtype=np.float64)
-    targets = np.empty((m, p, OUTPUT_DIM), dtype=np.float64)
-    for j, mt in enumerate(minitracks):
-        if len(mt) != k + p:
-            raise DataError(
-                f"mini-track {j} has {len(mt)} boxes, expected k+p={k + p}")
-        windows[j] = build_features(mt.boxes[:k], predecessor=mt.predecessor)
-        targets[j] = boxes_to_array(mt.boxes[k:])
-    return windows, targets
+    n = k + p
+    m = next((j for j, mt in enumerate(minitracks) if len(mt) != n),
+             len(minitracks))
+    good = minitracks[:m]
+    # each row is the predecessor slot (the first box when there is none)
+    # followed by the k + p boxes
+    rows, frames = box_fields(
+        chain.from_iterable(
+            chain((mt.boxes[0] if mt.predecessor is None else mt.predecessor,),
+                  mt.boxes)
+            for mt in good),
+        m * (n + 1))
+    rows = rows.reshape(m, n + 1, OUTPUT_DIM)
+    has_pred = np.fromiter((mt.predecessor is not None for mt in good),
+                           dtype=bool, count=m)
+    windows = feature_windows(rows[:, :k + 1],
+                              frames.reshape(m, n + 1)[:, :k + 1], has_pred)
+    if m < len(minitracks):
+        raise DataError(
+            f"mini-track {m} has {len(minitracks[m])} boxes, expected "
+            f"k+p={n}")
+    return windows, rows[:, k + 1:].copy()
 
 
 def train(cfg: TrainConfig, minitracks: list[MiniTrack],

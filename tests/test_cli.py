@@ -350,6 +350,21 @@ class TestConfigFilesAndExitCodes:
         assert err.startswith("numeric failure: ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("k,p", [("5", "-3"), ("-2", "5"), ("0", "5"),
+                                     ("-100", "150")])
+    def test_baseline_window_lengths_below_one_exit_two(self, tmp_path,
+                                                        capsys, k, p):
+        data = synth_file(tmp_path)
+        capsys.readouterr()
+        out = tmp_path / "ev"
+        code = main(["eval", "--baseline", "stationary", "--data", str(data),
+                     "--out", str(out), "--k", k, "--p", p])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_unknown_flag_exits_two(self, capsys):
         assert main(["synth", "--flux", "9"]) == 2
 

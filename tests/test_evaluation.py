@@ -217,6 +217,13 @@ class TestBaselines:
         assert set(BASELINE_KINDS) == {"constant-velocity",
                                        "constant-acceleration", "stationary"}
 
+    @pytest.mark.parametrize("k,p", [(5, -3), (-2, 5), (0, 5), (5, 0),
+                                     (2.5, 5)])
+    def test_window_lengths_below_one_are_a_config_error(self, k, p):
+        mts = cv_minitracks(k=4, p=5)
+        with pytest.raises(ConfigError, match="must be a positive int"):
+            evaluate_baseline("stationary", mts, k, p)
+
 
 class TestEvaluateModel:
     def test_stub_delta_head_nails_matching_kinematics(self):

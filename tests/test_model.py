@@ -4,6 +4,7 @@ values against closed forms, and the full backward pass against finite
 differences."""
 
 import importlib.util
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -526,6 +527,36 @@ class TestTrainingDtypeFlow:
         for name, want in g64.items():
             gap = np.abs(g32[name] - want).max()
             assert gap <= 2e-5 * np.abs(want).max(), name
+
+
+class TestTrainingMemory:
+    def test_backward_runs_inside_the_forward_caches(self):
+        """The backward pass writes its gate gradients over the forward
+        caches and keeps no tanh(c) buffer, so the peak of one float32
+        `loss_and_grads` stays within 1.25x of what it must hold: the three
+        sequences' gates, c and h buffers plus the gradients (measured 1.16;
+        a separate gates-shaped gradient buffer per sequence reads 1.61)."""
+        dims = ModelDims(k=10, p=20, hidden=64, latent=32)
+        n = 64
+        params = init_params(dims, seed=5).astype(np.float32)
+        rng = np.random.default_rng(5)
+        window = rng.normal(size=(n, dims.k, 8)).astype(np.float32)
+        targets = rng.normal(size=(n, dims.p, 4)).astype(np.float32)
+        weights = LossWeights(mode=MODE_TRAJ_AUTOENC)
+        loss_and_grads(params, window, targets, weights)
+        H = dims.hidden
+        # encoder and reconstruction decoder run k steps, the future one p
+        cache_values = sum(t * n * 4 * H + 2 * (t + 1) * n * H
+                           for t in (dims.k, dims.k, dims.p))
+        grad_bytes = sum(t.nbytes for t in params.tensors().values())
+        budget = 1.25 * (cache_values * 4 + grad_bytes)
+        tracemalloc.start()
+        try:
+            loss_and_grads(params, window, targets, weights)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= budget, (peak, budget)
 
 
 class TestParamCount:

@@ -46,10 +46,10 @@ def random_state(rng, hidden_size=4, batch_shape=()):
 
 
 def gate_backward(seq, dh, dc):
-    """(da, dh_prev, dc_prev) of the single step a one-step cache holds."""
-    da = np.empty_like(seq.gates)
-    dh_prev, dc_prev = lstm_gate_backward(seq, 0, dh, dc, da)
-    return da[0], dh_prev, dc_prev
+    """(da, dh_prev, dc_prev) of the single step a one-step cache holds; the
+    backward writes da over the cache's gates."""
+    dh_prev, dc_prev = lstm_gate_backward(seq, 0, dh, dc)
+    return seq.gates[0], dh_prev, dc_prev
 
 
 def assert_close_to_fd(analytic, numeric, rtol=1e-4, atol=1e-8):

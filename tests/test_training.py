@@ -3,12 +3,23 @@ small synthetic family, determinism, history output, and the binary weight
 file including its failure modes."""
 
 import copy
+import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boxcast import model, training
-from boxcast.data import Box, MiniTrack, SynthSpec, slice_minitracks, synth_tracks
+from boxcast.data import (
+    SYNTH_KINDS,
+    Box,
+    MiniTrack,
+    SynthSpec,
+    boxes_to_array,
+    slice_minitracks,
+    synth_tracks,
+)
 from boxcast.errors import ConfigError, DataError, NumericError
 from boxcast.model import (
     MODE_TRAJ,
@@ -103,6 +114,85 @@ class TestStacking:
     def test_empty_set_rejected(self):
         with pytest.raises(ConfigError, match="empty"):
             stack_minitracks([], k=6, p=4)
+
+
+def mixed_minitracks(seed, k, p, stride):
+    """Mini-tracks of every synthetic kind, noisy, sliced so that the first
+    slice of each track has no predecessor and the later ones have one."""
+    out = []
+    for i, kind in enumerate(SYNTH_KINDS):
+        spec = SynthSpec(kind=kind, length=k + p + 2 * stride,
+                         noise_std=0.7, start_jitter=5.0, velocity_jitter=1.0,
+                         size_rate=(0.05, -0.1), seed=seed + i)
+        for t in synth_tracks(spec, 2):
+            out.extend(slice_minitracks(t, window=k + p, stride=stride))
+    return out
+
+
+def with_fault(mt, fault, k, at):
+    """A copy of ``mt`` with one fault at window row ``at`` (< k)."""
+    boxes = list(mt.boxes)
+    pred = mt.predecessor
+    if fault == "gap":
+        at = max(at, 1)
+        boxes[at:] = [dataclasses.replace(b, frame=b.frame + 1)
+                      for b in boxes[at:]]
+    elif fault == "size":
+        boxes[at] = dataclasses.replace(boxes[at], h=-1.0)
+    elif fault == "pred-frame":
+        pred = dataclasses.replace(boxes[0], frame=boxes[0].frame - 2)
+    elif fault == "pred-size":
+        pred = dataclasses.replace(pred or boxes[0], frame=boxes[0].frame - 1,
+                                   w=0.0)
+    else:  # "length"
+        boxes.pop()
+    return dataclasses.replace(mt, boxes=boxes, predecessor=pred)
+
+
+class TestStackingEquivalence:
+    """The one-pass stacked builder against per-mini-track `build_features`
+    and `boxes_to_array`, the reference it replaced."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 1000), k=st.integers(1, 8),
+           p=st.integers(1, 8), stride=st.integers(1, 5))
+    def test_arrays_equal_per_minitrack_building(self, seed, k, p, stride):
+        mts = mixed_minitracks(seed, k, p, stride)
+        assert any(mt.predecessor is None for mt in mts)
+        assert any(mt.predecessor is not None for mt in mts)
+        windows, targets = stack_minitracks(mts, k, p)
+        want_w = np.stack([build_features(mt.boxes[:k], mt.predecessor)
+                           for mt in mts])
+        want_t = np.stack([boxes_to_array(mt.boxes[k:]) for mt in mts])
+        assert windows.tobytes() == want_w.tobytes()
+        assert targets.tobytes() == want_t.tobytes()
+        assert windows.shape == want_w.shape
+        assert targets.shape == want_t.shape
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 1000), k=st.integers(2, 6),
+           p=st.integers(1, 4), data=st.data())
+    def test_first_faulty_minitrack_raises_its_own_error(self, seed, k, p,
+                                                         data):
+        faults = ("gap", "size", "pred-frame", "pred-size", "length")
+        mts = mixed_minitracks(seed, k, p, stride=2)
+        j = data.draw(st.integers(1, len(mts) - 2), label="faulty index")
+        fault = data.draw(st.sampled_from(faults), label="fault")
+        later = data.draw(st.sampled_from(faults), label="later fault")
+        at = data.draw(st.integers(0, k - 1), label="row")
+        mts[j] = with_fault(mts[j], fault, k, at)
+        mts[-1] = with_fault(mts[-1], later, k, 0)
+        if fault == "length":
+            want = DataError(f"mini-track {j} has {k + p - 1} boxes, "
+                             f"expected k+p={k + p}")
+        else:
+            with pytest.raises(DataError) as alone:
+                build_features(mts[j].boxes[:k], mts[j].predecessor)
+            want = alone.value
+        with pytest.raises(DataError) as stacked:
+            stack_minitracks(mts, k, p)
+        assert type(stacked.value) is type(want)
+        assert str(stacked.value) == str(want)
 
 
 class TestTrain:
