@@ -54,20 +54,10 @@ class Box:
     h: float
     frame: int
 
-    def validate(self) -> None:
-        if not (self.w > 0 and self.h > 0):
-            raise DataError(
-                f"box at frame {self.frame} has non-positive size "
-                f"w={self.w}, h={self.h}")
-        if not (math.isfinite(self.cx) and math.isfinite(self.cy)
-                and math.isfinite(self.w) and math.isfinite(self.h)):
-            raise DataError(f"box at frame {self.frame} has non-finite fields")
-
 
 def boxes_to_array(boxes) -> np.ndarray:
     """(n, 4) float array of (cx, cy, w, h) rows."""
-    return np.array([[b.cx, b.cy, b.w, b.h] for b in boxes],
-                    dtype=np.float64).reshape(len(boxes), 4)
+    return box_fields(boxes, len(boxes))[0]
 
 
 _BOX_FIELDS = operator.attrgetter("cx", "cy", "w", "h", "frame")
@@ -100,17 +90,6 @@ class Track:
     def __len__(self) -> int:
         return len(self.boxes)
 
-    def validate(self) -> None:
-        if not self.boxes:
-            raise DataError(f"track {self.key} is empty")
-        for b in self.boxes:
-            b.validate()
-        for a, b in zip(self.boxes, self.boxes[1:]):
-            if b.frame != a.frame + 1:
-                raise DataError(
-                    f"track {self.key}: frame {b.frame} follows {a.frame}; "
-                    f"frames must be consecutive")
-
 
 @dataclass
 class MiniTrack:
@@ -141,66 +120,76 @@ def parse_tracks(path, fmt: CsvFormat = CsvFormat()) -> list[Track]:
     Rows group by (video_id, track_id) and sort by frame. A group whose
     frames have gaps is split at every gap into separate tracks whose ids
     get a ``~<segment>`` suffix. An empty file (header only or nothing)
-    yields an empty list. Malformed rows, and bytes that are not UTF-8,
-    raise ParseError with the 1-based line number.
+    yields an empty list. A malformed file raises ParseError naming the
+    1-based physical line at fault: bytes that are not UTF-8, CSV syntax,
+    a wrong column count, a field that is not a number, a frame outside
+    int64, a non-finite or non-positive box, or a frame repeated within a
+    track (the line of the later row).
     """
     expected = CORNER_HEADER if fmt.corner_format else CENTROID_HEADER
-    groups: dict[tuple[str, str], list[tuple[int, float, float, float, float]]] = {}
-    with io.StringIO(_read_utf8(path), newline="") as fh:
-        reader = csv.reader(fh)
+    groups: dict[tuple[str, str], list[tuple[int, int, Box]]] = {}
+    records = _records(_read_utf8(path))
+    first = next(records, None)
+    if first is None:
+        return []
+    if [c.strip() for c in first[1]] != expected:
+        raise ParseError(
+            f"header {first[1]!r} does not match expected {expected!r}",
+            line=1)
+    for line, row in records:
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) != 7:
+            raise ParseError(f"expected 7 columns, got {len(row)}", line=line)
         try:
-            header = next(reader)
-        except StopIteration:
-            return []
-        if [c.strip() for c in header] != expected:
-            raise ParseError(
-                f"header {header!r} does not match expected {expected!r}",
-                line=1)
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 7:
-                raise ParseError(f"expected 7 columns, got {len(row)}",
-                                 line=lineno)
-            video_id, track_id = row[0].strip(), row[1].strip()
-            try:
-                frame = int(row[2])
-                vals = [float(v) for v in row[3:7]]
-            except ValueError as e:
-                raise ParseError(f"bad numeric field: {e}", line=lineno) from None
-            if fmt.corner_format:
-                x1, y1, x2, y2 = vals
-                vals = [(x1 + x2) / 2.0, (y1 + y2) / 2.0, x2 - x1, y2 - y1]
-            cx, cy, w, h = vals
-            if not all(math.isfinite(v) for v in vals):
-                raise ParseError("non-finite box fields", line=lineno)
-            if w <= 0 or h <= 0:
-                raise ParseError(f"non-positive box size w={w}, h={h}",
-                                 line=lineno)
-            groups.setdefault((video_id, track_id), []).append(
-                (frame, cx, cy, w, h))
+            frame = int(row[2])
+            vals = [float(v) for v in row[3:7]]
+        except ValueError as e:
+            raise ParseError(f"bad numeric field: {e}", line=line) from None
+        if not -2**63 <= frame < 2**63:  # `box_fields` gathers int64 frames
+            raise ParseError(f"frame {frame} is outside the int64 range",
+                             line=line)
+        if fmt.corner_format:
+            x1, y1, x2, y2 = vals
+            vals = [(x1 + x2) / 2.0, (y1 + y2) / 2.0, x2 - x1, y2 - y1]
+        cx, cy, w, h = vals
+        if not all(math.isfinite(v) for v in vals):
+            raise ParseError("non-finite box fields", line=line)
+        if w <= 0 or h <= 0:
+            raise ParseError(f"non-positive box size w={w}, h={h}", line=line)
+        groups.setdefault((row[0].strip(), row[1].strip()), []).append(
+            (frame, line, Box(cx=cx, cy=cy, w=w, h=h, frame=frame)))
 
     tracks: list[Track] = []
     for (video_id, track_id), rows in groups.items():
-        rows.sort(key=lambda r: r[0])
-        for a, b in zip(rows, rows[1:]):
-            if b[0] == a[0]:
-                raise DataError(
-                    f"track ({video_id}, {track_id}) has duplicate frame {a[0]}")
-        segments: list[list[tuple]] = [[rows[0]]]
-        for a, b in zip(rows, rows[1:]):
-            if b[0] != a[0] + 1:
+        rows.sort()  # by frame, then line: lines are unique
+        segments: list[list[Box]] = []
+        prev = None
+        for frame, line, box in rows:
+            if frame == prev:
+                raise ParseError(f"track ({video_id}, {track_id}) has "
+                                 f"duplicate frame {prev}", line=line)
+            if prev is None or frame != prev + 1:
                 segments.append([])
-            segments[-1].append(b)
-        for si, seg in enumerate(segments):
+            segments[-1].append(box)
+            prev = frame
+        for si, boxes in enumerate(segments):
             tid = track_id if len(segments) == 1 else f"{track_id}~{si}"
-            boxes = [Box(cx=r[1], cy=r[2], w=r[3], h=r[4], frame=r[0])
-                     for r in seg]
-            t = Track(video_id=video_id, track_id=tid, boxes=boxes,
-                      frame_rate_hz=fmt.frame_rate_hz)
-            t.validate()
-            tracks.append(t)
+            tracks.append(Track(video_id=video_id, track_id=tid, boxes=boxes,
+                                frame_rate_hz=fmt.frame_rate_hz))
     return tracks
+
+
+def _records(text: str):
+    """Each CSV record of ``text`` with the physical line it ends on. A CSV
+    syntax error, such as a field over the csv module's size limit, is a
+    ParseError at the line where it was seen."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        for row in reader:
+            yield reader.line_num, row
+    except csv.Error as e:
+        raise ParseError(f"malformed CSV: {e}", line=reader.line_num) from None
 
 
 def _read_utf8(path) -> str:
@@ -244,7 +233,7 @@ def slice_minitracks(track: Track, window: int = 90,
             video_id=track.video_id,
             track_id=track.track_id,
             start_frame=boxes[offset].frame,
-            boxes=list(boxes[offset:offset + window]),
+            boxes=boxes[offset:offset + window],
             predecessor=boxes[offset - 1] if offset > 0 else None,
         ))
     return out

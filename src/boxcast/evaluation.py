@@ -274,8 +274,9 @@ def benchmark_tps(params: ModelParams, threads: int = 1, duration: float = 1.0,
     """
     if threads < 1:
         raise ConfigError(f"threads must be >= 1, got {threads}")
-    if not duration > 0:
-        raise ConfigError(f"duration must be positive, got {duration}")
+    if not 0 < duration <= threading.TIMEOUT_MAX:
+        raise ConfigError(f"duration must be positive and at most "
+                          f"{threading.TIMEOUT_MAX:g} s, got {duration}")
     d = params.dims
     p32 = params if params.dtype == np.float32 else params.astype(np.float32)
     spec = SynthSpec(kind="constant-velocity", length=d.k, noise_std=1.0,

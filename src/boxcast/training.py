@@ -77,7 +77,7 @@ class TrainConfig:
         if self.loss_mode not in LOSS_MODES:
             raise ConfigError(
                 f"unknown loss mode {self.loss_mode!r}; pick one of {LOSS_MODES}")
-        if self.grad_clip < 0:
+        if not self.grad_clip >= 0:
             raise ConfigError(f"grad_clip must be >= 0, got {self.grad_clip}")
 
     def dims(self) -> ModelDims:
@@ -268,11 +268,20 @@ N_TENSORS = 18
 
 
 def save_model(params: ModelParams, path) -> None:
-    """Write the versioned single-precision weight file described above."""
+    """Write the versioned single-precision weight file described above.
+
+    A tensor that is not finite at single precision raises NumericError
+    before the file is opened, so no weight file holds inf or NaN."""
     d = params.dims
-    payload = b"".join(
-        np.ascontiguousarray(t, dtype="<f4").tobytes()
-        for t in params.tensors().values())
+    chunks = []
+    for name, t in params.tensors().items():
+        with np.errstate(over="ignore"):  # an overflow is refused just below
+            stored = np.ascontiguousarray(t, dtype="<f4")
+        if not np.isfinite(stored).all():
+            raise NumericError(f"tensor {name} is not finite at float32; "
+                               f"no weight file written")
+        chunks.append(stored.tobytes())
+    payload = b"".join(chunks)
     dec_tag = b"hc" if params.carry_cell_state else b"h"
     header = _HEADER.pack(
         MAGIC, FORMAT_VERSION, d.k, d.p, d.hidden, d.latent,

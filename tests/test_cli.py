@@ -350,6 +350,42 @@ class TestConfigFilesAndExitCodes:
         assert err.startswith("numeric failure: ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["eval", "train", "predict"])
+    def test_frames_beyond_int64_exit_three(self, tmp_path, capsys, command):
+        rows = ["video_id,track_id,frame,cx,cy,w,h"]
+        rows += [f"v,t,{10**20 + f},{f},5,2,2" for f in range(12)]
+        data = tmp_path / "far.csv"
+        data.write_text("\n".join(rows) + "\n")
+        args = {
+            "eval": ["eval", "--baseline", "stationary", "--k", "3",
+                     "--p", "3", "--out", str(tmp_path / "ev")],
+            "train": ["train", "--out", str(tmp_path / "run"), *TINY_TRAIN],
+            "predict": ["predict", "--weights",
+                        str(TestPredict().make_weights(tmp_path)),
+                        "--out", str(tmp_path / "pred.csv")],
+        }[command]
+        code = main([*args, "--data", str(data)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: line 2: frame {10**20} ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("lr", ["inf", "1e39"])
+    def test_weights_overflowing_float32_exit_four_and_write_no_file(
+            self, tmp_path, capsys, lr):
+        data = synth_file(tmp_path)
+        out = tmp_path / "run"
+        capsys.readouterr()
+        # one batch in one epoch, so no later loss sees the broken weights
+        code = main(["train", "--data", str(data), "--out", str(out),
+                     *TINY_TRAIN, "--batch-size", "64", "--epochs", "1",
+                     "--base-lr", lr])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: tensor ")
+        assert err.count("\n") == 1
+        assert not (out / "model.bxw").exists()
+
     @pytest.mark.parametrize("k,p", [("5", "-3"), ("-2", "5"), ("0", "5"),
                                      ("-100", "150")])
     def test_baseline_window_lengths_below_one_exit_two(self, tmp_path,

@@ -3,6 +3,7 @@ baselines on kinematics they should nail exactly, fold aggregation, the
 throughput benchmark, and the loss-mode ablation harness."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -440,6 +441,15 @@ class TestBenchmark:
             benchmark_tps(params, threads=0)
         with pytest.raises(ConfigError):
             benchmark_tps(params, duration=0.0)
+
+    @pytest.mark.parametrize("duration", [math.inf, 1e300])
+    def test_duration_beyond_the_sleep_limit_starts_no_thread(self,
+                                                              duration):
+        params = init_params(ModelDims(k=5, p=6, hidden=8, latent=4), seed=7)
+        before = threading.active_count()
+        with pytest.raises(ConfigError, match="duration"):
+            benchmark_tps(params, duration=duration, n_windows=4)
+        assert threading.active_count() == before
 
 
 class TestAblation:

@@ -90,6 +90,8 @@ class TestSchedule:
             TrainConfig(loss_mode="spiral").validate()
         with pytest.raises(ConfigError):
             TrainConfig(grad_clip=-1.0).validate()
+        with pytest.raises(ConfigError, match="grad_clip"):
+            TrainConfig(grad_clip=float("nan")).validate()
 
 
 class TestStacking:
@@ -380,6 +382,17 @@ class TestWeightFile:
         loaded, _ = load_model(a)
         save_model(loaded, b)
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan, 1e39])
+    def test_weights_not_finite_at_float32_write_no_file(self, tmp_path,
+                                                         value):
+        params = init_params(ModelDims(k=6, p=4, hidden=16, latent=8),
+                             seed=13)
+        params.tensors()["fut_dec.wh"][3, 5] = value  # 1e39 overflows f32
+        path = tmp_path / "m.bxw"
+        with pytest.raises(NumericError, match="fut_dec.wh"):
+            save_model(params, path)
+        assert not path.exists()
 
     def test_hidden_only_decoder_flag_round_trips(self, tmp_path):
         dims = ModelDims(k=6, p=4, hidden=16, latent=8)
