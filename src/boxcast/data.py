@@ -326,19 +326,32 @@ class SynthSpec:
                 f"unknown synthetic kind {self.kind!r}; pick one of {SYNTH_KINDS}")
         if self.length < 1:
             raise ConfigError(f"length must be at least 1, got {self.length}")
-        if self.noise_std < 0:
+        for name in _SYNTH_FLOAT_FIELDS:
+            value = getattr(self, name)
+            if not np.isfinite(value).all():
+                raise ConfigError(f"{name} must be finite, got {value}")
+        # written so that NaN fails every sign check too
+        if not self.noise_std >= 0:
             raise ConfigError(f"noise_std must be >= 0, got {self.noise_std}")
-        if self.size[0] <= 0 or self.size[1] <= 0:
+        if not (self.size[0] > 0 and self.size[1] > 0):
             raise ConfigError(f"start size must be positive, got {self.size}")
-        if self.period <= 0:
+        if not self.period > 0:
             raise ConfigError(f"period must be positive, got {self.period}")
-        if self.start_jitter < 0 or self.velocity_jitter < 0:
+        if not (self.start_jitter >= 0 and self.velocity_jitter >= 0):
             raise ConfigError("jitter values must be >= 0")
+        if not self.frame_rate_hz > 0:
+            raise ConfigError(
+                f"frame_rate_hz must be positive, got {self.frame_rate_hz}")
         for name in ("go_frames", "stop_frames"):
             lo, hi = getattr(self, name)
             if not (1 <= lo <= hi):
                 raise ConfigError(f"{name} must satisfy 1 <= lo <= hi, "
                                   f"got ({lo}, {hi})")
+
+
+_SYNTH_FLOAT_FIELDS = ("start", "size", "velocity", "accel", "size_rate",
+                       "amplitude", "period", "noise_std", "start_jitter",
+                       "velocity_jitter", "frame_rate_hz")
 
 
 def synth_tracks(spec: SynthSpec, count: int) -> list[Track]:

@@ -37,7 +37,13 @@ checks. The public ops
 training engine that runs the same math, keeps each sequence's stacked
 buffers as its caches, runs its backward pass inside them (overwriting the
 gate activations with their gradients), and returns analytic parameter
-gradients.
+gradients. It runs one decoder branch at a time: each branch's forward
+pass, loss term and backward pass finish, and its caches are freed, before
+the next branch allocates, so at most the encoder's and one decoder's
+caches are live at once. Each head's gradient on the per-step hidden
+states is formed step by step inside the backward loop. The objective has
+one definition, `composite_loss`, built from the per-term pieces
+`loss_and_grads` calls branch by branch.
 """
 
 from __future__ import annotations
@@ -59,6 +65,7 @@ from .nn import (
     l1_loss,
     linear_backward,
     linear_forward,
+    linear_param_grads,
     lstm_cell_forward,
     lstm_gate_backward,
     relu,
@@ -492,8 +499,11 @@ class LossWeights:
         if self.mode not in LOSS_MODES:
             raise ConfigError(
                 f"unknown loss mode {self.mode!r}; pick one of {LOSS_MODES}")
-        if self.alpha < 0 or self.beta < 0:
-            raise ConfigError("loss weights must be non-negative")
+        for name in ("alpha", "beta"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value >= 0):
+                raise ConfigError(
+                    f"loss weight {name} must be finite and >= 0, got {value!r}")
 
 
 @dataclass
@@ -521,45 +531,59 @@ def composite_loss(recon: np.ndarray | None, window: np.ndarray,
     window's last row; ``pred_deltas`` falls back to differencing
     ``pred_boxes`` when not supplied. L1 terms are means over every element
     (batched inputs average over the batch too), so the loss of a batch is
-    the mean of the per-sample losses.
+    the mean of the per-sample losses. The sum is built from the per-term
+    pieces `loss_and_grads` also uses, in the same order: beta * traj, then
+    + alpha * auto.
 
     Returns (loss, unweighted per-term values, gradients on the heads).
     """
     weights.validate()
     _check_window(window, k=None)
-    terms: dict[str, float] = {}
-    grads = HeadGrads()
-    anchor = window[..., -1, :4]
-
     if weights.mode == MODE_TRAJ_DEL:
         if pred_deltas is None:
             if pred_boxes is None:
                 raise ConfigError("traj-del mode needs pred_deltas or pred_boxes")
             pred_deltas = np.diff(pred_boxes, axis=-2,
-                                  prepend=anchor[..., None, :])
-        target_deltas = np.diff(target_boxes, axis=-2,
-                                prepend=anchor[..., None, :])
-        l_del, g_del = l1_loss(pred_deltas, target_deltas)
-        terms["traj"] = l_del
-        grads.d_deltas = weights.beta * g_del
-        loss = weights.beta * l_del
-        return loss, terms, grads
-
-    if pred_boxes is None:
+                                  prepend=window[..., -1, None, :4])
+        pred = pred_deltas
+    elif pred_boxes is None:
         raise ConfigError(f"mode {weights.mode!r} needs pred_boxes")
-    l_traj, g_traj = l1_loss(pred_boxes, target_boxes)
-    terms["traj"] = l_traj
-    grads.d_boxes = weights.beta * g_traj
+    else:
+        pred = pred_boxes
+    l_traj, g_traj = _trajectory_term(pred, window, target_boxes, weights)
+    terms = {"traj": l_traj}
+    grads = HeadGrads(d_deltas=g_traj) if weights.mode == MODE_TRAJ_DEL \
+        else HeadGrads(d_boxes=g_traj)
     loss = weights.beta * l_traj
 
     if weights.mode == MODE_TRAJ_AUTOENC:
         if recon is None:
             raise ConfigError("traj+auto-enc mode needs the reconstruction rows")
-        l_auto, g_auto = l1_loss(recon, reconstruction_target(window))
-        terms["auto_enc"] = l_auto
-        grads.d_recon = weights.alpha * g_auto
-        loss += weights.alpha * l_auto
+        terms["auto_enc"], grads.d_recon = _reconstruction_term(recon, window,
+                                                                weights)
+        loss += weights.alpha * terms["auto_enc"]
     return loss, terms, grads
+
+
+def _trajectory_term(pred: np.ndarray, window: np.ndarray,
+                     target_boxes: np.ndarray, weights: LossWeights
+                     ) -> tuple[float, np.ndarray]:
+    """The trajectory L1 and its beta-weighted gradient on ``pred``: the
+    delta rows in traj-del mode (against the target deltas, taken from the
+    window's anchor), the future boxes otherwise."""
+    target = target_boxes
+    if weights.mode == MODE_TRAJ_DEL:
+        target = np.diff(target_boxes, axis=-2,
+                         prepend=window[..., -1, None, :4])
+    l_traj, g_traj = l1_loss(pred, target)
+    return l_traj, weights.beta * g_traj
+
+
+def _reconstruction_term(recon: np.ndarray, window: np.ndarray,
+                         weights: LossWeights) -> tuple[float, np.ndarray]:
+    """The reconstruction L1 and its alpha-weighted gradient on ``recon``."""
+    l_auto, g_auto = l1_loss(recon, reconstruction_target(window))
+    return l_auto, weights.alpha * g_auto
 
 
 # ---------------------------------------------------------------------------
@@ -577,8 +601,20 @@ def loss_and_grads(params: ModelParams, window: np.ndarray,
     is summed in float64. Gradients come back keyed like
     ``ModelParams.tensors()``; inactive branches contribute zeros. Batched
     gradients are the gradient of the batch-mean loss, which equals the mean
-    of the per-sample gradients. A loss that is not finite raises
-    NumericError before the backward pass runs.
+    of the per-sample gradients.
+
+    The decoder branches run one at a time, so at most the encoder's and
+    one decoder's caches are live at once. In order: the encoder forward;
+    the future branch's forward, head, trajectory term and backward; in
+    traj+auto-enc mode the reconstruction branch's likewise; then
+    ``fc_latent`` and the encoder backward. Each branch frees its caches
+    before the next one allocates. The loss is the `composite_loss` sum in
+    its order, beta * traj then + alpha * auto, and ``dz`` sums the future
+    branch's part, then the reconstruction branch's.
+
+    A loss that is not finite raises NumericError as soon as the term that
+    makes it so is added, before that branch's backward pass runs; the
+    encoder's backward pass never runs on a non-finite loss.
     """
     weights.validate()
     dims = params.dims
@@ -589,55 +625,48 @@ def loss_and_grads(params: ModelParams, window: np.ndarray,
             f"{window.shape[:-2] + (dims.p, OUTPUT_DIM)}")
     window, target_boxes = _in_net_dtype(params, window, target_boxes)
 
-    # forward; the sequence buffers are the caches
+    # forward through the encoder; its sequence buffers are its caches
     enc = _run_encoder(params, window)
     h_final = enc.h[-1]
     h_relu = relu(h_final)
     z = linear_forward(params.fc_latent.w, params.fc_latent.b, h_relu)
 
-    need_auto = weights.mode == MODE_TRAJ_AUTOENC
-    auto = None
-    recon = None
-    if need_auto:
-        auto_init = LstmCellState.zeros(dims.hidden, z.shape[:-1], dtype=z.dtype)
-        auto = _run_constant_decoder(params.auto_dec, z, dims.k, auto_init)
-        recon = _head(auto, params.fc_recon)
-
-    fut_init = LstmCellState(h_final, enc.c[-1] if params.carry_cell_state
-                             else np.zeros_like(h_final))
-    fut = _run_constant_decoder(params.fut_dec, z, dims.p, fut_init)
+    fut = _run_constant_decoder(
+        params.fut_dec, z, dims.p,
+        LstmCellState(h_final, enc.c[-1] if params.carry_cell_state
+                      else np.zeros_like(h_final)))
     deltas = _head(fut, params.fc_delta)
-
-    anchor = window[..., -1, :4]
-    pred_boxes = None
-    if weights.mode != MODE_TRAJ_DEL:
-        pred_boxes = concat_trajectory(deltas, anchor)
-
-    loss, terms, head = composite_loss(recon, window, pred_boxes, target_boxes,
-                                       weights, pred_deltas=deltas)
-    if not np.isfinite(loss):
-        raise NumericError(f"non-finite loss {loss!r}")
-
-    # backward
-    grads = {name: np.zeros_like(t) for name, t in params.tensors().items()}
-
-    if head.d_boxes is not None:
+    if weights.mode == MODE_TRAJ_DEL:
+        l_traj, d_deltas = _trajectory_term(deltas, window, target_boxes,
+                                            weights)
+    else:
+        l_traj, d_boxes = _trajectory_term(
+            concat_trajectory(deltas, window[..., -1, :4]), window,
+            target_boxes, weights)
         # box i collects deltas 1..i, so the delta at step t collects the
         # gradient of every box from t onward
-        d_deltas = np.flip(np.cumsum(np.flip(head.d_boxes, axis=-2), axis=-2),
+        d_deltas = np.flip(np.cumsum(np.flip(d_boxes, axis=-2), axis=-2),
                            axis=-2)
-    else:
-        d_deltas = head.d_deltas
+    terms = {"traj": l_traj}
+    loss = _finite_loss(weights.beta * l_traj)
 
+    grads = {name: np.zeros_like(t) for name, t in params.tensors().items()}
     dz, d_enc_h, d_enc_c = _constant_decoder_backward(
         fut, params.fc_delta, z, d_deltas, grads, "fut_dec", "fc_delta")
+    del fut  # freed before the reconstruction branch allocates its caches
     if not params.carry_cell_state:
         d_enc_c = np.zeros_like(d_enc_c)
 
-    if need_auto:
+    if weights.mode == MODE_TRAJ_AUTOENC:
+        auto = _run_constant_decoder(
+            params.auto_dec, z, dims.k,
+            LstmCellState.zeros(dims.hidden, z.shape[:-1], dtype=z.dtype))
+        terms["auto_enc"], d_recon = _reconstruction_term(
+            _head(auto, params.fc_recon), window, weights)
+        loss = _finite_loss(loss + weights.alpha * terms["auto_enc"])
         dz_auto, _, _ = _constant_decoder_backward(
-            auto, params.fc_recon, z, head.d_recon, grads, "auto_dec",
-            "fc_recon")
+            auto, params.fc_recon, z, d_recon, grads, "auto_dec", "fc_recon")
+        del auto
         dz = dz + dz_auto
 
     dw, db, d_hrelu = linear_backward(params.fc_latent.w, h_relu, dz)
@@ -645,30 +674,41 @@ def loss_and_grads(params: ModelParams, window: np.ndarray,
     grads["fc_latent.b"] += db
     dh_final = d_hrelu * (h_final > 0) + d_enc_h
 
-    da, _, _ = _unroll_backward(enc, dh_final, d_enc_c, None, grads, "enc")
+    da, _, _ = _unroll_backward(enc, dh_final, d_enc_c, None, None, grads,
+                                "enc")
     xs = np.moveaxis(window, -2, 0)
     grads["enc.wx"] += da.reshape(-1, da.shape[-1]).T \
         @ xs.reshape(-1, xs.shape[-1])
     return loss, terms, grads
 
 
+def _finite_loss(loss: float) -> float:
+    """``loss``, or NumericError when it is not finite."""
+    if not np.isfinite(loss):
+        raise NumericError(f"non-finite loss {loss!r}")
+    return loss
+
+
 def _unroll_backward(seq: LstmSeq, dh: np.ndarray, dc: np.ndarray,
-                     d_hs: np.ndarray | None, grads: dict[str, np.ndarray],
-                     prefix: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                     d_out: np.ndarray | None, w_out: np.ndarray | None,
+                     grads: dict[str, np.ndarray], prefix: str
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Backward through an unrolled run, input side excluded.
 
-    The upstream gradient enters at the final state and, when ``d_hs``
-    ((steps, ..., H)) is given, at every per-step hidden state. The pass
-    consumes the forward cache: each step's gate gradients overwrite its
-    gate activations in ``seq.gates``, so ``seq`` cannot be run backward
-    twice. Accumulates the ``wh``/``bx``/``bh`` gradients into ``grads`` and
-    returns (per-step gate gradients, i.e. ``seq.gates`` (steps, ..., 4H),
-    dh_init, dc_init).
+    The upstream gradient enters at the final state and, when ``d_out``
+    ((steps, ..., out)) is given, at every step's hidden state through the
+    output head ``h @ w_out.T`` of that step: step t's hidden state receives
+    ``d_out[t] @ w_out``, formed inside the loop, so no (steps, ..., H)
+    stack of those gradients is held. The pass consumes the forward cache:
+    each step's gate gradients overwrite its gate activations in
+    ``seq.gates``, so ``seq`` cannot be run backward twice. Accumulates the
+    ``wh``/``bx``/``bh`` gradients into ``grads`` and returns (per-step gate
+    gradients, i.e. ``seq.gates`` (steps, ..., 4H), dh_init, dc_init).
     """
     da = seq.gates
     for t in reversed(range(len(da))):
-        if d_hs is not None:
-            dh = dh + d_hs[t]
+        if d_out is not None:
+            dh = dh + d_out[t] @ w_out
         dh, dc = lstm_gate_backward(seq, t, dh, dc)
     da2 = da.reshape(-1, da.shape[-1])
     h_prev = seq.h[:-1]
@@ -687,16 +727,19 @@ def _constant_decoder_backward(seq: LstmSeq, head: LinearParams, z: np.ndarray,
 
     ``d_out`` is the upstream gradient on the head's (..., steps, out) rows.
     Accumulates the head's and the cell's gradients into ``grads`` and
-    returns (dz, dh_init, dc_init). Because the input is the same z at every
-    step, the input-side weight gradient reduces to one product with the
-    summed gate gradients.
+    returns (dz, dh_init, dc_init). The head's weight and bias gradients are
+    one product over all steps; its gradient on each step's hidden state is
+    formed step by step inside the recurrent backward loop. Because the
+    input is the same z at every step, the input-side weight gradient
+    reduces to one product with the summed gate gradients.
     """
-    dw, db, d_hs = linear_backward(head.w, seq.h[1:],
-                                   np.moveaxis(d_out, -2, 0))
+    d_out = np.moveaxis(d_out, -2, 0)
+    dw, db = linear_param_grads(seq.h[1:], d_out)
     grads[head_prefix + ".w"] += dw
     grads[head_prefix + ".b"] += db
     da, dh, dc = _unroll_backward(seq, np.zeros_like(seq.h[0]),
-                                  np.zeros_like(seq.c[0]), d_hs, grads, prefix)
+                                  np.zeros_like(seq.c[0]), d_out, head.w,
+                                  grads, prefix)
     da_sum = da.sum(axis=0)
     grads[prefix + ".wx"] += da_sum.reshape(-1, da_sum.shape[-1]).T \
         @ z.reshape(-1, z.shape[-1])

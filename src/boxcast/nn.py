@@ -19,8 +19,10 @@ into its own index in place. The backward pass runs inside that cache:
 `lstm_gate_backward` reads step t's gate activations and overwrites them
 with their gradients, recomputing tanh(c) rather than storing it, so a
 sequence's backward allocates no buffer of its own beyond a few per-step
-temporaries. The ops run in the dtype of their parameters; the loss is
-summed in float64.
+temporaries. `linear_param_grads` is the weight-gradient half of
+`linear_backward`, for a caller that forms the input gradient of a per-step
+output head one step at a time inside that backward loop. The ops run in
+the dtype of their parameters; the loss is summed in float64.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ __all__ = [
     "l1_loss",
     "linear_backward",
     "linear_forward",
+    "linear_param_grads",
     "lstm_cell_forward",
     "lstm_gate_backward",
     "relu",
@@ -282,9 +285,16 @@ def linear_forward(w: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
 def linear_backward(w: np.ndarray, x: np.ndarray, dy: np.ndarray
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gradients of the affine map: returns (dw, db, dx), batch-summed."""
+    return (*linear_param_grads(x, dy), dy @ w)
+
+
+def linear_param_grads(x: np.ndarray, dy: np.ndarray
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """The (dw, db) of `linear_backward`, summed over every leading axis,
+    for callers that form the input gradient ``dy @ w`` themselves."""
     dy2 = dy.reshape(-1, dy.shape[-1])
     x2 = x.reshape(-1, x.shape[-1])
-    return dy2.T @ x2, dy2.sum(axis=0), dy @ w
+    return dy2.T @ x2, dy2.sum(axis=0)
 
 
 def l1_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:

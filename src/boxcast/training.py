@@ -17,7 +17,6 @@ from .data import MiniTrack, box_fields
 from .errors import ConfigError, DataError, NumericError
 from .model import (
     INPUT_DIM,
-    LOSS_MODES,
     MODE_TRAJ_AUTOENC,
     OUTPUT_DIM,
     LossWeights,
@@ -72,17 +71,17 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be a positive int, got {v!r}")
         if not self.base_lr > 0:
             raise ConfigError(f"base_lr must be positive, got {self.base_lr}")
-        if self.alpha < 0 or self.beta < 0:
-            raise ConfigError("alpha and beta must be non-negative")
-        if self.loss_mode not in LOSS_MODES:
-            raise ConfigError(
-                f"unknown loss mode {self.loss_mode!r}; pick one of {LOSS_MODES}")
+        self.loss_weights().validate()
         if not self.grad_clip >= 0:
             raise ConfigError(f"grad_clip must be >= 0, got {self.grad_clip}")
 
     def dims(self) -> ModelDims:
         return ModelDims(k=self.k, p=self.p, hidden=self.hidden,
                          latent=self.latent)
+
+    def loss_weights(self) -> LossWeights:
+        return LossWeights(alpha=self.alpha, beta=self.beta,
+                           mode=self.loss_mode)
 
 
 @dataclass
@@ -174,7 +173,7 @@ def train(cfg: TrainConfig, minitracks: list[MiniTrack],
     params = init_params(cfg.dims(), seed=rng,
                          carry_cell_state=cfg.carry_cell_state,
                          dtype=np.float32)
-    weights = LossWeights(alpha=cfg.alpha, beta=cfg.beta, mode=cfg.loss_mode)
+    weights = cfg.loss_weights()
     tensors = params.tensors()
     opt = AdamState.init(tensors, beta1=cfg.adam_beta1, beta2=cfg.adam_beta2,
                          eps=cfg.adam_eps)

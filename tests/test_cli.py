@@ -401,6 +401,34 @@ class TestConfigFilesAndExitCodes:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--noise-std", "nan"), ("--size", "nan,5"), ("--velocity", "inf,0"),
+        ("--start-jitter", "nan"), ("--frame-rate-hz", "-30")])
+    def test_non_finite_synth_values_exit_two_and_write_no_csv(
+            self, tmp_path, capsys, flag, value):
+        out = tmp_path / "x.csv"
+        assert main(["synth", "--out", str(out), flag, value]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag,value", [("--alpha", "nan"),
+                                            ("--beta", "nan"),
+                                            ("--alpha", "inf")])
+    def test_non_finite_loss_weights_exit_two(self, tmp_path, capsys, flag,
+                                              value):
+        data = synth_file(tmp_path)
+        capsys.readouterr()
+        out = tmp_path / "run"
+        code = main(["train", "--data", str(data), "--out", str(out),
+                     *TINY_TRAIN, flag, value])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ")
+        assert err.count("\n") == 1
+        assert not (out / "config.txt").exists()
+
     def test_unknown_flag_exits_two(self, capsys):
         assert main(["synth", "--flux", "9"]) == 2
 

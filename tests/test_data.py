@@ -491,6 +491,19 @@ class TestSynthTracks:
         with pytest.raises(ConfigError):
             synth_tracks(SynthSpec(), 0)
 
+    @pytest.mark.parametrize("field,value", [
+        ("noise_std", float("nan")), ("size", (float("nan"), 5.0)),
+        ("velocity", (float("inf"), 0.0)), ("start", (0.0, -float("inf"))),
+        ("accel", (float("nan"), 0.0)), ("size_rate", (0.0, float("inf"))),
+        ("amplitude", float("inf")), ("period", float("nan")),
+        ("start_jitter", float("nan")), ("velocity_jitter", float("inf")),
+        ("frame_rate_hz", float("nan")), ("frame_rate_hz", -30.0),
+        ("frame_rate_hz", 0.0)])
+    def test_non_finite_or_non_positive_fields_are_config_errors(self, field,
+                                                                  value):
+        with pytest.raises(ConfigError, match=field):
+            synth_tracks(SynthSpec(**{field: value}), 1)
+
 
 class TestSubsample:
     def test_factor_one_copies(self):

@@ -19,7 +19,7 @@ from helpers import (
 
 from boxcast import model
 from boxcast.data import Box
-from boxcast.errors import ConfigError, DataError, ShapeError
+from boxcast.errors import ConfigError, DataError, NumericError, ShapeError
 from boxcast.model import (
     LOSS_MODES,
     MODE_TRAJ,
@@ -530,14 +530,19 @@ class TestTrainingDtypeFlow:
 
 
 class TestTrainingMemory:
-    def test_backward_runs_inside_the_forward_caches(self):
-        """The backward pass writes its gate gradients over the forward
-        caches and keeps no tanh(c) buffer, so the peak of one float32
-        `loss_and_grads` stays within 1.25x of what it must hold: the three
-        sequences' gates, c and h buffers plus the gradients (measured 1.16;
-        a separate gates-shaped gradient buffer per sequence reads 1.61)."""
-        dims = ModelDims(k=10, p=20, hidden=64, latent=32)
-        n = 64
+    """Tracemalloc peak of one float32 traj+auto-enc `loss_and_grads` against
+    the bytes it must hold: LSTM caches (gates, c and h buffers) plus the
+    gradients. The encoder and the reconstruction decoder run k steps, the
+    future decoder p."""
+
+    DIMS = ModelDims(k=10, p=20, hidden=64, latent=32)
+    N = 64
+
+    @classmethod
+    def peak_and_budget(cls, cache_steps):
+        """(peak bytes, 1.25x the caches of runs of ``cache_steps`` steps
+        plus the gradient bytes)."""
+        dims, n = cls.DIMS, cls.N
         params = init_params(dims, seed=5).astype(np.float32)
         rng = np.random.default_rng(5)
         window = rng.normal(size=(n, dims.k, 8)).astype(np.float32)
@@ -545,17 +550,36 @@ class TestTrainingMemory:
         weights = LossWeights(mode=MODE_TRAJ_AUTOENC)
         loss_and_grads(params, window, targets, weights)
         H = dims.hidden
-        # encoder and reconstruction decoder run k steps, the future one p
         cache_values = sum(t * n * 4 * H + 2 * (t + 1) * n * H
-                           for t in (dims.k, dims.k, dims.p))
+                           for t in cache_steps)
         grad_bytes = sum(t.nbytes for t in params.tensors().values())
-        budget = 1.25 * (cache_values * 4 + grad_bytes)
         tracemalloc.start()
         try:
             loss_and_grads(params, window, targets, weights)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        return peak, 1.25 * (cache_values * 4 + grad_bytes)
+
+    def test_backward_runs_inside_the_forward_caches(self):
+        """The backward pass writes its gate gradients over the forward
+        caches and keeps no tanh(c) buffer, so the peak stays within 1.25x
+        of all three sequences' caches plus the gradients (measured 0.83; a
+        separate gates-shaped gradient buffer per sequence reads 1.61 when
+        all three sequences are live at once)."""
+        dims = self.DIMS
+        peak, budget = self.peak_and_budget((dims.k, dims.k, dims.p))
+        assert peak <= budget, (peak, budget)
+
+    def test_decoder_branches_never_hold_caches_at_once(self):
+        """Each decoder branch runs its backward pass and frees its caches
+        before the next one allocates, and forms its head's per-step
+        hidden-state gradients inside the backward loop, so the peak stays
+        within 1.25x of the encoder's and the larger decoder's caches plus
+        the gradients (measured 1.08; all three sequences live at once, with
+        a stacked per-step head gradient, read 1.52)."""
+        dims = self.DIMS
+        peak, budget = self.peak_and_budget((dims.k, max(dims.k, dims.p)))
         assert peak <= budget, (peak, budget)
 
 
@@ -628,6 +652,12 @@ class TestCompositeLoss:
         with pytest.raises(ConfigError):
             LossWeights(mode="everything").validate()
 
+    @pytest.mark.parametrize("field", ["alpha", "beta"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+    def test_loss_weights_must_be_finite_and_non_negative(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            LossWeights(**{field: value}).validate()
+
     def test_batch_loss_is_mean_of_per_sample_losses(self):
         rng = np.random.default_rng(27)
         params = init_params(TINY, seed=27)
@@ -699,6 +729,30 @@ class TestLossAndGrads:
             np.testing.assert_allclose(batch_grads[name], mean_grad,
                                        rtol=1e-10, atol=1e-13,
                                        err_msg=name)
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_overflowing_reconstruction_term_skips_the_encoder_backward(
+            self, monkeypatch):
+        """A finite trajectory term with an overflowing alpha * reconstruction
+        term raises once the reconstruction branch has run its forward pass:
+        the future branch's backward has run, the encoder's never does."""
+        params = init_params(TINY, seed=10)
+        # pixel-scale boxes: both L1 terms are far above 1
+        window, targets = random_window_and_targets(
+            np.random.default_rng(10), TINY.k, TINY.p)
+        cells = []
+        real = model.lstm_gate_backward
+
+        def recording(seq, *args):
+            cells.append(seq.cell)
+            return real(seq, *args)
+
+        monkeypatch.setattr(model, "lstm_gate_backward", recording)
+        weights = LossWeights(alpha=1e308, mode=MODE_TRAJ_AUTOENC)
+        with pytest.raises(NumericError, match="non-finite loss inf"):
+            loss_and_grads(params, window, targets, weights)
+        assert len(cells) == TINY.p
+        assert all(cell is params.fut_dec for cell in cells)
 
     def test_carry_flag_reaches_the_gradients(self):
         params, window, targets = gradcheck_case(9, carry_cell_state=False)

@@ -4,6 +4,8 @@ file including its failure modes."""
 
 import copy
 import dataclasses
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -92,6 +94,10 @@ class TestSchedule:
             TrainConfig(grad_clip=-1.0).validate()
         with pytest.raises(ConfigError, match="grad_clip"):
             TrainConfig(grad_clip=float("nan")).validate()
+        for field, value in (("alpha", float("nan")), ("beta", float("nan")),
+                             ("alpha", float("inf")), ("beta", -1.0)):
+            with pytest.raises(ConfigError, match=field):
+                TrainConfig(**{field: value}).validate()
 
 
 class TestStacking:
@@ -476,3 +482,56 @@ class TestWeightFile:
         path.write_bytes(bytes(raw))
         with pytest.raises(ConfigError, match="gate order"):
             load_model(path)
+
+
+def _saved_model_bytes() -> bytes:
+    """The bytes of a small saved model (60-byte header, 2 200-byte payload)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.bxw"
+        save_model(init_params(ModelDims(k=3, p=2, hidden=4, latent=2),
+                               seed=19), path)
+        return path.read_bytes()
+
+
+_SAVED = _saved_model_bytes()
+
+
+def _flip_bit(raw: bytes, pos: int, bit: int) -> bytes:
+    out = bytearray(raw)
+    out[pos] ^= 1 << bit
+    return bytes(out)
+
+
+def _set_byte(raw: bytes, pos: int, value: int) -> bytes:
+    out = bytearray(raw)
+    out[pos] = value
+    return bytes(out)
+
+
+_DAMAGED_FILES = st.one_of(
+    st.builds(_flip_bit, st.just(_SAVED), st.integers(0, len(_SAVED) - 1),
+              st.integers(0, 7)),
+    st.integers(0, len(_SAVED) - 1).map(lambda n: _SAVED[:n]),
+    st.builds(_set_byte, st.just(_SAVED), st.integers(0, 59),
+              st.integers(0, 255)),
+    st.binary(min_size=1, max_size=16).map(lambda tail: _SAVED + tail),
+)
+
+
+class TestLoadModelProperty:
+    """A weight file with a flipped bit, a cut, an edited header byte or
+    extra bytes is refused as a DataError or ConfigError, or loads as a
+    model that `save_model` writes back byte for byte."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(raw=_DAMAGED_FILES)
+    def test_refused_or_written_back_unchanged(self, raw):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "m.bxw"
+            path.write_bytes(raw)
+            try:
+                params, _ = load_model(path)
+            except (DataError, ConfigError):
+                return
+            save_model(params, path)
+            assert path.read_bytes() == raw
