@@ -53,7 +53,7 @@ from typing import Callable
 
 import numpy as np
 
-from .data import box_fields
+from .data import Boxes
 from .errors import ConfigError, DataError, NumericError, ShapeError
 from .nn import (
     LinearParams,
@@ -225,12 +225,12 @@ def param_count(params: ModelParams) -> int:
 def build_features(boxes, predecessor=None) -> np.ndarray:
     """Turn k consecutive boxes into the (k, 8) per-frame feature window.
 
-    ``boxes`` is a sequence of Box records or an (k, 4) array of
-    (cx, cy, w, h) rows; Box frames must be consecutive. Row i holds the box
-    followed by its difference from row i-1. The first row's difference is
-    taken against ``predecessor`` when one is supplied (it must sit exactly
-    one frame before the window) and is zero otherwise. The one-window case
-    of `feature_windows`.
+    ``boxes`` is a `Boxes` (read as its arrays), another sequence of Box
+    records, or a (k, 4) array of (cx, cy, w, h) rows; frames must be
+    consecutive. Row i holds the box followed by its difference from row
+    i-1. The first row's difference is taken against ``predecessor`` when
+    one is supplied (it must sit exactly one frame before the window) and
+    is zero otherwise. The one-window case of `feature_windows`.
     """
     arr, frames = _boxes_as_array(boxes)
     if arr.shape[0] < 1:
@@ -238,7 +238,8 @@ def build_features(boxes, predecessor=None) -> np.ndarray:
     if predecessor is None:
         pred_arr, pred_frames = arr[:1], frames
     else:
-        pred_arr, pred_frames = box_fields([predecessor], 1)
+        before = Boxes.of([predecessor])
+        pred_arr, pred_frames = before.xywh, before.frames
     ext = np.concatenate([pred_arr, arr])[None]
     ext_frames = None if frames is None \
         else np.concatenate([pred_frames[:1], frames])[None]
@@ -291,12 +292,14 @@ def feature_windows(boxes: np.ndarray, frames: np.ndarray | None,
 
 
 def _boxes_as_array(boxes) -> tuple[np.ndarray, np.ndarray | None]:
-    """Normalize a Box sequence or array to ((n, 4) floats, frames or None)."""
+    """Normalize a Boxes, Box sequence or array to ((n, 4) floats, frames
+    or None)."""
     if isinstance(boxes, np.ndarray):
         if boxes.ndim != 2 or boxes.shape[1] != 4:
             raise ShapeError(f"box array has shape {boxes.shape}, expected (n, 4)")
         return boxes.astype(np.float64, copy=False), None
-    return box_fields(boxes, len(boxes))
+    boxes = Boxes.of(boxes)
+    return boxes.xywh, boxes.frames
 
 
 def reconstruction_target(window: np.ndarray) -> np.ndarray:

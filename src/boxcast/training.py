@@ -8,12 +8,11 @@ import struct
 import time
 import zlib
 from dataclasses import dataclass
-from itertools import chain
 from typing import Callable
 
 import numpy as np
 
-from .data import MiniTrack, box_fields
+from .data import Boxes, MiniTrack
 from .errors import ConfigError, DataError, NumericError
 from .model import (
     INPUT_DIM,
@@ -116,9 +115,10 @@ def stack_minitracks(minitracks: list[MiniTrack], k: int, p: int
     boxes (using each mini-track's predecessor when present) and target
     boxes (M, p, 4) over the last p.
 
-    Every mini-track's boxes are gathered in one pass and the windows built
-    by one `feature_windows` call; a faulty mini-track raises the error
-    `build_features` raises on it, the first one in list order.
+    Every mini-track's box arrays are copied into one stacked array and
+    the windows built by one `feature_windows` call; a faulty mini-track
+    raises the error `build_features` raises on it, the first one in list
+    order.
     """
     ModelDims(k=k, p=p).validate()
     if not minitracks:
@@ -129,17 +129,20 @@ def stack_minitracks(minitracks: list[MiniTrack], k: int, p: int
     good = minitracks[:m]
     # each row is the predecessor slot (the first box when there is none)
     # followed by the k + p boxes
-    rows, frames = box_fields(
-        chain.from_iterable(
-            chain((mt.boxes[0] if mt.predecessor is None else mt.predecessor,),
-                  mt.boxes)
-            for mt in good),
-        m * (n + 1))
-    rows = rows.reshape(m, n + 1, OUTPUT_DIM)
+    rows = np.empty((m, n + 1, OUTPUT_DIM))
+    frames = np.empty((m, n + 1), dtype=np.int64)
+    for j, mt in enumerate(good):
+        rows[j, 1:] = mt.boxes.xywh
+        frames[j, 1:] = mt.boxes.frames
     has_pred = np.fromiter((mt.predecessor is not None for mt in good),
                            dtype=bool, count=m)
-    windows = feature_windows(rows[:, :k + 1],
-                              frames.reshape(m, n + 1)[:, :k + 1], has_pred)
+    before = Boxes.of([mt.predecessor for mt in good
+                       if mt.predecessor is not None])
+    rows[has_pred, 0] = before.xywh
+    frames[has_pred, 0] = before.frames
+    rows[~has_pred, 0] = rows[~has_pred, 1]
+    frames[~has_pred, 0] = frames[~has_pred, 1]
+    windows = feature_windows(rows[:, :k + 1], frames[:, :k + 1], has_pred)
     if m < len(minitracks):
         raise DataError(
             f"mini-track {m} has {len(minitracks[m])} boxes, expected "

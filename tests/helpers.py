@@ -1,5 +1,6 @@
-"""Shared test utilities: random-but-realistic inputs and a case generator
-for gradient checks that steers clear of the objective's kinks.
+"""Shared test utilities: random-but-realistic inputs, a case generator
+for gradient checks that steers clear of the objective's kinks, and a
+row-by-row track CSV parser that the column-wise `parse_tracks` must match.
 
 The composite objective has two non-smooth surfaces: the L1 loss at exact
 zero residual and the ReLU at exactly zero pre-activation. Central
@@ -8,8 +9,20 @@ ReLU input sits further than a safety margin from its kink, so the case
 generator redraws until that holds.
 """
 
+import csv
+import io
+import math
+
 import numpy as np
 
+from boxcast.data import (
+    CENTROID_HEADER,
+    CORNER_HEADER,
+    Box,
+    CsvFormat,
+    Track,
+)
+from boxcast.errors import ParseError
 from boxcast.model import (
     LossWeights,
     ModelDims,
@@ -121,3 +134,81 @@ def fd_grad_at(f, x, flat_indices, eps=1e-5):
         flat[idx] = orig
         out[j] = (fp - fm) / (2.0 * eps)
     return out
+
+
+def reference_parse_tracks(path, fmt: CsvFormat = CsvFormat()) -> list[Track]:
+    """`parse_tracks` one row at a time, as the reference it must match:
+    the same tracks (ids, frames, boxes bit for bit), or a ParseError with
+    the same message and line.
+
+    Each row is checked and boxed as it is read; rows then group by key in
+    first-appearance order, sort by (frame, line) and split at every gap.
+    """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise ParseError(f"not UTF-8 text: {e.reason} at byte {e.start}",
+                         line=raw.count(b"\n", 0, e.start) + 1) from None
+    expected = CORNER_HEADER if fmt.corner_format else CENTROID_HEADER
+    groups: dict[tuple[str, str], list[tuple[int, int, Box]]] = {}
+    records = _reference_records(text)
+    first = next(records, None)
+    if first is None:
+        return []
+    if [c.strip() for c in first[1]] != expected:
+        raise ParseError(
+            f"header {first[1]!r} does not match expected {expected!r}",
+            line=1)
+    for line, row in records:
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) != 7:
+            raise ParseError(f"expected 7 columns, got {len(row)}", line=line)
+        try:
+            frame = int(row[2])
+            vals = [float(v) for v in row[3:7]]
+        except ValueError as e:
+            raise ParseError(f"bad numeric field: {e}", line=line) from None
+        if not -2**63 <= frame < 2**63:
+            raise ParseError(f"frame {frame} is outside the int64 range",
+                             line=line)
+        if fmt.corner_format:
+            x1, y1, x2, y2 = vals
+            vals = [(x1 + x2) / 2.0, (y1 + y2) / 2.0, x2 - x1, y2 - y1]
+        cx, cy, w, h = vals
+        if not all(math.isfinite(v) for v in vals):
+            raise ParseError("non-finite box fields", line=line)
+        if w <= 0 or h <= 0:
+            raise ParseError(f"non-positive box size w={w}, h={h}", line=line)
+        groups.setdefault((row[0].strip(), row[1].strip()), []).append(
+            (frame, line, Box(cx=cx, cy=cy, w=w, h=h, frame=frame)))
+
+    tracks: list[Track] = []
+    for (video_id, track_id), rows in groups.items():
+        rows.sort()  # by frame, then line: lines are unique
+        segments: list[list[Box]] = []
+        prev = None
+        for frame, line, box in rows:
+            if frame == prev:
+                raise ParseError(f"track ({video_id}, {track_id}) has "
+                                 f"duplicate frame {prev}", line=line)
+            if prev is None or frame != prev + 1:
+                segments.append([])
+            segments[-1].append(box)
+            prev = frame
+        for si, boxes in enumerate(segments):
+            tid = track_id if len(segments) == 1 else f"{track_id}~{si}"
+            tracks.append(Track(video_id=video_id, track_id=tid, boxes=boxes,
+                                frame_rate_hz=fmt.frame_rate_hz))
+    return tracks
+
+
+def _reference_records(text: str):
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        for row in reader:
+            yield reader.line_num, row
+    except csv.Error as e:
+        raise ParseError(f"malformed CSV: {e}", line=reader.line_num) from None

@@ -5,6 +5,7 @@ contract."""
 
 import csv
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -143,7 +144,7 @@ class TestPredict:
     def test_short_track_warns_and_is_skipped(self, tmp_path, capsys):
         weights = self.make_weights(tmp_path)
         tracks = parse_tracks(synth_file(tmp_path, count=2, length=6))
-        tracks[1].boxes[:] = tracks[1].boxes[:3]  # below k=4
+        tracks[1] = replace(tracks[1], boxes=tracks[1].boxes[:3])  # below k=4
         data = tmp_path / "mixed.csv"
         write_tracks(tracks, data)
         out = tmp_path / "pred.csv"
@@ -408,6 +409,20 @@ class TestConfigFilesAndExitCodes:
             self, tmp_path, capsys, flag, value):
         out = tmp_path / "x.csv"
         assert main(["synth", "--out", str(out), flag, value]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["--start", "1e308,0", "--velocity", "1e308,0", "--count", "2",
+         "--length", "5"],
+        ["--size", "1e308,1e308", "--noise-std", "1e308"],
+        ["--start-jitter", "1e308"]])
+    def test_overflowing_synth_values_exit_two_and_write_no_csv(
+            self, tmp_path, capsys, argv):
+        out = tmp_path / "x.csv"
+        assert main(["synth", "--out", str(out), *argv]) == 2
         err = capsys.readouterr().err
         assert err.startswith("configuration error: ")
         assert err.count("\n") == 1

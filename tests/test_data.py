@@ -1,6 +1,5 @@
 """Data-layer tests: CSV parsing and writing, track slicing, fold splits,
-synthetic track generators against their closed-form kinematics, and frame
-subsampling."""
+and synthetic track generators against their closed-form kinematics."""
 
 import math
 import tempfile
@@ -11,10 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from boxcast import data
 from boxcast.data import (
     CENTROID_HEADER,
     CORNER_HEADER,
     Box,
+    Boxes,
     CsvFormat,
     FoldSplit,
     MiniTrack,
@@ -25,12 +26,18 @@ from boxcast.data import (
     slice_all_minitracks,
     slice_minitracks,
     split_folds,
-    subsample,
     synth_tracks,
     write_tracks,
 )
-from boxcast.errors import ConfigError, DataError, NumericError, ParseError
+from boxcast.errors import (
+    ConfigError,
+    DataError,
+    NumericError,
+    ParseError,
+    ShapeError,
+)
 from boxcast.evaluation import evaluate_baseline
+from helpers import reference_parse_tracks
 
 
 def make_track(n, track_id="t0", video_id="v0", start_frame=0, rate=30.0):
@@ -51,6 +58,56 @@ class TestBoxAndTrack:
         mt = MiniTrack(video_id="v", track_id="t", start_frame=0,
                        boxes=make_track(4).boxes, predecessor=None)
         assert len(mt) == 4
+
+
+class TestBoxes:
+    def test_a_box_list_becomes_arrays_once(self):
+        t = make_track(3, start_frame=5)
+        assert isinstance(t.boxes, Boxes)
+        np.testing.assert_array_equal(t.boxes.frames, [5, 6, 7])
+        assert t.boxes.xywh.shape == (3, 4)
+        assert Boxes.of(t.boxes) is t.boxes
+        assert MiniTrack("v", "t", 5, t.boxes).boxes is t.boxes
+
+    def test_indexing_yields_boxes_of_python_numbers(self):
+        t = make_track(4)
+        assert t.boxes[1] == Box(cx=11.0, cy=22.0, w=5.0, h=9.0, frame=1)
+        assert t.boxes[-1].frame == 3
+        assert list(t.boxes) == [t.boxes[i] for i in range(4)]
+        b = t.boxes[2]
+        assert [type(v) for v in (b.cx, b.cy, b.w, b.h, b.frame)] == \
+            [float] * 4 + [int]
+        assert repr(b) == "Box(cx=12.0, cy=24.0, w=5.0, h=9.0, frame=2)"
+        with pytest.raises(IndexError):
+            t.boxes[4]
+
+    def test_slices_are_read_only_views(self):
+        boxes = make_track(10).boxes
+        part = boxes[2:7]
+        assert isinstance(part, Boxes) and len(part) == 5
+        assert np.shares_memory(part.xywh, boxes.xywh)
+        assert np.shares_memory(part.frames, boxes.frames)
+        assert part[0] == boxes[2]
+        for arr in (boxes.xywh, boxes.frames, part.xywh, part.frames):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0
+
+    def test_concatenation_and_value_equality(self):
+        boxes = make_track(10).boxes
+        joined = boxes[:3] + boxes[5:]
+        assert [b.frame for b in joined] == [0, 1, 2, 5, 6, 7, 8, 9]
+        assert boxes[:4] + boxes[4:] == boxes
+        assert boxes[:4] + boxes[4:] is not boxes
+        assert boxes != boxes[1:]
+        assert Boxes.of(list(boxes)) == boxes
+        assert boxes != list(boxes)
+
+    def test_shapes_are_checked(self):
+        with pytest.raises(ShapeError):
+            Boxes(np.zeros((3, 3)), np.arange(3))
+        with pytest.raises(ShapeError):
+            Boxes(np.zeros((3, 4)), np.arange(2))
+        assert len(Boxes.of([])) == 0
 
 
 class TestCsvRoundTrip:
@@ -246,17 +303,20 @@ _HOSTILE_ROWS = st.tuples(
 @st.composite
 def _track_csvs(draw):
     """(text, corner format) of a track CSV: well-formed rows on distinct
-    frames, with hostile lines (blank, wrong column counts, values beyond
-    int64 or float range, a repeated frame, a quoted two-line id) mixed in
-    at random positions."""
+    frames, so most tracks have gaps, and ids that may carry padding, with
+    hostile lines (blank, wrong column counts, values beyond int64 or float
+    range, a repeated frame, a quoted two-line id) mixed in at random
+    positions."""
     corner = draw(st.booleans(), label="corner")
     good = draw(_GOOD_ROWS, label="good rows")
     lines = []
     for tid, frame, cx, cy, w, h in good:
         vals = (cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2) if corner \
             else (cx, cy, w, h)
+        tid = draw(st.sampled_from([tid, f" {tid}"]), label="padded id")
         lines.append(",".join(["v", tid, str(frame), *map(repr, vals)]))
-    hostile = [st.just(""), _HOSTILE_FIELDS, _HOSTILE_ROWS]
+    hostile = [st.sampled_from(["", "  ", ","]), _HOSTILE_FIELDS,
+               _HOSTILE_ROWS]
     if lines:
         hostile.append(st.sampled_from(lines))  # a repeated frame
     for bad in draw(st.lists(st.one_of(hostile), max_size=3), label="bad"):
@@ -293,6 +353,68 @@ class TestParseProperty:
                               slice_all_minitracks(tracks, 2, 1), 1, 1)
         except (ConfigError, DataError, NumericError):
             pass
+
+
+def _outcome(parse, path, fmt):
+    """A parse's tracks as (ids, rate, frames, box bytes), or its error."""
+    try:
+        tracks = parse(path, fmt)
+    except ParseError as e:
+        return ("ParseError", str(e), e.line)
+    return [(t.video_id, t.track_id, t.frame_rate_hz,
+             t.boxes.frames.tolist(), t.boxes.xywh.tobytes())
+            for t in tracks]
+
+
+class TestParseMatchesTheRowByRowReference:
+    """The column-wise parser returns what `reference_parse_tracks` returns,
+    boxes bit for bit, or the same ParseError at the same line."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(csv_file=_track_csvs())
+    def test_same_tracks_or_same_error(self, csv_file):
+        text, corner = csv_file
+        fmt = CsvFormat(corner_format=corner, frame_rate_hz=25.0)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "t.csv"
+            path.write_text(text, encoding="utf-8")
+            assert _outcome(parse_tracks, path, fmt) == \
+                _outcome(reference_parse_tracks, path, fmt)
+
+    @pytest.mark.parametrize("at,bad", [
+        (None, None),
+        (3, "v,t,x,1,1,2,2"),
+        (700, "v,t,5,1,1,-2,2"),
+        (1100, "v,t,5,1,1,2"),
+        (1100, "v,a,3,1,1,2,2"),
+        (1400, '"v'),
+    ], ids=["clean", "first-block", "second-block-size", "third-block-count",
+            "third-block-duplicate", "unterminated-quote"])
+    def test_files_longer_than_one_block(self, tmp_path, at, bad):
+        rows = [f"v,{'ab'[f % 2]},{f // 2 + 7 * (f > 900)},{f}.5,2,3,4"
+                for f in range(1500)]
+        rows[600:600] = [""] * (2 * data._BLOCK_ROWS)  # whole blank blocks
+        if bad is not None:
+            rows.insert(at, bad)
+        path = tmp_path / "t.csv"
+        path.write_text("\n".join([",".join(CENTROID_HEADER), *rows]) + "\n")
+        want = _outcome(reference_parse_tracks, path, CsvFormat())
+        assert _outcome(parse_tracks, path, CsvFormat()) == want
+        assert (bad is None) == isinstance(want, list)
+
+    @settings(max_examples=50, deadline=None)
+    @given(raw=st.one_of(
+        st.binary(max_size=300),
+        st.binary(max_size=300).map(
+            lambda b: ",".join(CENTROID_HEADER).encode() + b"\n" + b)))
+    def test_random_bytes_are_only_parse_errors(self, raw):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "t.csv"
+            path.write_bytes(raw)
+            try:
+                parse_tracks(path)
+            except ParseError as e:
+                assert e.line is not None
 
 
 class TestSlicing:
@@ -491,6 +613,24 @@ class TestSynthTracks:
         with pytest.raises(ConfigError):
             synth_tracks(SynthSpec(), 0)
 
+    @pytest.mark.parametrize("fields", [
+        {"start": (1e308, 0.0), "velocity": (1e308, 0.0), "length": 5},
+        {"size": (1e308, 1e308), "noise_std": 1e308},
+        {"kind": "constant-acceleration", "accel": (1e308, 0.0)},
+        {"kind": "sinusoidal", "velocity": (1e308, 1e308)},
+        {"size_rate": (1e308, 0.0)},
+    ])
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_finite_values_that_overflow_are_config_errors(self, fields):
+        with pytest.raises(ConfigError, match="non-finite boxes"):
+            synth_tracks(SynthSpec(**fields), 2)
+
+    @pytest.mark.parametrize("field", ["start_jitter", "velocity_jitter"])
+    def test_jitter_span_must_be_finite(self, field):
+        with pytest.raises(ConfigError, match=f"{field} must be at most"):
+            synth_tracks(SynthSpec(**{field: 1e308}), 1)
+        assert len(synth_tracks(SynthSpec(length=1, **{field: 8e307}), 1)) == 1
+
     @pytest.mark.parametrize("field,value", [
         ("noise_std", float("nan")), ("size", (float("nan"), 5.0)),
         ("velocity", (float("inf"), 0.0)), ("start", (0.0, -float("inf"))),
@@ -503,35 +643,6 @@ class TestSynthTracks:
                                                                   value):
         with pytest.raises(ConfigError, match=field):
             synth_tracks(SynthSpec(**{field: value}), 1)
-
-
-class TestSubsample:
-    def test_factor_one_copies(self):
-        t = make_track(10)
-        out = subsample(t, 1)
-        assert out.boxes == t.boxes
-        assert out.boxes is not t.boxes
-        assert out.frame_rate_hz == t.frame_rate_hz
-
-    def test_factor_three_renumbers_and_divides_rate(self):
-        t = make_track(90, rate=30.0)
-        out = subsample(t, 3)
-        assert len(out) == 30
-        assert [b.frame for b in out.boxes] == list(range(30))
-        assert out.frame_rate_hz == 10.0
-        assert [b.cx for b in out.boxes] == [10.0 + 3 * i for i in range(30)]
-
-    def test_composition_matches_single_step(self):
-        t = make_track(120)
-        assert subsample(subsample(t, 2), 3).boxes == subsample(t, 6).boxes
-        assert subsample(subsample(t, 2), 3).frame_rate_hz == pytest.approx(
-            subsample(t, 6).frame_rate_hz)
-
-    def test_bad_factor(self):
-        with pytest.raises(ConfigError):
-            subsample(make_track(10), 0)
-        with pytest.raises(ConfigError):
-            subsample(make_track(10), 1.5)
 
 
 class TestFoldSplitContainer:
