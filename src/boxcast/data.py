@@ -531,12 +531,15 @@ _SYNTH_FLOAT_FIELDS = ("start", "size", "velocity", "accel", "size_rate",
                        "velocity_jitter", "frame_rate_hz")
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def synth_tracks(spec: SynthSpec, count: int) -> list[Track]:
     """Generate ``count`` tracks from one spec and one seeded stream.
 
     With all jitters and noise at zero the centroids follow the closed-form
     kinematics exactly. Per-track draws happen in a fixed order, so a fixed
-    seed fixes every box.
+    seed fixes every box. Finite spec values whose kinematics overflow
+    float64 raise ConfigError from the finiteness check on each track, with
+    no numpy overflow warning ahead of it.
     """
     spec.validate()
     if count < 1:

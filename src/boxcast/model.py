@@ -86,7 +86,6 @@ __all__ = [
     "MODE_TRAJ_AUTOENC",
     "MODE_TRAJ_DEL",
     "OUTPUT_DIM",
-    "HeadGrads",
     "LossWeights",
     "ModelDims",
     "ModelParams",
@@ -509,20 +508,11 @@ class LossWeights:
                     f"loss weight {name} must be finite and >= 0, got {value!r}")
 
 
-@dataclass
-class HeadGrads:
-    """Gradients on the model heads; entries are None for inactive branches."""
-
-    d_recon: np.ndarray | None = None
-    d_boxes: np.ndarray | None = None
-    d_deltas: np.ndarray | None = None
-
-
 def composite_loss(recon: np.ndarray | None, window: np.ndarray,
                    pred_boxes: np.ndarray | None, target_boxes: np.ndarray,
                    weights: LossWeights,
                    pred_deltas: np.ndarray | None = None
-                   ) -> tuple[float, dict[str, float], HeadGrads]:
+                   ) -> tuple[float, dict[str, float]]:
     """Weighted training objective over the active branches.
 
     Per mode:
@@ -530,42 +520,33 @@ def composite_loss(recon: np.ndarray | None, window: np.ndarray,
       traj           beta * L1(pred_boxes, target_boxes)
       traj+auto-enc  the traj term + alpha * L1(recon, reconstruction_target)
 
-    Target deltas derive from ``target_boxes`` and the anchor stored in the
-    window's last row; ``pred_deltas`` falls back to differencing
-    ``pred_boxes`` when not supplied. L1 terms are means over every element
+    Each mode needs the head it supervises: ``pred_deltas`` in traj-del
+    mode, ``pred_boxes`` otherwise, and ``recon`` too in traj+auto-enc
+    mode. Target deltas derive from ``target_boxes`` and the anchor stored
+    in the window's last row. L1 terms are means over every element
     (batched inputs average over the batch too), so the loss of a batch is
     the mean of the per-sample losses. The sum is built from the per-term
     pieces `loss_and_grads` also uses, in the same order: beta * traj, then
-    + alpha * auto.
+    + alpha * auto. This is the objective the finite-difference checks of
+    `loss_and_grads` differentiate.
 
-    Returns (loss, unweighted per-term values, gradients on the heads).
+    Returns (loss, unweighted per-term values).
     """
     weights.validate()
     _check_window(window, k=None)
-    if weights.mode == MODE_TRAJ_DEL:
-        if pred_deltas is None:
-            if pred_boxes is None:
-                raise ConfigError("traj-del mode needs pred_deltas or pred_boxes")
-            pred_deltas = np.diff(pred_boxes, axis=-2,
-                                  prepend=window[..., -1, None, :4])
-        pred = pred_deltas
-    elif pred_boxes is None:
-        raise ConfigError(f"mode {weights.mode!r} needs pred_boxes")
-    else:
-        pred = pred_boxes
-    l_traj, g_traj = _trajectory_term(pred, window, target_boxes, weights)
-    terms = {"traj": l_traj}
-    grads = HeadGrads(d_deltas=g_traj) if weights.mode == MODE_TRAJ_DEL \
-        else HeadGrads(d_boxes=g_traj)
-    loss = weights.beta * l_traj
+    pred, head = (pred_deltas, "pred_deltas") \
+        if weights.mode == MODE_TRAJ_DEL else (pred_boxes, "pred_boxes")
+    if pred is None:
+        raise ConfigError(f"mode {weights.mode!r} needs {head}")
+    terms = {"traj": _trajectory_term(pred, window, target_boxes, weights)[0]}
+    loss = weights.beta * terms["traj"]
 
     if weights.mode == MODE_TRAJ_AUTOENC:
         if recon is None:
             raise ConfigError("traj+auto-enc mode needs the reconstruction rows")
-        terms["auto_enc"], grads.d_recon = _reconstruction_term(recon, window,
-                                                                weights)
+        terms["auto_enc"] = _reconstruction_term(recon, window, weights)[0]
         loss += weights.alpha * terms["auto_enc"]
-    return loss, terms, grads
+    return loss, terms
 
 
 def _trajectory_term(pred: np.ndarray, window: np.ndarray,

@@ -23,6 +23,12 @@ temporaries. `linear_param_grads` is the weight-gradient half of
 `linear_backward`, for a caller that forms the input gradient of a per-step
 output head one step at a time inside that backward loop. The ops run in
 the dtype of their parameters; the loss is summed in float64.
+
+The LSTM step has one form: ``lstm_cell_forward(params, x, seq, t)``
+writes step t of an `LstmSeq` in place and returns nothing; `LstmSeq.start`
+allocates the pass and checks its state shapes once. Adam runs with the
+standard hyperparameters of Kingma & Ba (ICLR 2015): `ADAM_BETA1`,
+`ADAM_BETA2` and `ADAM_EPS`.
 """
 
 from __future__ import annotations
@@ -35,6 +41,9 @@ import numpy as np
 from .errors import NumericError, ShapeError
 
 __all__ = [
+    "ADAM_BETA1",
+    "ADAM_BETA2",
+    "ADAM_EPS",
     "AdamState",
     "LinearParams",
     "LstmCellParams",
@@ -49,18 +58,9 @@ __all__ = [
     "lstm_cell_forward",
     "lstm_gate_backward",
     "relu",
-    "sigmoid",
 ]
 
-
-def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function; never overflows on finite input.
-
-    The LSTM step computes its gates through tanh instead (one pass over all
-    four lanes); this exp form is the reference its tests compare against.
-    """
-    z = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, z) / (1.0 + z)
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 def relu(x: np.ndarray) -> np.ndarray:
@@ -165,31 +165,17 @@ def _gate_lanes(a: np.ndarray, H: int) -> tuple[np.ndarray, ...]:
     return a[..., :H], a[..., H: 2 * H], a[..., 2 * H: 3 * H], a[..., 3 * H:]
 
 
-def lstm_cell_forward(params: LstmCellParams, x: np.ndarray, state,
-                      t: int = 0) -> tuple[LstmCellState, LstmSeq]:
-    """One LSTM step on input x, (D,) or (N, D).
-
-    ``state`` is either the previous (h, c) as an `LstmCellState`, shapes
-    (H,) or (N, H) matching x's batch shape, or an `LstmSeq` whose step
-    ``t`` this computes in place (the sequence drivers' form, whose shapes
-    were checked once when the sequence started).
-
-    Returns (new state, the cache holding this step).
-    """
-    if isinstance(state, LstmCellState):
-        _check_last_dim("x", x, params.input_size)
-        if x.shape[:-1] != state.h.shape[:-1]:
-            raise ShapeError(
-                f"batch shapes differ: x {x.shape} vs state.h {state.h.shape}")
-        state, t = LstmSeq.start(params, state, 1), 0
+def lstm_cell_forward(params: LstmCellParams, x: np.ndarray, seq: LstmSeq,
+                      t: int) -> None:
+    """Step ``t`` of ``seq`` on input x, (D,) or (N, D) matching the batch
+    shape ``seq`` was started with, written in place into ``seq``."""
     x_pre = x @ params.wx.T
-    x_pre += state.bias
-    return _lstm_cell_from_preact(params, x_pre, state, t)
+    x_pre += seq.bias
+    _lstm_cell_from_preact(params, x_pre, seq, t)
 
 
 def _lstm_cell_from_preact(params: LstmCellParams, x_pre: np.ndarray,
-                           seq: LstmSeq, t: int
-                           ) -> tuple[LstmCellState, LstmSeq]:
+                           seq: LstmSeq, t: int) -> None:
     """Step ``t`` of ``seq`` given the already-projected input
     ``x @ wx.T + bx + bh``, written in place into ``seq``.
 
@@ -215,7 +201,6 @@ def _lstm_cell_from_preact(params: LstmCellParams, x_pre: np.ndarray,
     c += i * g
     h = np.tanh(c, out=seq.h[t + 1])
     h *= o
-    return LstmCellState(h, c), seq
 
 
 def lstm_gate_backward(seq: LstmSeq, t: int, dh: np.ndarray, dc: np.ndarray
@@ -316,23 +301,17 @@ def l1_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators keyed like the parameter dict."""
+    """First/second moment accumulators keyed like the parameter dict, and
+    the step count. The hyperparameters are the module constants."""
 
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
     t: int
-    beta1: float
-    beta2: float
-    eps: float
 
     @classmethod
-    def init(cls, params: dict[str, np.ndarray], beta1: float = 0.9,
-             beta2: float = 0.999, eps: float = 1e-8) -> "AdamState":
-        return cls(
-            m={k: np.zeros_like(p) for k, p in params.items()},
-            v={k: np.zeros_like(p) for k, p in params.items()},
-            t=0, beta1=beta1, beta2=beta2, eps=eps,
-        )
+    def init(cls, params: dict[str, np.ndarray]) -> "AdamState":
+        return cls(m={k: np.zeros_like(p) for k, p in params.items()},
+                   v={k: np.zeros_like(p) for k, p in params.items()}, t=0)
 
 
 def adam_step(state: AdamState, params: dict[str, np.ndarray],
@@ -352,17 +331,17 @@ def adam_step(state: AdamState, params: dict[str, np.ndarray],
         if not np.isfinite(g).all():
             raise NumericError(f"non-finite gradient for tensor '{name}'")
     state.t += 1
-    bc1 = 1.0 - state.beta1 ** state.t
-    bc2 = 1.0 - state.beta2 ** state.t
+    bc1 = 1.0 - ADAM_BETA1 ** state.t
+    bc2 = 1.0 - ADAM_BETA2 ** state.t
     for name, p in params.items():
         g = grads[name]
         m = state.m[name]
         v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * (g * g)
+        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
 def finite_diff_grad(f: Callable[[np.ndarray], float], x: np.ndarray,

@@ -42,7 +42,11 @@ __all__ = [
 
 @dataclass
 class TrainConfig:
-    """Hyperparameters; the defaults are the full-scale reference setup."""
+    """Hyperparameters; the defaults are the full-scale reference setup.
+
+    Adam's betas and epsilon are not among them: they are the `nn`
+    constants `ADAM_BETA1`, `ADAM_BETA2` and `ADAM_EPS`.
+    """
 
     k: int = 30
     p: int = 60
@@ -58,9 +62,6 @@ class TrainConfig:
     seed: int = 0
     carry_cell_state: bool = True
     grad_clip: float = 0.0  # 0 disables clipping
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
 
     def validate(self) -> None:
         for name in ("k", "p", "hidden", "latent", "batch_size", "epochs",
@@ -178,8 +179,7 @@ def train(cfg: TrainConfig, minitracks: list[MiniTrack],
                          dtype=np.float32)
     weights = cfg.loss_weights()
     tensors = params.tensors()
-    opt = AdamState.init(tensors, beta1=cfg.adam_beta1, beta2=cfg.adam_beta2,
-                         eps=cfg.adam_eps)
+    opt = AdamState.init(tensors)
     history: list[EpochStats] = []
     for epoch in range(cfg.epochs):
         t0 = time.perf_counter()

@@ -1,6 +1,8 @@
 """Shared test utilities: random-but-realistic inputs, a case generator
-for gradient checks that steers clear of the objective's kinks, and a
-row-by-row track CSV parser that the column-wise `parse_tracks` must match.
+for gradient checks that steers clear of the objective's kinks, a
+row-by-row track CSV parser that the column-wise `parse_tracks` must match,
+the exp-form logistic function the one-tanh gate math is checked against,
+and a one-step LSTM helper.
 
 The composite objective has two non-smooth surfaces: the L1 loss at exact
 zero residual and the ReLU at exactly zero pre-activation. Central
@@ -37,8 +39,28 @@ from boxcast.model import (
     MODE_TRAJ_AUTOENC,
     MODE_TRAJ_DEL,
 )
+from boxcast.nn import LstmSeq, lstm_cell_forward
 
 KINK_MARGIN = 2e-3  # min distance of residuals / ReLU inputs from zero
+
+
+def sigmoid(x):
+    """Numerically stable logistic function; never overflows on finite input.
+
+    The LSTM step computes its gates through tanh instead (one pass over all
+    four lanes); this exp form is the reference its tests compare against.
+    """
+    z = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, z) / (1.0 + z)
+
+
+def lstm_step(cell, x, state):
+    """One LSTM step from ``state``: (new state, the one-step sequence that
+    holds the step's cache), through `LstmSeq.start` and
+    `lstm_cell_forward`."""
+    seq = LstmSeq.start(cell, state, 1)
+    lstm_cell_forward(cell, x, seq, 0)
+    return seq.final, seq
 
 
 def random_window_and_targets(rng, k, p):
@@ -63,8 +85,8 @@ def loss_via_public_ops(params, window, targets, weights):
     boxes = None
     if weights.mode != MODE_TRAJ_DEL:
         boxes = concat_trajectory(deltas, window[..., -1, :4])
-    loss, _, _ = composite_loss(recon, window, boxes, targets, weights,
-                                pred_deltas=deltas)
+    loss, _ = composite_loss(recon, window, boxes, targets, weights,
+                             pred_deltas=deltas)
     return loss
 
 

@@ -620,7 +620,6 @@ class TestSynthTracks:
         {"kind": "sinusoidal", "velocity": (1e308, 1e308)},
         {"size_rate": (1e308, 0.0)},
     ])
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_finite_values_that_overflow_are_config_errors(self, fields):
         with pytest.raises(ConfigError, match="non-finite boxes"):
             synth_tracks(SynthSpec(**fields), 2)

@@ -9,11 +9,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     fd_grad_at,
     gradcheck_case,
     loss_via_public_ops,
+    lstm_step,
     random_window_and_targets,
 )
 
@@ -41,7 +44,7 @@ from boxcast.model import (
     reconstruct,
     reconstruction_target,
 )
-from boxcast.nn import LstmCellState, linear_forward, lstm_cell_forward, relu
+from boxcast.nn import LstmCellState, linear_forward, relu
 from boxcast.training import load_model, param_count_for, save_model
 
 TINY = ModelDims(k=4, p=3, hidden=8, latent=6)
@@ -146,7 +149,7 @@ class TestEncode:
 
         s = LstmCellState.zeros(8)
         for t in range(4):
-            s, _ = lstm_cell_forward(params.enc, window[t], s)
+            s, _ = lstm_step(params.enc, window[t], s)
         z_manual = linear_forward(params.fc_latent.w, params.fc_latent.b,
                                   relu(s.h))
         assert np.array_equal(state.h, s.h)
@@ -186,7 +189,7 @@ class TestDecoders:
         s = LstmCellState.zeros(8)
         rows = []
         for _ in range(4):
-            s, _ = lstm_cell_forward(params.auto_dec, z, s)
+            s, _ = lstm_step(params.auto_dec, z, s)
             rows.append(linear_forward(params.fc_recon.w, params.fc_recon.b, s.h))
         np.testing.assert_allclose(out, np.stack(rows), rtol=1e-13, atol=1e-16)
 
@@ -199,7 +202,7 @@ class TestDecoders:
         s = LstmCellState(enc_state.h, enc_state.c)
         rows = []
         for _ in range(3):
-            s, _ = lstm_cell_forward(params.fut_dec, z, s)
+            s, _ = lstm_step(params.fut_dec, z, s)
             rows.append(linear_forward(params.fc_delta.w, params.fc_delta.b, s.h))
         np.testing.assert_allclose(out, np.stack(rows), rtol=1e-13, atol=1e-16)
 
@@ -483,6 +486,33 @@ class TestInferenceDtypeFlow:
             assert t.flags.writeable, name
 
 
+
+class TestPredictMatchesTrainingHead:
+    """`predict_from_window` is `forward_train`'s future head without the
+    reconstruction branch, so the two agree bit for bit: any dims, either
+    dtype, either carry setting, one window or a stack of them."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 7),
+           p=st.integers(1, 7), hidden=st.integers(1, 24),
+           latent=st.integers(1, 12),
+           dtype=st.sampled_from([np.float32, np.float64]),
+           carry=st.booleans(), batch=st.sampled_from([None, 1, 3, 5]))
+    def test_bitwise_equal(self, seed, k, p, hidden, latent, dtype, carry,
+                           batch):
+        rng = np.random.default_rng(seed)
+        params = init_params(ModelDims(k=k, p=p, hidden=hidden,
+                                       latent=latent),
+                             seed=rng, carry_cell_state=carry).astype(dtype)
+        windows = [random_window_and_targets(rng, k, p)[0]
+                   for _ in range(batch or 1)]
+        window = windows[0] if batch is None else np.stack(windows)
+        got = predict_from_window(params, window)
+        _, want = forward_train(params, window)
+        assert got.shape == window.shape[:-2] + (p, 4)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
 class TestTrainingDtypeFlow:
     """`loss_and_grads` casts its window and targets to ``params.dtype`` once
     at entry and runs the whole pass, backward included, in that dtype."""
@@ -601,7 +631,7 @@ class TestCompositeLoss:
         anchor = window[-1, :4]
         target_deltas = np.diff(targets, axis=0, prepend=anchor[None, :])
         for mode in LOSS_MODES:
-            loss, _, _ = composite_loss(
+            loss, _ = composite_loss(
                 reconstruction_target(window), window, targets.copy(), targets,
                 LossWeights(mode=mode), pred_deltas=target_deltas.copy())
             assert loss == 0.0
@@ -611,7 +641,7 @@ class TestCompositeLoss:
         window, targets = random_window_and_targets(rng, 4, 3)
         recon = reconstruction_target(window) + 0.5
         boxes = targets + 0.5
-        loss, terms, _ = composite_loss(
+        loss, terms = composite_loss(
             recon, window, boxes, targets,
             LossWeights(alpha=1.0, beta=2.0, mode=MODE_TRAJ_AUTOENC))
         assert loss == pytest.approx(1.5, rel=1e-12)
@@ -622,10 +652,9 @@ class TestCompositeLoss:
         rng = np.random.default_rng(24)
         window, targets = random_window_and_targets(rng, 4, 3)
         boxes = targets + 1.0
-        loss, terms, grads = composite_loss(
+        loss, terms = composite_loss(
             None, window, boxes, targets, LossWeights(mode=MODE_TRAJ))
         assert loss == pytest.approx(2.0, rel=1e-12)
-        assert grads.d_recon is None and grads.d_deltas is None
         assert "auto_enc" not in terms
 
     def test_traj_del_mode_supervises_deltas(self):
@@ -633,13 +662,15 @@ class TestCompositeLoss:
         window, targets = random_window_and_targets(rng, 4, 3)
         anchor = window[-1, :4]
         target_deltas = np.diff(targets, axis=0, prepend=anchor[None, :])
-        loss, _, grads = composite_loss(
+        loss, _ = composite_loss(
             None, window, None, targets,
             LossWeights(beta=2.0, mode=MODE_TRAJ_DEL),
             pred_deltas=target_deltas + 0.25)
         assert loss == pytest.approx(0.5, rel=1e-12)
-        assert grads.d_boxes is None
-        assert grads.d_deltas is not None
+        # boxes are not differenced back into deltas
+        with pytest.raises(ConfigError, match="pred_deltas"):
+            composite_loss(None, window, targets, targets,
+                           LossWeights(mode=MODE_TRAJ_DEL))
 
     def test_missing_reconstruction_rows_raise(self):
         rng = np.random.default_rng(26)
@@ -694,9 +725,22 @@ class TestLossAndGrads:
                 grads[name].reshape(-1), numeric, rtol=1e-4, atol=1e-8,
                 err_msg=f"tensor {name}, mode {mode}")
 
-    def test_engine_loss_equals_public_op_composition(self):
+    @pytest.mark.parametrize("carry", [True, False])
+    @pytest.mark.parametrize("dtype,batch", [(np.float64, None),
+                                             (np.float32, 4)])
+    def test_engine_loss_equals_public_op_composition(self, dtype, batch,
+                                                      carry):
+        """Bit for bit, on one float64 sample and on a float32 batch of 4
+        (inputs given in float32, as `training.train` gives them)."""
+        params, window, targets = gradcheck_case(7, carry_cell_state=carry)
+        if batch is not None:
+            cases = [gradcheck_case(7 + j, carry_cell_state=carry)
+                     for j in range(batch)]
+            window = np.stack([w for _, w, _ in cases])
+            targets = np.stack([t for _, _, t in cases])
+        params = params.astype(dtype)
+        window, targets = window.astype(dtype), targets.astype(dtype)
         for mode in LOSS_MODES:
-            params, window, targets = gradcheck_case(7)
             weights = LossWeights(mode=mode)
             engine_loss, _, _ = loss_and_grads(params, window, targets, weights)
             assert engine_loss == loss_via_public_ops(

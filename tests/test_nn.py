@@ -6,21 +6,22 @@ import math
 import numpy as np
 import pytest
 
+from helpers import lstm_step, sigmoid
+
 from boxcast.errors import NumericError, ShapeError
 from boxcast.nn import (
     AdamState,
     LinearParams,
     LstmCellParams,
     LstmCellState,
+    LstmSeq,
     adam_step,
     finite_diff_grad,
     l1_loss,
     linear_backward,
     linear_forward,
-    lstm_cell_forward,
     lstm_gate_backward,
     relu,
-    sigmoid,
 )
 
 
@@ -94,7 +95,7 @@ class TestLstmCell:
         p = random_cell(rng)
         x = rng.normal(size=3)
         s = random_state(rng)
-        new, _ = lstm_cell_forward(p, x, s)
+        new, _ = lstm_step(p, x, s)
 
         a = p.wx @ x + p.wh @ s.h + p.bx + p.bh
         H = 4
@@ -115,7 +116,7 @@ class TestLstmCell:
             s = LstmCellState.zeros(6)
             for _ in range(40):
                 x = rng.normal(scale=3.0, size=5)
-                s, _ = lstm_cell_forward(p, x, s)
+                s, _ = lstm_step(p, x, s)
                 assert np.all(np.abs(s.h) < 1.0)
 
     def test_batched_rows_equal_per_sample_calls(self):
@@ -123,9 +124,9 @@ class TestLstmCell:
         p = random_cell(rng)
         xb = rng.normal(size=(5, 3))
         sb = random_state(rng, batch_shape=(5,))
-        batched, _ = lstm_cell_forward(p, xb, sb)
+        batched, _ = lstm_step(p, xb, sb)
         for n in range(5):
-            single, _ = lstm_cell_forward(
+            single, _ = lstm_step(
                 p, xb[n], LstmCellState(sb.h[n], sb.c[n]))
             np.testing.assert_allclose(batched.h[n], single.h, rtol=1e-13)
             np.testing.assert_allclose(batched.c[n], single.c, rtol=1e-13)
@@ -135,8 +136,8 @@ class TestLstmCell:
         p = random_cell(rng)
         x = rng.normal(size=3)
         s = random_state(rng)
-        a, _ = lstm_cell_forward(p, x, s)
-        b, _ = lstm_cell_forward(p, x, s)
+        a, _ = lstm_step(p, x, s)
+        b, _ = lstm_step(p, x, s)
         assert np.array_equal(a.h, b.h) and np.array_equal(a.c, b.c)
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -153,8 +154,8 @@ class TestLstmCell:
         cell = LstmCellParams(wx=pre[:, None], wh=np.zeros((4 * H, H), dtype),
                               bx=np.zeros(4 * H, dtype),
                               bh=np.zeros(4 * H, dtype))
-        _, seq = lstm_cell_forward(cell, np.ones(1, dtype),
-                                   LstmCellState.zeros(H, dtype=dtype))
+        _, seq = lstm_step(cell, np.ones(1, dtype),
+                           LstmCellState.zeros(H, dtype=dtype))
         x = pre[:H]
         want = np.concatenate([sigmoid(x), sigmoid(x), np.tanh(x), sigmoid(x)])
         assert seq.gates.dtype == dtype
@@ -162,13 +163,14 @@ class TestLstmCell:
                                    atol=8 * np.finfo(dtype).eps)
 
     def test_shape_mismatch_raises(self):
+        """A pass's state shapes are checked once, when it starts."""
         rng = np.random.default_rng(5)
         p = random_cell(rng)
         s = random_state(rng)
         with pytest.raises(ShapeError):
-            lstm_cell_forward(p, rng.normal(size=7), s)
+            LstmSeq.start(p, random_state(rng, hidden_size=7), 1)
         with pytest.raises(ShapeError):
-            lstm_cell_forward(p, rng.normal(size=(2, 3)), s)
+            LstmSeq.start(p, LstmCellState(s.h, rng.normal(size=(2, 4))), 1)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_backward_matches_finite_differences(self, seed):
@@ -179,11 +181,11 @@ class TestLstmCell:
         dh = rng.normal(size=4)
         dc = rng.normal(size=4)
 
-        _, cache = lstm_cell_forward(p, x, s)
+        _, cache = lstm_step(p, x, s)
         da, dh_prev, dc_prev = gate_backward(cache, dh, dc)
 
         def with_inputs(params, hh, cc):
-            new, _ = lstm_cell_forward(params, x, LstmCellState(hh, cc))
+            new, _ = lstm_step(params, x, LstmCellState(hh, cc))
             return float(np.sum(new.h * dh) + np.sum(new.c * dc))
 
         # for one sample the gate gradient is the gradient on either bias,
@@ -209,13 +211,13 @@ class TestLstmCell:
         sb = random_state(rng, batch_shape=(4,))
         dh = rng.normal(size=(4, 4))
         dc = rng.normal(size=(4, 4))
-        _, cache = lstm_cell_forward(p, xb, sb)
+        _, cache = lstm_step(p, xb, sb)
         da, dh_prev, dc_prev = gate_backward(cache, dh, dc)
 
         acc_wh = 0.0
         acc_b = 0.0
         for n in range(4):
-            _, c1 = lstm_cell_forward(p, xb[n], LstmCellState(sb.h[n], sb.c[n]))
+            _, c1 = lstm_step(p, xb[n], LstmCellState(sb.h[n], sb.c[n]))
             da1, dh1, dc1 = gate_backward(c1, dh[n], dc[n])
             acc_wh = acc_wh + np.outer(da1, sb.h[n])
             acc_b = acc_b + da1

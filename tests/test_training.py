@@ -30,6 +30,7 @@ from boxcast.model import (
     init_params,
     param_count,
 )
+from boxcast.nn import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
 from boxcast.training import (
     TrainConfig,
     _clip_global_norm,
@@ -80,8 +81,8 @@ class TestSchedule:
         assert cfg.epochs == 30
         assert cfg.halve_every == 5
         assert (cfg.alpha, cfg.beta) == (1.0, 2.0)
-        assert (cfg.adam_beta1, cfg.adam_beta2) == (0.9, 0.999)
-        assert cfg.adam_eps == 1e-8
+        assert (ADAM_BETA1, ADAM_BETA2) == (0.9, 0.999)
+        assert ADAM_EPS == 1e-8
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
