@@ -43,8 +43,9 @@ BASELINE_KINDS = ("constant-velocity", "constant-acceleration", "stationary")
 # Rows per `predict_from_window` call. A full-size float32 forecast holds
 # about 0.89 MB of transient buffers per row (mostly the decoder's stacked
 # gates), so a chunk peaks near 56 MB (tracemalloc). Measured on one BLAS
-# thread, full size, 2-core Xeon VM: 52/91/235/309/366 forecasts/s at batch
-# 1/8/32/64/128 (best of 5).
+# thread, full size, float32, 2-core Xeon VM (numpy 2.4.6, OpenBLAS 0.3.31):
+# 55/145/294/349/368 forecasts/s at batch 1/8/32/64/128 (best of 5 runs of
+# best of 5).
 FORECAST_CHUNK = 64
 
 __all__ = [

@@ -98,7 +98,6 @@ __all__ = [
     "forward_train",
     "init_params",
     "loss_and_grads",
-    "param_count",
     "predict",
     "predict_from_window",
     "reconstruct",
@@ -210,11 +209,6 @@ def init_params(dims: ModelDims, seed: int | np.random.Generator = 0,
         return rng.uniform(-s, s, shape).astype(dtype, copy=False)
 
     return ModelParams.build(dims, draw, carry_cell_state)
-
-
-def param_count(params: ModelParams) -> int:
-    """Total number of learnable scalars."""
-    return sum(t.size for t in params.tensors().values())
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,11 @@ finite-difference gradient oracle.
 Tensors are plain numpy arrays, row-major. Every vector op accepts either a
 single sample (trailing feature axis only, e.g. shape ``(D,)``) or a batch
 (``(N, D)``); batched results stack along the leading axis and equal the
-per-sample results row for row. All ops are pure functions of their inputs
-(no hidden state, no randomness), so identical inputs give identical outputs
-and concurrent read-only use of shared parameter tensors is safe.
+per-sample results row for row, up to rounding: a batch runs a matrix
+product where one sample runs a matrix-vector product. All ops are pure
+functions of their inputs (no hidden state, no randomness), so identical
+inputs give identical outputs and concurrent read-only use of shared
+parameter tensors is safe.
 
 Packed LSTM gate tensors use a fixed slice layout along the ``4H`` axis:
 input gate, forget gate, cell candidate, output gate, in that order. Both
@@ -184,7 +186,11 @@ def _lstm_cell_from_preact(params: LstmCellParams, x_pre: np.ndarray,
     """
     H = params.hidden_size
     a = seq.gates[t]
-    np.matmul(seq.h[t], params.wh.T, out=a)
+    # Weight-left: with wh as the right operand OpenBLAS packs it slowly at
+    # small batch, so ``wh @ h.T`` runs 1.5-2x faster than ``h @ wh.T`` at
+    # batch 2-16 with the same bits (the same gemv at batch 1). Every batch
+    # shape is flattened to rows for it.
+    a.reshape(-1, 4 * H)[...] = (params.wh @ seq.h[t].reshape(-1, H).T).T
     a += x_pre
     # One tanh pass over all four lanes, since sigmoid(x) = (1 + tanh(x/2))/2:
     # halve the sigmoid lanes, tanh everything, then map those lanes back.

@@ -381,7 +381,7 @@ def param_count_for(dims: ModelDims) -> int:
     An LSTM cell with input D and width H holds 4H*(D + H + 2) scalars (the
     +2 covers the two bias vectors); an affine map holds out*(in + 1). Kept
     closed-form so file-size validation has an oracle independent of the
-    tensor allocation in `param_count`.
+    tensor allocation.
     """
     H, Z = dims.hidden, dims.latent
 

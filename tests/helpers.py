@@ -2,7 +2,7 @@
 for gradient checks that steers clear of the objective's kinks, a
 row-by-row track CSV parser that the column-wise `parse_tracks` must match,
 the exp-form logistic function the one-tanh gate math is checked against,
-and a one-step LSTM helper.
+a one-step LSTM helper, and a parameter count summed over the tensors.
 
 The composite objective has two non-smooth surfaces: the L1 loss at exact
 zero residual and the ReLU at exactly zero pre-activation. Central
@@ -61,6 +61,12 @@ def lstm_step(cell, x, state):
     seq = LstmSeq.start(cell, state, 1)
     lstm_cell_forward(cell, x, seq, 0)
     return seq.final, seq
+
+
+def param_count(params):
+    """Total number of learnable scalars, summed over the allocated tensors
+    (the independent check on `param_count_for`'s layer arithmetic)."""
+    return sum(t.size for t in params.tensors().values())
 
 
 def random_window_and_targets(rng, k, p):

@@ -53,7 +53,6 @@ from boxcast.model import (
     concat_trajectory,
     init_params,
     loss_and_grads,
-    param_count,
 )
 from boxcast.training import TrainConfig, param_count_for, save_model, train
 
@@ -62,6 +61,7 @@ from helpers import (
     fd_grad_at,
     gradcheck_case,
     loss_via_public_ops,
+    param_count,
 )
 
 # reference values asserted or reported below

@@ -12,6 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import param_count
+
 from boxcast import model, training
 from boxcast.data import (
     SYNTH_KINDS,
@@ -28,7 +30,6 @@ from boxcast.model import (
     ModelDims,
     build_features,
     init_params,
-    param_count,
 )
 from boxcast.nn import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
 from boxcast.training import (
