@@ -36,9 +36,10 @@ from .evaluation import (
     benchmark_tps,
     evaluate,
     evaluate_baseline,
+    forecast,
     summarize_folds,
 )
-from .model import LOSS_MODES, ModelDims, init_params, predict
+from .model import LOSS_MODES, ModelDims, build_features, init_params
 from .training import (
     TrainConfig,
     load_model,
@@ -71,8 +72,18 @@ def _float_pair(text: str) -> tuple[float, float]:
 
 
 def _int_pair(text: str) -> tuple[int, int]:
-    a, b = _float_pair(text)
-    return (int(a), int(b))
+    pair = _float_pair(text)
+    # is_integer is False for inf and NaN, which int() cannot convert
+    if not all(v.is_integer() for v in pair):
+        raise ConfigError(f"expected two whole numbers, got {text!r}")
+    return (int(pair[0]), int(pair[1]))
+
+
+def _seed(text: str) -> int:
+    # numpy's generators refuse negative seeds with a bare ValueError
+    if int(text) < 0:
+        raise ConfigError(f"seed must be >= 0, got {text!r}")
+    return int(text)
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -135,7 +146,7 @@ def _train_opts() -> list[Opt]:
         Opt("beta", float, d.beta, "trajectory loss weight"),
         Opt("loss_mode", str, d.loss_mode,
             "one of: " + ", ".join(LOSS_MODES)),
-        Opt("seed", int, d.seed, "random seed"),
+        Opt("seed", _seed, d.seed, "random seed"),
         Opt("carry_cell_state", _bool, d.carry_cell_state,
             "start the future decoder from the encoder cell state too"),
         Opt("grad_clip", float, d.grad_clip,
@@ -167,7 +178,7 @@ def _synth_opts() -> list[Opt]:
             "uniform per-track start offset bound"),
         Opt("velocity_jitter", float, d.velocity_jitter,
             "uniform per-track velocity offset bound"),
-        Opt("seed", int, d.seed, "random seed"),
+        Opt("seed", _seed, d.seed, "random seed"),
         Opt("frame_rate_hz", float, d.frame_rate_hz, "nominal frame rate"),
     ]
 
@@ -220,7 +231,7 @@ def _command_opts(command: str) -> list[Opt]:
                     "state width (fresh params)"),
                 Opt("latent", int, TrainConfig.latent,
                     "latent width (fresh params)"),
-                Opt("seed", int, 0, "seed for fresh params and windows")]
+                Opt("seed", _seed, 0, "seed for fresh params and windows")]
     if command == "ablate":
         return [out_dir, *_DATA_OPTS, *_train_opts(),
                 Opt("modes", _str_list, LOSS_MODES,
@@ -388,35 +399,34 @@ def _cmd_train(vals: dict[str, Any]) -> None:
 
 def _cmd_predict(vals: dict[str, Any]) -> None:
     params, _meta = load_model(vals["weights"])
-    k, p = params.dims.k, params.dims.p
+    k = params.dims.k
     tracks = _load_tracks(vals)
-    rows = []
-    skipped = 0
+    kept, windows = [], []
     for t in tracks:
         if len(t) < k:
-            skipped += 1
             print(f"warning: track {t.key} has {len(t)} frames, "
                   f"needs {k}; skipped", file=sys.stderr)
             continue
-        history = t.boxes[-k:]
-        predecessor = t.boxes[-k - 1] if len(t) > k else None
-        pred = predict(params, history, predecessor)
-        if not np.isfinite(pred).all():
-            raise NumericError(
-                f"forecast for track {t.key} is not finite; coordinates are "
-                f"outside the range the model can represent")
-        for step in range(p):
-            cx, cy, w, h = pred[step]
-            rows.append([t.video_id, t.track_id, step + 1,
-                         repr(float(cx)), repr(float(cy)),
-                         repr(float(w)), repr(float(h))])
-    if not rows:
+        kept.append(t)
+        windows.append(build_features(
+            t.boxes[-k:], t.boxes[-k - 1] if len(t) > k else None))
+    skipped = len(tracks) - len(kept)
+    if not kept:
         raise DataError(f"all {skipped} tracks are shorter than k={k}; "
                         f"nothing predicted")
+    pred = forecast(params, np.stack(windows))
+    finite = np.isfinite(pred).all(axis=(1, 2))
+    if not finite.all():
+        t = kept[int(np.argmin(finite))]
+        raise NumericError(
+            f"forecast for track {t.key} is not finite; coordinates are "
+            f"outside the range the model can represent")
+    rows = [[t.video_id, t.track_id, step, *map(repr, box)]
+            for t, boxes in zip(kept, pred.tolist())
+            for step, box in enumerate(boxes, start=1)]
     _write_rows(vals["out"],
                 ["video_id", "track_id", "step", "cx", "cy", "w", "h"], rows)
-    done = len(tracks) - skipped
-    print(f"wrote {len(rows)} rows ({done} tracks, {skipped} skipped) "
+    print(f"wrote {len(rows)} rows ({len(kept)} tracks, {skipped} skipped) "
           f"to {vals['out']}")
 
 

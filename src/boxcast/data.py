@@ -152,7 +152,6 @@ class Track:
     video_id: str
     track_id: str
     boxes: Boxes
-    frame_rate_hz: float = 30.0
 
     def __post_init__(self):
         self.boxes = Boxes.of(self.boxes)
@@ -191,7 +190,6 @@ class CsvFormat:
     """Input CSV dialect: corner columns are converted to centroid/size."""
 
     corner_format: bool = False
-    frame_rate_hz: float = 30.0
 
 
 def parse_tracks(path, fmt: CsvFormat = CsvFormat()) -> list[Track]:
@@ -246,8 +244,7 @@ def parse_tracks(path, fmt: CsvFormat = CsvFormat()) -> list[Track]:
         if n_segments[key] > 1:
             track_id = f"{track_id}~{segment}"
         tracks.append(Track(video_id=video_id, track_id=track_id,
-                            boxes=Boxes(xywh[a:b], frames[a:b]),
-                            frame_rate_hz=fmt.frame_rate_hz))
+                            boxes=Boxes(xywh[a:b], frames[a:b])))
     return tracks
 
 
@@ -472,6 +469,8 @@ class SynthSpec:
     1 px. ``start_jitter`` / ``velocity_jitter`` draw per-track uniform
     offsets so one spec yields a family of distinct tracks; ``noise_std``
     adds i.i.d. Gaussian pixel noise to every stored component.
+    ``frame_rate_hz`` is nominal: it is checked and echoed into the run's
+    meta file, and no track or CSV stores it.
     """
 
     kind: str = "constant-velocity"
@@ -520,9 +519,10 @@ class SynthSpec:
                 f"frame_rate_hz must be positive, got {self.frame_rate_hz}")
         for name in ("go_frames", "stop_frames"):
             lo, hi = getattr(self, name)
-            if not (1 <= lo <= hi):
-                raise ConfigError(f"{name} must satisfy 1 <= lo <= hi, "
-                                  f"got ({lo}, {hi})")
+            # the segment draw takes hi + 1 as an int64 bound
+            if not 1 <= lo <= hi < 2**63:
+                raise ConfigError(f"{name} must satisfy 1 <= lo <= hi < "
+                                  f"2**63, got ({lo}, {hi})")
 
 
 _MAX_JITTER = np.finfo(np.float64).max / 2.0
@@ -586,7 +586,6 @@ def synth_tracks(spec: SynthSpec, count: int) -> list[Track]:
                 f"track {idx} of this spec has non-finite boxes: its start, "
                 f"size, motion or noise values overflow float64")
         tracks.append(Track(video_id="synth", track_id=f"{spec.kind}-{idx:04d}",
-                            boxes=Boxes(arr, np.arange(spec.length)),
-                            frame_rate_hz=spec.frame_rate_hz))
+                            boxes=Boxes(arr, np.arange(spec.length))))
     return tracks
 

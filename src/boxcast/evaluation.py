@@ -8,9 +8,10 @@ enter them.
 Evaluation is array-first: `evaluate`, `evaluate_baseline` and
 `ablation_run` stack their N mini-tracks once with `stack_minitracks` (which
 refuses k or p below 1, an empty set, or a length other than k + p) into
-(N, k, 8) windows and (N, p, 4) targets. A model forecasts the windows in
-chunks of `FORECAST_CHUNK` rows, a baseline in one `baseline_predict` call,
-and `evaluate_predictions` scores the (N, p, 4) forecasts.
+(N, k, 8) windows and (N, p, 4) targets. A model forecasts the windows
+through `forecast`, in chunks of `FORECAST_CHUNK` rows (CLI `predict` runs
+its stacked windows through it too), a baseline in one `baseline_predict`
+call, and `evaluate_predictions` scores the (N, p, 4) forecasts.
 
 Input-range policy: coordinates are accepted as long as they are finite, but
 a metric is never reported as inf or NaN. When forecasts from extreme inputs
@@ -61,6 +62,7 @@ __all__ = [
     "evaluate_predictions",
     "fde",
     "fde_at",
+    "forecast",
     "summarize_folds",
 ]
 
@@ -150,9 +152,11 @@ def evaluate_predictions(pred: np.ndarray, gt: np.ndarray,
     )
 
 
-def _forecast(params: ModelParams, windows: np.ndarray) -> np.ndarray:
+def forecast(params: ModelParams, windows: np.ndarray) -> np.ndarray:
     """(N, p, 4) model forecasts of (N, k, 8) windows, FORECAST_CHUNK rows
-    per `predict_from_window` call."""
+    per `predict_from_window` call. A row is within 1e-3 px (float32) of the
+    same window forecast alone, not bit-equal: one window runs a
+    matrix-vector product, a chunk a matrix product."""
     return np.concatenate([
         predict_from_window(params, windows[i:i + FORECAST_CHUNK])
         for i in range(0, len(windows), FORECAST_CHUNK)])
@@ -162,7 +166,7 @@ def evaluate(params: ModelParams, minitracks: list[MiniTrack]) -> MetricReport:
     """Evaluate a trained model over mini-tracks of length k + p."""
     d = params.dims
     windows, targets = stack_minitracks(minitracks, d.k, d.p)
-    return evaluate_predictions(_forecast(params, windows), targets,
+    return evaluate_predictions(forecast(params, windows), targets,
                                 input_k=d.k)
 
 
@@ -362,7 +366,7 @@ def ablation_run(minitracks: list[MiniTrack], cfg, modes=LOSS_MODES,
                              "ade": rep.ade, "fde": rep.fde})
             continue
         pars, _ = train(replace(cfg, loss_mode=mode), minitracks)
-        pred = _forecast(pars, windows)
+        pred = forecast(pars, windows)
         for h in horizons:
             rep = evaluate_predictions(pred[:, :h], targets[:, :h],
                                        input_k=cfg.k)

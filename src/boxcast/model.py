@@ -431,13 +431,10 @@ def concat_trajectory(deltas: np.ndarray, anchor: np.ndarray) -> np.ndarray:
         raise ShapeError(
             f"anchor has shape {anchor.shape}, expected "
             f"{deltas.shape[:-2] + (OUTPUT_DIM,)}")
-    deltas = deltas.astype(np.result_type(deltas, anchor), copy=False)
-    out = np.empty_like(deltas)
-    acc = anchor
-    for i in range(deltas.shape[-2]):
-        acc = acc + deltas[..., i, :]
-        out[..., i, :] = acc
-    return out
+    rows = np.concatenate([anchor[..., None, :], deltas], axis=-2,
+                          dtype=np.result_type(deltas, anchor))
+    # np.add.accumulate adds row by row, so no pairwise summation reorders it
+    return np.cumsum(rows, axis=-2)[..., 1:, :]
 
 
 def forward_train(params: ModelParams, window: np.ndarray

@@ -2,7 +2,9 @@
 for gradient checks that steers clear of the objective's kinks, a
 row-by-row track CSV parser that the column-wise `parse_tracks` must match,
 the exp-form logistic function the one-tanh gate math is checked against,
-a one-step LSTM helper, and a parameter count summed over the tensors.
+the step-loop trajectory concatenation the cumulative sum is checked
+against, a one-step LSTM helper, a parameter count summed over the tensors,
+and a Hypothesis strategy for track CSVs with hostile lines mixed in.
 
 The composite objective has two non-smooth surfaces: the L1 loss at exact
 zero residual and the ReLU at exactly zero pre-activation. Central
@@ -16,6 +18,7 @@ import io
 import math
 
 import numpy as np
+from hypothesis import strategies as st
 
 from boxcast.data import (
     CENTROID_HEADER,
@@ -61,6 +64,21 @@ def lstm_step(cell, x, state):
     seq = LstmSeq.start(cell, state, 1)
     lstm_cell_forward(cell, x, seq, 0)
     return seq.final, seq
+
+
+def concat_trajectory_loop(deltas, anchor):
+    """`concat_trajectory` as an explicit loop over the p steps, adding one
+    delta row at a time in the wider dtype: the oracle the cumulative-sum
+    form must match bit for bit."""
+    deltas = np.asarray(deltas)
+    anchor = np.asarray(anchor)
+    deltas = deltas.astype(np.result_type(deltas, anchor), copy=False)
+    out = np.empty_like(deltas)
+    acc = anchor
+    for i in range(deltas.shape[-2]):
+        acc = acc + deltas[..., i, :]
+        out[..., i, :] = acc
+    return out
 
 
 def param_count(params):
@@ -228,8 +246,7 @@ def reference_parse_tracks(path, fmt: CsvFormat = CsvFormat()) -> list[Track]:
             prev = frame
         for si, boxes in enumerate(segments):
             tid = track_id if len(segments) == 1 else f"{track_id}~{si}"
-            tracks.append(Track(video_id=video_id, track_id=tid, boxes=boxes,
-                                frame_rate_hz=fmt.frame_rate_hz))
+            tracks.append(Track(video_id=video_id, track_id=tid, boxes=boxes))
     return tracks
 
 
@@ -240,3 +257,53 @@ def _reference_records(text: str):
             yield reader.line_num, row
     except csv.Error as e:
         raise ParseError(f"malformed CSV: {e}", line=reader.line_num) from None
+
+
+def _field(value) -> str:
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+_GOOD_ROWS = st.lists(
+    st.tuples(st.sampled_from("ab"), st.integers(0, 12),
+              st.floats(-50, 50), st.floats(-50, 50),
+              st.floats(1, 20), st.floats(1, 20)),
+    max_size=30, unique_by=lambda r: r[:2])
+_HOSTILE_INTS = st.one_of(
+    st.integers(-2**70, 2**70),
+    st.sampled_from([2**63 - 1, 2**63, -2**63, -2**63 - 1, 10**20]))
+_HOSTILE_FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([1e308, -1e308, 0.0]))
+_HOSTILE_FIELDS = st.lists(
+    st.one_of(_HOSTILE_INTS, _HOSTILE_FLOATS,
+              st.text(alphabet="0123456789.eE+-nafi x", max_size=6)),
+    max_size=9).map(lambda fields: ",".join(map(_field, fields)))
+_HOSTILE_ROWS = st.tuples(
+    st.sampled_from(["a", "b", '"a\nb"']), _HOSTILE_INTS, _HOSTILE_FLOATS,
+    _HOSTILE_FLOATS, _HOSTILE_FLOATS, _HOSTILE_FLOATS,
+).map(lambda r: ",".join([r[0], "t", *map(_field, r[1:])]))
+
+
+@st.composite
+def track_csvs(draw):
+    """(text, corner format) of a track CSV: well-formed rows on distinct
+    frames, so most tracks have gaps, and ids that may carry padding, with
+    hostile lines (blank, wrong column counts, values beyond int64 or float
+    range, a repeated frame, a quoted two-line id) mixed in at random
+    positions."""
+    corner = draw(st.booleans(), label="corner")
+    good = draw(_GOOD_ROWS, label="good rows")
+    lines = []
+    for tid, frame, cx, cy, w, h in good:
+        vals = (cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2) if corner \
+            else (cx, cy, w, h)
+        tid = draw(st.sampled_from([tid, f" {tid}"]), label="padded id")
+        lines.append(",".join(["v", tid, str(frame), *map(repr, vals)]))
+    hostile = [st.sampled_from(["", "  ", ","]), _HOSTILE_FIELDS,
+               _HOSTILE_ROWS]
+    if lines:
+        hostile.append(st.sampled_from(lines))  # a repeated frame
+    for bad in draw(st.lists(st.one_of(hostile), max_size=3), label="bad"):
+        lines.insert(draw(st.integers(0, len(lines))), bad)
+    header = CORNER_HEADER if corner else CENTROID_HEADER
+    return "\n".join([",".join(header), *lines]) + "\n", corner

@@ -4,16 +4,33 @@ reproduce-from-echo invariant, API/CLI output equivalence, and the exit-code
 contract."""
 
 import csv
+import tempfile
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from boxcast.cli import main
-from boxcast.data import parse_tracks, write_tracks
-from boxcast.evaluation import ablation_run
-from boxcast.model import ModelDims, init_params, predict
+from helpers import track_csvs
+
+from boxcast.cli import _command_opts, main
+from boxcast.data import SYNTH_KINDS, parse_tracks, write_tracks
+from boxcast.evaluation import (
+    BASELINE_KINDS,
+    FORECAST_CHUNK,
+    ablation_run,
+    forecast,
+)
+from boxcast.model import (
+    LOSS_MODES,
+    ModelDims,
+    build_features,
+    init_params,
+    predict,
+)
 from boxcast.training import TrainConfig, load_model, save_model
 
 
@@ -33,14 +50,15 @@ def synth_file(tmp_path, name="tracks.csv", count=4, length=10, seed=9,
     return path
 
 
-def extreme_file(tmp_path, frames=12):
-    """One track whose cx alternates between +-1e308, so every difference
-    overflows."""
-    rows = ["video_id,track_id,frame,cx,cy,w,h"]
-    rows += [f"v,t,{f},{1e308 if f % 2 else -1e308!r},5,2,2"
-             for f in range(frames)]
+# one track whose cx alternates between +-1e308, so every difference
+# overflows
+EXTREME_CSV = "video_id,track_id,frame,cx,cy,w,h\n" + "".join(
+    f"v,t,{f},{1e308 if f % 2 else -1e308!r},5,2,2\n" for f in range(12))
+
+
+def extreme_file(tmp_path):
     path = tmp_path / "extreme.csv"
-    path.write_text("\n".join(rows) + "\n")
+    path.write_text(EXTREME_CSV)
     return path
 
 
@@ -134,12 +152,42 @@ class TestPredict:
                            "cx", "cy", "w", "h"]
         assert len(rows) == 1 + 2 * 5
         params, _ = load_model(weights)
-        for track in parse_tracks(data):
-            expected = predict(params, track.boxes[-4:], track.boxes[-5])
+        tracks = parse_tracks(data)
+        expected = forecast(params, np.stack(
+            [build_features(t.boxes[-4:], t.boxes[-5]) for t in tracks]))
+        for track, exp in zip(tracks, expected):
             got = [r for r in rows[1:] if r[1] == track.track_id]
             assert [int(r[2]) for r in got] == [1, 2, 3, 4, 5]
-            for r, exp in zip(got, expected):
-                assert [float(v) for v in r[3:]] == list(exp)
+            values = np.array([[float(v) for v in r[3:]] for r in got])
+            assert values.tobytes() == exp.tobytes()
+            # the batch-1 path sums in another order: within rounding only
+            one = predict(params, track.boxes[-4:], track.boxes[-5])
+            np.testing.assert_allclose(values, one, rtol=0, atol=1e-3)
+
+    def test_every_row_kept_in_order_across_chunks(self, tmp_path, capsys):
+        weights = self.make_weights(tmp_path)
+        n = 2 * FORECAST_CHUNK + 1
+        tracks = parse_tracks(synth_file(tmp_path, count=n, length=6))
+        short = set(range(3, n, 10))
+        for j in short:
+            tracks[j] = replace(tracks[j], boxes=tracks[j].boxes[:3])
+        data = tmp_path / "many.csv"
+        write_tracks(tracks, data)
+        out = tmp_path / "pred.csv"
+        capsys.readouterr()
+        assert main(["predict", "--weights", str(weights), "--data",
+                     str(data), "--out", str(out)]) == 0
+        kept = [t for j, t in enumerate(tracks) if j not in short]
+        rows = read_csv(out)[1:]
+        assert [(r[1], int(r[2])) for r in rows] == \
+            [(t.track_id, step) for t in kept for step in range(1, 6)]
+        captured = capsys.readouterr()
+        warned = [line for line in captured.err.splitlines()
+                  if line.startswith("warning: ")]
+        assert warned == [f"warning: track {tracks[j].key} has 3 frames, "
+                          f"needs 4; skipped" for j in sorted(short)]
+        assert f"wrote {5 * len(kept)} rows ({len(kept)} tracks, " \
+            f"{len(short)} skipped)" in captured.out
 
     def test_short_track_warns_and_is_skipped(self, tmp_path, capsys):
         weights = self.make_weights(tmp_path)
@@ -322,14 +370,20 @@ class TestConfigFilesAndExitCodes:
         assert "inf" not in captured.out
         assert "1 of them" in captured.err
 
+    @pytest.mark.parametrize("lead", [0, 1])
     def test_non_finite_forecast_exits_four_and_writes_nothing(
-            self, tmp_path, capsys):
+            self, tmp_path, capsys, lead):
         weights = TestPredict().make_weights(tmp_path)
+        header, _, extreme = EXTREME_CSV.partition("\n")
+        normal = "".join(f"v,a,{f},{10.0 + f},5,2,2\n" for f in range(6))
+        data = tmp_path / "mixed.csv"
+        data.write_text(f"{header}\n{normal * lead}{extreme}")
         out = tmp_path / "pred.csv"
         code = main(["predict", "--weights", str(weights), "--data",
-                     str(extreme_file(tmp_path)), "--out", str(out)])
+                     str(data), "--out", str(out)])
         assert code == 4
-        assert "track ('v', 't')" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "track ('v', 't')" in err and "('v', 'a')" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["predict", "eval"])
@@ -444,6 +498,30 @@ class TestConfigFilesAndExitCodes:
         assert err.count("\n") == 1
         assert not (out / "config.txt").exists()
 
+    @pytest.mark.parametrize("key,value", [
+        ("go_frames", "inf,3"), ("go_frames", "1e400,3"),
+        ("stop_frames", "2.9,3.7"), ("go_frames", "1e19,1e19"),
+        ("seed", "-1")])
+    @pytest.mark.parametrize("via", ["flag", "file"])
+    def test_synth_integer_values_exit_two_and_write_no_csv(
+            self, tmp_path, capsys, key, value, via):
+        out = tmp_path / "x.csv"
+        config = tmp_path / "synth.cfg"
+        config.write_text("kind = stop-and-go\ncount = 1\nlength = 5\n"
+                          + (f"{key} = {value}\n" if via == "file" else ""))
+        argv = ["synth", "--config", str(config), "--out", str(out)]
+        if via == "flag":
+            argv.append(f"--{key.replace('_', '-')}={value}")
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        # a bad flag value gets argparse's usage lines ahead of its error
+        assert [line for line in err.splitlines() if "error" in line] == \
+            err.splitlines()[-1:]
+        if via == "file":
+            assert err.startswith("configuration error: ")
+            assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_unknown_flag_exits_two(self, capsys):
         assert main(["synth", "--flux", "9"]) == 2
 
@@ -461,3 +539,104 @@ class TestConfigFilesAndExitCodes:
                      *TINY_TRAIN])
         assert code == 2
         assert "loss mode" in capsys.readouterr().err
+
+
+_HOSTILE = ["inf", "nan", "1e400", "-1", "", "x"]
+# tiny valid values; sizes, counts, epochs and durations stay small because
+# larger ones only allocate more or run longer and reach no other exit
+_TINY = {
+    "count": ["1", "3"], "length": ["1", "8"], "kind": list(SYNTH_KINDS),
+    "start": ["0,0", "5.5,2"], "size": ["4,4"], "velocity": ["1,0.5"],
+    "accel": ["0.1,0"], "size_rate": ["0.1,-0.1"], "amplitude": ["2"],
+    "period": ["4"], "go_frames": ["1,2"], "stop_frames": ["1,3"],
+    "noise_std": ["0.5"], "start_jitter": ["3"], "velocity_jitter": ["0.5"],
+    "seed": ["0", "7"], "frame_rate_hz": ["25"], "k": ["2", "3"],
+    "p": ["1", "3"], "hidden": ["2", "4"], "latent": ["1", "2"],
+    "batch_size": ["1", "4"], "epochs": ["1", "2"], "base_lr": ["0.01"],
+    "halve_every": ["1"], "alpha": ["0.5"], "beta": ["1"],
+    "loss_mode": list(LOSS_MODES), "carry_cell_state": ["true", "false"],
+    "grad_clip": ["0", "1"], "folds": ["0", "2"], "stride": ["1", "3"],
+    "corner_format": ["true", "false"], "baseline": list(BASELINE_KINDS),
+    "threads": ["1", "1,2"], "duration": ["0.01"], "n_windows": ["1", "2"],
+    "modes": ["traj", "traj-del,traj+auto-enc"], "horizons": ["1", "1,2"],
+    "retrain_per_horizon": ["true", "false"],
+}
+_BASE = {
+    "synth": {"count": "2", "length": "6"},
+    "train": {"k": "3", "p": "3", "hidden": "4", "latent": "2",
+              "batch_size": "4", "epochs": "1", "stride": "2"},
+    "predict": {},
+    "eval": {"stride": "2"},
+    "bench": {"k": "3", "p": "3", "hidden": "4", "latent": "2",
+              "n_windows": "2", "duration": "0.01"},
+    "ablate": {"k": "3", "p": "3", "hidden": "4", "latent": "2",
+               "batch_size": "4", "epochs": "1", "stride": "2",
+               "horizons": "1,2"},
+}
+_PATHS = {"data", "eval_data", "weights"}
+# two gap-free 12-frame tracks, long enough for every tiny window
+_LONG_CSV = "video_id,track_id,frame,cx,cy,w,h\n" + "".join(
+    f"v,{tid},{f},{10.0 + f * v},{5.0 + f},4,6\n"
+    for tid, v in (("a", 1.0), ("b", -0.5)) for f in range(12))
+
+
+@st.composite
+def _cli_cases(draw):
+    """(command, [(key, value, 'flag' or 'file')], CSV text, corner
+    format): options of one subcommand set to a tiny valid value, a hostile
+    string or, for an input path, the drawn CSV or the tiny weight file.
+    The CSV comes from the hostile-row strategy, or is a clean file of long
+    tracks or the overflowing one, so runs also reach exits 0 and 4."""
+    command = draw(st.sampled_from(sorted(_BASE)), label="command")
+    keys = [o.key for o in _command_opts(command) if o.key != "out"]
+    overrides = []
+    for key in draw(st.lists(st.sampled_from(keys), max_size=3,
+                             unique=True), label="keys"):
+        valid = ["<input>"] if key in _PATHS else _TINY[key]
+        value = draw(st.one_of(st.sampled_from(valid),
+                               st.sampled_from(_HOSTILE)), label=key)
+        via = draw(st.sampled_from(["flag", "file"]), label="via")
+        overrides.append((key, value, via))
+    text, corner = draw(st.one_of(
+        track_csvs(), st.sampled_from([(_LONG_CSV, False),
+                                       (EXTREME_CSV, False)])), label="csv")
+    return command, overrides, text, corner
+
+
+class TestEveryFailureHasItsExitCode:
+    """Whatever a subcommand's flags, config file and input CSV hold,
+    `main` returns 0, 2, 3 or 4 and never lets an exception escape."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(case=_cli_cases())
+    @example(case=("synth", [("go_frames", "inf,3", "file")], "", False))
+    @example(case=("train", [("seed", "-1", "flag")], "", False))
+    def test_exit_code_is_documented(self, case):
+        command, overrides, text, corner = case
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            data = tmp / "tracks.csv"
+            data.write_text(text, encoding="utf-8")
+            weights = tmp / "w.bxw"
+            save_model(init_params(ModelDims(k=3, p=3, hidden=4, latent=2),
+                                   seed=0), weights)
+            inputs = {"data": data, "eval_data": data, "weights": weights}
+            file_vals = {"out": str(tmp / "out"), **_BASE[command]}
+            keys = {o.key for o in _command_opts(command)}
+            if "data" in keys:
+                file_vals["data"] = str(data)
+                file_vals["corner_format"] = str(corner).lower()
+            if command in ("predict", "eval"):
+                file_vals["weights"] = str(weights)
+            flags = []
+            for key, value, via in overrides:
+                value = str(inputs[key]) if value == "<input>" else value
+                if via == "file":
+                    file_vals[key] = value
+                else:
+                    flags.append(f"--{key.replace('_', '-')}={value}")
+            config = tmp / "run.cfg"
+            config.write_text("".join(f"{k} = {v}\n"
+                                      for k, v in file_vals.items()))
+            code = main([command, "--config", str(config), *flags])
+        assert code in (0, 2, 3, 4)

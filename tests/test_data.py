@@ -37,14 +37,13 @@ from boxcast.errors import (
     ShapeError,
 )
 from boxcast.evaluation import evaluate_baseline
-from helpers import reference_parse_tracks
+from helpers import reference_parse_tracks, track_csvs
 
 
-def make_track(n, track_id="t0", video_id="v0", start_frame=0, rate=30.0):
+def make_track(n, track_id="t0", video_id="v0", start_frame=0):
     boxes = [Box(cx=10.0 + i, cy=20.0 + 2.0 * i, w=5.0, h=9.0,
                  frame=start_frame + i) for i in range(n)]
-    return Track(video_id=video_id, track_id=track_id, boxes=boxes,
-                 frame_rate_hz=rate)
+    return Track(video_id=video_id, track_id=track_id, boxes=boxes)
 
 
 class TestBoxAndTrack:
@@ -145,12 +144,6 @@ class TestCsvRoundTrip:
             "v,t,0,10,20,30,60\n")
         [track] = parse_tracks(path, CsvFormat(corner_format=True))
         assert track.boxes[0] == Box(cx=20.0, cy=40.0, w=20.0, h=40.0, frame=0)
-
-    def test_frame_rate_comes_from_the_format(self, tmp_path):
-        path = tmp_path / "t.csv"
-        write_tracks([make_track(3)], path)
-        [track] = parse_tracks(path, CsvFormat(frame_rate_hz=15.0))
-        assert track.frame_rate_hz == 15.0
 
     def test_empty_and_header_only_files(self, tmp_path):
         empty = tmp_path / "empty.csv"
@@ -275,62 +268,12 @@ class TestParseErrors:
         assert boxes_to_array(track.boxes).shape == (2, 4)
 
 
-def _field(value) -> str:
-    return repr(value) if isinstance(value, float) else str(value)
-
-
-_GOOD_ROWS = st.lists(
-    st.tuples(st.sampled_from("ab"), st.integers(0, 12),
-              st.floats(-50, 50), st.floats(-50, 50),
-              st.floats(1, 20), st.floats(1, 20)),
-    max_size=30, unique_by=lambda r: r[:2])
-_HOSTILE_INTS = st.one_of(
-    st.integers(-2**70, 2**70),
-    st.sampled_from([2**63 - 1, 2**63, -2**63, -2**63 - 1, 10**20]))
-_HOSTILE_FLOATS = st.one_of(
-    st.floats(allow_nan=True, allow_infinity=True),
-    st.sampled_from([1e308, -1e308, 0.0]))
-_HOSTILE_FIELDS = st.lists(
-    st.one_of(_HOSTILE_INTS, _HOSTILE_FLOATS,
-              st.text(alphabet="0123456789.eE+-nafi x", max_size=6)),
-    max_size=9).map(lambda fields: ",".join(map(_field, fields)))
-_HOSTILE_ROWS = st.tuples(
-    st.sampled_from(["a", "b", '"a\nb"']), _HOSTILE_INTS, _HOSTILE_FLOATS,
-    _HOSTILE_FLOATS, _HOSTILE_FLOATS, _HOSTILE_FLOATS,
-).map(lambda r: ",".join([r[0], "t", *map(_field, r[1:])]))
-
-
-@st.composite
-def _track_csvs(draw):
-    """(text, corner format) of a track CSV: well-formed rows on distinct
-    frames, so most tracks have gaps, and ids that may carry padding, with
-    hostile lines (blank, wrong column counts, values beyond int64 or float
-    range, a repeated frame, a quoted two-line id) mixed in at random
-    positions."""
-    corner = draw(st.booleans(), label="corner")
-    good = draw(_GOOD_ROWS, label="good rows")
-    lines = []
-    for tid, frame, cx, cy, w, h in good:
-        vals = (cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2) if corner \
-            else (cx, cy, w, h)
-        tid = draw(st.sampled_from([tid, f" {tid}"]), label="padded id")
-        lines.append(",".join(["v", tid, str(frame), *map(repr, vals)]))
-    hostile = [st.sampled_from(["", "  ", ","]), _HOSTILE_FIELDS,
-               _HOSTILE_ROWS]
-    if lines:
-        hostile.append(st.sampled_from(lines))  # a repeated frame
-    for bad in draw(st.lists(st.one_of(hostile), max_size=3), label="bad"):
-        lines.insert(draw(st.integers(0, len(lines))), bad)
-    header = CORNER_HEADER if corner else CENTROID_HEADER
-    return "\n".join([",".join(header), *lines]) + "\n", corner
-
-
 class TestParseProperty:
     """Whatever rows a file holds, `parse_tracks` either names a line of it
     in a ParseError or returns tracks the rest of the pipeline accepts."""
 
     @settings(max_examples=50, deadline=None)
-    @given(csv_file=_track_csvs())
+    @given(csv_file=track_csvs())
     def test_parse_error_at_a_line_or_tracks_that_evaluate(self, csv_file):
         text, corner = csv_file
         with tempfile.TemporaryDirectory() as tmp:
@@ -356,14 +299,13 @@ class TestParseProperty:
 
 
 def _outcome(parse, path, fmt):
-    """A parse's tracks as (ids, rate, frames, box bytes), or its error."""
+    """A parse's tracks as (ids, frames, box bytes), or its error."""
     try:
         tracks = parse(path, fmt)
     except ParseError as e:
         return ("ParseError", str(e), e.line)
-    return [(t.video_id, t.track_id, t.frame_rate_hz,
-             t.boxes.frames.tolist(), t.boxes.xywh.tobytes())
-            for t in tracks]
+    return [(t.video_id, t.track_id, t.boxes.frames.tolist(),
+             t.boxes.xywh.tobytes()) for t in tracks]
 
 
 class TestParseMatchesTheRowByRowReference:
@@ -371,10 +313,10 @@ class TestParseMatchesTheRowByRowReference:
     boxes bit for bit, or the same ParseError at the same line."""
 
     @settings(max_examples=50, deadline=None)
-    @given(csv_file=_track_csvs())
+    @given(csv_file=track_csvs())
     def test_same_tracks_or_same_error(self, csv_file):
         text, corner = csv_file
-        fmt = CsvFormat(corner_format=corner, frame_rate_hz=25.0)
+        fmt = CsvFormat(corner_format=corner)
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "t.csv"
             path.write_text(text, encoding="utf-8")
@@ -591,13 +533,12 @@ class TestSynthTracks:
         for ta, tb in zip(a, b[:3]):
             assert ta.boxes == tb.boxes
 
-    def test_track_naming_and_rate(self):
-        spec = SynthSpec(kind="sinusoidal", length=5, frame_rate_hz=25.0)
+    def test_track_naming(self):
+        spec = SynthSpec(kind="sinusoidal", length=5)
         tracks = synth_tracks(spec, 2)
         assert [t.track_id for t in tracks] == ["sinusoidal-0000",
                                                 "sinusoidal-0001"]
         assert all(t.video_id == "synth" for t in tracks)
-        assert all(t.frame_rate_hz == 25.0 for t in tracks)
 
     def test_spec_validation(self):
         with pytest.raises(ConfigError, match="unknown synthetic kind"):

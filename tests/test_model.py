@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    concat_trajectory_loop,
     fd_grad_at,
     gradcheck_case,
     loss_via_public_ops,
@@ -266,6 +267,24 @@ class TestConcatTrajectory:
         base = concat_trajectory(deltas, anchor)
         moved = concat_trajectory(deltas, anchor + shift)
         np.testing.assert_array_equal(moved, base + shift)
+
+    @pytest.mark.parametrize("batch", [(), (3,), (2, 5)])
+    @pytest.mark.parametrize("delta_dtype,anchor_dtype", [
+        (np.float32, np.float32), (np.float32, np.float64),
+        (np.float64, np.float32), (np.float64, np.float64)])
+    def test_bitwise_equal_to_the_step_loop(self, batch, delta_dtype,
+                                            anchor_dtype):
+        rng = np.random.default_rng(17)
+        for p in (1, 2, 7, 60, 69):
+            deltas = rng.normal(0.0, 3.0, size=batch + (p, 4)) \
+                .astype(delta_dtype)
+            anchor = rng.uniform(-1e3, 1e3, size=batch + (4,)) \
+                .astype(anchor_dtype)
+            out = concat_trajectory(deltas, anchor)
+            expected = concat_trajectory_loop(deltas, anchor)
+            assert out.dtype == expected.dtype
+            assert out.shape == expected.shape
+            assert out.tobytes() == expected.tobytes()
 
     def test_empty_deltas_raise(self):
         with pytest.raises(DataError, match="empty"):
