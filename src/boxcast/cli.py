@@ -269,22 +269,32 @@ def _parse_config_file(path: str, opts: list[Opt]) -> dict[str, Any]:
         opt = by_key.get(key)
         if opt is None:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-        try:
-            vals[key] = opt.type(value.strip())
-        except ValueError as e:
-            raise ConfigError(f"{path}:{lineno}: bad value for {key}: {e}") \
-                from None
+        vals[key] = _convert(opt, value.strip(),
+                             f"{path}:{lineno}: bad value for {key}")
     return vals
 
 
+def _convert(opt: Opt, text: str, where: str) -> Any:
+    """``text`` through ``opt``'s converter; a refused value is a
+    ConfigError that gives ``where`` and the converter's reason."""
+    try:
+        return opt.type(text)
+    except ValueError as e:
+        raise ConfigError(f"{where}: {e}") from None
+
+
 def _merge(opts: list[Opt], args: argparse.Namespace) -> dict[str, Any]:
+    by_key = {o.key: o for o in opts}
+    # flag values reach here as text and convert as config values do
+    flags = {key: _convert(by_key[key], text,
+                           f"bad value for {by_key[key].flag}")
+             for key, text in vars(args).items()
+             if key not in ("command", "config")}
     vals = {o.key: o.default for o in opts}
     config_path = getattr(args, "config", None)
     if config_path:
         vals.update(_parse_config_file(config_path, opts))
-    for key, value in vars(args).items():
-        if key not in ("command", "config"):
-            vals[key] = value
+    vals.update(flags)
     for o in opts:
         if o.required and vals[o.key] is None:
             raise ConfigError(f"missing required option {o.flag} "
@@ -548,7 +558,7 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="flat key = value option file; CLI flags "
                               "override it")
         for opt in _command_opts(command):
-            sub.add_argument(opt.flag, dest=opt.key, type=opt.type,
+            sub.add_argument(opt.flag, dest=opt.key,
                              default=argparse.SUPPRESS, help=opt.help)
     return parser
 

@@ -8,9 +8,10 @@ one detection per row, pixels as floats. A corner-format variant
 A track's boxes are a `Boxes`: a read-only (n, 4) float64 ``xywh`` array
 and an (n,) int64 ``frames`` array, seen as a sequence of `Box` records.
 Slicing a `Boxes` is a zero-copy view, so parsing, mini-track slicing and
-stacking build no `Box` per row. `parse_tracks` converts each CSV column
-once and checks every row with vectorised tests: it reads about 500k
-rows/s (25 520 rows in ~50 ms on one core of a 2-core Xeon VM).
+stacking build no `Box` per row. `parse_tracks` splits a plain file with
+`str.split`, converts each CSV column once and checks every row with
+vectorised tests: 25 520 rows take ~45 ms on one core of a 2-core Xeon
+VM, against ~52 ms for the csv-module reader it replaced.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import math
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import islice
+from itertools import islice, repeat
 
 import numpy as np
 
@@ -204,9 +205,11 @@ def parse_tracks(path, fmt: CsvFormat = CsvFormat()) -> list[Track]:
     int64, a non-finite or non-positive box, or a frame repeated within a
     track (the line of the later row).
 
-    Each column is converted once, in blocks of rows, and checked as a
-    whole; only when a check fails is the file read again row by row to
-    find the faulty line.
+    A plain file (no quote, no NUL, LF or CRLF line ends, seven fields on
+    every line but blank ones) is tokenized with `str.split`; any other
+    text by the csv module. Either way each column is converted once,
+    over the whole file, and checked as a whole; only when a check fails
+    is the file read again row by row to find the faulty line.
     """
     text = _read_utf8(path)
     columns = _columns(text, fmt)
@@ -248,47 +251,89 @@ def parse_tracks(path, fmt: CsvFormat = CsvFormat()) -> list[Track]:
     return tracks
 
 
-# Data rows converted per block. Each block's record lists are freed before
-# the next is read, so they never reach the garbage collector's older
-# generations: on a 25k-row file (2-core Xeon VM) the columns convert in
-# ~43 ms this way against ~53 ms for the whole file at once.
-_BLOCK_ROWS = 512
-
-
 def _columns(text: str, fmt: CsvFormat):
     """(keys, frames, xywh) of the data rows of ``text``: the stripped
     (video_id, track_id) of each row, its int64 frame, and its (n, 4)
     (cx, cy, w, h) box. None when any record is faulty; the same checks,
     made row by row, are `_first_row_error`'s."""
-    reader = csv.reader(io.StringIO(text, newline=""))
-    keys, frames, boxes = [], [np.empty(0, np.int64)], [np.empty((0, 4))]
-    try:
-        header = next(reader, None)
-        if header is not None and _header_error(header, fmt):
-            return None
-        while rows := list(islice(reader, _BLOCK_ROWS)):
-            if set(map(len, rows)) != {7}:
-                # a blank record has fewer than two fields
-                rows = [r for r in rows if not _blank(r)]
-                if any(len(r) != 7 for r in rows):
-                    return None
-                if not rows:
-                    continue
-            cols = list(zip(*rows))
-            frames.append(np.array(list(map(int, cols[2])), dtype=np.int64))
-            vals = np.array([list(map(float, c)) for c in cols[3:]])
-            if fmt.corner_format:
-                x1, y1, x2, y2 = vals
-                with np.errstate(over="ignore", invalid="ignore"):
-                    vals = np.stack([(x1 + x2) / 2.0, (y1 + y2) / 2.0,
-                                     x2 - x1, y2 - y1])
-            if not (np.isfinite(vals).all() and (vals[2:] > 0).all()):
-                return None
-            boxes.append(vals.T)
-            keys += zip(map(str.strip, cols[0]), map(str.strip, cols[1]))
-    except (csv.Error, ValueError, OverflowError):
+    fields = _fields(text, fmt)
+    if fields is None:
         return None
-    return keys, np.concatenate(frames), np.concatenate(boxes)
+    try:
+        frames = np.array(list(map(int, fields[2::7])), dtype=np.int64)
+        vals = np.array([list(map(float, fields[i::7])) for i in range(3, 7)])
+    except (ValueError, OverflowError):
+        return None
+    if fmt.corner_format:
+        x1, y1, x2, y2 = vals
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = np.stack([(x1 + x2) / 2.0, (y1 + y2) / 2.0,
+                             x2 - x1, y2 - y1])
+    if not (np.isfinite(vals).all() and (vals[2:] > 0).all()):
+        return None
+    keys = list(zip(map(str.strip, fields[0::7]),
+                    map(str.strip, fields[1::7])))
+    return keys, frames, vals.T
+
+
+def _fields(text: str, fmt: CsvFormat) -> list[str] | None:
+    """The fields of the data rows of ``text``, seven a row in file order,
+    blank records dropped; None when the header or a record is faulty."""
+    fields = _plain_fields(text)
+    if fields is not None:
+        if _header_error(fields[:7], fmt):
+            return None
+        del fields[:7]
+        return fields
+    # each row is freed once flattened, so the garbage collector never
+    # walks a file's worth of row lists
+    fields = []
+    try:
+        records = _records(text)
+        first = next(records, None)
+        if first is not None and _header_error(first[1], fmt):
+            return None
+        for _, row in records:
+            if len(row) == 7:
+                fields += row
+            elif not _blank(row):
+                return None
+    except ParseError:
+        return None
+    return fields
+
+
+def _plain_fields(text: str) -> list[str] | None:
+    """The fields of every line of ``text`` that is not blank, seven a
+    line, split at commas and line feeds; None unless the text is plain.
+
+    Plain text has no quote, no NUL (the csv module of Python 3.10
+    rejects it), a line feed after every carriage return, no line longer
+    than the csv module's field size limit (so no field is) and seven
+    fields on every line but blank data lines. The csv module splits such
+    a line at its commas alone, so both give the same fields, except that
+    a CRLF line's last field keeps its CR: whitespace that the header
+    check and `float` strip. Blank data lines are dropped, as the csv
+    path drops blank records.
+    """
+    if '"' in text or "\0" in text or text.count("\r") != text.count("\r\n"):
+        return None
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()  # what follows the final line feed: no line to filter
+    if max(map(len, lines), default=0) > csv.field_size_limit():
+        return None
+    counts = set(map(str.count, lines, repeat(",")))
+    if 0 in counts:
+        lines[1:] = [line for line in islice(lines, 1, None) if line.strip()]
+        counts = set(map(str.count, lines, repeat(",")))
+    if counts != {6}:
+        return None
+    # the line list is freed before the split, so it is never held
+    # together with the field list
+    text = ",".join(lines)
+    del lines
+    return text.split(",")
 
 
 def _blank(row: list[str]) -> bool:

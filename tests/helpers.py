@@ -287,18 +287,22 @@ _HOSTILE_ROWS = st.tuples(
 @st.composite
 def track_csvs(draw):
     """(text, corner format) of a track CSV: well-formed rows on distinct
-    frames, so most tracks have gaps, and ids that may carry padding, with
-    hostile lines (blank, wrong column counts, values beyond int64 or float
-    range, a repeated frame, a quoted two-line id) mixed in at random
-    positions."""
+    frames, so most tracks have gaps, and ids that may carry padding or
+    quotes, with hostile lines (blank, wrong column counts, values beyond
+    int64 or float range, a repeated frame, a quoted two-line id) mixed in
+    at random positions. Lines end in LF or CRLF, one line may hold a
+    lone CR anywhere in it, and the last line may have no line end, so
+    both of `parse_tracks`'s tokenizers are reached."""
     corner = draw(st.booleans(), label="corner")
     good = draw(_GOOD_ROWS, label="good rows")
     lines = []
     for tid, frame, cx, cy, w, h in good:
         vals = (cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2) if corner \
             else (cx, cy, w, h)
-        tid = draw(st.sampled_from([tid, f" {tid}"]), label="padded id")
-        lines.append(",".join(["v", tid, str(frame), *map(repr, vals)]))
+        vid = draw(st.sampled_from(["v", "v "]), label="padded video id")
+        tid = draw(st.sampled_from([tid, f" {tid}", f'"{tid}"']),
+                   label="padded or quoted id")
+        lines.append(",".join([vid, tid, str(frame), *map(repr, vals)]))
     hostile = [st.sampled_from(["", "  ", ","]), _HOSTILE_FIELDS,
                _HOSTILE_ROWS]
     if lines:
@@ -306,4 +310,13 @@ def track_csvs(draw):
     for bad in draw(st.lists(st.one_of(hostile), max_size=3), label="bad"):
         lines.insert(draw(st.integers(0, len(lines))), bad)
     header = CORNER_HEADER if corner else CENTROID_HEADER
-    return "\n".join([",".join(header), *lines]) + "\n", corner
+    lines.insert(0, ",".join(header))
+    if draw(st.booleans(), label="lone CR"):
+        i = draw(st.integers(0, len(lines) - 1), label="CR line")
+        at = draw(st.integers(0, len(lines[i])), label="CR position")
+        lines[i] = lines[i][:at] + "\r" + lines[i][at:]
+    end = draw(st.sampled_from(["\n", "\r\n"]), label="line end")
+    text = end.join(lines)
+    if draw(st.booleans(), label="final line end"):
+        text += end
+    return text, corner

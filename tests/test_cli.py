@@ -514,12 +514,21 @@ class TestConfigFilesAndExitCodes:
             argv.append(f"--{key.replace('_', '-')}={value}")
         assert main(argv) == 2
         err = capsys.readouterr().err
-        # a bad flag value gets argparse's usage lines ahead of its error
-        assert [line for line in err.splitlines() if "error" in line] == \
-            err.splitlines()[-1:]
-        if via == "file":
-            assert err.startswith("configuration error: ")
-            assert err.count("\n") == 1
+        # a flag and a config line give the same reason, each with its
+        # own location
+        reason = {
+            "inf,3": "expected two whole numbers, got 'inf,3'",
+            "1e400,3": "expected two whole numbers, got '1e400,3'",
+            "2.9,3.7": "expected two whole numbers, got '2.9,3.7'",
+            "1e19,1e19": "go_frames must satisfy 1 <= lo <= hi < 2**63, "
+                         f"got ({10**19}, {10**19})",
+            "-1": "seed must be >= 0, got '-1'",
+        }[value]
+        assert err.startswith("configuration error: ")
+        assert err.endswith(f": {reason}\n")
+        assert err.count("\n") == 1
+        if via == "flag" and value != "1e19,1e19":
+            assert f"bad value for --{key.replace('_', '-')}: " in err
         assert not out.exists()
 
     def test_unknown_flag_exits_two(self, capsys):
@@ -531,6 +540,9 @@ class TestConfigFilesAndExitCodes:
     def test_bad_flag_value_exits_two(self, tmp_path, capsys):
         assert main(["synth", "--out", str(tmp_path / "x.csv"),
                      "--count", "many"]) == 2
+        assert capsys.readouterr().err == (
+            "configuration error: bad value for --count: invalid literal "
+            "for int() with base 10: 'many'\n")
 
     def test_bad_loss_mode_is_a_config_error(self, tmp_path, capsys):
         data = synth_file(tmp_path)

@@ -1,6 +1,8 @@
 """Data-layer tests: CSV parsing and writing, track slicing, fold splits,
 and synthetic track generators against their closed-form kinematics."""
 
+import csv
+import io
 import math
 import tempfile
 from pathlib import Path
@@ -283,7 +285,10 @@ class TestParseProperty:
                 tracks = parse_tracks(path, CsvFormat(corner_format=corner))
             except ParseError as e:
                 assert e.line is not None
-                assert 1 <= e.line <= text.count("\n")
+                # physical lines as the csv module counts them: a lone CR
+                # ends one, and so does the end of the text
+                assert 1 <= e.line <= len(
+                    io.StringIO(text, newline="").readlines())
                 return
         for t in tracks:
             frames = [b.frame for b in t.boxes]
@@ -333,9 +338,11 @@ class TestParseMatchesTheRowByRowReference:
     ], ids=["clean", "first-block", "second-block-size", "third-block-count",
             "third-block-duplicate", "unterminated-quote"])
     def test_files_longer_than_one_block(self, tmp_path, at, bad):
+        # 2500 lines: a fault far from the start, and 1024 blank lines
+        # that every row after them must skip in its line number
         rows = [f"v,{'ab'[f % 2]},{f // 2 + 7 * (f > 900)},{f}.5,2,3,4"
                 for f in range(1500)]
-        rows[600:600] = [""] * (2 * data._BLOCK_ROWS)  # whole blank blocks
+        rows[600:600] = [""] * 1024
         if bad is not None:
             rows.insert(at, bad)
         path = tmp_path / "t.csv"
@@ -343,6 +350,62 @@ class TestParseMatchesTheRowByRowReference:
         want = _outcome(reference_parse_tracks, path, CsvFormat())
         assert _outcome(parse_tracks, path, CsvFormat()) == want
         assert (bad is None) == isinstance(want, list)
+
+    @pytest.mark.parametrize("text,ok", [
+        ("{h}\nv\0,t,0,1,1,2,2\nv\0,t,1,1,1,2,2\n", True),
+        ("{h}\nv,{at_limit},0,1,1,2,2\n", True),
+        ("{h}\nv,t,0,1,1,2,2\nv,{over_limit},0,1,1,2,2\n", False),
+        ("{h}\nv,t,0,1,x,2,2\nv,{over_limit},0,1,1,2,2\n", False),
+        ("{h}\nv,t,0,1,1,2,2\n\n  \n\n", True),
+        ("{h}\r\nv,t,0,1,1,2,2\r\n\r\n \t\r\nv,t,1,1,1,2,2\r\n", True),
+        ("{h}\nv,t,0,1,1,2,2\n{blank_over_limit}\n", False),
+        ("\n{h}\nv,t,0,1,1,2,2\n", False),
+        ('{h}\nv, "b" ,0,1,1,2,2\nv,"b",1,1,1,2,2\n', True),
+        ("{h}\r\nv,t,0,1,1,2,2\r\nv,t,1,1,1,2,2\r\n", True),
+        ("{h}\nv,t,0,1,1,2,2\rv,t,1,1,1,2,2\n", True),
+        ("{h}\nv,t,0,1,1\r,2,2\n", False),
+        ("{h}\nv,t,0,1,1,2,2,v\nt,1,1,1,2,2\n", False),
+        ("{h}\nv,t,0,1,1,2,2\nv,t,1,1,1,2,2", True),
+        ("{h}\n", True),
+        ("{h}", True),
+    ], ids=["nul-in-id", "field-at-limit", "field-over-limit",
+            "bad-number-before-field-over-limit", "trailing-blank-lines",
+            "blank-lines-between-crlf-rows", "blank-line-over-limit",
+            "blank-line-before-header",
+            "mid-field-quote", "crlf", "lone-cr", "lone-cr-in-a-row",
+            "eight-then-six-fields", "no-final-newline", "header-only",
+            "header-only-no-newline"])
+    def test_tokenizer_edge_cases(self, tmp_path, text, ok):
+        limit = csv.field_size_limit()
+        text = text.format(h=",".join(CENTROID_HEADER),
+                           at_limit="t" * limit, over_limit="t" * (limit + 1),
+                           blank_over_limit=" " * (limit + 1))
+        path = tmp_path / "t.csv"
+        path.write_bytes(text.encode())
+        want = _outcome(reference_parse_tracks, path, CsvFormat())
+        assert _outcome(parse_tracks, path, CsvFormat()) == want
+        assert ok == isinstance(want, list)
+
+    def test_plain_files_never_reach_the_csv_reader(self, tmp_path,
+                                                    monkeypatch):
+        tracks = [make_track(5, track_id="a"), make_track(3, track_id="b")]
+        plain, quoted = tmp_path / "plain.csv", tmp_path / "quoted.csv"
+        blank = tmp_path / "blank.csv"
+        write_tracks(tracks, plain)
+        quoted.write_bytes(plain.read_bytes().replace(b",a,", b',"a",'))
+        blank.write_bytes(plain.read_bytes().replace(b"\r\nv", b"\r\n \r\nv")
+                          + b"\r\n")
+
+        def no_reader(*args, **kwargs):
+            raise AssertionError("csv.reader called")
+
+        with monkeypatch.context() as m:
+            m.setattr(data.csv, "reader", no_reader)
+            assert parse_tracks(plain) == tracks
+            assert parse_tracks(blank) == tracks
+            with pytest.raises(AssertionError, match="csv.reader called"):
+                parse_tracks(quoted)
+        assert parse_tracks(quoted) == tracks
 
     @settings(max_examples=50, deadline=None)
     @given(raw=st.one_of(
