@@ -93,6 +93,15 @@ def _int_list(text: str) -> tuple[int, ...]:
     return tuple(int(s) for s in parts)
 
 
+def _thread_counts(text: str) -> tuple[int, ...]:
+    # checked before `bench` starts any thread: each count starts that many
+    counts, ceiling = _int_list(text), 4 * (os.cpu_count() or 1)
+    if not all(1 <= n <= ceiling for n in counts):
+        raise ConfigError(f"thread counts must be 1..{ceiling} (4 x the CPU "
+                          f"count), got {text!r}")
+    return counts
+
+
 def _str_list(text: str) -> tuple[str, ...]:
     parts = [s.strip() for s in str(text).split(",") if s.strip()]
     if not parts:
@@ -221,8 +230,9 @@ def _command_opts(command: str) -> list[Opt]:
         return [out_dir,
                 Opt("weights", str, None,
                     "weight file (omit to benchmark fresh parameters)"),
-                Opt("threads", _int_list, (1,),
-                    "thread counts to measure, e.g. '1,2,4'"),
+                Opt("threads", _thread_counts, (1,),
+                    "thread counts to measure, e.g. '1,2,4' (at most 4 x "
+                    "the CPU count)"),
                 Opt("duration", float, 1.0, "seconds per measurement"),
                 Opt("n_windows", int, 32, "distinct input windows to cycle"),
                 Opt("k", int, TrainConfig.k, "window length (fresh params)"),

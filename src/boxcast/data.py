@@ -406,14 +406,17 @@ def _records(text: str):
 
 def _read_utf8(path) -> str:
     """The file's text; ParseError naming the line of the first byte that
-    is not valid UTF-8."""
+    is not valid UTF-8. Lines end as the csv module ends them: at a CR, an
+    LF or a CRLF."""
     with open(path, "rb") as fh:
         raw = fh.read()
     try:
         return raw.decode("utf-8")
     except UnicodeDecodeError as e:
+        ends = raw.count(b"\r", 0, e.start) + raw.count(b"\n", 0, e.start)
+        ends -= raw.count(b"\r\n", 0, e.start)
         raise ParseError(f"not UTF-8 text: {e.reason} at byte {e.start}",
-                         line=raw.count(b"\n", 0, e.start) + 1) from None
+                         line=ends + 1) from None
 
 
 def write_tracks(tracks, path) -> None:

@@ -28,7 +28,15 @@ the dtype of their parameters; the loss is summed in float64.
 
 The LSTM step has one form: ``lstm_cell_forward(params, x, seq, t)``
 writes step t of an `LstmSeq` in place and returns nothing; `LstmSeq.start`
-allocates the pass and checks its state shapes once. Adam runs with the
+allocates the pass, checks its state shapes once and picks the row tiles of
+``wh`` its recurrent products run over. Tiles exist for small batches (2-12
+rows at H = 512): there one product over all of ``wh`` makes OpenBLAS pack
+the whole 4 MiB matrix every step, while row tiles of at most `TILE_MACS`
+multiply-adds take its small-matrix kernel, which reads ``wh`` in place (in
+the spirit of Diamos et al., *Persistent RNNs*, ICML 2016). Both limits come
+from a sweep of tile sizes at H = 512, float32, one BLAS thread (OpenBLAS
+0.3.31, SkylakeX kernels); a batch of 1 or of 13+ rows runs one tile, i.e.
+one product, so its bits do not depend on them. Adam runs with the
 standard hyperparameters of Kingma & Ba (ICLR 2015): `ADAM_BETA1`,
 `ADAM_BETA2` and `ADAM_EPS`.
 """
@@ -51,6 +59,8 @@ __all__ = [
     "LstmCellParams",
     "LstmCellState",
     "LstmSeq",
+    "TILE_MACS",
+    "TILE_MAX_NH",
     "adam_step",
     "finite_diff_grad",
     "l1_loss",
@@ -63,6 +73,11 @@ __all__ = [
 ]
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+# Row tiles of the recurrent product (see `_lstm_cell_from_preact`): each
+# tile is at most TILE_MACS multiply-adds, and a step tiles only while its
+# flattened batch n has n * H <= TILE_MAX_NH, i.e. 2 <= n <= 12 at H = 512.
+TILE_MACS, TILE_MAX_NH = 1 << 19, 6144
 
 
 def relu(x: np.ndarray) -> np.ndarray:
@@ -120,6 +135,9 @@ class LstmSeq:
             state and index t+1 the output of step t, so ``h[:-1]`` are the
             steps' previous hidden states
     cell  : the cell this pass runs, and ``bias`` its summed ``bx + bh``
+    tiles : row slices of ``wh`` the recurrent product runs over, one per
+            matrix product; a single slice of all 4H rows unless the batch
+            is small (`TILE_MACS`, `TILE_MAX_NH`)
 
     tanh(c) is not kept: the backward pass recomputes it from ``c``.
     `start` checks the state shape once for the whole pass; each step call
@@ -131,6 +149,7 @@ class LstmSeq:
     gates: np.ndarray
     c: np.ndarray
     h: np.ndarray
+    tiles: tuple[slice, ...]
 
     @classmethod
     def start(cls, cell: LstmCellParams, init: LstmCellState,
@@ -147,9 +166,14 @@ class LstmSeq:
         h = np.empty_like(c)
         c[0] = init.c
         h[0] = init.h
+        n = init.h.size // H
+        r = 4 * H
+        if n >= 2 and n * H <= TILE_MAX_NH:
+            r = min(r, 1 << ((TILE_MACS // (n * H)).bit_length() - 1))
         return cls(cell=cell, bias=cell.bx + cell.bh,
                    gates=np.empty((steps,) + batch + (4 * H,), dtype=dtype),
-                   c=c, h=h)
+                   c=c, h=h,
+                   tiles=tuple(slice(j, j + r) for j in range(0, 4 * H, r)))
 
     @property
     def final(self) -> LstmCellState:
@@ -189,8 +213,14 @@ def _lstm_cell_from_preact(params: LstmCellParams, x_pre: np.ndarray,
     # Weight-left: with wh as the right operand OpenBLAS packs it slowly at
     # small batch, so ``wh @ h.T`` runs 1.5-2x faster than ``h @ wh.T`` at
     # batch 2-16 with the same bits (the same gemv at batch 1). Every batch
-    # shape is flattened to rows for it.
-    a.reshape(-1, 4 * H)[...] = (params.wh @ seq.h[t].reshape(-1, H).T).T
+    # shape is flattened to rows for it. At 2-12 rows even that product
+    # packs all of wh each step; split into row tiles of at most 2^19
+    # multiply-adds, each product takes OpenBLAS's small-matrix kernel,
+    # which reads wh in place: 2-2.5x faster at 2-6 rows, 1.2x at 12 (at
+    # H = 512, float32, one thread). Batch 1 and 13+ rows run one tile.
+    rows, h_t = a.reshape(-1, 4 * H), seq.h[t].reshape(-1, H).T
+    for tile in seq.tiles:
+        rows[:, tile] = (params.wh[tile] @ h_t).T
     a += x_pre
     # One tanh pass over all four lanes, since sigmoid(x) = (1 + tanh(x/2))/2:
     # halve the sigmoid lanes, tanh everything, then map those lanes back.

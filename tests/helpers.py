@@ -195,8 +195,12 @@ def reference_parse_tracks(path, fmt: CsvFormat = CsvFormat()) -> list[Track]:
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as e:
+        # the bad byte's line is the last line of its valid prefix plus one
+        # more character, split at CR, LF and CRLF as the csv module splits
+        prefix = raw[:e.start].decode("utf-8") + "x"
+        line = len(io.StringIO(prefix, newline="").readlines())
         raise ParseError(f"not UTF-8 text: {e.reason} at byte {e.start}",
-                         line=raw.count(b"\n", 0, e.start) + 1) from None
+                         line=line) from None
     expected = CORNER_HEADER if fmt.corner_format else CENTROID_HEADER
     groups: dict[tuple[str, str], list[tuple[int, int, Box]]] = {}
     records = _reference_records(text)

@@ -4,7 +4,9 @@ reproduce-from-echo invariant, API/CLI output equivalence, and the exit-code
 contract."""
 
 import csv
+import os
 import tempfile
+import threading
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -273,6 +275,41 @@ class TestBench:
             assert tps > 0.0
             assert float(r[2]) == pytest.approx(tps * 3)
         assert (out / "config.txt").exists()
+
+    @pytest.mark.parametrize("via", ["flag", "file"])
+    @pytest.mark.parametrize("counts", ["1,{over}", "{over}", "1,0"])
+    def test_thread_counts_over_the_ceiling_start_nothing(
+            self, tmp_path, monkeypatch, capsys, via, counts):
+        """A count above 4 x the CPU count (or below 1) exits 2 while the
+        config is validated, before any thread starts or any file is
+        written: `Thread.start` raises if it is reached."""
+        def refuse(thread):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        ceiling = 4 * (os.cpu_count() or 1)
+        value = counts.format(over=ceiling + 1)
+        out = tmp_path / "bench"
+        args = ["bench", "--out", str(out), "--duration", "0.01",
+                "--k", "3", "--p", "3", "--hidden", "4", "--latent", "2"]
+        if via == "flag":
+            args += ["--threads", value]
+        else:
+            config = tmp_path / "bench.cfg"
+            config.write_text(f"threads = {value}\n", encoding="utf-8")
+            args += ["--config", str(config)]
+        assert main(args) == 2
+        [err] = capsys.readouterr().err.strip().splitlines()
+        assert err.startswith("configuration error: ")
+        name = "--threads" if via == "flag" else "threads"
+        assert err.endswith(f"bad value for {name}: thread counts must be "
+                            f"1..{ceiling} (4 x the CPU count), got {value!r}")
+        assert not out.exists()
+
+    def test_thread_ceiling_itself_is_accepted(self):
+        ceiling = 4 * (os.cpu_count() or 1)
+        threads = {o.key: o for o in _command_opts("bench")}["threads"]
+        assert threads.type(f"1,{ceiling}") == (1, ceiling)
 
 
 class TestAblate:

@@ -220,15 +220,36 @@ class TestParseErrors:
                                                           ("ped~1", 42)]
         assert tracks[1].boxes[0].frame == 60
 
-    def test_non_utf8_bytes_name_their_line(self, tmp_path):
+    @pytest.mark.parametrize("end", [b"\n", b"\r", b"\r\n"])
+    def test_non_utf8_bytes_name_their_line(self, tmp_path, end):
+        """A line ends at LF, CR or CRLF, as for every other error; a
+        CR-only file once named line 1 here."""
         path = tmp_path / "t.csv"
-        path.write_bytes(
-            b"video_id,track_id,frame,cx,cy,w,h\n"
-            b"v,t,0,1,1,2,2\n"
-            b"v,t,1,\xff\xfe1,1,2,2\n")
-        with pytest.raises(ParseError, match="line 3: not UTF-8") as exc:
+        lines = [b"video_id,track_id,frame,cx,cy,w,h", b"v,t,0,1,1,2,2",
+                 b"v,t,1,\xff\xfe1,1,2,2", b""]
+        path.write_bytes(end.join(lines))
+        for parse in (parse_tracks, reference_parse_tracks):
+            with pytest.raises(ParseError, match="line 3: not UTF-8") as exc:
+                parse(path)
+            assert exc.value.line == 3
+        # the same file with a bad number there names the same line
+        path.write_bytes(end.join([*lines[:2], b"v,t,1,x,1,2,2", b""]))
+        with pytest.raises(ParseError, match="line 3: bad numeric"):
             parse_tracks(path)
-        assert exc.value.line == 3
+
+    def test_non_utf8_byte_after_mixed_line_ends(self, tmp_path):
+        """CR, LF and CRLF each end one line, so the bad byte is on line 5;
+        a blank CR line counts too."""
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"video_id,track_id,frame,cx,cy,w,h\r\n"
+                         b"v,t,0,1,1,2,2\r"
+                         b"\r"
+                         b"v,t,1,1,1,2,2\n"
+                         b"v,t,2,1,\x80,2,2\r\n")
+        for parse in (parse_tracks, reference_parse_tracks):
+            with pytest.raises(ParseError, match="line 5: not UTF-8") as exc:
+                parse(path)
+            assert exc.value.line == 5
 
     def test_contiguous_track_keeps_its_id(self, tmp_path):
         path = tmp_path / "t.csv"

@@ -16,6 +16,8 @@ from boxcast.nn import (
     LstmCellParams,
     LstmCellState,
     LstmSeq,
+    TILE_MACS,
+    TILE_MAX_NH,
     _lstm_cell_from_preact,
     adam_step,
     finite_diff_grad,
@@ -53,6 +55,27 @@ def gate_backward(seq, dh, dc):
     backward writes da over the cache's gates."""
     dh_prev, dc_prev = lstm_gate_backward(seq, 0, dh, dc)
     return seq.gates[0], dh_prev, dc_prev
+
+
+def full_size_step_inputs(rng, batch_shape, H=512, D=8):
+    """A float32 hidden-512 cell with zero biases, an initial state of the
+    batch shape and a projected input ``x_pre``, as one step reads them."""
+    cell = LstmCellParams(
+        wx=rng.uniform(-0.04, 0.04, (4 * H, D)).astype(np.float32),
+        wh=rng.uniform(-0.04, 0.04, (4 * H, H)).astype(np.float32),
+        bx=np.zeros(4 * H, np.float32), bh=np.zeros(4 * H, np.float32))
+    init = LstmCellState(
+        rng.normal(size=batch_shape + (H,)).astype(np.float32),
+        rng.normal(size=batch_shape + (H,)).astype(np.float32))
+    x_pre = rng.normal(size=batch_shape + (4 * H,)).astype(np.float32)
+    return cell, init, x_pre
+
+
+def step_gates(cell, init, x_pre):
+    """Gate activations of one `_lstm_cell_from_preact` step."""
+    seq = LstmSeq.start(cell, init, 1)
+    _lstm_cell_from_preact(cell, x_pre, seq, 0)
+    return seq.gates[0]
 
 
 def assert_close_to_fd(analytic, numeric, rtol=1e-4, atol=1e-8):
@@ -146,23 +169,17 @@ class TestLstmCell:
             np.testing.assert_allclose(batched.h[n], single.h, **tol)
             np.testing.assert_allclose(batched.c[n], single.c, **tol)
 
-    @pytest.mark.parametrize("batch_shape", [(), (6,), (64,)])
+    @pytest.mark.parametrize("batch_shape", [(), (2,), (6,), (3, 4), (64,)])
     def test_step_never_copies_the_recurrent_weights(self, batch_shape):
         """One float32 full-size step (hidden 512) allocates less than
         ``wh`` itself: the recurrent product reads ``wh`` in place, neither
-        copied to a contiguous transpose nor upcast (measured peaks 9 KB,
-        51 KB and 525 KB against 4.19 MB)."""
+        copied to a contiguous transpose nor upcast, and the row tiles of a
+        small batch are views of it (measured peaks 9 KB at batch 1, 6 to
+        76 KB at 2 to 12 rows and 525 KB at 64, against 4.19 MB)."""
         rng = np.random.default_rng(8)
-        H, D = 512, 8
-        cell = LstmCellParams(
-            wx=rng.uniform(-0.04, 0.04, (4 * H, D)).astype(np.float32),
-            wh=rng.uniform(-0.04, 0.04, (4 * H, H)).astype(np.float32),
-            bx=np.zeros(4 * H, np.float32), bh=np.zeros(4 * H, np.float32))
-        init = LstmCellState(
-            rng.normal(size=batch_shape + (H,)).astype(np.float32),
-            rng.normal(size=batch_shape + (H,)).astype(np.float32))
+        cell, init, x_pre = full_size_step_inputs(rng, batch_shape)
         seq = LstmSeq.start(cell, init, 1)
-        x_pre = rng.normal(size=batch_shape + (4 * H,)).astype(np.float32)
+        assert (len(seq.tiles) > 1) == (batch_shape in [(2,), (6,), (3, 4)])
         tracemalloc.start()
         try:
             _lstm_cell_from_preact(cell, x_pre, seq, 0)
@@ -268,6 +285,81 @@ class TestLstmCell:
                                    rtol=1e-12, atol=1e-14)
         np.testing.assert_allclose(da.sum(axis=0), acc_b,
                                    rtol=1e-12, atol=1e-14)
+
+
+def _batch_shapes(n):
+    """The flat shape (n,) and a 2-D shape (n1, n2) of n rows."""
+    n1 = max(d for d in range(1, int(n ** 0.5) + 1) if n % d == 0)
+    return [(n,), (n1, n // n1)]
+
+
+class TestRecurrentTiles:
+    """At 2 to 12 rows (hidden 512) a step runs its recurrent product as row
+    tiles of ``wh``; at 1 row and 13 or more it runs one product over all
+    of ``wh``, the same product as before tiles existed."""
+
+    # Largest gate gap to the float64 step allowed at float32. Pre-
+    # activations are sums of 512 products of O(0.04) weights and O(1)
+    # states, so each rounds by ~1e-6; the gates' slopes are at most 1
+    # (measured at most 2.7e-7 tiled and 9.4e-7 untiled).
+    GATE_BOUND = 4e-6
+
+    @pytest.mark.parametrize("batch_shape",
+                             [s for n in range(1, 17) for s in _batch_shapes(n)],
+                             ids=str)
+    def test_gates_within_bound_of_float64(self, batch_shape):
+        rng = np.random.default_rng(sum(batch_shape))
+        cell, init, x_pre = full_size_step_inputs(rng, batch_shape)
+        got = step_gates(cell, init, x_pre)
+        # the same step at float64 on the same (float32-valued) inputs
+        pre = (init.h.astype(np.float64) @ cell.wh.astype(np.float64).T
+               + x_pre.astype(np.float64))
+        H = cell.hidden_size
+        want = np.concatenate([sigmoid(pre[..., :2 * H]),
+                               np.tanh(pre[..., 2 * H: 3 * H]),
+                               sigmoid(pre[..., 3 * H:])], axis=-1)
+        assert got.shape == batch_shape + (4 * H,)
+        assert float(np.abs(got - want).max()) <= self.GATE_BOUND
+
+    @pytest.mark.parametrize("batch_shape",
+                             [s for n in (1, 13, 14, 15, 16)
+                              for s in _batch_shapes(n)] + [(64,), ()],
+                             ids=str)
+    def test_single_tile_batches_keep_the_untiled_bits(self, batch_shape):
+        """Bit for bit the gates of ``a = (wh @ h.T).T; a += x_pre`` and
+        then the activations: that pre-activation, fed as the projected
+        input of a step whose ``wh`` is zero, gives the reference."""
+        rng = np.random.default_rng(20 + sum(batch_shape))
+        cell, init, x_pre = full_size_step_inputs(rng, batch_shape)
+        H = cell.hidden_size
+        rows = (cell.wh @ init.h.reshape(-1, H).T).T
+        rows += x_pre.reshape(-1, 4 * H)
+        zero = LstmCellParams(cell.wx, np.zeros_like(cell.wh), cell.bx,
+                              cell.bh)
+        want = step_gates(zero, init, rows.reshape(x_pre.shape))
+        seq = LstmSeq.start(cell, init, 1)
+        assert seq.tiles == (slice(0, 4 * H),)
+        np.testing.assert_array_equal(step_gates(cell, init, x_pre), want)
+
+    @pytest.mark.parametrize("n, hidden, tiles", [
+        (1, 512, 1), (2, 512, 4), (3, 512, 8), (4, 512, 8), (6, 512, 16),
+        (8, 512, 16), (12, 512, 32), (13, 512, 1), (64, 512, 1),
+        (2, 8, 1), (12, 128, 2), (2, 3072, 192), (3, 3072, 1)])
+    def test_tile_count(self, n, hidden, tiles):
+        """Tiles are the largest power of two of rows with at most
+        `TILE_MACS` multiply-adds each, and exist only while
+        n * hidden <= `TILE_MAX_NH`."""
+        # zero-stride weights: only their shapes are read
+        zeros = np.broadcast_to(0.0, (4 * hidden, hidden))
+        cell = LstmCellParams(zeros, zeros, zeros[:, 0], zeros[:, 0])
+        seq = LstmSeq.start(cell, LstmCellState.zeros(hidden, (n,)), 0)
+        assert len(seq.tiles) == tiles
+        assert seq.tiles[0].start == 0 and seq.tiles[-1].stop >= 4 * hidden
+        r = seq.tiles[0].stop
+        assert all(t.stop - t.start == r for t in seq.tiles)
+        if tiles > 1:
+            assert r * n * hidden <= TILE_MACS < 2 * r * n * hidden
+            assert n * hidden <= TILE_MAX_NH
 
 
 class TestLinear:
