@@ -4,9 +4,9 @@ Subcommands: synth | train | predict | eval | bench | ablate. Every option
 can come from a flat ``key = value`` config file (``--config``); precedence
 is CLI flag > config file > built-in default, and the effective merged
 configuration is echoed into the run's output so any run can be reproduced
-from its echo alone. Exit codes: 0 success, 2 configuration errors, 3 data
-or I/O errors, 4 numeric failures such as a forecast or metric that is not
-finite.
+from its echo alone. Exit codes: 0 success, 2 configuration errors, 3 data,
+I/O and memory errors, 4 numeric failures such as a forecast or metric
+that is not finite.
 """
 
 from __future__ import annotations
@@ -593,6 +593,9 @@ def main(argv=None) -> int:
         return 2
     except (ParseError, DataError, OSError) as e:
         print(f"data error: {e}", file=sys.stderr)
+        return 3
+    except MemoryError as e:
+        print(f"resource error: out of memory: {e}", file=sys.stderr)
         return 3
     except NumericError as e:
         print(f"numeric failure: {e}", file=sys.stderr)

@@ -6,9 +6,9 @@ one detection per row, pixels as floats. A corner-format variant
 (``x1,y1,x2,y2`` columns) can be converted at parse time.
 
 A track's boxes are a `Boxes`: a read-only (n, 4) float64 ``xywh`` array
-and an (n,) int64 ``frames`` array, seen as a sequence of `Box` records.
-Slicing a `Boxes` is a zero-copy view, so parsing, mini-track slicing and
-stacking build no `Box` per row. `parse_tracks` splits a plain file with
+and an (n,) int64 ``frames`` array. Slices and single boxes (`Box`) are
+zero-copy views of those arrays, so parsing, mini-track slicing and
+stacking copy no box row by row. `parse_tracks` splits a plain file with
 `str.split`, converts each CSV column once and checks every row with
 vectorised tests: 25 520 rows take ~45 ms on one core of a 2-core Xeon
 VM, against ~52 ms for the csv-module reader it replaced.
@@ -19,8 +19,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-import operator
-from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import islice, repeat
 
@@ -53,32 +51,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Box:
-    """One detection: centroid, size and frame index, all in source pixels."""
+class Boxes:
+    """Boxes held as two read-only arrays.
 
-    cx: float
-    cy: float
-    w: float
-    h: float
-    frame: int
-
-
-_BOX_FIELDS = operator.attrgetter("cx", "cy", "w", "h", "frame")
-_BOX_RECORD = np.dtype([("cx", np.float64), ("cy", np.float64),
-                        ("w", np.float64), ("h", np.float64),
-                        ("frame", np.int64)])
-
-
-class Boxes(Sequence):
-    """An immutable sequence of `Box` records held as two arrays.
-
-    ``xywh`` is the read-only (n, 4) float64 (cx, cy, w, h) rows and
-    ``frames`` the read-only (n,) int64 frame numbers. An int index yields
-    a `Box`, a slice a zero-copy `Boxes` view, ``+`` concatenates and
-    ``==`` compares values. The arrays given are viewed, not copied.
-    Nothing about the boxes is checked here: frames need not be consecutive
-    nor sizes positive.
+    ``xywh`` is the (n, 4) float64 (cx, cy, w, h) rows and ``frames`` the
+    (n,) int64 frame numbers. A slice is a zero-copy `Boxes` view and an
+    int index (negative ones too) a zero-copy one-row `Box` view; ``+``
+    concatenates and ``==`` compares values. The arrays given are viewed,
+    not copied. Nothing about the boxes is checked here: frames need not be
+    consecutive nor sizes positive.
     """
 
     __slots__ = ("xywh", "frames")
@@ -95,29 +76,18 @@ class Boxes(Sequence):
         self.xywh = xywh
         self.frames = frames
 
-    @classmethod
-    def of(cls, boxes) -> Boxes:
-        """``boxes`` itself when it is a Boxes, else its Box records (any
-        iterable) gathered in one pass."""
-        if isinstance(boxes, Boxes):
-            return boxes
-        rec = np.fromiter(map(_BOX_FIELDS, boxes), dtype=_BOX_RECORD)
-        return cls(np.stack([rec["cx"], rec["cy"], rec["w"], rec["h"]],
-                            axis=-1), rec["frame"])
-
     def __len__(self) -> int:
         return len(self.frames)
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            # a slice of a read-only array is a read-only view: no checks
             view = Boxes.__new__(Boxes)
-            view.xywh, view.frames = self.xywh[i], self.frames[i]
-            return view
-        return Box(*self.xywh[i].tolist(), int(self.frames[i]))
-
-    def __iter__(self):
-        return map(Box, *self.xywh.T.tolist(), self.frames.tolist())
+        else:
+            j = range(len(self.frames))[i]  # IndexError past either end
+            view, i = Box.__new__(Box), slice(j, j + 1)
+        # a slice of a read-only array is a read-only view: no checks
+        view.xywh, view.frames = self.xywh[i], self.frames[i]
+        return view
 
     def __add__(self, other):
         if not isinstance(other, Boxes):
@@ -137,25 +107,28 @@ class Boxes(Sequence):
         return f"Boxes(xywh={self.xywh!r}, frames={self.frames!r})"
 
 
-def boxes_to_array(boxes) -> np.ndarray:
-    """(n, 4) float array of (cx, cy, w, h) rows of a Boxes or Box
-    sequence; read-only."""
-    return Boxes.of(boxes).xywh
+class Box(Boxes):
+    """One box: the one-row `Boxes` view an int index returns, with its
+    frame number as ``frame``."""
+
+    @property
+    def frame(self) -> int:
+        return int(self.frames[0])
+
+
+def boxes_to_array(boxes: Boxes) -> np.ndarray:
+    """The read-only (n, 4) (cx, cy, w, h) rows of ``boxes``."""
+    return boxes.xywh
 
 
 @dataclass
 class Track:
-    """One tracked person in one video: boxes on strictly consecutive frames.
-
-    ``boxes`` may be given as any Box sequence; it is stored as a `Boxes`.
-    """
+    """One tracked person in one video: boxes on strictly consecutive
+    frames."""
 
     video_id: str
     track_id: str
     boxes: Boxes
-
-    def __post_init__(self):
-        self.boxes = Boxes.of(self.boxes)
 
     @property
     def key(self) -> tuple[str, str]:
@@ -167,10 +140,8 @@ class Track:
 
 @dataclass
 class MiniTrack:
-    """A contiguous (k + p)-box slice of a track, plus the box immediately
+    """A contiguous (k + p)-box view of a track, plus the `Box` immediately
     before the slice when the track has one (used for the first delta row).
-
-    ``boxes`` may be given as any Box sequence; it is stored as a `Boxes`.
     """
 
     video_id: str
@@ -178,9 +149,6 @@ class MiniTrack:
     start_frame: int
     boxes: Boxes
     predecessor: Box | None = None
-
-    def __post_init__(self):
-        self.boxes = Boxes.of(self.boxes)
 
     def __len__(self) -> int:
         return len(self.boxes)

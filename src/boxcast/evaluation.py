@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import MiniTrack, SynthSpec, boxes_to_array, synth_tracks
+from .data import MiniTrack, SynthSpec, synth_tracks
 from .errors import ConfigError, DataError, NumericError, ShapeError
 from .model import (
     LOSS_MODES,
@@ -199,8 +199,9 @@ def summarize_folds(reports: list[MetricReport]) -> dict:
 def baseline_predict(kind: str, past_boxes, steps: int) -> np.ndarray:
     """Extrapolate ``steps`` future boxes from past boxes without a model.
 
-    ``past_boxes`` is a Box sequence or an (..., n, 4) array with any leading
-    batch shape; the result is (..., steps, 4).
+    ``past_boxes`` is an (..., n, 4) array of (cx, cy, w, h) rows with any
+    leading batch shape (a `Boxes`' ``xywh``); the result is
+    (..., steps, 4).
 
     constant-velocity       repeats the last observed per-frame change
     constant-acceleration   fits velocity and acceleration to the last three
@@ -211,8 +212,7 @@ def baseline_predict(kind: str, past_boxes, steps: int) -> np.ndarray:
             f"unknown baseline {kind!r}; pick one of {BASELINE_KINDS}")
     if steps < 1:
         raise ConfigError(f"steps must be >= 1, got {steps}")
-    arr = past_boxes if isinstance(past_boxes, np.ndarray) \
-        else boxes_to_array(past_boxes)
+    arr = np.asarray(past_boxes)
     if arr.ndim < 2 or arr.shape[-1] != 4:
         raise ShapeError(f"past boxes have shape {arr.shape}, expected "
                          f"(..., n, 4)")

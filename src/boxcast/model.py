@@ -53,7 +53,7 @@ from typing import Callable
 
 import numpy as np
 
-from .data import Boxes
+from .data import Box, Boxes
 from .errors import ConfigError, DataError, NumericError, ShapeError
 from .nn import (
     LinearParams,
@@ -215,15 +215,15 @@ def init_params(dims: ModelDims, seed: int | np.random.Generator = 0,
 # feature construction
 
 
-def build_features(boxes, predecessor=None) -> np.ndarray:
+def build_features(boxes, predecessor: Box | None = None) -> np.ndarray:
     """Turn k consecutive boxes into the (k, 8) per-frame feature window.
 
-    ``boxes`` is a `Boxes` (read as its arrays), another sequence of Box
-    records, or a (k, 4) array of (cx, cy, w, h) rows; frames must be
-    consecutive. Row i holds the box followed by its difference from row
-    i-1. The first row's difference is taken against ``predecessor`` when
-    one is supplied (it must sit exactly one frame before the window) and
-    is zero otherwise. The one-window case of `feature_windows`.
+    ``boxes`` is a `Boxes` (read as its arrays; frames must be consecutive)
+    or a (k, 4) array of (cx, cy, w, h) rows, whose frames are not checked.
+    Row i holds the box followed by its difference from row i-1. The first
+    row's difference is taken against ``predecessor``, a one-row `Box` view,
+    when one is supplied (it must sit exactly one frame before the window)
+    and is zero otherwise. The one-window case of `feature_windows`.
     """
     arr, frames = _boxes_as_array(boxes)
     if arr.shape[0] < 1:
@@ -231,8 +231,7 @@ def build_features(boxes, predecessor=None) -> np.ndarray:
     if predecessor is None:
         pred_arr, pred_frames = arr[:1], frames
     else:
-        before = Boxes.of([predecessor])
-        pred_arr, pred_frames = before.xywh, before.frames
+        pred_arr, pred_frames = predecessor.xywh, predecessor.frames
     ext = np.concatenate([pred_arr, arr])[None]
     ext_frames = None if frames is None \
         else np.concatenate([pred_frames[:1], frames])[None]
@@ -285,14 +284,12 @@ def feature_windows(boxes: np.ndarray, frames: np.ndarray | None,
 
 
 def _boxes_as_array(boxes) -> tuple[np.ndarray, np.ndarray | None]:
-    """Normalize a Boxes, Box sequence or array to ((n, 4) floats, frames
-    or None)."""
-    if isinstance(boxes, np.ndarray):
-        if boxes.ndim != 2 or boxes.shape[1] != 4:
-            raise ShapeError(f"box array has shape {boxes.shape}, expected (n, 4)")
-        return boxes.astype(np.float64, copy=False), None
-    boxes = Boxes.of(boxes)
-    return boxes.xywh, boxes.frames
+    """((n, 4) floats, frames or None) of a Boxes or an array."""
+    if isinstance(boxes, Boxes):
+        return boxes.xywh, boxes.frames
+    if boxes.ndim != 2 or boxes.shape[1] != 4:
+        raise ShapeError(f"box array has shape {boxes.shape}, expected (n, 4)")
+    return boxes.astype(np.float64, copy=False), None
 
 
 def reconstruction_target(window: np.ndarray) -> np.ndarray:
@@ -451,8 +448,11 @@ def forward_train(params: ModelParams, window: np.ndarray
     return recon, boxes
 
 
-def predict(params: ModelParams, boxes, predecessor=None) -> np.ndarray:
-    """Forecast the next p boxes from exactly k observed boxes.
+def predict(params: ModelParams, boxes, predecessor: Box | None = None
+            ) -> np.ndarray:
+    """Forecast the next p boxes from exactly k observed boxes, given as
+    `build_features` takes them (a `Boxes` or a (k, 4) array, and an
+    optional predecessor `Box`).
 
     The reconstruction branch never runs here. Matches the future-box head
     of ``forward_train`` bit for bit.

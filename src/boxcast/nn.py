@@ -1,5 +1,4 @@
-"""Dense numeric kernel: LSTM cell, linear map, ReLU, L1 loss, Adam, and a
-finite-difference gradient oracle.
+"""Dense numeric kernel: LSTM cell, linear map, ReLU, L1 loss and Adam.
 
 Tensors are plain numpy arrays, row-major. Every vector op accepts either a
 single sample (trailing feature axis only, e.g. shape ``(D,)``) or a batch
@@ -44,7 +43,6 @@ standard hyperparameters of Kingma & Ba (ICLR 2015): `ADAM_BETA1`,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -62,7 +60,6 @@ __all__ = [
     "TILE_MACS",
     "TILE_MAX_NH",
     "adam_step",
-    "finite_diff_grad",
     "l1_loss",
     "linear_backward",
     "linear_forward",
@@ -378,27 +375,3 @@ def adam_step(state: AdamState, params: dict[str, np.ndarray],
         v *= ADAM_BETA2
         v += (1.0 - ADAM_BETA2) * (g * g)
         p -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
-
-
-def finite_diff_grad(f: Callable[[np.ndarray], float], x: np.ndarray,
-                     eps: float = 1e-5) -> np.ndarray:
-    """Central-difference gradient of a scalar function, one coordinate at a
-    time. The oracle every analytic backward pass in this package is checked
-    against."""
-    if not eps > 0:
-        raise ShapeError(f"eps must be positive, got {eps}")
-    x = np.asarray(x, dtype=np.float64)
-    grad = np.zeros_like(x)
-    for idx in np.ndindex(x.shape):
-        xp = x.copy()
-        xp[idx] += eps
-        fp = float(f(xp))
-        xm = x.copy()
-        xm[idx] -= eps
-        fm = float(f(xm))
-        if not (np.isfinite(fp) and np.isfinite(fm)):
-            raise NumericError(
-                f"non-finite objective at coordinate {idx} during "
-                f"finite-difference probing")
-        grad[idx] = (fp - fm) / (2.0 * eps)
-    return grad

@@ -12,7 +12,7 @@ from typing import Callable
 
 import numpy as np
 
-from .data import Boxes, MiniTrack
+from .data import MiniTrack
 from .errors import ConfigError, DataError, NumericError
 from .model import (
     INPUT_DIM,
@@ -116,10 +116,10 @@ def stack_minitracks(minitracks: list[MiniTrack], k: int, p: int
     boxes (using each mini-track's predecessor when present) and target
     boxes (M, p, 4) over the last p.
 
-    Every mini-track's box arrays are copied into one stacked array and
-    the windows built by one `feature_windows` call; a faulty mini-track
-    raises the error `build_features` raises on it, the first one in list
-    order.
+    Each mini-track's predecessor `Box` (or its first box) and its boxes
+    are joined by one `np.concatenate` per array, and the windows built by
+    one `feature_windows` call; a faulty mini-track raises the error
+    `build_features` raises on it, the first one in list order.
     """
     ModelDims(k=k, p=p).validate()
     if not minitracks:
@@ -127,23 +127,20 @@ def stack_minitracks(minitracks: list[MiniTrack], k: int, p: int
     n = k + p
     m = next((j for j, mt in enumerate(minitracks) if len(mt) != n),
              len(minitracks))
-    good = minitracks[:m]
-    # each row is the predecessor slot (the first box when there is none)
-    # followed by the k + p boxes
-    rows = np.empty((m, n + 1, OUTPUT_DIM))
-    frames = np.empty((m, n + 1), dtype=np.int64)
-    for j, mt in enumerate(good):
-        rows[j, 1:] = mt.boxes.xywh
-        frames[j, 1:] = mt.boxes.frames
-    has_pred = np.fromiter((mt.predecessor is not None for mt in good),
-                           dtype=bool, count=m)
-    before = Boxes.of([mt.predecessor for mt in good
-                       if mt.predecessor is not None])
-    rows[has_pred, 0] = before.xywh
-    frames[has_pred, 0] = before.frames
-    rows[~has_pred, 0] = rows[~has_pred, 1]
-    frames[~has_pred, 0] = frames[~has_pred, 1]
-    windows = feature_windows(rows[:, :k + 1], frames[:, :k + 1], has_pred)
+    if m:
+        good = minitracks[:m]
+        has_pred = np.array([mt.predecessor is not None for mt in good])
+        # each row is the predecessor slot (the first box when there is
+        # none) followed by the k + p boxes
+        slots = []
+        for mt in good:
+            slots += (mt.boxes[:1] if mt.predecessor is None
+                      else mt.predecessor, mt.boxes)
+        rows = np.concatenate([b.xywh for b in slots]).reshape(
+            m, n + 1, OUTPUT_DIM)
+        frames = np.concatenate([b.frames for b in slots]).reshape(m, n + 1)
+        windows = feature_windows(rows[:, :k + 1], frames[:, :k + 1],
+                                  has_pred)
     if m < len(minitracks):
         raise DataError(
             f"mini-track {m} has {len(minitracks[m])} boxes, expected "

@@ -1,6 +1,7 @@
-"""Shared test utilities: random-but-realistic inputs, a case generator
-for gradient checks that steers clear of the objective's kinks, a
-row-by-row track CSV parser that the column-wise `parse_tracks` must match,
+"""Shared test utilities: `Boxes` built from plain rows, random-but-realistic
+inputs, the central-difference gradient oracle and a case generator for
+gradient checks that steers clear of the objective's kinks, a row-by-row
+track CSV parser that the column-wise `parse_tracks` must match,
 the exp-form logistic function the one-tanh gate math is checked against,
 the step-loop trajectory concatenation the cumulative sum is checked
 against, a one-step LSTM helper, a parameter count summed over the tensors,
@@ -23,11 +24,11 @@ from hypothesis import strategies as st
 from boxcast.data import (
     CENTROID_HEADER,
     CORNER_HEADER,
-    Box,
+    Boxes,
     CsvFormat,
     Track,
 )
-from boxcast.errors import ParseError
+from boxcast.errors import NumericError, ParseError, ShapeError
 from boxcast.model import (
     LossWeights,
     ModelDims,
@@ -45,6 +46,13 @@ from boxcast.model import (
 from boxcast.nn import LstmSeq, lstm_cell_forward
 
 KINK_MARGIN = 2e-3  # min distance of residuals / ReLU inputs from zero
+
+
+def make_boxes(rows, first_frame=0):
+    """`Boxes` of (cx, cy, w, h) ``rows`` on consecutive frames from
+    ``first_frame``."""
+    rows = np.asarray(rows, dtype=np.float64).reshape(-1, 4)
+    return Boxes(rows, np.arange(len(rows)) + first_frame)
 
 
 def sigmoid(x):
@@ -167,19 +175,30 @@ def coordinate_subset(rng, shape, cap):
     return np.sort(rng.choice(size, size=cap, replace=False))
 
 
-def fd_grad_at(f, x, flat_indices, eps=1e-5):
-    """Central differences of f at selected coordinates of x."""
-    out = np.zeros(len(flat_indices))
-    flat = x.reshape(-1)
-    for j, idx in enumerate(flat_indices):
-        orig = flat[idx]
-        flat[idx] = orig + eps
-        fp = f()
-        flat[idx] = orig - eps
-        fm = f()
-        flat[idx] = orig
+def fd_grad(f, x, flat_indices=None, eps=1e-5):
+    """Central differences of the scalar ``f(x)`` at the given flat indices
+    of ``x`` (all of them, shaped as ``x``, when None): the oracle every
+    analytic backward pass is checked against. Each coordinate is moved by
+    +-eps in place and restored, so ``f`` may read ``x`` through its
+    argument or directly (as a parameter tensor it closes over). A
+    non-finite probe raises NumericError; eps <= 0 raises ShapeError."""
+    if not eps > 0:
+        raise ShapeError(f"eps must be positive, got {eps}")
+    indices = range(x.size) if flat_indices is None else flat_indices
+    out = np.zeros(len(indices))
+    for j, i in enumerate(indices):
+        idx = np.unravel_index(i, x.shape)
+        orig = x[idx]
+        x[idx] = orig + eps
+        fp = float(f(x))
+        x[idx] = orig - eps
+        fm = float(f(x))
+        x[idx] = orig
+        if not (np.isfinite(fp) and np.isfinite(fm)):
+            raise NumericError(f"non-finite objective at coordinate {idx} "
+                               f"during finite-difference probing")
         out[j] = (fp - fm) / (2.0 * eps)
-    return out
+    return out.reshape(x.shape) if flat_indices is None else out
 
 
 def reference_parse_tracks(path, fmt: CsvFormat = CsvFormat()) -> list[Track]:
@@ -187,8 +206,9 @@ def reference_parse_tracks(path, fmt: CsvFormat = CsvFormat()) -> list[Track]:
     the same tracks (ids, frames, boxes bit for bit), or a ParseError with
     the same message and line.
 
-    Each row is checked and boxed as it is read; rows then group by key in
-    first-appearance order, sort by (frame, line) and split at every gap.
+    Each row is checked as it is read; rows then group by key in
+    first-appearance order, sort by (frame, line) and split at every gap,
+    and each segment's `Boxes` is built from the rows it collected.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -202,7 +222,7 @@ def reference_parse_tracks(path, fmt: CsvFormat = CsvFormat()) -> list[Track]:
         raise ParseError(f"not UTF-8 text: {e.reason} at byte {e.start}",
                          line=line) from None
     expected = CORNER_HEADER if fmt.corner_format else CENTROID_HEADER
-    groups: dict[tuple[str, str], list[tuple[int, int, Box]]] = {}
+    groups: dict[tuple[str, str], list[tuple[int, int, list[float]]]] = {}
     records = _reference_records(text)
     first = next(records, None)
     if first is None:
@@ -227,30 +247,32 @@ def reference_parse_tracks(path, fmt: CsvFormat = CsvFormat()) -> list[Track]:
         if fmt.corner_format:
             x1, y1, x2, y2 = vals
             vals = [(x1 + x2) / 2.0, (y1 + y2) / 2.0, x2 - x1, y2 - y1]
-        cx, cy, w, h = vals
+        w, h = vals[2:]
         if not all(math.isfinite(v) for v in vals):
             raise ParseError("non-finite box fields", line=line)
         if w <= 0 or h <= 0:
             raise ParseError(f"non-positive box size w={w}, h={h}", line=line)
         groups.setdefault((row[0].strip(), row[1].strip()), []).append(
-            (frame, line, Box(cx=cx, cy=cy, w=w, h=h, frame=frame)))
+            (frame, line, vals))
 
     tracks: list[Track] = []
     for (video_id, track_id), rows in groups.items():
         rows.sort()  # by frame, then line: lines are unique
-        segments: list[list[Box]] = []
+        segments: list[list[tuple[int, list[float]]]] = []
         prev = None
-        for frame, line, box in rows:
+        for frame, line, vals in rows:
             if frame == prev:
                 raise ParseError(f"track ({video_id}, {track_id}) has "
                                  f"duplicate frame {prev}", line=line)
             if prev is None or frame != prev + 1:
                 segments.append([])
-            segments[-1].append(box)
+            segments[-1].append((frame, vals))
             prev = frame
-        for si, boxes in enumerate(segments):
+        for si, segment in enumerate(segments):
             tid = track_id if len(segments) == 1 else f"{track_id}~{si}"
-            tracks.append(Track(video_id=video_id, track_id=tid, boxes=boxes))
+            frames, xywh = zip(*segment)
+            tracks.append(Track(video_id=video_id, track_id=tid,
+                                boxes=Boxes(xywh, frames)))
     return tracks
 
 

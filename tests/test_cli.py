@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from helpers import track_csvs
 
+from boxcast import cli, training
 from boxcast.cli import _command_opts, main
 from boxcast.data import SYNTH_KINDS, parse_tracks, write_tracks
 from boxcast.evaluation import (
@@ -477,6 +478,36 @@ class TestConfigFilesAndExitCodes:
         assert err.startswith("numeric failure: tensor ")
         assert err.count("\n") == 1
         assert not (out / "model.bxw").exists()
+
+    @pytest.mark.parametrize("command", ["synth", "train", "predict"])
+    def test_out_of_memory_exits_three_and_writes_no_output(
+            self, tmp_path, capsys, monkeypatch, command):
+        """A MemoryError, as numpy raises when it cannot allocate an array,
+        is one error line and exit 3; nothing is allocated here, the
+        command's library call is patched to raise."""
+        data = synth_file(tmp_path)
+        weights = TestPredict().make_weights(tmp_path)
+        capsys.readouterr()
+        message = ("Unable to allocate 32.0 GiB for an array with shape "
+                   "(2097152, 2048) and data type float64")
+
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError(message)
+
+        module, name, out, written, args = {
+            "synth": (cli, "synth_tracks", tmp_path / "big.csv", "big.csv",
+                      []),
+            "train": (training, "init_params", tmp_path / "run",
+                      "run/model.bxw", ["--data", str(data), *TINY_TRAIN]),
+            "predict": (cli, "forecast", tmp_path / "pred.csv", "pred.csv",
+                        ["--data", str(data), "--weights", str(weights)]),
+        }[command]
+        monkeypatch.setattr(module, name, out_of_memory)
+        code = main([command, "--out", str(out), *args])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.err == f"resource error: out of memory: {message}\n"
+        assert not (tmp_path / written).exists()
 
     @pytest.mark.parametrize("k,p", [("5", "-3"), ("-2", "5"), ("0", "5"),
                                      ("-100", "150")])

@@ -5,6 +5,7 @@ import csv
 import io
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ from boxcast import data
 from boxcast.data import (
     CENTROID_HEADER,
     CORNER_HEADER,
+    SYNTH_KINDS,
     Box,
     Boxes,
     CsvFormat,
@@ -39,12 +41,12 @@ from boxcast.errors import (
     ShapeError,
 )
 from boxcast.evaluation import evaluate_baseline
-from helpers import reference_parse_tracks, track_csvs
+from helpers import make_boxes, reference_parse_tracks, track_csvs
 
 
 def make_track(n, track_id="t0", video_id="v0", start_frame=0):
-    boxes = [Box(cx=10.0 + i, cy=20.0 + 2.0 * i, w=5.0, h=9.0,
-                 frame=start_frame + i) for i in range(n)]
+    boxes = make_boxes([(10.0 + i, 20.0 + 2.0 * i, 5.0, 9.0)
+                        for i in range(n)], start_frame)
     return Track(video_id=video_id, track_id=track_id, boxes=boxes)
 
 
@@ -62,30 +64,37 @@ class TestBoxAndTrack:
 
 
 class TestBoxes:
-    def test_a_box_list_becomes_arrays_once(self):
+    def test_a_track_views_the_arrays_it_is_given(self):
         t = make_track(3, start_frame=5)
         assert isinstance(t.boxes, Boxes)
         np.testing.assert_array_equal(t.boxes.frames, [5, 6, 7])
         assert t.boxes.xywh.shape == (3, 4)
-        assert Boxes.of(t.boxes) is t.boxes
+        assert Track("v", "t", t.boxes).boxes is t.boxes
         assert MiniTrack("v", "t", 5, t.boxes).boxes is t.boxes
 
-    def test_indexing_yields_boxes_of_python_numbers(self):
-        t = make_track(4)
-        assert t.boxes[1] == Box(cx=11.0, cy=22.0, w=5.0, h=9.0, frame=1)
-        assert t.boxes[-1].frame == 3
-        assert list(t.boxes) == [t.boxes[i] for i in range(4)]
-        b = t.boxes[2]
-        assert [type(v) for v in (b.cx, b.cy, b.w, b.h, b.frame)] == \
-            [float] * 4 + [int]
-        assert repr(b) == "Box(cx=12.0, cy=24.0, w=5.0, h=9.0, frame=2)"
-        with pytest.raises(IndexError):
-            t.boxes[4]
+    def test_an_int_index_is_a_one_row_view(self):
+        boxes = make_track(4).boxes
+        b = boxes[1]
+        assert isinstance(b, Box) and isinstance(b, Boxes) and len(b) == 1
+        np.testing.assert_array_equal(b.xywh, [[11.0, 22.0, 5.0, 9.0]])
+        assert b.frame == 1 and type(b.frame) is int
+        assert np.shares_memory(b.xywh, boxes.xywh)
+        assert np.shares_memory(b.frames, boxes.frames)
+        assert b == boxes[1:2]
+        assert boxes[-1] == boxes[3] and boxes[-4] == boxes[0]
+        assert boxes[-1].frame == 3
+        assert boxes[np.int64(2)] == boxes[2]
+        for i in (4, -5):
+            with pytest.raises(IndexError):
+                boxes[i]
+        for arr in (b.xywh, b.frames):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0
 
     def test_slices_are_read_only_views(self):
         boxes = make_track(10).boxes
         part = boxes[2:7]
-        assert isinstance(part, Boxes) and len(part) == 5
+        assert type(part) is Boxes and len(part) == 5
         assert np.shares_memory(part.xywh, boxes.xywh)
         assert np.shares_memory(part.frames, boxes.frames)
         assert part[0] == boxes[2]
@@ -96,19 +105,20 @@ class TestBoxes:
     def test_concatenation_and_value_equality(self):
         boxes = make_track(10).boxes
         joined = boxes[:3] + boxes[5:]
-        assert [b.frame for b in joined] == [0, 1, 2, 5, 6, 7, 8, 9]
+        assert joined.frames.tolist() == [0, 1, 2, 5, 6, 7, 8, 9]
         assert boxes[:4] + boxes[4:] == boxes
         assert boxes[:4] + boxes[4:] is not boxes
+        assert boxes[2] + boxes[3] == boxes[2:4]
         assert boxes != boxes[1:]
-        assert Boxes.of(list(boxes)) == boxes
-        assert boxes != list(boxes)
+        assert boxes[0] != boxes[1]
+        assert boxes.__eq__(boxes.xywh) is NotImplemented
 
     def test_shapes_are_checked(self):
         with pytest.raises(ShapeError):
             Boxes(np.zeros((3, 3)), np.arange(3))
         with pytest.raises(ShapeError):
             Boxes(np.zeros((3, 4)), np.arange(2))
-        assert len(Boxes.of([])) == 0
+        assert len(Boxes(np.zeros((0, 4)), [])) == 0
 
 
 class TestCsvRoundTrip:
@@ -116,12 +126,10 @@ class TestCsvRoundTrip:
         rng = np.random.default_rng(0)
         tracks = []
         for i in range(3):
-            boxes = [Box(cx=float(rng.normal(100, 30)),
-                         cy=float(rng.normal(100, 30)),
-                         w=float(rng.uniform(1, 50)),
-                         h=float(rng.uniform(1, 50)),
-                         frame=7 + j) for j in range(5)]
-            tracks.append(Track(video_id="vid", track_id=f"t{i}", boxes=boxes))
+            rows = np.column_stack([rng.normal(100, 30, (5, 2)),
+                                    rng.uniform(1, 50, (5, 2))])
+            tracks.append(Track(video_id="vid", track_id=f"t{i}",
+                                boxes=make_boxes(rows, first_frame=7)))
         path = tmp_path / "tracks.csv"
         write_tracks(tracks, path)
         back = parse_tracks(path)
@@ -145,7 +153,7 @@ class TestCsvRoundTrip:
             "video_id,track_id,frame,x1,y1,x2,y2\n"
             "v,t,0,10,20,30,60\n")
         [track] = parse_tracks(path, CsvFormat(corner_format=True))
-        assert track.boxes[0] == Box(cx=20.0, cy=40.0, w=20.0, h=40.0, frame=0)
+        assert track.boxes[0] == make_boxes([(20.0, 40.0, 20.0, 40.0)])
 
     def test_empty_and_header_only_files(self, tmp_path):
         empty = tmp_path / "empty.csv"
@@ -163,8 +171,8 @@ class TestCsvRoundTrip:
             "v,t,0,1,1,2,2\n"
             "v,t,1,2,2,2,2\n")
         [track] = parse_tracks(path)
-        assert [b.frame for b in track.boxes] == [0, 1, 2]
-        assert [b.cx for b in track.boxes] == [1.0, 2.0, 3.0]
+        assert track.boxes.frames.tolist() == [0, 1, 2]
+        assert track.boxes.xywh[:, 0].tolist() == [1.0, 2.0, 3.0]
 
 
 class TestParseErrors:
@@ -287,8 +295,8 @@ class TestParseErrors:
                         f"v,t,{2**63 - 1},1,1,2,2\n"
                         f"v,t,{2**63 - 2},1,1,2,2\n")
         [track] = parse_tracks(path)
-        assert [b.frame for b in track.boxes] == [2**63 - 2, 2**63 - 1]
-        assert boxes_to_array(track.boxes).shape == (2, 4)
+        assert track.boxes.frames.tolist() == [2**63 - 2, 2**63 - 1]
+        assert track.boxes.xywh.shape == (2, 4)
 
 
 class TestParseProperty:
@@ -312,11 +320,10 @@ class TestParseProperty:
                     io.StringIO(text, newline="").readlines())
                 return
         for t in tracks:
-            frames = [b.frame for b in t.boxes]
+            frames = t.boxes.frames.tolist()
             assert frames == list(range(frames[0], frames[0] + len(t)))
-            for b in t.boxes:
-                assert all(map(math.isfinite, (b.cx, b.cy, b.w, b.h)))
-                assert b.w > 0 and b.h > 0
+            assert np.isfinite(t.boxes.xywh).all()
+            assert (t.boxes.xywh[:, 2:] > 0).all()
         try:
             evaluate_baseline("stationary",
                               slice_all_minitracks(tracks, 2, 1), 1, 1)
@@ -443,6 +450,49 @@ class TestParseMatchesTheRowByRowReference:
                 assert e.line is not None
 
 
+class TestParseMemory:
+    """`parse_tracks`' tracemalloc peak per input byte on each tokenizer
+    path, on a ~1 MB `write_tracks` file (four synthetic kinds, 12 tracks
+    of 200 frames each, 9600 rows); the quoted file differs by one quoted
+    id, which sends it down the csv path. Measured at 7.43 (plain) and
+    9.79 (csv) bytes per input byte with CPython 3.11 and numpy 2.4; each
+    bound is 1.25x its figure."""
+
+    BOUND = {"plain": 1.25 * 7.43, "csv": 1.25 * 9.79}
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        tracks = []
+        for i, kind in enumerate(SYNTH_KINDS):
+            tracks += synth_tracks(SynthSpec(
+                kind=kind, length=200, noise_std=0.5, start_jitter=100.0,
+                velocity_jitter=1.0, seed=i), 12)
+        plain = tmp_path_factory.mktemp("memory") / "plain.csv"
+        write_tracks(tracks, plain)
+        quoted = plain.with_name("quoted.csv")
+        quoted.write_bytes(plain.read_bytes().replace(
+            b",constant-velocity-0000,", b',"constant-velocity-0000",', 1))
+        return {"plain": plain, "csv": quoted}
+
+    @pytest.mark.parametrize("path", ["plain", "csv"])
+    def test_peak_per_input_byte_is_bounded(self, files, path):
+        csv_path = files[path]
+        size = csv_path.stat().st_size
+        assert 0.9e6 < size < 1.1e6
+        text = csv_path.read_text(encoding="utf-8")
+        assert (data._plain_fields(text) is None) == (path == "csv")
+        del text
+        parse_tracks(csv_path)  # warm: first-call allocations are not rows
+        tracemalloc.start()
+        try:
+            tracks = parse_tracks(csv_path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sum(map(len, tracks)) == 9600
+        assert peak / size <= self.BOUND[path], (peak / size, path)
+
+
 class TestSlicing:
     def test_exact_window_gives_one_slice(self):
         [mt] = slice_minitracks(make_track(90), window=90, stride=30)
@@ -529,20 +579,20 @@ class TestSynthTracks:
                          start=(320.0, 240.0), velocity=(2.0, 1.0),
                          size=(40.0, 80.0))
         [track] = synth_tracks(spec, 1)
-        arr = boxes_to_array(track.boxes)
+        arr = track.boxes.xywh
         i = np.arange(20.0)
         np.testing.assert_array_equal(arr[:, 0], 320.0 + 2.0 * i)
         np.testing.assert_array_equal(arr[:, 1], 240.0 + 1.0 * i)
         np.testing.assert_array_equal(arr[:, 2], 40.0)
         np.testing.assert_array_equal(arr[:, 3], 80.0)
-        assert [b.frame for b in track.boxes] == list(range(20))
+        assert track.boxes.frames.tolist() == list(range(20))
 
     def test_constant_acceleration_closed_form(self):
         spec = SynthSpec(kind="constant-acceleration", length=15,
                          start=(0.0, 0.0), velocity=(1.0, 0.0),
                          accel=(0.5, -0.25))
         [track] = synth_tracks(spec, 1)
-        arr = boxes_to_array(track.boxes)
+        arr = track.boxes.xywh
         i = np.arange(15.0)
         np.testing.assert_allclose(arr[:, 0], i + 0.25 * i * i, rtol=1e-15)
         np.testing.assert_allclose(arr[:, 1], -0.125 * i * i, rtol=1e-15)
@@ -551,7 +601,7 @@ class TestSynthTracks:
         spec = SynthSpec(kind="sinusoidal", length=60, start=(100.0, 100.0),
                          velocity=(3.0, 4.0), amplitude=7.0, period=20.0)
         [track] = synth_tracks(spec, 1)
-        arr = boxes_to_array(track.boxes)
+        arr = track.boxes.xywh
         i = np.arange(60.0)
         rel = arr[:, :2] - np.array([100.0, 100.0])
         unit = np.array([3.0, 4.0]) / 5.0
@@ -565,7 +615,7 @@ class TestSynthTracks:
         spec = SynthSpec(kind="stop-and-go", length=90, start=(320.0, 240.0),
                          velocity=(2.0, 1.0), seed=5)
         [track] = synth_tracks(spec, 1)
-        arr = boxes_to_array(track.boxes)
+        arr = track.boxes.xywh
         deltas = np.diff(arr[:, :2], axis=0)
         moving = deltas[:, 0] != 0
         np.testing.assert_array_equal(deltas[moving],
@@ -577,7 +627,7 @@ class TestSynthTracks:
         spec = SynthSpec(kind="constant-velocity", length=30,
                          size=(10.0, 20.0), size_rate=(-1.0, 0.5))
         [track] = synth_tracks(spec, 1)
-        arr = boxes_to_array(track.boxes)
+        arr = track.boxes.xywh
         i = np.arange(30.0)
         np.testing.assert_array_equal(arr[:, 2], np.maximum(1.0, 10.0 - i))
         np.testing.assert_array_equal(arr[:, 3], 20.0 + 0.5 * i)
@@ -586,11 +636,11 @@ class TestSynthTracks:
         spec = SynthSpec(kind="constant-velocity", length=10,
                          start_jitter=5.0, velocity_jitter=0.5, seed=2)
         tracks = synth_tracks(spec, 40)
-        starts = np.array([[t.boxes[0].cx, t.boxes[0].cy] for t in tracks])
+        starts = np.array([t.boxes.xywh[0, :2] for t in tracks])
         assert np.all(np.abs(starts - [320.0, 240.0]) <= 5.0)
         assert len(np.unique(starts[:, 0])) > 30
         for t in tracks:
-            arr = boxes_to_array(t.boxes)
+            arr = t.boxes.xywh
             deltas = np.diff(arr[:, :2], axis=0)
             np.testing.assert_allclose(
                 deltas, np.broadcast_to(deltas[0], deltas.shape), rtol=1e-12)
@@ -603,7 +653,7 @@ class TestSynthTracks:
         tracks = synth_tracks(spec, 50)
         clean = 320.0 + 2.0 * np.arange(90.0)
         residuals = np.concatenate(
-            [boxes_to_array(t.boxes)[:, 0] - clean for t in tracks])
+            [t.boxes.xywh[:, 0] - clean for t in tracks])
         # E|N(0, sigma)| = sigma * sqrt(2/pi); 4500 draws put the sample
         # mean well within 5%
         expected = sigma * math.sqrt(2.0 / math.pi)

@@ -12,7 +12,6 @@ from boxcast import evaluation
 from boxcast.data import (
     SYNTH_KINDS,
     SynthSpec,
-    boxes_to_array,
     slice_all_minitracks,
     slice_minitracks,
     synth_tracks,
@@ -271,7 +270,7 @@ def per_sample_displacements(forecast, mts, k, p):
     rows, nonpositive = [], 0
     for mt in mts:
         pred = forecast(mt.boxes[:k], mt.predecessor)
-        gt = boxes_to_array(mt.boxes[k:])
+        gt = mt.boxes[k:].xywh
         rows.append([fde_at(pred, gt, t) for t in range(1, p + 1)])
         nonpositive += int(np.count_nonzero(pred[:, 2:] <= 0))
     return np.array(rows), nonpositive
@@ -290,7 +289,7 @@ class TestBatchedEvaluation:
         # small boxes, so noisy extrapolations reach sizes <= 0
         mts = mixed_minitracks(k, p, per_kind=3, seed=50, size=(4.0, 6.0))
         disp, nonpositive = per_sample_displacements(
-            lambda boxes, _: baseline_predict(kind, boxes, p), mts, k, p)
+            lambda boxes, _: baseline_predict(kind, boxes.xywh, p), mts, k, p)
         report = evaluate_baseline(kind, mts, k, p)
         per_step = disp.mean(axis=0)
         assert report.ade == float(disp.mean())
@@ -305,8 +304,8 @@ class TestBatchedEvaluation:
     @pytest.mark.parametrize("kind", BASELINE_KINDS)
     def test_baseline_predict_over_a_batch_equals_stacked_rows(self, kind):
         mts = mixed_minitracks(6, 4, per_kind=2, seed=60)
-        rows = [mt.boxes[:6] for mt in mts]
-        obs = np.stack([boxes_to_array(r) for r in rows])
+        rows = [mt.boxes.xywh[:6] for mt in mts]
+        obs = np.stack(rows)
         want = np.stack([baseline_predict(kind, r, 5) for r in rows])
         np.testing.assert_array_equal(baseline_predict(kind, obs, 5), want)
         np.testing.assert_array_equal(

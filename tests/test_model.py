@@ -14,16 +14,16 @@ from hypothesis import strategies as st
 
 from helpers import (
     concat_trajectory_loop,
-    fd_grad_at,
+    fd_grad,
     gradcheck_case,
     loss_via_public_ops,
     lstm_step,
+    make_boxes,
     param_count,
     random_window_and_targets,
 )
 
 from boxcast import model
-from boxcast.data import Box
 from boxcast.errors import ConfigError, DataError, NumericError, ShapeError
 from boxcast.model import (
     LOSS_MODES,
@@ -51,48 +51,42 @@ from boxcast.training import load_model, param_count_for, save_model
 TINY = ModelDims(k=4, p=3, hidden=8, latent=6)
 
 
-def boxes_from(rows, start_frame=0):
-    return [Box(cx=r[0], cy=r[1], w=r[2], h=r[3], frame=start_frame + i)
-            for i, r in enumerate(rows)]
-
-
 class TestBuildFeatures:
     def test_two_box_example(self):
-        window = build_features(boxes_from([(0, 0, 2, 2), (1, 2, 2, 2)]))
+        window = build_features(make_boxes([(0, 0, 2, 2), (1, 2, 2, 2)]))
         np.testing.assert_array_equal(
             window,
             [[0, 0, 2, 2, 0, 0, 0, 0], [1, 2, 2, 2, 1, 2, 0, 0]])
 
     def test_stationary_box_has_zero_deltas(self):
-        window = build_features(boxes_from([(5, 6, 2, 3)] * 7))
+        window = build_features(make_boxes([(5, 6, 2, 3)] * 7))
         assert np.all(window[:, 4:] == 0)
         assert np.all(window[:, :4] == [5, 6, 2, 3])
 
     def test_delta_columns_match_independent_differencing(self):
         rng = np.random.default_rng(0)
         rows = np.abs(rng.normal(50, 10, size=(30, 4))) + 1.0
-        window = build_features(boxes_from(rows.tolist()))
+        window = build_features(make_boxes(rows))
         for i in range(30):
             for j in range(4):
                 expected = 0.0 if i == 0 else rows[i][j] - rows[i - 1][j]
                 assert window[i, 4 + j] == expected
 
     def test_predecessor_fills_first_delta_row(self):
-        pred = Box(cx=0.0, cy=0.0, w=2.0, h=2.0, frame=9)
+        pred = make_boxes([(0.0, 0.0, 2.0, 2.0)], first_frame=9)[0]
         window = build_features(
-            boxes_from([(1, 2, 2, 2), (2, 4, 2, 2)], start_frame=10),
+            make_boxes([(1, 2, 2, 2), (2, 4, 2, 2)], first_frame=10),
             predecessor=pred)
         np.testing.assert_array_equal(window[0], [1, 2, 2, 2, 1, 2, 0, 0])
 
     def test_wrong_predecessor_frame_raises(self):
-        pred = Box(cx=0.0, cy=0.0, w=2.0, h=2.0, frame=5)
+        pred = make_boxes([(0.0, 0.0, 2.0, 2.0)], first_frame=5)[0]
         with pytest.raises(DataError):
-            build_features(boxes_from([(1, 2, 2, 2)], start_frame=10),
+            build_features(make_boxes([(1, 2, 2, 2)], first_frame=10),
                            predecessor=pred)
 
     def test_frame_gap_raises(self):
-        boxes = boxes_from([(0, 0, 2, 2), (1, 1, 2, 2)])
-        boxes[1] = Box(cx=1.0, cy=1.0, w=2.0, h=2.0, frame=2)
+        boxes = make_boxes([(0, 0, 2, 2)]) + make_boxes([(1, 1, 2, 2)], 2)
         with pytest.raises(DataError, match="consecutive"):
             build_features(boxes)
 
@@ -121,7 +115,7 @@ class TestReconstructionTarget:
             reconstruction_target(reconstruction_target(window)), window)
 
     def test_stationary_window_is_a_fixed_point(self):
-        window = build_features(boxes_from([(5, 6, 2, 3)] * 4))
+        window = build_features(make_boxes([(5, 6, 2, 3)] * 4))
         np.testing.assert_array_equal(reconstruction_target(window), window)
 
 
@@ -331,7 +325,7 @@ class TestForwardTrainAndPredict:
         params = init_params(TINY, seed=18)
         rng = np.random.default_rng(18)
         rows = np.abs(rng.normal(100, 10, size=(4, 4))) + 1.0
-        boxes = boxes_from(rows.tolist())
+        boxes = make_boxes(rows)
         _, from_train = forward_train(params, build_features(boxes))
         np.testing.assert_array_equal(predict(params, boxes), from_train)
 
@@ -339,7 +333,7 @@ class TestForwardTrainAndPredict:
         params = init_params(TINY, seed=19)
         params.fc_delta.w[...] = 0.0
         params.fc_delta.b[...] = [1.0, 0.0, 0.0, 0.0]
-        boxes = boxes_from([(97.0, 50.0, 10.0, 20.0)] * 3
+        boxes = make_boxes([(97.0, 50.0, 10.0, 20.0)] * 3
                            + [(100.0, 50.0, 10.0, 20.0)])
         out = predict(params, boxes)
         np.testing.assert_array_equal(out, [[101, 50, 10, 20],
@@ -349,7 +343,7 @@ class TestForwardTrainAndPredict:
     def test_wrong_history_length_raises(self):
         params = init_params(TINY, seed=20)
         with pytest.raises(DataError, match="k=4"):
-            predict(params, boxes_from([(1, 1, 2, 2)] * 3))
+            predict(params, make_boxes([(1, 1, 2, 2)] * 3))
 
     def test_single_precision_inference_path(self):
         params = init_params(TINY, seed=21).astype(np.float32)
@@ -398,7 +392,7 @@ class TestTracedStepNames:
 
     def test_predict_runs_k_encoder_and_p_decoder_steps(self, calls, steps):
         params = init_params(TINY, seed=30)
-        predict(params, boxes_from([(10.0 + i, 20.0, 5.0, 8.0)
+        predict(params, make_boxes([(10.0 + i, 20.0, 5.0, 8.0)
                                     for i in range(TINY.k)]))
         assert calls == {"lstm_cell_forward": TINY.k,
                          "_lstm_cell_from_preact": TINY.p}
@@ -455,7 +449,7 @@ class TestInferenceDtypeFlow:
         params = init_params(TINY, seed=seed).astype(np.float32)
         rng = np.random.default_rng(seed)
         rows = np.abs(rng.normal(100, 10, size=(TINY.k + 1, 4))) + 1.0
-        boxes = boxes_from(rows.tolist())
+        boxes = make_boxes(rows)
         return params, boxes[1:], boxes[0]
 
     def test_encode_runs_in_the_params_dtype(self):
@@ -900,12 +894,11 @@ class TestLossAndGrads:
         _, _, grads = loss_and_grads(params, window, targets, weights)
         tensors = params.tensors()
         for name, tensor in tensors.items():
-            flat = np.arange(tensor.size)
-            numeric = fd_grad_at(
-                lambda: loss_via_public_ops(params, window, targets, weights),
-                tensor, flat)
+            numeric = fd_grad(
+                lambda _: loss_via_public_ops(params, window, targets,
+                                              weights), tensor)
             np.testing.assert_allclose(
-                grads[name].reshape(-1), numeric, rtol=1e-4, atol=1e-8,
+                grads[name], numeric, rtol=1e-4, atol=1e-8,
                 err_msg=f"tensor {name}, mode {mode}")
 
     @pytest.mark.parametrize("carry", [True, False])
@@ -985,9 +978,8 @@ class TestLossAndGrads:
         params, window, targets = gradcheck_case(9, carry_cell_state=False)
         weights = LossWeights(mode=MODE_TRAJ)
         _, _, grads = loss_and_grads(params, window, targets, weights)
-        flat = np.arange(params.enc.wx.size)
-        numeric = fd_grad_at(
-            lambda: loss_via_public_ops(params, window, targets, weights),
-            params.enc.wx, flat)
-        np.testing.assert_allclose(grads["enc.wx"].reshape(-1), numeric,
+        numeric = fd_grad(
+            lambda _: loss_via_public_ops(params, window, targets, weights),
+            params.enc.wx)
+        np.testing.assert_allclose(grads["enc.wx"], numeric,
                                    rtol=1e-4, atol=1e-8)

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import lstm_step, sigmoid
+from helpers import fd_grad, lstm_step, sigmoid
 
 from boxcast.errors import NumericError, ShapeError
 from boxcast.nn import (
@@ -20,7 +20,6 @@ from boxcast.nn import (
     TILE_MAX_NH,
     _lstm_cell_from_preact,
     adam_step,
-    finite_diff_grad,
     l1_loss,
     linear_backward,
     linear_forward,
@@ -109,7 +108,7 @@ class TestSigmoidRelu:
         def f(v):
             return float(np.sum(relu(v) * w))
 
-        numeric = finite_diff_grad(f, x)
+        numeric = fd_grad(f, x)
         analytic = w * (x > 0)
         assert_close_to_fd(analytic, numeric)
 
@@ -254,11 +253,11 @@ class TestLstmCell:
                 return with_inputs(LstmCellParams(**{**p.__dict__, name: v}),
                                    s.h, s.c)
 
-            assert_close_to_fd(grad, finite_diff_grad(f, getattr(p, name)))
+            assert_close_to_fd(grad, fd_grad(f, getattr(p, name)))
 
-        assert_close_to_fd(dh_prev, finite_diff_grad(
+        assert_close_to_fd(dh_prev, fd_grad(
             lambda v: with_inputs(p, v, s.c), s.h))
-        assert_close_to_fd(dc_prev, finite_diff_grad(
+        assert_close_to_fd(dc_prev, fd_grad(
             lambda v: with_inputs(p, s.h, v), s.c))
 
     def test_batched_backward_sums_parameter_grads(self):
@@ -380,9 +379,9 @@ class TestLinear:
         def obj(w, b, xx):
             return float(np.sum(linear_forward(w, b, xx) * dy))
 
-        assert_close_to_fd(dw, finite_diff_grad(lambda v: obj(v, p.b, x), p.w))
-        assert_close_to_fd(db, finite_diff_grad(lambda v: obj(p.w, v, x), p.b))
-        assert_close_to_fd(dx, finite_diff_grad(lambda v: obj(p.w, p.b, v), x))
+        assert_close_to_fd(dw, fd_grad(lambda v: obj(v, p.b, x), p.w))
+        assert_close_to_fd(db, fd_grad(lambda v: obj(p.w, v, x), p.b))
+        assert_close_to_fd(dx, fd_grad(lambda v: obj(p.w, p.b, v), x))
 
     def test_bad_bias_shape_raises(self):
         rng = np.random.default_rng(9)
@@ -411,7 +410,7 @@ class TestL1Loss:
         pred = target + np.where(rng.normal(size=8) > 0, 1.0, -1.0) \
             * rng.uniform(0.5, 2.0, size=8)
         loss, grad = l1_loss(pred, target)
-        numeric = finite_diff_grad(lambda v: l1_loss(v, target)[0], pred)
+        numeric = fd_grad(lambda v: l1_loss(v, target)[0], pred)
         assert_close_to_fd(grad, numeric)
 
     def test_shape_mismatch_raises(self):
@@ -494,13 +493,27 @@ class TestFiniteDiff:
             return float(np.sum(a * x * x))
 
         x0 = np.array([1.0, 2.0, -3.0])
-        np.testing.assert_allclose(finite_diff_grad(f, x0, eps=1e-3),
+        np.testing.assert_allclose(fd_grad(f, x0, eps=1e-3),
                                    2 * a * x0, rtol=1e-9)
 
     def test_non_finite_objective_raises(self):
         with pytest.raises(NumericError):
-            finite_diff_grad(lambda x: float("nan"), np.zeros(2))
+            fd_grad(lambda x: float("nan"), np.zeros(2))
 
     def test_bad_eps_raises(self):
         with pytest.raises(ShapeError):
-            finite_diff_grad(lambda x: 0.0, np.zeros(2), eps=0.0)
+            fd_grad(lambda x: 0.0, np.zeros(2), eps=0.0)
+
+    def test_flat_indices_select_entries_and_every_probe_is_restored(self):
+        a = np.arange(6.0).reshape(2, 3) - 2.5
+        x = np.random.default_rng(12).normal(size=(2, 3))
+        before = x.copy()
+
+        def f(v):
+            return float(np.sum(a * v * v))
+
+        full = fd_grad(f, x, eps=1e-3)
+        assert full.shape == x.shape
+        np.testing.assert_array_equal(fd_grad(f, x, [4, 1], eps=1e-3),
+                                      full.reshape(-1)[[4, 1]])
+        assert x.tobytes() == before.tobytes()

@@ -12,15 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import param_count
+from helpers import make_boxes, param_count
 
 from boxcast import model, training
 from boxcast.data import (
     SYNTH_KINDS,
-    Box,
+    Boxes,
     MiniTrack,
     SynthSpec,
-    boxes_to_array,
     slice_minitracks,
     synth_tracks,
 )
@@ -112,9 +111,7 @@ class TestStacking:
             np.testing.assert_array_equal(
                 windows[j],
                 build_features(mt.boxes[:6], predecessor=mt.predecessor))
-            for s, b in enumerate(mt.boxes[6:]):
-                np.testing.assert_array_equal(targets[j, s],
-                                              [b.cx, b.cy, b.w, b.h])
+            np.testing.assert_array_equal(targets[j], mt.boxes.xywh[6:])
 
     def test_wrong_length_rejected(self):
         mts = small_minitracks(count=2)
@@ -141,27 +138,27 @@ def mixed_minitracks(seed, k, p, stride):
 
 def with_fault(mt, fault, k, at):
     """A copy of ``mt`` with one fault at window row ``at`` (< k)."""
-    boxes = list(mt.boxes)
+    xywh, frames = mt.boxes.xywh.copy(), mt.boxes.frames.copy()
     pred = mt.predecessor
     if fault == "gap":
-        at = max(at, 1)
-        boxes[at:] = [dataclasses.replace(b, frame=b.frame + 1)
-                      for b in boxes[at:]]
+        frames[max(at, 1):] += 1
     elif fault == "size":
-        boxes[at] = dataclasses.replace(boxes[at], h=-1.0)
+        xywh[at, 3] = -1.0
     elif fault == "pred-frame":
-        pred = dataclasses.replace(boxes[0], frame=boxes[0].frame - 2)
+        pred = Boxes(xywh[:1], frames[:1] - 2)
     elif fault == "pred-size":
-        pred = dataclasses.replace(pred or boxes[0], frame=boxes[0].frame - 1,
-                                   w=0.0)
+        row = (mt.boxes if pred is None else pred).xywh[:1].copy()
+        row[0, 2] = 0.0
+        pred = Boxes(row, frames[:1] - 1)
     else:  # "length"
-        boxes.pop()
-    return dataclasses.replace(mt, boxes=boxes, predecessor=pred)
+        xywh, frames = xywh[:-1], frames[:-1]
+    return dataclasses.replace(mt, boxes=Boxes(xywh, frames),
+                               predecessor=pred)
 
 
 class TestStackingEquivalence:
     """The one-pass stacked builder against per-mini-track `build_features`
-    and `boxes_to_array`, the reference it replaced."""
+    and per-mini-track target rows, the reference it replaced."""
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 1000), k=st.integers(1, 8),
@@ -173,7 +170,7 @@ class TestStackingEquivalence:
         windows, targets = stack_minitracks(mts, k, p)
         want_w = np.stack([build_features(mt.boxes[:k], mt.predecessor)
                            for mt in mts])
-        want_t = np.stack([boxes_to_array(mt.boxes[k:]) for mt in mts])
+        want_t = np.stack([mt.boxes[k:].xywh for mt in mts])
         assert windows.tobytes() == want_w.tobytes()
         assert targets.tobytes() == want_t.tobytes()
         assert windows.shape == want_w.shape
@@ -265,10 +262,8 @@ class TestTrain:
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_overflowing_loss_aborts_with_location(self):
-        boxes = [Box(cx=1e308, cy=0.0, w=2.0, h=2.0, frame=i)
-                 for i in range(6)]
-        boxes += [Box(cx=-1e308, cy=0.0, w=2.0, h=2.0, frame=6 + i)
-                  for i in range(4)]
+        boxes = make_boxes([(1e308, 0.0, 2.0, 2.0)] * 6
+                           + [(-1e308, 0.0, 2.0, 2.0)] * 4)
         mt = MiniTrack(video_id="v", track_id="t", start_frame=0,
                        boxes=boxes, predecessor=None)
         cfg = TrainConfig(loss_mode=MODE_TRAJ, seed=0, epochs=2, **SMALL)
@@ -277,8 +272,8 @@ class TestTrain:
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_non_finite_loss_skips_the_backward_pass(self, monkeypatch):
-        boxes = [Box(cx=1e308 if i < 6 else -1e308, cy=0.0, w=2.0, h=2.0,
-                     frame=i) for i in range(10)]
+        boxes = make_boxes([(1e308 if i < 6 else -1e308, 0.0, 2.0, 2.0)
+                            for i in range(10)])
         mt = MiniTrack(video_id="v", track_id="t", start_frame=0,
                        boxes=boxes, predecessor=None)
         cfg = TrainConfig(loss_mode=MODE_TRAJ, seed=0, epochs=1, **SMALL)
