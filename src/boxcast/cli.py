@@ -390,12 +390,10 @@ def _cmd_train(vals: dict[str, Any]) -> None:
         return
 
     split = split_folds(tracks, n_folds=vals["folds"], seed=cfg.seed)
-    by_key = {t.key: t for t in tracks}
     reports = []
     for fold in range(vals["folds"]):
         fold_dir = os.path.join(out, f"fold_{fold}")
-        train_tracks = [by_key[k] for k in sorted(split.train_keys(fold))]
-        test_tracks = [by_key[k] for k in sorted(split.test_keys(fold))]
+        train_tracks, test_tracks = split.partition(tracks, fold)
         print(f"fold {fold}: {len(train_tracks)} train / "
               f"{len(test_tracks)} test tracks")
         params, _ = run_one(train_tracks, fold_dir)

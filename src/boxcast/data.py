@@ -8,10 +8,12 @@ one detection per row, pixels as floats. A corner-format variant
 A track's boxes are a `Boxes`: a read-only (n, 4) float64 ``xywh`` array
 and an (n,) int64 ``frames`` array. Slices and single boxes (`Box`) are
 zero-copy views of those arrays, so parsing, mini-track slicing and
-stacking copy no box row by row. `parse_tracks` splits a plain file with
-`str.split`, converts each CSV column once and checks every row with
-vectorised tests: 25 520 rows take ~45 ms on one core of a 2-core Xeon
-VM, against ~52 ms for the csv-module reader it replaced.
+stacking copy no box row by row. `parse_tracks` has two readers. It
+splits a plain file with `str.split`, converts each CSV column once and
+checks every row with vectorised tests: 25 520 rows take ~45 ms on one
+core of a 2-core Xeon VM, against ~52 ms through the csv module. Any
+other file, or a plain one that fails a check, is read by the csv module
+one row at a time, which also names the first faulty line.
 """
 
 from __future__ import annotations
@@ -57,9 +59,10 @@ class Boxes:
     ``xywh`` is the (n, 4) float64 (cx, cy, w, h) rows and ``frames`` the
     (n,) int64 frame numbers. A slice is a zero-copy `Boxes` view and an
     int index (negative ones too) a zero-copy one-row `Box` view; ``+``
-    concatenates and ``==`` compares values. The arrays given are viewed,
-    not copied. Nothing about the boxes is checked here: frames need not be
-    consecutive nor sizes positive.
+    concatenates and ``==`` compares values. A `Boxes` is not iterable, so
+    numpy never unpacks one box by box: pass its arrays. The arrays given
+    are viewed, not copied. Nothing about the boxes is checked here:
+    frames need not be consecutive nor sizes positive.
     """
 
     __slots__ = ("xywh", "frames")
@@ -102,6 +105,7 @@ class Boxes:
                     and np.array_equal(self.frames, other.frames))
 
     __hash__ = None
+    __iter__ = None
 
     def __repr__(self) -> str:
         return f"Boxes(xywh={self.xywh!r}, frames={self.frames!r})"
@@ -173,17 +177,15 @@ def parse_tracks(path, fmt: CsvFormat = CsvFormat()) -> list[Track]:
     int64, a non-finite or non-positive box, or a frame repeated within a
     track (the line of the later row).
 
-    A plain file (no quote, no NUL, LF or CRLF line ends, seven fields on
-    every line but blank ones) is tokenized with `str.split`; any other
-    text by the csv module. Either way each column is converted once,
-    over the whole file, and checked as a whole; only when a check fails
-    is the file read again row by row to find the faulty line.
+    There are two readers. A plain file (no quote, no NUL, LF or CRLF
+    line ends, seven fields on every line but blank ones) is split with
+    `str.split`, and each column is converted once, over the whole file,
+    and checked as a whole. Any other text, and a plain file that fails a
+    check, is read by the csv module one record at a time, which converts
+    and checks each row and names the first faulty line.
     """
     text = _read_utf8(path)
-    columns = _columns(text, fmt)
-    if columns is None:
-        raise _first_row_error(text, fmt)
-    keys, frames, xywh = columns
+    keys, frames, xywh = _columns(text, fmt) or _rows(text, fmt)
     if not keys:
         return []
     key_ids = {key: j for j, key in enumerate(dict.fromkeys(keys))}
@@ -220,13 +222,14 @@ def parse_tracks(path, fmt: CsvFormat = CsvFormat()) -> list[Track]:
 
 
 def _columns(text: str, fmt: CsvFormat):
-    """(keys, frames, xywh) of the data rows of ``text``: the stripped
-    (video_id, track_id) of each row, its int64 frame, and its (n, 4)
-    (cx, cy, w, h) box. None when any record is faulty; the same checks,
-    made row by row, are `_first_row_error`'s."""
-    fields = _fields(text, fmt)
-    if fields is None:
+    """(keys, frames, xywh) of the data rows of a plain ``text``: the
+    stripped (video_id, track_id) of each row, its int64 frame, and its
+    (n, 4) (cx, cy, w, h) box. None when the text is not plain or any
+    record is faulty; `_rows` then reads it, making the same checks."""
+    fields = _plain_fields(text)
+    if fields is None or _header_error(fields[:7], fmt):
         return None
+    del fields[:7]
     try:
         frames = np.array(list(map(int, fields[2::7])), dtype=np.int64)
         vals = np.array([list(map(float, fields[i::7])) for i in range(3, 7)])
@@ -244,33 +247,6 @@ def _columns(text: str, fmt: CsvFormat):
     return keys, frames, vals.T
 
 
-def _fields(text: str, fmt: CsvFormat) -> list[str] | None:
-    """The fields of the data rows of ``text``, seven a row in file order,
-    blank records dropped; None when the header or a record is faulty."""
-    fields = _plain_fields(text)
-    if fields is not None:
-        if _header_error(fields[:7], fmt):
-            return None
-        del fields[:7]
-        return fields
-    # each row is freed once flattened, so the garbage collector never
-    # walks a file's worth of row lists
-    fields = []
-    try:
-        records = _records(text)
-        first = next(records, None)
-        if first is not None and _header_error(first[1], fmt):
-            return None
-        for _, row in records:
-            if len(row) == 7:
-                fields += row
-            elif not _blank(row):
-                return None
-    except ParseError:
-        return None
-    return fields
-
-
 def _plain_fields(text: str) -> list[str] | None:
     """The fields of every line of ``text`` that is not blank, seven a
     line, split at commas and line feeds; None unless the text is plain.
@@ -281,8 +257,8 @@ def _plain_fields(text: str) -> list[str] | None:
     fields on every line but blank data lines. The csv module splits such
     a line at its commas alone, so both give the same fields, except that
     a CRLF line's last field keeps its CR: whitespace that the header
-    check and `float` strip. Blank data lines are dropped, as the csv
-    path drops blank records.
+    check and `float` strip. Blank data lines are dropped, as `_rows`
+    drops blank records.
     """
     if '"' in text or "\0" in text or text.count("\r") != text.count("\r\n"):
         return None
@@ -325,39 +301,43 @@ def _data_line(text: str, j: int) -> int:
     return next(islice(lines, j, None))
 
 
-def _first_row_error(text: str, fmt: CsvFormat) -> ParseError:
-    """The ParseError of the first faulty record of ``text`` in file order,
-    checked one row at a time: the header, then each row's column count,
-    numbers, frame range, and finite, positive box. A CSV syntax error is
-    raised here, at the line where it is met."""
+def _rows(text: str, fmt: CsvFormat):
+    """`_columns` of any ``text``, read by the csv module one record at a
+    time; blank records are dropped. Raises the ParseError of the first
+    faulty record in file order: the header, then each row's CSV syntax,
+    column count, numbers, frame range, and finite, positive box."""
     records = _records(text)
     first = next(records, None)
     err = first and _header_error(first[1], fmt)
     if err:
-        return err
+        raise err
+    keys, frames, vals = [], [], []
     for line, row in records:
-        if _blank(row):
-            continue
         if len(row) != 7:
-            return ParseError(f"expected 7 columns, got {len(row)}", line=line)
+            if _blank(row):
+                continue
+            raise ParseError(f"expected 7 columns, got {len(row)}", line=line)
         try:
             frame = int(row[2])
-            vals = [float(v) for v in row[3:7]]
+            box = list(map(float, row[3:7]))
         except ValueError as e:
-            return ParseError(f"bad numeric field: {e}", line=line)
+            raise ParseError(f"bad numeric field: {e}", line=line) from None
         if not -2**63 <= frame < 2**63:
-            return ParseError(f"frame {frame} is outside the int64 range",
-                              line=line)
+            raise ParseError(f"frame {frame} is outside the int64 range",
+                             line=line)
         if fmt.corner_format:
-            x1, y1, x2, y2 = vals
-            vals = [(x1 + x2) / 2.0, (y1 + y2) / 2.0, x2 - x1, y2 - y1]
-        w, h = vals[2:]
-        if not all(math.isfinite(v) for v in vals):
-            return ParseError("non-finite box fields", line=line)
+            x1, y1, x2, y2 = box
+            box = [(x1 + x2) / 2.0, (y1 + y2) / 2.0, x2 - x1, y2 - y1]
+        w, h = box[2:]
+        if not all(map(math.isfinite, box)):
+            raise ParseError("non-finite box fields", line=line)
         if w <= 0 or h <= 0:
-            return ParseError(f"non-positive box size w={w}, h={h}",
-                              line=line)
-    raise AssertionError("a column check failed that no row check repeats")
+            raise ParseError(f"non-positive box size w={w}, h={h}", line=line)
+        keys.append((row[0].strip(), row[1].strip()))
+        frames.append(frame)
+        vals += box
+    return (keys, np.array(frames, dtype=np.int64),
+            np.array(vals, dtype=np.float64).reshape(-1, 4))
 
 
 def _records(text: str):
@@ -452,6 +432,14 @@ class FoldSplit:
             if i != fold:
                 keys.update(f)
         return keys
+
+    def partition(self, tracks, fold: int) -> tuple[list[Track], list[Track]]:
+        """(train, test): the tracks of the other folds and those of
+        ``fold``, each sorted by key, so the split alone fixes the order
+        a fold's model is trained on."""
+        by_key = {t.key: t for t in tracks}
+        return ([by_key[k] for k in sorted(self.train_keys(fold))],
+                [by_key[k] for k in sorted(self.test_keys(fold))])
 
 
 def split_folds(tracks, n_folds: int = 3, seed: int = 0) -> FoldSplit:

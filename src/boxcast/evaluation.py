@@ -212,7 +212,10 @@ def baseline_predict(kind: str, past_boxes, steps: int) -> np.ndarray:
             f"unknown baseline {kind!r}; pick one of {BASELINE_KINDS}")
     if steps < 1:
         raise ConfigError(f"steps must be >= 1, got {steps}")
-    arr = np.asarray(past_boxes)
+    try:
+        arr = np.asarray(past_boxes)
+    except TypeError as e:  # e.g. a `Boxes`, which is not iterable
+        raise ShapeError(f"past boxes are not an array: {e}") from None
     if arr.ndim < 2 or arr.shape[-1] != 4:
         raise ShapeError(f"past boxes have shape {arr.shape}, expected "
                          f"(..., n, 4)")

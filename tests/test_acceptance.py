@@ -439,8 +439,10 @@ def test_09_external_tracks_three_fold_protocol(capsys):
     """Runs only when BOXCAST_EVAL_TRACKS points at a tracking CSV (or a
     directory of them): full 3-fold cross-validation at the default
     protocol, mean-of-folds ADE/FDE compared to the reference values
-    21.61/44.77 within +-10%. Skipped otherwise: the protocol needs a real
-    multi-thousand-track dataset, which this repository does not ship."""
+    21.61/44.77 within +-10%. Each fold splits its tracks with
+    `FoldSplit.partition`, as `train --folds` does. Skipped otherwise: the
+    protocol needs a real multi-thousand-track dataset, which this
+    repository does not ship."""
     source = os.environ.get("BOXCAST_EVAL_TRACKS", "")
     if not source:
         _report(capsys, 9, "SKIP",
@@ -458,9 +460,7 @@ def test_09_external_tracks_three_fold_protocol(capsys):
     split = split_folds(tracks, n_folds=3, seed=0)
     reports = []
     for fold in range(3):
-        train_keys = split.train_keys(fold)
-        train_tracks = [t for t in tracks if t.key in train_keys]
-        test_tracks = [t for t in tracks if t.key not in train_keys]
+        train_tracks, test_tracks = split.partition(tracks, fold)
         params, _ = train(TrainConfig(),
                           slice_all_minitracks(train_tracks, 90, 30))
         reports.append(

@@ -20,7 +20,14 @@ from helpers import track_csvs
 
 from boxcast import cli, training
 from boxcast.cli import _command_opts, main
-from boxcast.data import SYNTH_KINDS, parse_tracks, write_tracks
+from boxcast.data import (
+    SYNTH_KINDS,
+    Track,
+    parse_tracks,
+    slice_all_minitracks,
+    split_folds,
+    write_tracks,
+)
 from boxcast.evaluation import (
     BASELINE_KINDS,
     FORECAST_CHUNK,
@@ -124,6 +131,33 @@ class TestTrain:
         assert summary[-1][0] == "mean"
         fold_ades = [float(r[1]) for r in summary[1:4]]
         assert float(summary[-1][1]) == pytest.approx(np.mean(fold_ades))
+
+    def test_no_mini_tracks_exits_three(self, tmp_path, capsys):
+        data = synth_file(tmp_path, length=5)
+        out = tmp_path / "run"
+        assert main(["train", "--data", str(data), "--out", str(out),
+                     *TINY_TRAIN]) == 3
+        assert capsys.readouterr().err == (
+            "data error: no mini-tracks of length 6 in the training split\n")
+        assert not (out / "model.bxw").exists()
+
+    def test_a_fold_without_test_mini_tracks_exits_three(self, tmp_path,
+                                                         capsys):
+        """Fold 0 trains, then finds its test tracks too short to slice."""
+        tracks = parse_tracks(synth_file(tmp_path, count=4))
+        short = split_folds(tracks, n_folds=2, seed=0).test_keys(0)
+        data = tmp_path / "cut.csv"
+        write_tracks([Track(t.video_id, t.track_id,
+                            t.boxes[:5] if t.key in short else t.boxes)
+                      for t in tracks], data)
+        out = tmp_path / "cv"
+        assert main(["train", "--data", str(data), "--out", str(out),
+                     "--folds", "2", "--seed", "0", *TINY_TRAIN]) == 3
+        assert capsys.readouterr().err == (
+            "data error: fold 0 has no test mini-tracks of length 6\n")
+        assert (out / "fold_0" / "model.bxw").exists()
+        assert not (out / "fold_1").exists()
+        assert not (out / "cv_summary.csv").exists()
 
     def test_rerun_from_the_echo_reproduces_the_weights(self, tmp_path):
         data = synth_file(tmp_path)
@@ -307,6 +341,21 @@ class TestBench:
                             f"1..{ceiling} (4 x the CPU count), got {value!r}")
         assert not out.exists()
 
+    def test_weights_file_sets_the_benchmarked_model(self, tmp_path):
+        weights = tmp_path / "w.bxw"
+        save_model(init_params(ModelDims(k=4, p=3, hidden=8, latent=4),
+                               seed=1), weights)
+        out = tmp_path / "bench"
+        assert main(["bench", "--out", str(out), "--weights", str(weights),
+                     "--duration", "0.05", "--n-windows", "4"]) == 0
+        [header, row] = read_csv(out / "bench.csv")
+        dims = dict(zip(header, row))
+        assert [dims[k] for k in ("threads", "k", "p", "hidden", "latent",
+                                  "dtype")] == ["1", "4", "3", "8", "4",
+                                                "float32"]
+        assert float(dims["trajectories_per_second"]) > 0.0
+        assert f"weights = {weights}" in (out / "config.txt").read_text()
+
     def test_thread_ceiling_itself_is_accepted(self):
         ceiling = 4 * (os.cpu_count() or 1)
         threads = {o.key: o for o in _command_opts("bench")}["threads"]
@@ -328,7 +377,6 @@ class TestAblate:
 
         cfg = TrainConfig(k=3, p=3, hidden=8, latent=4, batch_size=4,
                           epochs=1)
-        from boxcast.data import slice_all_minitracks
         mts = slice_all_minitracks(parse_tracks(data), 6, 6)
         expected = ablation_run(mts, cfg, horizons=(2, 3))
         for row, exp in zip(rows[1:], expected):
@@ -336,6 +384,50 @@ class TestAblate:
             assert int(row[1]) == exp["horizon"]
             assert float(row[2]) == exp["ade"]
             assert float(row[3]) == exp["fde"]
+
+    def test_modes_and_eval_data_match_the_library_run(self, tmp_path):
+        """``--modes`` picks the loss modes and ``--eval-data`` scores a
+        held-out file instead of the training data."""
+        data = synth_file(tmp_path, count=4, length=6)
+        held_out = synth_file(tmp_path, name="held_out.csv", count=3,
+                              length=8, seed=4)
+        out = tmp_path / "ablation"
+        assert main(["ablate", "--data", str(data), "--out", str(out),
+                     "--eval-data", str(held_out),
+                     "--modes", "traj, traj+auto-enc", "--k", "3",
+                     "--p", "3", "--hidden", "8", "--latent", "4",
+                     "--batch-size", "4", "--epochs", "1", "--stride", "2",
+                     "--horizons", "3"]) == 0
+        rows = read_csv(out / "ablation.csv")[1:]
+        config = (out / "config.txt").read_text()
+        assert "modes = traj,traj+auto-enc" in config
+        assert f"eval_data = {held_out}" in config
+
+        cfg = TrainConfig(k=3, p=3, hidden=8, latent=4, batch_size=4,
+                          epochs=1)
+        expected = ablation_run(
+            slice_all_minitracks(parse_tracks(data), 6, 2), cfg,
+            modes=("traj", "traj+auto-enc"), horizons=(3,),
+            eval_minitracks=slice_all_minitracks(parse_tracks(held_out), 6,
+                                                 2))
+        assert rows == [[e["mode"], str(e["horizon"]), repr(e["ade"]),
+                         repr(e["fde"])] for e in expected]
+        on_training_data = ablation_run(
+            slice_all_minitracks(parse_tracks(data), 6, 2), cfg,
+            modes=("traj",), horizons=(3,))
+        assert float(rows[0][2]) != on_training_data[0]["ade"]
+
+    def test_eval_data_without_mini_tracks_exits_three(self, tmp_path,
+                                                       capsys):
+        data = synth_file(tmp_path, count=4, length=6)
+        held_out = synth_file(tmp_path, name="held_out.csv", length=5)
+        out = tmp_path / "ablation"
+        assert main(["ablate", "--data", str(data), "--out", str(out),
+                     "--eval-data", str(held_out), "--k", "3", "--p", "3",
+                     "--hidden", "8", "--latent", "4", "--epochs", "1"]) == 3
+        assert capsys.readouterr().err == (
+            f"data error: no mini-tracks of length 6 in {held_out}\n")
+        assert not out.exists()
 
 
 class TestConfigFilesAndExitCodes:

@@ -113,6 +113,15 @@ class TestBoxes:
         assert boxes[0] != boxes[1]
         assert boxes.__eq__(boxes.xywh) is NotImplemented
 
+    def test_boxes_are_not_iterable(self):
+        # numpy would otherwise unpack a Boxes box by box, each box again,
+        # until it hits its 64-dimension limit
+        boxes = Boxes(np.ones((3, 4)), range(3))
+        with pytest.raises(TypeError):
+            iter(boxes)
+        with pytest.raises(TypeError):
+            np.asarray(boxes)
+
     def test_shapes_are_checked(self):
         with pytest.raises(ShapeError):
             Boxes(np.zeros((3, 3)), np.arange(3))
@@ -451,12 +460,14 @@ class TestParseMatchesTheRowByRowReference:
 
 
 class TestParseMemory:
-    """`parse_tracks`' tracemalloc peak per input byte on each tokenizer
-    path, on a ~1 MB `write_tracks` file (four synthetic kinds, 12 tracks
-    of 200 frames each, 9600 rows); the quoted file differs by one quoted
-    id, which sends it down the csv path. Measured at 7.43 (plain) and
-    9.79 (csv) bytes per input byte with CPython 3.11 and numpy 2.4; each
-    bound is 1.25x its figure."""
+    """`parse_tracks`' tracemalloc peak per input byte on each reader, on
+    a ~1 MB `write_tracks` file (four synthetic kinds, 12 tracks of 200
+    frames each, 9600 rows); the quoted file differs by one quoted id,
+    which sends it to the csv module's row reader. Measured at 7.43
+    (plain) and 8.03 (csv) bytes per input byte with CPython 3.11 and
+    numpy 2.4. Each bound is 1.25x the figure first measured on its path:
+    7.43, and 9.79 for the csv path when it still converted whole
+    columns."""
 
     BOUND = {"plain": 1.25 * 7.43, "csv": 1.25 * 9.79}
 
@@ -550,6 +561,15 @@ class TestFolds:
             union |= test
             assert split.train_keys(f) == {t.key for t in tracks} - test
         assert union == {t.key for t in tracks}
+
+    def test_partition_sorts_each_side_by_key(self):
+        tracks = [make_track(5, track_id=f"t{i}") for i in (3, 0, 2, 1, 4)]
+        split = split_folds(tracks, n_folds=2, seed=0)
+        for f in range(2):
+            train, test = split.partition(tracks, f)
+            assert [t.key for t in train] == sorted(split.train_keys(f))
+            assert [t.key for t in test] == sorted(split.test_keys(f))
+            assert all(any(t is u for u in tracks) for t in train + test)
 
     def test_same_seed_same_split(self):
         tracks = [make_track(5, track_id=f"t{i}") for i in range(12)]

@@ -11,6 +11,7 @@ import pytest
 from boxcast import evaluation
 from boxcast.data import (
     SYNTH_KINDS,
+    Boxes,
     SynthSpec,
     slice_all_minitracks,
     slice_minitracks,
@@ -216,6 +217,13 @@ class TestBaselines:
             baseline_predict("stationary", boxes[0], steps=2)
         assert set(BASELINE_KINDS) == {"constant-velocity",
                                        "constant-acceleration", "stationary"}
+
+    @pytest.mark.parametrize("kind", BASELINE_KINDS)
+    def test_a_boxes_is_refused_for_its_rows(self, kind):
+        boxes = Boxes(np.tile([0.0, 0.0, 2.0, 2.0], (3, 1)), range(3))
+        with pytest.raises(ShapeError, match="not an array"):
+            baseline_predict(kind, boxes, steps=2)
+        assert baseline_predict(kind, boxes.xywh, steps=2).shape == (2, 4)
 
     @pytest.mark.parametrize("k,p", [(5, -3), (-2, 5), (0, 5), (5, 0),
                                      (2.5, 5)])
