@@ -331,6 +331,30 @@ def _load_tracks(vals: dict[str, Any]):
     return tracks
 
 
+def _minitracks(tracks, window: int, stride: int, where: str):
+    """The mini-tracks of ``tracks``; none is a DataError naming ``where``."""
+    mts = slice_all_minitracks(tracks, window, stride)
+    if not mts:
+        raise DataError(f"no mini-tracks of length {window} in {where}")
+    return mts
+
+
+def _out_dir(vals: dict[str, Any], command: str) -> str:
+    """Make the run's output directory and echo the merged configuration
+    into its ``config.txt``; returns the directory."""
+    out = vals["out"]
+    os.makedirs(out, exist_ok=True)
+    _write_echo(os.path.join(out, "config.txt"), command, vals,
+                _command_opts(command))
+    return out
+
+
+def _of(cls, vals: dict[str, Any]):
+    """A ``cls`` dataclass from the option values that name its fields."""
+    keys = {f.name for f in fields(cls)}
+    return cls(**{k: v for k, v in vals.items() if k in keys})
+
+
 def _write_rows(path, header: list[str], rows) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -343,9 +367,7 @@ def _write_rows(path, header: list[str], rows) -> None:
 
 
 def _cmd_synth(vals: dict[str, Any]) -> None:
-    spec_fields = {f.name for f in fields(SynthSpec)}
-    spec = SynthSpec(**{k: v for k, v in vals.items() if k in spec_fields})
-    tracks = synth_tracks(spec, vals["count"])
+    tracks = synth_tracks(_of(SynthSpec, vals), vals["count"])
     write_tracks(tracks, vals["out"])
     _write_echo(vals["out"] + ".meta.txt", "synth", vals, _synth_opts())
     boxes = sum(len(t) for t in tracks)
@@ -353,8 +375,7 @@ def _cmd_synth(vals: dict[str, Any]) -> None:
 
 
 def _train_config(vals: dict[str, Any]) -> TrainConfig:
-    keys = {f.name for f in fields(TrainConfig)}
-    cfg = TrainConfig(**{k: v for k, v in vals.items() if k in keys})
+    cfg = _of(TrainConfig, vals)
     cfg.validate()
     return cfg
 
@@ -362,17 +383,12 @@ def _train_config(vals: dict[str, Any]) -> TrainConfig:
 def _cmd_train(vals: dict[str, Any]) -> None:
     cfg = _train_config(vals)
     tracks = _load_tracks(vals)
-    out = vals["out"]
-    os.makedirs(out, exist_ok=True)
-    _write_echo(os.path.join(out, "config.txt"), "train", vals,
-                _command_opts("train"))
+    out = _out_dir(vals, "train")
     window = cfg.k + cfg.p
 
     def run_one(run_tracks, run_dir: str):
-        mts = slice_all_minitracks(run_tracks, window, vals["stride"])
-        if not mts:
-            raise DataError(
-                f"no mini-tracks of length {window} in the training split")
+        mts = _minitracks(run_tracks, window, vals["stride"],
+                          "the training split")
         os.makedirs(run_dir, exist_ok=True)
         params, history = train(
             cfg, mts,
@@ -381,7 +397,7 @@ def _cmd_train(vals: dict[str, Any]) -> None:
                 f"({s.seconds:.2f}s)"))
         save_model(params, os.path.join(run_dir, "model.bxw"))
         write_history(history, os.path.join(run_dir, "history.csv"))
-        return params, mts
+        return params
 
     if vals["folds"] == 0:
         print(f"training on {len(tracks)} tracks")
@@ -396,7 +412,7 @@ def _cmd_train(vals: dict[str, Any]) -> None:
         train_tracks, test_tracks = split.partition(tracks, fold)
         print(f"fold {fold}: {len(train_tracks)} train / "
               f"{len(test_tracks)} test tracks")
-        params, _ = run_one(train_tracks, fold_dir)
+        params = run_one(train_tracks, fold_dir)
         test_mts = slice_all_minitracks(test_tracks, window, vals["stride"])
         if not test_mts:
             raise DataError(
@@ -458,20 +474,14 @@ def _cmd_eval(vals: dict[str, Any]) -> None:
     else:
         params, k, p = None, vals["k"], vals["p"]
         ModelDims(k=k, p=p).validate()  # before k + p sizes the slices
-    tracks = _load_tracks(vals)
-    mts = slice_all_minitracks(tracks, k + p, vals["stride"])
-    if not mts:
-        raise DataError(f"no mini-tracks of length {k + p} in {vals['data']}")
+    mts = _minitracks(_load_tracks(vals), k + p, vals["stride"], vals["data"])
     if baseline is not None:
         report = evaluate_baseline(baseline, mts, k, p)
         subject = f"baseline {baseline}"
     else:
         report = evaluate(params, mts)
         subject = f"model {vals['weights']}"
-    out = vals["out"]
-    os.makedirs(out, exist_ok=True)
-    _write_echo(os.path.join(out, "config.txt"), "eval", vals,
-                _command_opts("eval"))
+    out = _out_dir(vals, "eval")
     _write_rows(os.path.join(out, "metrics.csv"),
                 ["ade", "fde", "n_samples", "horizon_p", "input_k",
                  "nonpositive_size_count"],
@@ -487,13 +497,8 @@ def _cmd_bench(vals: dict[str, Any]) -> None:
     if vals["weights"] is not None:
         params, _meta = load_model(vals["weights"])
     else:
-        dims = ModelDims(k=vals["k"], p=vals["p"], hidden=vals["hidden"],
-                         latent=vals["latent"])
-        params = init_params(dims, seed=vals["seed"])
-    out = vals["out"]
-    os.makedirs(out, exist_ok=True)
-    _write_echo(os.path.join(out, "config.txt"), "bench", vals,
-                _command_opts("bench"))
+        params = init_params(_of(ModelDims, vals), seed=vals["seed"])
+    out = _out_dir(vals, "bench")
     rows = []
     for n in vals["threads"]:
         rep = benchmark_tps(params, threads=n, duration=vals["duration"],
@@ -512,26 +517,18 @@ def _cmd_bench(vals: dict[str, Any]) -> None:
 
 def _cmd_ablate(vals: dict[str, Any]) -> None:
     cfg = _train_config(vals)
-    tracks = _load_tracks(vals)
     window = cfg.k + cfg.p
-    mts = slice_all_minitracks(tracks, window, vals["stride"])
-    if not mts:
-        raise DataError(f"no mini-tracks of length {window} in {vals['data']}")
+    mts = _minitracks(_load_tracks(vals), window, vals["stride"],
+                      vals["data"])
     eval_mts = None
     if vals["eval_data"] is not None:
         fmt = CsvFormat(corner_format=vals["corner_format"])
-        eval_tracks = parse_tracks(vals["eval_data"], fmt)
-        eval_mts = slice_all_minitracks(eval_tracks, window, vals["stride"])
-        if not eval_mts:
-            raise DataError(
-                f"no mini-tracks of length {window} in {vals['eval_data']}")
+        eval_mts = _minitracks(parse_tracks(vals["eval_data"], fmt), window,
+                               vals["stride"], vals["eval_data"])
     rows = ablation_run(mts, cfg, modes=vals["modes"],
                         horizons=vals["horizons"], eval_minitracks=eval_mts,
                         retrain_per_horizon=vals["retrain_per_horizon"])
-    out = vals["out"]
-    os.makedirs(out, exist_ok=True)
-    _write_echo(os.path.join(out, "config.txt"), "ablate", vals,
-                _command_opts("ablate"))
+    out = _out_dir(vals, "ablate")
     _write_rows(os.path.join(out, "ablation.csv"),
                 ["mode", "horizon", "ade", "fde"],
                 [[r["mode"], r["horizon"], r["ade"], r["fde"]] for r in rows])

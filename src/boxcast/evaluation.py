@@ -8,16 +8,20 @@ enter them.
 Evaluation is array-first: `evaluate`, `evaluate_baseline` and
 `ablation_run` stack their N mini-tracks once with `stack_minitracks` (which
 refuses k or p below 1, an empty set, or a length other than k + p) into
-(N, k, 8) windows and (N, p, 4) targets. A model forecasts the windows
-through `forecast`, in chunks of `FORECAST_CHUNK` rows (CLI `predict` runs
-its stacked windows through it too), a baseline in one `baseline_predict`
-call, and `evaluate_predictions` scores the (N, p, 4) forecasts.
+(N, k, 8) windows and (N, p, 4) targets. `ablation_run` stacks its scored set
+once for both protocols and scores every horizon on a prefix of it. A model
+forecasts the windows through `forecast`, in chunks of `FORECAST_CHUNK` rows
+(CLI `predict` runs its stacked windows through it too), a baseline in one
+`baseline_predict` call, and `evaluate_predictions` scores the (N, p, 4)
+forecasts. The per-sample metrics `ade`, `fde` and `fde_at` are its N = 1
+case.
 
 Input-range policy: coordinates are accepted as long as they are finite, but
 a metric is never reported as inf or NaN. When forecasts from extreme inputs
 (such as centroids near +-1e308) overflow, `evaluate_predictions` raises
 NumericError, naming how many of the N samples went non-finite, instead of
-returning a non-finite ADE or FDE.
+returning a non-finite ADE or FDE. The policy covers `ade`, `fde` and
+`fde_at` too: a (p, 4) forecast holding NaN or inf raises NumericError.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from .model import (
     LOSS_MODES,
     ModelParams,
     build_features,
-    predict,  # noqa: F401  only perfbench's tracer reads evaluation.predict
+    predict,  # noqa: F401  read only by perfbench/tracing.py::targets
     predict_from_window,
 )
 from .training import stack_minitracks, train
@@ -86,38 +90,25 @@ class MetricReport:
     nonpositive_size_count: int = 0
 
 
-def _centroid_displacements(pred: np.ndarray, gt: np.ndarray,
-                            batched: bool = False) -> np.ndarray:
-    """Per-step centroid distances of (p, 4) boxes, or (N, p, 4) if batched."""
-    pred = np.asarray(pred, dtype=np.float64)
-    gt = np.asarray(gt, dtype=np.float64)
-    if pred.shape != gt.shape:
-        raise ShapeError(f"pred shape {pred.shape} != gt shape {gt.shape}")
-    ndim, layout = (3, "(N, p, 4)") if batched else (2, "(p, 4)")
-    if pred.ndim != ndim or pred.shape[-1] != 4 or pred.shape[-2] < 1:
-        raise ShapeError(f"expected {layout} box sequences, got {pred.shape}")
-    d = pred[..., :2] - gt[..., :2]
-    return np.hypot(d[..., 0], d[..., 1])
-
-
 def ade(pred, gt) -> float:
-    """Mean centroid Euclidean distance over all steps."""
-    return float(np.mean(_centroid_displacements(pred, gt)))
+    """Mean centroid Euclidean distance over all steps of (p, 4) boxes."""
+    return evaluate_predictions(np.asarray(pred)[None], np.asarray(gt)[None],
+                                input_k=0).ade
 
 
 def fde_at(pred, gt, t: int) -> float:
     """Centroid Euclidean distance at 1-based future step t."""
-    disp = _centroid_displacements(pred, gt)
-    if not 1 <= t <= disp.shape[0]:
-        raise IndexError(
-            f"step t={t} outside the horizon 1..{disp.shape[0]}")
-    return float(disp[t - 1])
+    steps = evaluate_predictions(np.asarray(pred)[None],
+                                 np.asarray(gt)[None], input_k=0).fde_at
+    if t not in steps:
+        raise IndexError(f"step t={t} outside the horizon 1..{len(steps)}")
+    return steps[t]
 
 
 def fde(pred, gt) -> float:
     """Centroid Euclidean distance at the final step."""
-    disp = _centroid_displacements(pred, gt)
-    return float(disp[-1])
+    return evaluate_predictions(np.asarray(pred)[None], np.asarray(gt)[None],
+                                input_k=0).fde
 
 
 def evaluate_predictions(pred: np.ndarray, gt: np.ndarray,
@@ -128,7 +119,14 @@ def evaluate_predictions(pred: np.ndarray, gt: np.ndarray,
     NumericError when the ADE or FDE is not finite (see the module's
     input-range policy).
     """
-    disp = _centroid_displacements(pred, gt, batched=True)
+    pred = np.asarray(pred, dtype=np.float64)
+    gt = np.asarray(gt, dtype=np.float64)
+    if pred.shape != gt.shape:
+        raise ShapeError(f"pred shape {pred.shape} != gt shape {gt.shape}")
+    if pred.ndim != 3 or pred.shape[-1] != 4 or pred.shape[-2] < 1:
+        raise ShapeError(f"expected (N, p, 4) box sequences, got {pred.shape}")
+    d = pred[..., :2] - gt[..., :2]
+    disp = np.hypot(d[..., 0], d[..., 1])
     n, p = disp.shape
     if n == 0:
         raise ConfigError("nothing to evaluate: empty prediction set")
@@ -147,8 +145,7 @@ def evaluate_predictions(pred: np.ndarray, gt: np.ndarray,
         n_samples=n,
         horizon_p=p,
         input_k=input_k,
-        nonpositive_size_count=int(np.count_nonzero(
-            np.asarray(pred)[..., 2:] <= 0)),
+        nonpositive_size_count=int(np.count_nonzero(pred[..., 2:] <= 0)),
     )
 
 
@@ -343,7 +340,9 @@ def ablation_run(minitracks: list[MiniTrack], cfg, modes=LOSS_MODES,
     a single deployed model would be used; ``retrain_per_horizon`` instead
     fits a separate model with p set to each horizon. Returns one row dict
     (mode, horizon, ade, fde) per combination, in mode-major order.
-    ``eval_minitracks`` defaults to the training set.
+    Both protocols score the same set, ``eval_minitracks`` (the training
+    set by default) of length cfg.k + cfg.p, stacked once; a horizon h
+    scores the first h forecast and target steps.
     """
     horizons = sorted(int(h) for h in horizons)
     if not horizons or horizons[0] < 1:
@@ -353,24 +352,20 @@ def ablation_run(minitracks: list[MiniTrack], cfg, modes=LOSS_MODES,
             raise ConfigError(f"unknown loss mode {m!r}")
     if eval_minitracks is None:
         eval_minitracks = minitracks
-    if not retrain_per_horizon:
-        if horizons[-1] > cfg.p:
-            raise ConfigError(
-                f"horizon {horizons[-1]} exceeds the model horizon p={cfg.p}")
-        windows, targets = stack_minitracks(eval_minitracks, cfg.k, cfg.p)
+    if not retrain_per_horizon and horizons[-1] > cfg.p:
+        raise ConfigError(
+            f"horizon {horizons[-1]} exceeds the model horizon p={cfg.p}")
+    windows, targets = stack_minitracks(eval_minitracks, cfg.k, cfg.p)
     rows: list[dict] = []
     for mode in modes:
-        if retrain_per_horizon:
-            for h in horizons:
-                cfg_h = replace(cfg, loss_mode=mode, p=h)
-                pars, _ = train(cfg_h, _truncate(minitracks, cfg.k + h))
-                rep = evaluate(pars, _truncate(eval_minitracks, cfg.k + h))
-                rows.append({"mode": mode, "horizon": h,
-                             "ade": rep.ade, "fde": rep.fde})
-            continue
-        pars, _ = train(replace(cfg, loss_mode=mode), minitracks)
-        pred = forecast(pars, windows)
+        if not retrain_per_horizon:
+            pars, _ = train(replace(cfg, loss_mode=mode), minitracks)
+            pred = forecast(pars, windows)
         for h in horizons:
+            if retrain_per_horizon:
+                pars, _ = train(replace(cfg, loss_mode=mode, p=h),
+                                _truncate(minitracks, cfg.k + h))
+                pred = forecast(pars, windows)
             rep = evaluate_predictions(pred[:, :h], targets[:, :h],
                                        input_k=cfg.k)
             rows.append({"mode": mode, "horizon": h,

@@ -21,7 +21,7 @@ from .model import (
     LossWeights,
     ModelDims,
     ModelParams,
-    build_features,  # bound here only for the benchmark's tracer
+    build_features,  # read only by perfbench/tracing.py::targets
     feature_windows,
     init_params,
     loss_and_grads,

@@ -285,6 +285,16 @@ class TestEval:
         _header, row = read_csv(out / "metrics.csv")
         assert float(row[0]) == 0.0
 
+    def test_no_mini_tracks_exits_three_and_writes_nothing(self, tmp_path,
+                                                           capsys):
+        data = synth_file(tmp_path, length=5)
+        out = tmp_path / "metrics"
+        assert main(["eval", "--baseline", "stationary", "--k", "3",
+                     "--p", "3", "--data", str(data), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            f"data error: no mini-tracks of length 6 in {data}\n")
+        assert not out.exists()
+
     def test_weights_or_baseline_required(self, tmp_path, capsys):
         data = synth_file(tmp_path)
         code = main(["eval", "--data", str(data),
@@ -427,6 +437,36 @@ class TestAblate:
                      "--hidden", "8", "--latent", "4", "--epochs", "1"]) == 3
         assert capsys.readouterr().err == (
             f"data error: no mini-tracks of length 6 in {held_out}\n")
+        assert not out.exists()
+
+
+    def test_data_without_mini_tracks_exits_three(self, tmp_path, capsys):
+        data = synth_file(tmp_path, length=5)
+        out = tmp_path / "ablation"
+        assert main(["ablate", "--data", str(data), "--out", str(out),
+                     "--k", "3", "--p", "3", "--hidden", "8", "--latent", "4",
+                     "--epochs", "1"]) == 3
+        assert capsys.readouterr().err == (
+            f"data error: no mini-tracks of length 6 in {data}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("retrain, code, err", [
+        ("false", 2, "configuration error: horizon 5 exceeds the model "
+                     "horizon p=3\n"),
+        ("true", 3, "data error: mini-track of length 6 too short to "
+                    "truncate to 8\n"),
+    ])
+    def test_horizon_beyond_p_exits_per_protocol(self, tmp_path, capsys,
+                                                 retrain, code, err):
+        """The truncation protocol refuses the horizon before training; the
+        retrain protocol cannot cut its mini-tracks to k + 5."""
+        data = synth_file(tmp_path, count=4, length=6)
+        out = tmp_path / "ablation"
+        assert main(["ablate", "--data", str(data), "--out", str(out),
+                     "--k", "3", "--p", "3", "--hidden", "8", "--latent", "4",
+                     "--epochs", "1", "--horizons", "2,5",
+                     "--retrain-per-horizon", retrain]) == code
+        assert capsys.readouterr().err == err
         assert not out.exists()
 
 

@@ -4,6 +4,7 @@ throughput benchmark, and the loss-mode ablation harness."""
 
 import math
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -33,7 +34,10 @@ from boxcast.evaluation import (
     summarize_folds,
 )
 from boxcast.model import MODE_TRAJ, ModelDims, init_params, predict
-from boxcast.training import TrainConfig, load_model, save_model
+from boxcast.training import TrainConfig, load_model, save_model, train
+
+PER_SAMPLE_METRICS = {"ade": ade, "fde": fde,
+                      "fde_at": lambda pred, gt: fde_at(pred, gt, 1)}
 
 
 def cv_minitracks(k, p, count=4, velocity=(2.0, 1.0), seed=0, **kw):
@@ -83,6 +87,25 @@ class TestMetrics:
             ade(a, np.zeros((4, 4)))
         with pytest.raises(ShapeError):
             ade(np.zeros(4), np.zeros(4))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", sorted(PER_SAMPLE_METRICS))
+    def test_non_finite_forecast_is_a_numeric_error(self, name, bad):
+        gt = np.tile([10.0, 20.0, 5.0, 8.0], (3, 1))
+        pred = gt.copy()
+        pred[1, 0] = bad
+        with pytest.raises(NumericError, match="1 of them"):
+            PER_SAMPLE_METRICS[name](pred, gt)
+
+    # the centroid difference overflows, which numpy reports as a warning
+    # before the NumericError is raised
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("name", sorted(PER_SAMPLE_METRICS))
+    def test_overflowing_displacement_is_a_numeric_error(self, name):
+        gt = np.tile([-1.5e308, 0.0, 2.0, 2.0], (3, 1))
+        pred = gt * [-1.0, 1.0, 1.0, 1.0]
+        with pytest.raises(NumericError):
+            PER_SAMPLE_METRICS[name](pred, gt)
 
 
 class TestEvaluatePredictions:
@@ -496,6 +519,26 @@ class TestAblation:
                                                              ("traj", 3)]
         for r in rows:
             assert math.isfinite(r["ade"])
+
+    def test_retrain_protocol_matches_training_per_horizon(self):
+        """Each row is the model trained on mini-tracks truncated to k + h,
+        scored by `evaluate` on the truncated held-out set, bit for bit."""
+        mts = cv_minitracks(k=5, p=4, count=4, start_jitter=5.0, seed=14)
+        eval_mts = cv_minitracks(k=5, p=4, count=3, start_jitter=5.0,
+                                 seed=15)
+        modes, horizons = ("traj", "traj-del"), (2, 4)
+        rows = ablation_run(mts, self.CFG, modes=modes, horizons=horizons,
+                            eval_minitracks=eval_mts,
+                            retrain_per_horizon=True)
+        expected = []
+        for m in modes:
+            for h in horizons:
+                pars, _ = train(replace(self.CFG, loss_mode=m, p=h),
+                                evaluation._truncate(mts, 5 + h))
+                rep = evaluate(pars, evaluation._truncate(eval_mts, 5 + h))
+                expected.append({"mode": m, "horizon": h,
+                                 "ade": rep.ade, "fde": rep.fde})
+        assert rows == expected
 
     def test_runs_are_deterministic(self):
         mts = cv_minitracks(k=5, p=4, count=4, start_jitter=5.0, seed=12)
