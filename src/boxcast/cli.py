@@ -383,12 +383,9 @@ def _train_config(vals: dict[str, Any]) -> TrainConfig:
 def _cmd_train(vals: dict[str, Any]) -> None:
     cfg = _train_config(vals)
     tracks = _load_tracks(vals)
-    out = _out_dir(vals, "train")
     window = cfg.k + cfg.p
 
-    def run_one(run_tracks, run_dir: str):
-        mts = _minitracks(run_tracks, window, vals["stride"],
-                          "the training split")
+    def run_one(mts, run_dir: str):
         os.makedirs(run_dir, exist_ok=True)
         params, history = train(
             cfg, mts,
@@ -400,11 +397,15 @@ def _cmd_train(vals: dict[str, Any]) -> None:
         return params
 
     if vals["folds"] == 0:
+        # sliced first, so data too short to slice leaves no output behind
+        mts = _minitracks(tracks, window, vals["stride"], "the training split")
+        out = _out_dir(vals, "train")
         print(f"training on {len(tracks)} tracks")
-        run_one(tracks, out)
+        run_one(mts, out)
         print(f"run artifacts in {out}")
         return
 
+    out = _out_dir(vals, "train")
     split = split_folds(tracks, n_folds=vals["folds"], seed=cfg.seed)
     reports = []
     for fold in range(vals["folds"]):
@@ -412,7 +413,8 @@ def _cmd_train(vals: dict[str, Any]) -> None:
         train_tracks, test_tracks = split.partition(tracks, fold)
         print(f"fold {fold}: {len(train_tracks)} train / "
               f"{len(test_tracks)} test tracks")
-        params = run_one(train_tracks, fold_dir)
+        params = run_one(_minitracks(train_tracks, window, vals["stride"],
+                                     "the training split"), fold_dir)
         test_mts = slice_all_minitracks(test_tracks, window, vals["stride"])
         if not test_mts:
             raise DataError(

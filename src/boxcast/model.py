@@ -19,7 +19,14 @@ A parameter-free concatenation layer turns the delta sequence into absolute
 boxes by running a cumulative sum seeded at the last observed box.
 
 Functions here accept a single sample (window of shape (k, 8)) or a batch
-((N, k, 8)); batch results stack along the leading axis.
+of any leading shape ((..., k, 8)); results come back in the caller's batch
+shape. The ops run a batch as one flat batch: `encode`, `reconstruct`,
+`decode_future` and `loss_and_grads` flatten every leading batch axis into
+one at entry (`_as_rows`), so below them every tensor's batch shape is
+``()`` or ``(n,)``, and a (2, 3) batch gives the bits of the same six
+windows run as a (6,) batch. A single window is not bit-equal to its
+one-row batch: the output heads run one stacked product over the steps,
+and numpy rounds ``(T, H) @ w.T`` apart from ``(T, 1, H) @ w.T``.
 
 The network runs in ``params.dtype``: the inference ops cast their feature
 window (and ``z`` or the encoder state, where those are inputs) to it once
@@ -34,7 +41,8 @@ while ``init_params`` keeps its float64 default for the finite-difference
 checks. The public ops
 (`encode`, `reconstruct`, `decode_future`, `concat_trajectory`,
 `forward_train`, `predict`) are composable pieces; `loss_and_grads` is the
-training engine that runs the same math, keeps each sequence's stacked
+training engine that runs the same math through the same decoder branches
+(`_future_branch`, `_recon_branch`), keeps each sequence's stacked
 buffers as its caches, runs its backward pass inside them (overwriting the
 gate activations with their gradients), and returns analytic parameter
 gradients. It runs one decoder branch at a time: each branch's forward
@@ -333,78 +341,104 @@ def _run_encoder(params: ModelParams, window: np.ndarray) -> LstmSeq:
                    LstmSeq.start(params.enc, init, len(xs)))
 
 
-def _run_constant_decoder(cell: LstmCellParams, z: np.ndarray, steps: int,
-                          init: LstmCellState) -> LstmSeq:
-    """Unroll a decoder that reads the same latent vector at every step.
+def _run_constant_decoder(cell: LstmCellParams, head: LinearParams,
+                          z: np.ndarray, steps: int, init: LstmCellState
+                          ) -> tuple[LstmSeq, np.ndarray]:
+    """Unroll a decoder that reads the same latent vector at every step and
+    map each step's hidden state through ``head``: (the sequence, its
+    (..., steps, out) head rows).
 
     The input projection ``z @ wx.T + bx + bh`` is computed once and reused,
-    which is what makes the inference path cheap.
+    which is what makes the inference path cheap. The head is one stacked
+    product over the (steps, ..., H) hidden states.
     """
     seq = LstmSeq.start(cell, init, steps)
     x_pre = z @ cell.wx.T
     x_pre += seq.bias
-    return _unroll(_lstm_cell_from_preact, [x_pre] * steps, seq)
+    _unroll(_lstm_cell_from_preact, [x_pre] * steps, seq)
+    return seq, np.moveaxis(seq.h[1:] @ head.w.T + head.b, 0, -2)
 
 
-def _head(seq: LstmSeq, layer: LinearParams) -> np.ndarray:
-    """The affine map of every step's hidden state, as (..., steps, out)."""
-    return np.moveaxis(seq.h[1:] @ layer.w.T + layer.b, 0, -2)
+def _future_branch(params: ModelParams, z: np.ndarray,
+                   enc_final: LstmCellState) -> tuple[LstmSeq, np.ndarray]:
+    """The future branch for p steps, then ``fc_delta``: (its sequence, the
+    (..., p, 4) delta rows). It starts from the encoder's final (h, c) when
+    the model was built with carry_cell_state, from h and a zero cell
+    otherwise."""
+    c = enc_final.c if params.carry_cell_state else np.zeros_like(enc_final.h)
+    return _run_constant_decoder(params.fut_dec, params.fc_delta, z,
+                                 params.dims.p, LstmCellState(enc_final.h, c))
+
+
+def _recon_branch(params: ModelParams, z: np.ndarray
+                  ) -> tuple[LstmSeq, np.ndarray]:
+    """The reconstruction branch for k steps from a zero state, then
+    ``fc_recon``: (its sequence, the (..., k, 8) reconstruction rows)."""
+    return _run_constant_decoder(
+        params.auto_dec, params.fc_recon, z, params.dims.k,
+        LstmCellState.zeros(params.dims.hidden, z.shape[:-1], z.dtype))
 
 
 # ---------------------------------------------------------------------------
 # public forward ops
 
 
-def _in_net_dtype(params: ModelParams, *arrays: np.ndarray) -> list[np.ndarray]:
-    """The inputs cast to ``params.dtype`` (no copy when they already match).
+def _as_rows(params: ModelParams, a: np.ndarray, tail: int) -> np.ndarray:
+    """``a`` cast to ``params.dtype`` (no copy when it already matches), with
+    every batch axis before its last ``tail`` axes flattened into one; an
+    unbatched ``a`` keeps its shape.
 
     Done once at entry to each op: a float64 input reaching a float32 step
-    would make NumPy upcast the whole recurrent weight matrix on every step.
+    would make NumPy upcast the whole recurrent weight matrix on every step,
+    and a stacked product over two batch axes can round apart from the same
+    rows over one.
     """
-    return [np.asarray(a, dtype=params.dtype) for a in arrays]
+    a = np.asarray(a, dtype=params.dtype)
+    return a if a.ndim == tail else a.reshape((-1,) + a.shape[-tail:])
 
 
 def encode(params: ModelParams, window: np.ndarray
            ) -> tuple[np.ndarray, LstmCellState]:
-    """Map a (k, 8) window to (latent vector z, encoder final state).
+    """Map a (..., k, 8) window to (latent vector z, encoder final state).
 
     The returned state is the raw final (h, c); the ReLU sits only on the
-    path into the latent projection. All three are in ``params.dtype``.
+    path into the latent projection. All three are in ``params.dtype``,
+    with the window's batch shape.
     """
     _check_window(window, params.dims.k)
-    window, = _in_net_dtype(params, window)
-    final = _run_encoder(params, window).final
+    final = _run_encoder(params, _as_rows(params, window, 2)).final
     z = linear_forward(params.fc_latent.w, params.fc_latent.b, relu(final.h))
-    return z, final
+    z, h, c = (a.reshape(window.shape[:-2] + a.shape[-1:])
+               for a in (z, final.h, final.c))
+    return z, LstmCellState(h, c)
 
 
 def reconstruct(params: ModelParams, z: np.ndarray) -> np.ndarray:
-    """Run the reconstruction branch for k steps from a zero state; the rows
-    approximate ``reconstruction_target`` of the encoded window."""
+    """Run the reconstruction branch for k steps from a zero state; the
+    (..., k, 8) rows approximate ``reconstruction_target`` of the encoded
+    window."""
     _check_last_dim("z", z, params.dims.latent)
-    z, = _in_net_dtype(params, z)
-    init = LstmCellState.zeros(params.dims.hidden, z.shape[:-1],
-                               dtype=params.dtype)
-    return _head(_run_constant_decoder(params.auto_dec, z, params.dims.k, init),
-                 params.fc_recon)
+    _, recon = _recon_branch(params, _as_rows(params, z, 1))
+    return recon.reshape(z.shape[:-1] + recon.shape[-2:])
 
 
 def decode_future(params: ModelParams, z: np.ndarray,
                   enc_state: LstmCellState) -> np.ndarray:
-    """Run the future branch for p steps and return the (p, 4) delta rows.
+    """Run the future branch for p steps and return the (..., p, 4) delta
+    rows.
 
     The branch starts from the encoder's final state: (h, c) when the model
     was built with carry_cell_state, h with a fresh zero cell otherwise.
     """
     _check_last_dim("z", z, params.dims.latent)
-    if enc_state.h.shape != z.shape[:-1] + (params.dims.hidden,):
+    state = z.shape[:-1] + (params.dims.hidden,)
+    if (enc_state.h.shape, enc_state.c.shape) != (state, state):
         raise ShapeError(
-            f"encoder state h has shape {enc_state.h.shape}, expected "
-            f"{z.shape[:-1] + (params.dims.hidden,)}")
-    z, h, c = _in_net_dtype(params, z, enc_state.h, enc_state.c)
-    init = LstmCellState(h, c if params.carry_cell_state else np.zeros_like(h))
-    return _head(_run_constant_decoder(params.fut_dec, z, params.dims.p, init),
-                 params.fc_delta)
+            f"encoder state (h, c) has shapes ({enc_state.h.shape}, "
+            f"{enc_state.c.shape}), expected {state} each")
+    rows = [_as_rows(params, a, 1) for a in (z, enc_state.h, enc_state.c)]
+    _, deltas = _future_branch(params, rows[0], LstmCellState(*rows[1:]))
+    return deltas.reshape(z.shape[:-1] + deltas.shape[-2:])
 
 
 def concat_trajectory(deltas: np.ndarray, anchor: np.ndarray) -> np.ndarray:
@@ -443,9 +477,8 @@ def forward_train(params: ModelParams, window: np.ndarray
     """
     z, state = encode(params, window)
     recon = reconstruct(params, z)
-    deltas = decode_future(params, z, state)
-    boxes = concat_trajectory(deltas, window[..., -1, :4])
-    return recon, boxes
+    return recon, concat_trajectory(decode_future(params, z, state),
+                                    window[..., -1, :4])
 
 
 def predict(params: ModelParams, boxes, predecessor: Box | None = None
@@ -465,7 +498,8 @@ def predict(params: ModelParams, boxes, predecessor: Box | None = None
 
 
 def predict_from_window(params: ModelParams, window: np.ndarray) -> np.ndarray:
-    """Forecast from an already-built feature window (the benchmark hot path)."""
+    """Forecast from an already-built (..., k, 8) feature window (the
+    benchmark hot path); the boxes come back as (..., p, 4)."""
     z, state = encode(params, window)
     deltas = decode_future(params, z, state)
     return concat_trajectory(deltas, window[..., -1, :4])
@@ -570,9 +604,11 @@ def loss_and_grads(params: ModelParams, window: np.ndarray,
                    ) -> tuple[float, dict[str, float], dict[str, np.ndarray]]:
     """Composite loss plus analytic gradients for every learnable tensor.
 
-    ``window`` is (k, 8) or (N, k, 8); ``target_boxes`` is the matching
-    (p, 4) or (N, p, 4). Both are cast to ``params.dtype`` once at entry, so
-    the whole pass, gradients included, runs in the params' dtype; the loss
+    ``window`` is (k, 8) or (..., k, 8); ``target_boxes`` is the matching
+    (p, 4) or (..., p, 4). Both are cast to ``params.dtype`` and flattened to
+    one batch axis once at entry (`_as_rows`), so a multi-axis batch gives
+    its flattened batch's bits and the whole pass, gradients included, runs
+    in the params' dtype; the loss
     is summed in float64. Gradients come back keyed like
     ``ModelParams.tensors()``; inactive branches contribute zeros. Batched
     gradients are the gradient of the batch-mean loss, which equals the mean
@@ -598,7 +634,8 @@ def loss_and_grads(params: ModelParams, window: np.ndarray,
         raise ShapeError(
             f"target boxes have shape {target_boxes.shape}, expected "
             f"{window.shape[:-2] + (dims.p, OUTPUT_DIM)}")
-    window, target_boxes = _in_net_dtype(params, window, target_boxes)
+    window, target_boxes = (_as_rows(params, a, 2)
+                            for a in (window, target_boxes))
 
     # forward through the encoder; its sequence buffers are its caches
     enc = _run_encoder(params, window)
@@ -606,11 +643,7 @@ def loss_and_grads(params: ModelParams, window: np.ndarray,
     h_relu = relu(h_final)
     z = linear_forward(params.fc_latent.w, params.fc_latent.b, h_relu)
 
-    fut = _run_constant_decoder(
-        params.fut_dec, z, dims.p,
-        LstmCellState(h_final, enc.c[-1] if params.carry_cell_state
-                      else np.zeros_like(h_final)))
-    deltas = _head(fut, params.fc_delta)
+    fut, deltas = _future_branch(params, z, enc.final)
     if weights.mode == MODE_TRAJ_DEL:
         l_traj, d_deltas = _trajectory_term(deltas, window, target_boxes,
                                             weights)
@@ -633,15 +666,13 @@ def loss_and_grads(params: ModelParams, window: np.ndarray,
         d_enc_c = np.zeros_like(d_enc_c)
 
     if weights.mode == MODE_TRAJ_AUTOENC:
-        auto = _run_constant_decoder(
-            params.auto_dec, z, dims.k,
-            LstmCellState.zeros(dims.hidden, z.shape[:-1], dtype=z.dtype))
-        terms["auto_enc"], d_recon = _reconstruction_term(
-            _head(auto, params.fc_recon), window, weights)
+        auto, recon = _recon_branch(params, z)
+        terms["auto_enc"], d_recon = _reconstruction_term(recon, window,
+                                                          weights)
         loss = _finite_loss(loss + weights.alpha * terms["auto_enc"])
         dz_auto, _, _ = _constant_decoder_backward(
             auto, params.fc_recon, z, d_recon, grads, "auto_dec", "fc_recon")
-        del auto
+        del auto, recon
         dz = dz + dz_auto
 
     dw, db, d_hrelu = linear_backward(params.fc_latent.w, h_relu, dz)

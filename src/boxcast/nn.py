@@ -107,7 +107,9 @@ class LstmCellParams:
 
 @dataclass
 class LstmCellState:
-    """Hidden and cell activations. Shapes (H,) or (N, H), always matching."""
+    """Hidden and cell activations of shape (..., H), always matching: (H,)
+    for one sample. The model's ops flatten every batch to one axis before
+    they reach a cell, so there the shape is (H,) or (N, H)."""
 
     h: np.ndarray
     c: np.ndarray

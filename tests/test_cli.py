@@ -133,13 +133,17 @@ class TestTrain:
         assert float(summary[-1][1]) == pytest.approx(np.mean(fold_ades))
 
     def test_no_mini_tracks_exits_three(self, tmp_path, capsys):
+        """The training set is sliced before the output directory is made,
+        so nothing is written, not even ``config.txt``."""
         data = synth_file(tmp_path, length=5)
         out = tmp_path / "run"
         assert main(["train", "--data", str(data), "--out", str(out),
                      *TINY_TRAIN]) == 3
-        assert capsys.readouterr().err == (
+        captured = capsys.readouterr()
+        assert captured.err == (
             "data error: no mini-tracks of length 6 in the training split\n")
-        assert not (out / "model.bxw").exists()
+        assert "training on" not in captured.out
+        assert not out.exists()
 
     def test_a_fold_without_test_mini_tracks_exits_three(self, tmp_path,
                                                          capsys):

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -214,6 +214,19 @@ class TestDecoders:
         zeroed = decode_future(
             params, z, LstmCellState(enc_state.h, np.zeros(8)))
         np.testing.assert_array_equal(h_only, zeroed)
+
+    @pytest.mark.parametrize("carry", [True, False])
+    @pytest.mark.parametrize("c_shape", [(6, 8), (3, 2, 8), (2, 3, 9)],
+                             ids=str)
+    def test_state_shapes_must_match_the_batch(self, carry, c_shape):
+        """Each state tensor is checked against z's batch before the batch
+        axes are flattened, so a cell state of the same size in another
+        shape is refused too."""
+        params = init_params(TINY, seed=11, carry_cell_state=carry)
+        z = np.zeros((2, 3, 6))
+        with pytest.raises(ShapeError, match="encoder state"):
+            decode_future(params, z, LstmCellState(np.zeros((2, 3, 8)),
+                                                   np.zeros(c_shape)))
 
 
 class TestConcatTrajectory:
@@ -512,6 +525,10 @@ class TestPredictMatchesTrainingHead:
            dtype=st.sampled_from([np.float32, np.float64]),
            carry=st.booleans(),
            batch=st.sampled_from([(), (1,), (3,), (5,), (2, 3)]))
+    # a (2, 3) stack at latent 1: a stacked fc_latent product one output
+    # column wide can round apart from the same rows stacked as (6,)
+    @example(seed=943531865, k=1, p=1, hidden=6, latent=1, dtype=np.float32,
+             carry=False, batch=(2, 3))
     def test_bitwise_equal(self, seed, k, p, hidden, latent, dtype, carry,
                            batch):
         rng = np.random.default_rng(seed)
@@ -530,6 +547,40 @@ class TestPredictMatchesTrainingHead:
             # a 2-D batch runs its steps as the same rows, flattened
             flat = predict_from_window(params, np.stack(windows))
             assert got.tobytes() == flat.tobytes()
+
+
+class TestTrainingBatchIsItsFlatBatch:
+    """`loss_and_grads` flattens its batch axes at entry, so a (2, 3) batch
+    gives the loss and gradient bytes of the same six windows as a (6,)
+    batch: any dims (latent 1, a one-column product, included), either
+    dtype, either carry setting, every loss mode."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 7),
+           p=st.integers(1, 7), hidden=st.integers(1, 24),
+           latent=st.integers(1, 12),
+           dtype=st.sampled_from([np.float32, np.float64]),
+           carry=st.booleans(), mode=st.sampled_from(LOSS_MODES))
+    @example(seed=943531865, k=1, p=1, hidden=6, latent=1, dtype=np.float32,
+             carry=False, mode=MODE_TRAJ_AUTOENC)
+    def test_bitwise_equal(self, seed, k, p, hidden, latent, dtype, carry,
+                           mode):
+        rng = np.random.default_rng(seed)
+        params = init_params(ModelDims(k=k, p=p, hidden=hidden,
+                                       latent=latent),
+                             seed=rng, carry_cell_state=carry).astype(dtype)
+        pairs = [random_window_and_targets(rng, k, p) for _ in range(6)]
+        window = np.stack([w for w, _ in pairs])
+        targets = np.stack([t for _, t in pairs])
+        weights = LossWeights(mode=mode)
+        loss, terms, grads = loss_and_grads(
+            params, window.reshape(2, 3, k, 8), targets.reshape(2, 3, p, 4),
+            weights)
+        flat_loss, flat_terms, flat_grads = loss_and_grads(
+            params, window, targets, weights)
+        assert (loss, terms) == (flat_loss, flat_terms)
+        for name, g in grads.items():
+            assert g.tobytes() == flat_grads[name].tobytes(), name
 
 
 class TestBatchedMatchesPerSample:
