@@ -323,11 +323,12 @@ def _write_echo(path: str, command: str, vals: dict[str, Any],
         fh.write("\n".join(lines) + "\n")
 
 
-def _load_tracks(vals: dict[str, Any]):
+def _load_tracks(vals: dict[str, Any], key: str = "data"):
+    """The tracks of the CSV named by option ``key``; none is a DataError."""
     fmt = CsvFormat(corner_format=vals.get("corner_format", False))
-    tracks = parse_tracks(vals["data"], fmt)
+    tracks = parse_tracks(vals[key], fmt)
     if not tracks:
-        raise DataError(f"no tracks found in {vals['data']}")
+        raise DataError(f"no tracks found in {vals[key]}")
     return tracks
 
 
@@ -405,20 +406,22 @@ def _cmd_train(vals: dict[str, Any]) -> None:
         print(f"run artifacts in {out}")
         return
 
-    out = _out_dir(vals, "train")
+    # every fold is sliced first, so a fold too short to slice leaves no
+    # output behind
     split = split_folds(tracks, n_folds=vals["folds"], seed=cfg.seed)
-    reports = []
+    folds = []
     for fold in range(vals["folds"]):
-        fold_dir = os.path.join(out, f"fold_{fold}")
         train_tracks, test_tracks = split.partition(tracks, fold)
-        print(f"fold {fold}: {len(train_tracks)} train / "
-              f"{len(test_tracks)} test tracks")
-        params = run_one(_minitracks(train_tracks, window, vals["stride"],
-                                     "the training split"), fold_dir)
-        test_mts = slice_all_minitracks(test_tracks, window, vals["stride"])
-        if not test_mts:
-            raise DataError(
-                f"fold {fold} has no test mini-tracks of length {window}")
+        folds.append((len(train_tracks), len(test_tracks),
+                      _minitracks(train_tracks, window, vals["stride"],
+                                  "the training split"),
+                      _minitracks(test_tracks, window, vals["stride"],
+                                  f"the test split of fold {fold}")))
+    out = _out_dir(vals, "train")
+    reports = []
+    for fold, (n_train, n_test, train_mts, test_mts) in enumerate(folds):
+        print(f"fold {fold}: {n_train} train / {n_test} test tracks")
+        params = run_one(train_mts, os.path.join(out, f"fold_{fold}"))
         reports.append(evaluate(params, test_mts))
         print(f"fold {fold}: ADE {reports[-1].ade:.4f}  "
               f"FDE {reports[-1].fde:.4f}")
@@ -524,8 +527,7 @@ def _cmd_ablate(vals: dict[str, Any]) -> None:
                       vals["data"])
     eval_mts = None
     if vals["eval_data"] is not None:
-        fmt = CsvFormat(corner_format=vals["corner_format"])
-        eval_mts = _minitracks(parse_tracks(vals["eval_data"], fmt), window,
+        eval_mts = _minitracks(_load_tracks(vals, "eval_data"), window,
                                vals["stride"], vals["eval_data"])
     rows = ablation_run(mts, cfg, modes=vals["modes"],
                         horizons=vals["horizons"], eval_minitracks=eval_mts,

@@ -20,38 +20,43 @@ boxes by running a cumulative sum seeded at the last observed box.
 
 Functions here accept a single sample (window of shape (k, 8)) or a batch
 of any leading shape ((..., k, 8)); results come back in the caller's batch
-shape. The ops run a batch as one flat batch: `encode`, `reconstruct`,
-`decode_future` and `loss_and_grads` flatten every leading batch axis into
-one at entry (`_as_rows`), so below them every tensor's batch shape is
-``()`` or ``(n,)``, and a (2, 3) batch gives the bits of the same six
-windows run as a (6,) batch. A single window is not bit-equal to its
-one-row batch: the output heads run one stacked product over the steps,
-and numpy rounds ``(T, H) @ w.T`` apart from ``(T, 1, H) @ w.T``.
+shape. Every array `encode`, `reconstruct`, `decode_future` and
+`loss_and_grads` take passes one entry step, `_as_rows`: its shape must be
+the op's batch shape followed by the trailing shape ``params.dims`` gives
+it (window (k, 8), target boxes (p, 4), z (latent,), encoder state h and c
+(hidden,)), where the batch shape is whatever leads the op's first input;
+a mismatch is a ShapeError naming the input. The step then casts the
+array to ``params.dtype`` and flattens its batch axes into one, so below
+the ops every tensor's batch shape is ``()`` or ``(n,)``, and a (2, 3)
+batch gives the bits of the same six windows run as a (6,) batch. A single
+window is not bit-equal to its one-row batch: the output heads run one
+stacked product over the steps, and numpy rounds ``(T, H) @ w.T`` apart
+from ``(T, 1, H) @ w.T``.
 
-The network runs in ``params.dtype``: the inference ops cast their feature
-window (and ``z`` or the encoder state, where those are inputs) to it once
-at entry, so a float32 model loaded from a weight file runs every LSTM step
-in float32 even though ``build_features`` returns float64. The trajectory
+The network runs in ``params.dtype``: since the entry step casts, a
+float32 model loaded from a weight file runs every LSTM step in float32
+even though ``build_features`` returns float64, and the forward pass,
+backward pass and gradients of ``loss_and_grads`` all run in it.
+`training.train` optimises float32 parameters, while ``init_params`` keeps
+its float64 default for the finite-difference checks. The trajectory
 anchor is not cast: ``concat_trajectory`` accumulates on the window's own
-anchor, so a float64 window keeps float64 box arithmetic and only the deltas
-come from the float32 network. ``loss_and_grads`` casts its window and
-targets the same way, so its forward pass, backward pass and gradients all
-run in ``params.dtype``; `training.train` optimises float32 parameters,
-while ``init_params`` keeps its float64 default for the finite-difference
-checks. The public ops
-(`encode`, `reconstruct`, `decode_future`, `concat_trajectory`,
-`forward_train`, `predict`) are composable pieces; `loss_and_grads` is the
-training engine that runs the same math through the same decoder branches
-(`_future_branch`, `_recon_branch`), keeps each sequence's stacked
-buffers as its caches, runs its backward pass inside them (overwriting the
-gate activations with their gradients), and returns analytic parameter
-gradients. It runs one decoder branch at a time: each branch's forward
-pass, loss term and backward pass finish, and its caches are freed, before
-the next branch allocates, so at most the encoder's and one decoder's
-caches are live at once. Each head's gradient on the per-step hidden
-states is formed step by step inside the backward loop. The objective has
-one definition, `composite_loss`, built from the per-term pieces
-`loss_and_grads` calls branch by branch.
+anchor, so a float64 window keeps float64 box arithmetic and only the
+deltas come from the float32 network.
+
+The public ops (`encode`, `reconstruct`, `decode_future`,
+`concat_trajectory`, `forward_train`, `predict`) are composable pieces;
+`loss_and_grads` is the training engine that runs the same math through
+the same forward of the encoder and of each decoder branch
+(`_run_encoder`, `_future_branch`, `_recon_branch`), keeps each
+sequence's stacked buffers as its caches, runs its backward pass inside
+them (overwriting the gate activations with their gradients), and returns
+analytic parameter gradients. It runs one decoder branch at a time: each
+branch's forward pass, loss term and backward pass finish, and its caches
+are freed, before the next branch allocates, so at most the encoder's and
+one decoder's caches are live at once. Each head's gradient on the
+per-step hidden states is formed step by step inside the backward loop.
+The objective has one definition, `composite_loss`, built from the
+per-term pieces `loss_and_grads` calls branch by branch.
 """
 
 from __future__ import annotations
@@ -68,7 +73,6 @@ from .nn import (
     LstmCellParams,
     LstmCellState,
     LstmSeq,
-    _check_last_dim,
     _lstm_cell_from_preact,
     l1_loss,
     linear_backward,
@@ -303,19 +307,17 @@ def _boxes_as_array(boxes) -> tuple[np.ndarray, np.ndarray | None]:
 def reconstruction_target(window: np.ndarray) -> np.ndarray:
     """Target of the reconstruction branch: the window with rows reversed and
     the four difference columns negated. Applying it twice is the identity."""
-    _check_window(window, k=None)
+    _check_window(window)
     out = window[..., ::-1, :].copy()
     out[..., 4:] = -out[..., 4:]
     return out
 
 
-def _check_window(window: np.ndarray, k: int | None) -> None:
+def _check_window(window: np.ndarray) -> None:
+    """The shape check of the functions that take a window but no model."""
     if window.ndim < 2 or window.shape[-1] != INPUT_DIM:
         raise ShapeError(
             f"feature window has shape {window.shape}, expected (..., k, {INPUT_DIM})")
-    if k is not None and window.shape[-2] != k:
-        raise ShapeError(
-            f"feature window has {window.shape[-2]} rows, model expects k={k}")
 
 
 # ---------------------------------------------------------------------------
@@ -330,15 +332,21 @@ def _unroll(step, xs, seq: LstmSeq) -> LstmSeq:
     return seq
 
 
-def _run_encoder(params: ModelParams, window: np.ndarray) -> LstmSeq:
-    """Unroll the encoder over the window rows from a zero state. Each step
-    projects its own row: one GEMM over the whole window would round
-    differently from the per-row products the bitwise tests pin."""
+def _run_encoder(params: ModelParams, window: np.ndarray
+                 ) -> tuple[LstmSeq, np.ndarray, np.ndarray]:
+    """Unroll the encoder over the window rows from a zero state, then
+    ``fc_latent`` on the ReLU of its final hidden state: (the sequence,
+    that ReLU, z). Each step projects its own row: one GEMM over the whole
+    window would round differently from the per-row products the bitwise
+    tests pin."""
     init = LstmCellState.zeros(params.dims.hidden, window.shape[:-2],
                                dtype=params.dtype)
     xs = np.moveaxis(window, -2, 0)
-    return _unroll(lstm_cell_forward, xs,
-                   LstmSeq.start(params.enc, init, len(xs)))
+    seq = _unroll(lstm_cell_forward, xs,
+                  LstmSeq.start(params.enc, init, len(xs)))
+    h_relu = relu(seq.h[-1])
+    return seq, h_relu, linear_forward(params.fc_latent.w, params.fc_latent.b,
+                                       h_relu)
 
 
 def _run_constant_decoder(cell: LstmCellParams, head: LinearParams,
@@ -383,18 +391,28 @@ def _recon_branch(params: ModelParams, z: np.ndarray
 # public forward ops
 
 
-def _as_rows(params: ModelParams, a: np.ndarray, tail: int) -> np.ndarray:
-    """``a`` cast to ``params.dtype`` (no copy when it already matches), with
-    every batch axis before its last ``tail`` axes flattened into one; an
-    unbatched ``a`` keeps its shape.
+def _as_rows(params: ModelParams, name: str, a: np.ndarray, tail: tuple,
+             batch: tuple | None = None) -> tuple[np.ndarray, tuple]:
+    """The entry step of every array a model op takes: (``a`` as rows, its
+    batch shape).
 
-    Done once at entry to each op: a float64 input reaching a float32 step
-    would make NumPy upcast the whole recurrent weight matrix on every step,
-    and a stacked product over two batch axes can round apart from the same
-    rows over one.
+    ``a.shape`` must be ``batch + tail``, or a ShapeError names ``name``;
+    when ``batch`` is None it is whatever leads ``tail``, so an op passes
+    its first input without one and every later input with the first's.
+    Then ``a`` is cast to ``params.dtype`` (no copy when it already
+    matches) and its batch axes are flattened into one; an unbatched ``a``
+    keeps its shape. A float64 input reaching a float32 step would make
+    NumPy upcast the whole recurrent weight matrix on every step, and a
+    stacked product over two batch axes can round apart from the same rows
+    over one.
     """
+    shape = np.shape(a)
+    if batch is None:
+        batch = shape[:len(shape) - len(tail)]
+    if shape != batch + tail:
+        raise ShapeError(f"{name} has shape {shape}, expected {batch + tail}")
     a = np.asarray(a, dtype=params.dtype)
-    return a if a.ndim == tail else a.reshape((-1,) + a.shape[-tail:])
+    return (a.reshape((-1,) + tail) if batch else a), batch
 
 
 def encode(params: ModelParams, window: np.ndarray
@@ -405,11 +423,11 @@ def encode(params: ModelParams, window: np.ndarray
     path into the latent projection. All three are in ``params.dtype``,
     with the window's batch shape.
     """
-    _check_window(window, params.dims.k)
-    final = _run_encoder(params, _as_rows(params, window, 2)).final
-    z = linear_forward(params.fc_latent.w, params.fc_latent.b, relu(final.h))
-    z, h, c = (a.reshape(window.shape[:-2] + a.shape[-1:])
-               for a in (z, final.h, final.c))
+    rows, batch = _as_rows(params, "feature window", window,
+                           (params.dims.k, INPUT_DIM))
+    seq, _, z = _run_encoder(params, rows)
+    z, h, c = (a.reshape(batch + a.shape[-1:])
+               for a in (z, seq.h[-1], seq.c[-1]))
     return z, LstmCellState(h, c)
 
 
@@ -417,9 +435,9 @@ def reconstruct(params: ModelParams, z: np.ndarray) -> np.ndarray:
     """Run the reconstruction branch for k steps from a zero state; the
     (..., k, 8) rows approximate ``reconstruction_target`` of the encoded
     window."""
-    _check_last_dim("z", z, params.dims.latent)
-    _, recon = _recon_branch(params, _as_rows(params, z, 1))
-    return recon.reshape(z.shape[:-1] + recon.shape[-2:])
+    rows, batch = _as_rows(params, "z", z, (params.dims.latent,))
+    _, recon = _recon_branch(params, rows)
+    return recon.reshape(batch + recon.shape[-2:])
 
 
 def decode_future(params: ModelParams, z: np.ndarray,
@@ -430,15 +448,12 @@ def decode_future(params: ModelParams, z: np.ndarray,
     The branch starts from the encoder's final state: (h, c) when the model
     was built with carry_cell_state, h with a fresh zero cell otherwise.
     """
-    _check_last_dim("z", z, params.dims.latent)
-    state = z.shape[:-1] + (params.dims.hidden,)
-    if (enc_state.h.shape, enc_state.c.shape) != (state, state):
-        raise ShapeError(
-            f"encoder state (h, c) has shapes ({enc_state.h.shape}, "
-            f"{enc_state.c.shape}), expected {state} each")
-    rows = [_as_rows(params, a, 1) for a in (z, enc_state.h, enc_state.c)]
-    _, deltas = _future_branch(params, rows[0], LstmCellState(*rows[1:]))
-    return deltas.reshape(z.shape[:-1] + deltas.shape[-2:])
+    z, batch = _as_rows(params, "z", z, (params.dims.latent,))
+    H = (params.dims.hidden,)
+    h, _ = _as_rows(params, "encoder state h", enc_state.h, H, batch)
+    c, _ = _as_rows(params, "encoder state c", enc_state.c, H, batch)
+    _, deltas = _future_branch(params, z, LstmCellState(h, c))
+    return deltas.reshape(batch + deltas.shape[-2:])
 
 
 def concat_trajectory(deltas: np.ndarray, anchor: np.ndarray) -> np.ndarray:
@@ -558,7 +573,7 @@ def composite_loss(recon: np.ndarray | None, window: np.ndarray,
     Returns (loss, unweighted per-term values).
     """
     weights.validate()
-    _check_window(window, k=None)
+    _check_window(window)
     pred, head = (pred_deltas, "pred_deltas") \
         if weights.mode == MODE_TRAJ_DEL else (pred_boxes, "pred_boxes")
     if pred is None:
@@ -604,24 +619,25 @@ def loss_and_grads(params: ModelParams, window: np.ndarray,
                    ) -> tuple[float, dict[str, float], dict[str, np.ndarray]]:
     """Composite loss plus analytic gradients for every learnable tensor.
 
-    ``window`` is (k, 8) or (..., k, 8); ``target_boxes`` is the matching
-    (p, 4) or (..., p, 4). Both are cast to ``params.dtype`` and flattened to
-    one batch axis once at entry (`_as_rows`), so a multi-axis batch gives
-    its flattened batch's bits and the whole pass, gradients included, runs
-    in the params' dtype; the loss
-    is summed in float64. Gradients come back keyed like
-    ``ModelParams.tensors()``; inactive branches contribute zeros. Batched
-    gradients are the gradient of the batch-mean loss, which equals the mean
-    of the per-sample gradients.
+    ``window`` is (k, 8) or (..., k, 8); ``target_boxes`` is (p, 4) behind
+    the window's batch shape. Both pass the entry step (`_as_rows`): checked,
+    cast to ``params.dtype`` and flattened to one batch axis, so a
+    multi-axis batch gives its flattened batch's bits and the whole pass,
+    gradients included, runs in the params' dtype; the loss is summed in
+    float64. Gradients come back keyed like ``ModelParams.tensors()``;
+    inactive branches contribute zeros. Batched gradients are the gradient
+    of the batch-mean loss, which equals the mean of the per-sample
+    gradients.
 
     The decoder branches run one at a time, so at most the encoder's and
-    one decoder's caches are live at once. In order: the encoder forward;
-    the future branch's forward, head, trajectory term and backward; in
-    traj+auto-enc mode the reconstruction branch's likewise; then
-    ``fc_latent`` and the encoder backward. Each branch frees its caches
-    before the next one allocates. The loss is the `composite_loss` sum in
-    its order, beta * traj then + alpha * auto, and ``dz`` sums the future
-    branch's part, then the reconstruction branch's.
+    one decoder's caches are live at once. In order: the encoder forward
+    (`_run_encoder`, as `encode` runs it); the future branch's forward,
+    head, trajectory term and backward; in traj+auto-enc mode the
+    reconstruction branch's likewise; then ``fc_latent`` and the encoder
+    backward. Each branch frees its caches before the next one allocates.
+    The loss is the `composite_loss` sum in its order, beta * traj then
+    + alpha * auto, and ``dz`` sums the future branch's part, then the
+    reconstruction branch's.
 
     A loss that is not finite raises NumericError as soon as the term that
     makes it so is added, before that branch's backward pass runs; the
@@ -629,19 +645,13 @@ def loss_and_grads(params: ModelParams, window: np.ndarray,
     """
     weights.validate()
     dims = params.dims
-    _check_window(window, dims.k)
-    if target_boxes.shape != window.shape[:-2] + (dims.p, OUTPUT_DIM):
-        raise ShapeError(
-            f"target boxes have shape {target_boxes.shape}, expected "
-            f"{window.shape[:-2] + (dims.p, OUTPUT_DIM)}")
-    window, target_boxes = (_as_rows(params, a, 2)
-                            for a in (window, target_boxes))
+    window, batch = _as_rows(params, "feature window", window,
+                             (dims.k, INPUT_DIM))
+    target_boxes, _ = _as_rows(params, "target_boxes", target_boxes,
+                               (dims.p, OUTPUT_DIM), batch)
 
     # forward through the encoder; its sequence buffers are its caches
-    enc = _run_encoder(params, window)
-    h_final = enc.h[-1]
-    h_relu = relu(h_final)
-    z = linear_forward(params.fc_latent.w, params.fc_latent.b, h_relu)
+    enc, h_relu, z = _run_encoder(params, window)
 
     fut, deltas = _future_branch(params, z, enc.final)
     if weights.mode == MODE_TRAJ_DEL:
@@ -678,7 +688,7 @@ def loss_and_grads(params: ModelParams, window: np.ndarray,
     dw, db, d_hrelu = linear_backward(params.fc_latent.w, h_relu, dz)
     grads["fc_latent.w"] += dw
     grads["fc_latent.b"] += db
-    dh_final = d_hrelu * (h_final > 0) + d_enc_h
+    dh_final = d_hrelu * (h_relu > 0) + d_enc_h
 
     da, _, _ = _unroll_backward(enc, dh_final, d_enc_c, None, None, grads,
                                 "enc")

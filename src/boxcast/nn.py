@@ -109,7 +109,10 @@ class LstmCellParams:
 class LstmCellState:
     """Hidden and cell activations of shape (..., H), always matching: (H,)
     for one sample. The model's ops flatten every batch to one axis before
-    they reach a cell, so there the shape is (H,) or (N, H)."""
+    they reach a cell, so there the shape is (H,) or (N, H). Both stay,
+    because a single model window runs unbatched (its one-row batch rounds
+    apart in the output heads): ``zeros``' ``batch_shape`` serves () and
+    (N,) alike."""
 
     h: np.ndarray
     c: np.ndarray
@@ -141,6 +144,9 @@ class LstmSeq:
     tanh(c) is not kept: the backward pass recomputes it from ``c``.
     `start` checks the state shape once for the whole pass; each step call
     fills its own index in place. The network runs in the cell's dtype.
+    The model's ops start a pass on an unbatched (H,) state or on (N, H)
+    rows, and a step's ``reshape(-1, ...)`` to rows serves both, so ``...``
+    here means one batch axis or none.
     """
 
     cell: LstmCellParams

@@ -147,7 +147,9 @@ class TestTrain:
 
     def test_a_fold_without_test_mini_tracks_exits_three(self, tmp_path,
                                                          capsys):
-        """Fold 0 trains, then finds its test tracks too short to slice."""
+        """Every fold is sliced before anything is written, so fold 0's
+        short test tracks stop the run before any fold trains and leave no
+        output directory."""
         tracks = parse_tracks(synth_file(tmp_path, count=4))
         short = split_folds(tracks, n_folds=2, seed=0).test_keys(0)
         data = tmp_path / "cut.csv"
@@ -157,11 +159,11 @@ class TestTrain:
         out = tmp_path / "cv"
         assert main(["train", "--data", str(data), "--out", str(out),
                      "--folds", "2", "--seed", "0", *TINY_TRAIN]) == 3
-        assert capsys.readouterr().err == (
-            "data error: fold 0 has no test mini-tracks of length 6\n")
-        assert (out / "fold_0" / "model.bxw").exists()
-        assert not (out / "fold_1").exists()
-        assert not (out / "cv_summary.csv").exists()
+        captured = capsys.readouterr()
+        assert captured.err == ("data error: no mini-tracks of length 6 in "
+                                "the test split of fold 0\n")
+        assert "fold 0:" not in captured.out
+        assert not out.exists()
 
     def test_rerun_from_the_echo_reproduces_the_weights(self, tmp_path):
         data = synth_file(tmp_path)
@@ -433,16 +435,22 @@ class TestAblate:
 
     def test_eval_data_without_mini_tracks_exits_three(self, tmp_path,
                                                        capsys):
+        """Short tracks and an empty file are refused as ``--data`` refuses
+        them, before anything is written."""
         data = synth_file(tmp_path, count=4, length=6)
-        held_out = synth_file(tmp_path, name="held_out.csv", length=5)
+        short = synth_file(tmp_path, name="held_out.csv", length=5)
+        empty = tmp_path / "empty.csv"
+        empty.write_text("")
         out = tmp_path / "ablation"
-        assert main(["ablate", "--data", str(data), "--out", str(out),
-                     "--eval-data", str(held_out), "--k", "3", "--p", "3",
-                     "--hidden", "8", "--latent", "4", "--epochs", "1"]) == 3
-        assert capsys.readouterr().err == (
-            f"data error: no mini-tracks of length 6 in {held_out}\n")
-        assert not out.exists()
-
+        for held_out, reason in ((short, "no mini-tracks of length 6 in"),
+                                 (empty, "no tracks found in")):
+            assert main(["ablate", "--data", str(data), "--out", str(out),
+                         "--eval-data", str(held_out), "--k", "3", "--p",
+                         "3", "--hidden", "8", "--latent", "4", "--epochs",
+                         "1"]) == 3
+            assert capsys.readouterr().err == (
+                f"data error: {reason} {held_out}\n")
+            assert not out.exists()
 
     def test_data_without_mini_tracks_exits_three(self, tmp_path, capsys):
         data = synth_file(tmp_path, length=5)

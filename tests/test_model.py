@@ -4,6 +4,7 @@ values against closed forms, and the full backward pass against finite
 differences."""
 
 import importlib.util
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -154,7 +155,8 @@ class TestEncode:
     def test_wrong_row_count_raises(self):
         params = init_params(TINY, seed=5)
         window, _ = random_window_and_targets(np.random.default_rng(5), 6, 3)
-        with pytest.raises(ShapeError, match="k=4"):
+        with pytest.raises(ShapeError, match=re.escape(
+                "feature window has shape (6, 8), expected (4, 8)")):
             encode(params, window)
 
 
@@ -227,6 +229,44 @@ class TestDecoders:
         with pytest.raises(ShapeError, match="encoder state"):
             decode_future(params, z, LstmCellState(np.zeros((2, 3, 8)),
                                                    np.zeros(c_shape)))
+
+    # TINY is k=4, p=3, hidden=8, latent=6
+    @pytest.mark.parametrize("op, inputs, message", [
+        pytest.param("encode", [(5, 8)],
+                     "feature window has shape (5, 8), expected (4, 8)",
+                     id="encode-k"),
+        pytest.param("encode", [(2, 4, 7)],
+                     "feature window has shape (2, 4, 7), expected (2, 4, 8)",
+                     id="encode-width"),
+        pytest.param("loss_and_grads", [(2, 5, 8), (2, 3, 4)],
+                     "feature window has shape (2, 5, 8), expected (2, 4, 8)",
+                     id="loss_and_grads-k"),
+        pytest.param("loss_and_grads", [(4, 7), (3, 4)],
+                     "feature window has shape (4, 7), expected (4, 8)",
+                     id="loss_and_grads-width"),
+        pytest.param("loss_and_grads", [(2, 3, 4, 8), (6, 3, 4)],
+                     "target_boxes has shape (6, 3, 4), expected "
+                     "(2, 3, 3, 4)",
+                     id="loss_and_grads-target-batch"),
+        pytest.param("reconstruct", [(2, 5)],
+                     "z has shape (2, 5), expected (2, 6)",
+                     id="reconstruct-z"),
+        pytest.param("decode_future", [(5,), (8,), (8,)],
+                     "z has shape (5,), expected (6,)",
+                     id="decode_future-z"),
+    ])
+    def test_every_input_is_checked_against_the_dims(self, op, inputs,
+                                                    message):
+        """Each op checks each input against its batch shape and the
+        trailing shape ``params.dims`` gives it, and names the input."""
+        params = init_params(TINY, seed=12)
+        arrays = [np.zeros(shape) for shape in inputs]
+        if op == "loss_and_grads":
+            arrays.append(LossWeights())
+        if op == "decode_future":
+            arrays[1:] = [LstmCellState(*arrays[1:])]
+        with pytest.raises(ShapeError, match=re.escape(message)):
+            getattr(model, op)(params, *arrays)
 
 
 class TestConcatTrajectory:
