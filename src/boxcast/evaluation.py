@@ -50,7 +50,8 @@ BASELINE_KINDS = ("constant-velocity", "constant-acceleration", "stationary")
 # gates), so a chunk peaks near 56 MB (tracemalloc). Measured on one BLAS
 # thread, full size, float32, 2-core Xeon VM (numpy 2.4.6, OpenBLAS 0.3.31):
 # 55/145/294/349/368 forecasts/s at batch 1/8/32/64/128 (best of 5 runs of
-# best of 5).
+# best of 5). Batch 1 has since gained 1.05x at one BLAS thread and 1.15x
+# at two (interleaved A/B), from walking wh's halves in alternating order.
 FORECAST_CHUNK = 64
 
 __all__ = [

@@ -639,9 +639,10 @@ def loss_and_grads(params: ModelParams, window: np.ndarray,
     + alpha * auto, and ``dz`` sums the future branch's part, then the
     reconstruction branch's.
 
-    A loss that is not finite raises NumericError as soon as the term that
-    makes it so is added, before that branch's backward pass runs; the
-    encoder's backward pass never runs on a non-finite loss.
+    An empty batch raises DataError before any forward step. A loss that
+    is not finite raises NumericError as soon as the term that makes it so
+    is added, before that branch's backward pass runs; the encoder's
+    backward pass never runs on a non-finite loss.
     """
     weights.validate()
     dims = params.dims
@@ -649,6 +650,9 @@ def loss_and_grads(params: ModelParams, window: np.ndarray,
                              (dims.k, INPUT_DIM))
     target_boxes, _ = _as_rows(params, "target_boxes", target_boxes,
                                (dims.p, OUTPUT_DIM), batch)
+    if 0 in batch:
+        raise DataError(f"empty training batch: feature window has shape "
+                        f"{batch + (dims.k, INPUT_DIM)}")
 
     # forward through the encoder; its sequence buffers are its caches
     enc, h_relu, z = _run_encoder(params, window)

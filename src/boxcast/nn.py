@@ -27,17 +27,31 @@ the dtype of their parameters; the loss is summed in float64.
 
 The LSTM step has one form: ``lstm_cell_forward(params, x, seq, t)``
 writes step t of an `LstmSeq` in place and returns nothing; `LstmSeq.start`
-allocates the pass, checks its state shapes once and picks the row tiles of
-``wh`` its recurrent products run over. Tiles exist for small batches (2-12
-rows at H = 512): there one product over all of ``wh`` makes OpenBLAS pack
-the whole 4 MiB matrix every step, while row tiles of at most `TILE_MACS`
-multiply-adds take its small-matrix kernel, which reads ``wh`` in place (in
-the spirit of Diamos et al., *Persistent RNNs*, ICML 2016). Both limits come
-from a sweep of tile sizes at H = 512, float32, one BLAS thread (OpenBLAS
-0.3.31, SkylakeX kernels); a batch of 1 or of 13+ rows runs one tile, i.e.
-one product, so its bits do not depend on them. Adam runs with the
-standard hyperparameters of Kingma & Ba (ICLR 2015): `ADAM_BETA1`,
-`ADAM_BETA2` and `ADAM_EPS`.
+allocates the pass, checks its state shapes once, picks the row tiles of
+``wh`` its recurrent products run over and builds the (4H,) lane vectors of
+its gate activations. Small batches (2-12 rows at H = 512) run tiles of at
+most `TILE_MACS` multiply-adds: there one product over all of ``wh`` makes
+OpenBLAS pack the whole 4 MiB matrix every step, while the tiles take its
+small-matrix kernel, which reads ``wh`` in place (in the spirit of Diamos
+et al., *Persistent RNNs*, ICML 2016). Both limits come from a sweep of
+tile sizes at H = 512, float32, one BLAS thread (OpenBLAS 0.3.31, SkylakeX
+kernels). One row runs the two halves of ``wh`` (the i, f lanes and the
+g, o lanes) as gemvs that write their gate lanes in place, and 13+ rows
+run one product. A step walks its tiles forward on even steps and backward
+on odd ones, so it starts on the rows of ``wh`` the previous step read
+last, part of which a 2 MiB L2 still holds. Against one product per step,
+halves made a one-row step 1.08-1.12x faster at one BLAS thread and
+1.18-1.21x at two; quarters ran 1.13-1.16x at one thread but 0.57x at two,
+because OpenBLAS runs a gemv that small on one thread (H = 512, float32,
+40 interleaved 90-step passes per run, OpenBLAS 0.3.31, 2-core Xeon VM
+with 2 MiB L2 per core).
+Every gate's pre-activation is its own dot product, so the split and the
+order leave the bits of one product: a batch of 1 or of 13+ rows gives the
+bits of the untiled step. The gate activations run as three calls over
+all lanes, ``a *= scale``, tanh, then ``a *= scale; a += shift``, with the
+(4H,) vectors `LstmSeq` holds; the g lane's factors 1 and -0.0 are exact.
+Adam runs with the standard hyperparameters of Kingma & Ba (ICLR 2015):
+`ADAM_BETA1`, `ADAM_BETA2` and `ADAM_EPS`.
 """
 
 from __future__ import annotations
@@ -75,6 +89,11 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 # tile is at most TILE_MACS multiply-adds, and a step tiles only while its
 # flattened batch n has n * H <= TILE_MAX_NH, i.e. 2 <= n <= 12 at H = 512.
 TILE_MACS, TILE_MAX_NH = 1 << 19, 6144
+
+# Per-lane (i, f, g, o) values of `LstmSeq.scale` and `LstmSeq.shift`; the
+# g lane's -0.0 leaves every value as it is, -0.0 included, where +0.0
+# would not.
+_LANE_SCALE, _LANE_SHIFT = (0.5, 0.5, 1.0, 0.5), (0.5, 0.5, -0.0, 0.5)
 
 
 def relu(x: np.ndarray) -> np.ndarray:
@@ -138,8 +157,11 @@ class LstmSeq:
             steps' previous hidden states
     cell  : the cell this pass runs, and ``bias`` its summed ``bx + bh``
     tiles : row slices of ``wh`` the recurrent product runs over, one per
-            matrix product; a single slice of all 4H rows unless the batch
-            is small (`TILE_MACS`, `TILE_MAX_NH`)
+            matrix product: the two halves of ``wh`` at one row, tiles of
+            at most `TILE_MACS` multiply-adds while n * H <= `TILE_MAX_NH`,
+            otherwise a single slice of all 4H rows
+    scale, shift : (4H,) lane vectors of the gate activations: 0.5 and 0.5
+            in the sigmoid lanes, 1 and -0.0 in the g lane
 
     tanh(c) is not kept: the backward pass recomputes it from ``c``.
     `start` checks the state shape once for the whole pass; each step call
@@ -155,6 +177,8 @@ class LstmSeq:
     c: np.ndarray
     h: np.ndarray
     tiles: tuple[slice, ...]
+    scale: np.ndarray
+    shift: np.ndarray
 
     @classmethod
     def start(cls, cell: LstmCellParams, init: LstmCellState,
@@ -173,12 +197,16 @@ class LstmSeq:
         h[0] = init.h
         n = init.h.size // H
         r = 4 * H
-        if n >= 2 and n * H <= TILE_MAX_NH:
+        if n == 1:
+            r = 2 * H
+        elif n >= 2 and n * H <= TILE_MAX_NH:
             r = min(r, 1 << ((TILE_MACS // (n * H)).bit_length() - 1))
         return cls(cell=cell, bias=cell.bx + cell.bh,
                    gates=np.empty((steps,) + batch + (4 * H,), dtype=dtype),
                    c=c, h=h,
-                   tiles=tuple(slice(j, j + r) for j in range(0, 4 * H, r)))
+                   tiles=tuple(slice(j, j + r) for j in range(0, 4 * H, r)),
+                   scale=np.repeat(np.array(_LANE_SCALE, dtype), H),
+                   shift=np.repeat(np.array(_LANE_SHIFT, dtype), H))
 
     @property
     def final(self) -> LstmCellState:
@@ -222,21 +250,30 @@ def _lstm_cell_from_preact(params: LstmCellParams, x_pre: np.ndarray,
     # packs all of wh each step; split into row tiles of at most 2^19
     # multiply-adds, each product takes OpenBLAS's small-matrix kernel,
     # which reads wh in place: 2-2.5x faster at 2-6 rows, 1.2x at 12 (at
-    # H = 512, float32, one thread). Batch 1 and 13+ rows run one tile.
-    rows, h_t = a.reshape(-1, 4 * H), seq.h[t].reshape(-1, H).T
-    for tile in seq.tiles:
-        rows[:, tile] = (params.wh[tile] @ h_t).T
+    # H = 512, float32, one thread). 13+ rows run one tile. One row runs
+    # wh's two halves as gemvs that write their gate lanes in place, with
+    # no (r, 1) temporary or transposed copy. Odd steps walk the tiles
+    # backward, so each step starts on the tile the previous one read
+    # last, which the L2 still partly holds (see the module docstring).
+    # Each gate's pre-activation is its own dot product, so neither the
+    # split nor the order moves a bit.
+    rows, h_prev = a.reshape(-1, 4 * H), seq.h[t].reshape(-1, H)
+    tiles = seq.tiles[::-1] if t % 2 else seq.tiles
+    if len(h_prev) == 1:
+        for tile in tiles:
+            np.matmul(params.wh[tile], h_prev[0], out=rows[0, tile])
+    else:
+        for tile in tiles:
+            rows[:, tile] = (params.wh[tile] @ h_prev.T).T
     a += x_pre
     # One tanh pass over all four lanes, since sigmoid(x) = (1 + tanh(x/2))/2:
-    # halve the sigmoid lanes, tanh everything, then map those lanes back.
-    i, f, g, o = _gate_lanes(a, H)
-    sigmoid_lanes = (a[..., : 2 * H], o)
-    for lane in sigmoid_lanes:
-        lane *= 0.5
+    # halve the sigmoid lanes, tanh everything, then map those lanes back,
+    # as three calls with the pass's (4H,) lane vectors.
+    a *= seq.scale
     np.tanh(a, out=a)
-    for lane in sigmoid_lanes:
-        lane *= 0.5
-        lane += 0.5
+    a *= seq.scale
+    a += seq.shift
+    i, f, g, o = _gate_lanes(a, H)
     c = seq.c[t + 1]
     np.multiply(f, seq.c[t], out=c)
     c += i * g
@@ -329,11 +366,14 @@ def l1_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
     Returns ``(loss, grad)`` with ``grad = sign(pred - target) / n`` where n
     is the total element count; the subgradient at exact ties is 0. The loss
     is summed in float64 whatever the inputs' dtype, so float32 differences
-    too large to sum in float32 still give a finite loss.
+    too large to sum in float32 still give a finite loss. Empty inputs
+    have no mean and raise ShapeError.
     """
     if pred.shape != target.shape:
         raise ShapeError(
             f"pred shape {pred.shape} != target shape {target.shape}")
+    if pred.size == 0:
+        raise ShapeError(f"l1_loss of empty arrays of shape {pred.shape}")
     diff = pred - target
     n = diff.size
     loss = float(np.abs(diff).sum(dtype=np.float64) / n)

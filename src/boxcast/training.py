@@ -4,10 +4,13 @@ loss-mode selection, and versioned binary weight serialization.
 
 from __future__ import annotations
 
+import os
+import secrets
 import struct
 import time
 import zlib
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -270,7 +273,10 @@ def save_model(params: ModelParams, path) -> None:
     """Write the versioned single-precision weight file described above.
 
     A tensor that is not finite at single precision raises NumericError
-    before the file is opened, so no weight file holds inf or NaN."""
+    before any file is opened, so no weight file holds inf or NaN. The
+    bytes go to a temporary file beside ``path`` that `os.replace` then
+    moves into place, so ``path`` is either its old file or the whole new
+    one; on any failure the temporary file is removed."""
     d = params.dims
     chunks = []
     for name, t in params.tensors().items():
@@ -287,9 +293,19 @@ def save_model(params: ModelParams, path) -> None:
         INPUT_DIM, OUTPUT_DIM, 4,
         GATE_ORDER_TAG, BIAS_CONVENTION_TAG, LATENT_ACTIVATION_TAG,
         dec_tag.ljust(4, b"\x00"), N_TENSORS, zlib.crc32(payload))
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(payload)
+    # A random name that open() creates exclusively: no other writer's file
+    # is taken over, and the file gets the umask's mode (mkstemp's is 0600).
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{secrets.token_hex(4)}.tmp")
+    fh = open(tmp, "xb")
+    try:
+        with fh:
+            fh.write(header)
+            fh.write(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_model(path, expect_dims: ModelDims | None = None

@@ -4,8 +4,13 @@ values against closed forms, and the full backward pass against finite
 differences."""
 
 import importlib.util
+import json
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -718,8 +723,9 @@ def stacked_windows(rng, batch, k):
 
 class TestTiledBatchesAtFullSize:
     """The two equivalence properties above on batches whose steps run
-    their recurrent product as row tiles of ``wh``: 2 to 12 rows at hidden
-    512. Tiny dims never form more than one tile."""
+    their recurrent product as row tiles of ``wh`` smaller than its
+    halves: 2 to 12 rows at hidden 512. Tiny dims never form such tiles;
+    at one row every size runs the two halves of ``wh``."""
 
     @pytest.mark.parametrize("batch", [(2,), (2, 3), (12,)], ids=str)
     def test_predict_equals_forward_train_bitwise(self, full_f32, batch):
@@ -743,6 +749,44 @@ class TestTiledBatchesAtFullSize:
         gap = max(float(np.abs(batched[j] - predict_from_window(
             full_f32, windows[j])).max()) for j in range(n))
         assert gap <= TestBatchedMatchesPerSample.BOUND_PX[np.float32], gap
+
+
+# Run in a child process: full-size float32 forecasts of a single window
+# and of batches of 1, 6 and 64, printed as their SHA-256 digests.
+_FORECAST_DIGESTS = """
+import hashlib, json
+import numpy as np
+from helpers import random_window_and_targets
+from boxcast.model import ModelDims, init_params, predict_from_window
+params = init_params(ModelDims(k=30, p=60), seed=11).astype(np.float32)
+rng = np.random.default_rng(41)
+windows = np.stack([random_window_and_targets(rng, 30, 1)[0]
+                    for _ in range(64)])
+cases = {"()": windows[0], "(1,)": windows[:1], "(6,)": windows[:6],
+         "(64,)": windows}
+print(json.dumps({name: hashlib.sha256(
+    predict_from_window(params, w).tobytes()).hexdigest()
+    for name, w in cases.items()}))
+"""
+
+
+def test_forecast_bits_do_not_depend_on_the_blas_thread_count():
+    """The same forecasts at one and at two BLAS threads, each in its own
+    child process (numpy fixes the BLAS pool when it loads), are equal bit
+    for bit. Training gradients are not yet: some of their weight-gradient
+    products round apart between the two counts."""
+    paths = [str(Path(model.__file__).parents[1]), str(Path(__file__).parent)]
+    digests = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "OMP_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(paths)}
+        out = subprocess.run([sys.executable, "-c", _FORECAST_DIGESTS],
+                             env=env, capture_output=True, text=True,
+                             timeout=300, check=True)
+        digests.append(json.loads(out.stdout.splitlines()[-1]))
+    assert list(digests[0]) == ["()", "(1,)", "(6,)", "(64,)"]
+    assert digests[0] == digests[1]
 
 
 class TestFloat32WithinBoundOfFloat64:
@@ -1064,6 +1108,24 @@ class TestLossAndGrads:
             loss_and_grads(params, window, targets, weights)
         assert len(cells) == TINY.p
         assert all(cell is params.fut_dec for cell in cells)
+
+    def test_empty_batch_is_a_data_error_before_any_step(self, monkeypatch):
+        """An empty batch raises DataError at entry: no step runs and no
+        warning is printed. Forecasting the same empty batch returns an
+        empty (0, p, 4) forecast."""
+        params = init_params(TINY, seed=12)
+        window = np.zeros((0, TINY.k, 8))
+        steps = []
+        monkeypatch.setattr(model, "lstm_cell_forward",
+                            lambda *args: steps.append(args))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="empty training batch"):
+                loss_and_grads(params, window, np.zeros((0, TINY.p, 4)),
+                               LossWeights())
+        assert steps == []
+        monkeypatch.undo()
+        assert predict_from_window(params, window).shape == (0, TINY.p, 4)
 
     def test_carry_flag_reaches_the_gradients(self):
         params, window, targets = gradcheck_case(9, carry_cell_state=False)

@@ -173,12 +173,15 @@ class TestLstmCell:
         """One float32 full-size step (hidden 512) allocates less than
         ``wh`` itself: the recurrent product reads ``wh`` in place, neither
         copied to a contiguous transpose nor upcast, and the row tiles of a
-        small batch are views of it (measured peaks 9 KB at batch 1, 6 to
-        76 KB at 2 to 12 rows and 525 KB at 64, against 4.19 MB)."""
+        small batch, the halves at one row included, are views of it
+        (measured peaks 3 KB at batch 1, whose halves write their lanes in
+        place, 6 to 76 KB at 2 to 12 rows and 525 KB at 64, against
+        4.19 MB)."""
         rng = np.random.default_rng(8)
         cell, init, x_pre = full_size_step_inputs(rng, batch_shape)
         seq = LstmSeq.start(cell, init, 1)
-        assert (len(seq.tiles) > 1) == (batch_shape in [(2,), (6,), (3, 4)])
+        assert (len(seq.tiles) > 1) == (batch_shape
+                                        in [(), (2,), (6,), (3, 4)])
         tracemalloc.start()
         try:
             _lstm_cell_from_preact(cell, x_pre, seq, 0)
@@ -292,10 +295,52 @@ def _batch_shapes(n):
     return [(n,), (n1, n // n1)]
 
 
+def reference_pass(cell, init, x_pres, tiles):
+    """The step loop written out: per step ``a = (wh @ h.T).T + x_pre``,
+    its product taken over ``tiles`` in forward order, then the activations
+    lane by lane. Returns the (gates, c, h) stacks of `LstmSeq`."""
+    H = cell.hidden_size
+    h, c = init.h.reshape(-1, H), init.c.reshape(-1, H)
+    gates, cs, hs = [], [c], [h]
+    for x_pre in x_pres:
+        a = np.concatenate([(cell.wh[tile] @ h.T).T for tile in tiles],
+                           axis=-1)
+        a += x_pre.reshape(-1, 4 * H)
+        sigmoid_lanes = (a[:, :2 * H], a[:, 3 * H:])
+        for lane in sigmoid_lanes:
+            lane *= 0.5
+        np.tanh(a, out=a)
+        for lane in sigmoid_lanes:
+            lane *= 0.5
+            lane += 0.5
+        i, f, g, o = (a[:, j * H:(j + 1) * H] for j in range(4))
+        c = f * c
+        c += i * g
+        h = np.tanh(c)
+        h *= o
+        gates.append(a)
+        cs.append(c)
+        hs.append(h)
+    batch = init.h.shape[:-1]
+    return tuple(np.stack(s).reshape((len(s),) + batch + (-1,))
+                 for s in (gates, cs, hs))
+
+
+class _SignedZeroProduct(np.ndarray):
+    """A ``wh`` whose product with any hidden state is exactly -0.0, which
+    no BLAS product returns (its sums start from +0.0)."""
+
+    def __array_ufunc__(self, ufunc, method, *args, out=None, **kwargs):
+        out[0][...] = -0.0
+        return out[0]
+
+
 class TestRecurrentTiles:
-    """At 2 to 12 rows (hidden 512) a step runs its recurrent product as row
-    tiles of ``wh``; at 1 row and 13 or more it runs one product over all
-    of ``wh``, the same product as before tiles existed."""
+    """At one row (hidden 512) a step runs its recurrent product as the two
+    halves of ``wh``, at 2 to 12 rows as smaller row tiles, and at 13 or
+    more as one product over all of ``wh``. Odd steps walk the tiles
+    backward. One row and 13 or more keep the bits of the one product
+    before tiles existed."""
 
     # Largest gate gap to the float64 step allowed at float32. Pre-
     # activations are sums of 512 products of O(0.04) weights and O(1)
@@ -324,10 +369,12 @@ class TestRecurrentTiles:
                              [s for n in (1, 13, 14, 15, 16)
                               for s in _batch_shapes(n)] + [(64,), ()],
                              ids=str)
-    def test_single_tile_batches_keep_the_untiled_bits(self, batch_shape):
+    def test_one_row_and_13_or_more_rows_keep_the_untiled_bits(
+            self, batch_shape):
         """Bit for bit the gates of ``a = (wh @ h.T).T; a += x_pre`` and
         then the activations: that pre-activation, fed as the projected
-        input of a step whose ``wh`` is zero, gives the reference."""
+        input of a step whose ``wh`` is zero, gives the reference. One row
+        runs the two halves of ``wh``, 13 or more rows one tile."""
         rng = np.random.default_rng(20 + sum(batch_shape))
         cell, init, x_pre = full_size_step_inputs(rng, batch_shape)
         H = cell.hidden_size
@@ -337,17 +384,61 @@ class TestRecurrentTiles:
                               cell.bh)
         want = step_gates(zero, init, rows.reshape(x_pre.shape))
         seq = LstmSeq.start(cell, init, 1)
-        assert seq.tiles == (slice(0, 4 * H),)
+        assert seq.tiles == ((slice(0, 2 * H), slice(2 * H, 4 * H))
+                             if init.h.size == H else (slice(0, 4 * H),))
         np.testing.assert_array_equal(step_gates(cell, init, x_pre), want)
 
+    @pytest.mark.parametrize("batch_shape, dtype", [
+        ((), np.float32), ((1,), np.float32), ((2,), np.float32),
+        ((6,), np.float32), ((12,), np.float32), ((), np.float64)],
+        ids=str)
+    def test_reversed_steps_equal_the_reference_loop(self, batch_shape,
+                                                     dtype):
+        """A 4-step pass, whose odd steps walk the tiles backward, equals
+        `reference_pass` bit for bit in its gates and states. At one row
+        the reference runs the one product over all of ``wh``; at 2 to 12
+        rows, whose tiles round apart from that product, it runs the same
+        tiles in forward order."""
+        rng = np.random.default_rng(40 + sum(batch_shape))
+        cell, init, _ = full_size_step_inputs(rng, batch_shape)
+        cell = LstmCellParams(*(t.astype(dtype) for t in
+                                (cell.wx, cell.wh, cell.bx, cell.bh)))
+        init = LstmCellState(init.h.astype(dtype), init.c.astype(dtype))
+        H = cell.hidden_size
+        x_pres = rng.normal(size=(4,) + batch_shape + (4 * H,)).astype(dtype)
+        seq = LstmSeq.start(cell, init, len(x_pres))
+        assert len(seq.tiles) > 1
+        for t, x_pre in enumerate(x_pres):
+            _lstm_cell_from_preact(cell, x_pre, seq, t)
+        tiles = (slice(0, 4 * H),) if init.h.size == H else seq.tiles
+        for got, want in zip((seq.gates, seq.c, seq.h),
+                             reference_pass(cell, init, x_pres, tiles)):
+            assert got.dtype == dtype
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("t", [0, 1])
+    def test_negative_zero_g_lane_stays_negative_zero(self, t):
+        """A g-lane pre-activation of -0.0 gives tanh -0.0, as it did before
+        the lane vectors: the g lane's shift is -0.0, which leaves every
+        value as it is, where +0.0 would turn -0.0 into +0.0."""
+        H = 4
+        cell = random_cell(np.random.default_rng(9), hidden_size=H)
+        cell.wh = cell.wh.view(_SignedZeroProduct)
+        seq = LstmSeq.start(cell, LstmCellState.zeros(H), 2)
+        _lstm_cell_from_preact(cell, np.full(4 * H, -0.0), seq, t)
+        g = np.asarray(seq.gates[t, 2 * H:3 * H])
+        assert (g == 0.0).all() and np.signbit(g).all()
+        np.testing.assert_array_equal(seq.gates[t, :2 * H], 0.5)
+
     @pytest.mark.parametrize("n, hidden, tiles", [
-        (1, 512, 1), (2, 512, 4), (3, 512, 8), (4, 512, 8), (6, 512, 16),
+        (1, 512, 2), (1, 8, 2), (2, 512, 4), (3, 512, 8), (4, 512, 8), (6, 512, 16),
         (8, 512, 16), (12, 512, 32), (13, 512, 1), (64, 512, 1),
         (2, 8, 1), (12, 128, 2), (2, 3072, 192), (3, 3072, 1)])
     def test_tile_count(self, n, hidden, tiles):
-        """Tiles are the largest power of two of rows with at most
-        `TILE_MACS` multiply-adds each, and exist only while
-        n * hidden <= `TILE_MAX_NH`."""
+        """One row runs the two halves of ``wh``. From two rows, tiles are
+        the largest power of two of rows with at most `TILE_MACS`
+        multiply-adds each, and exist only while n * hidden <=
+        `TILE_MAX_NH`."""
         # zero-stride weights: only their shapes are read
         zeros = np.broadcast_to(0.0, (4 * hidden, hidden))
         cell = LstmCellParams(zeros, zeros, zeros[:, 0], zeros[:, 0])
@@ -356,7 +447,9 @@ class TestRecurrentTiles:
         assert seq.tiles[0].start == 0 and seq.tiles[-1].stop >= 4 * hidden
         r = seq.tiles[0].stop
         assert all(t.stop - t.start == r for t in seq.tiles)
-        if tiles > 1:
+        if n == 1:
+            assert r == 2 * hidden
+        elif tiles > 1:
             assert r * n * hidden <= TILE_MACS < 2 * r * n * hidden
             assert n * hidden <= TILE_MAX_NH
 
@@ -416,6 +509,11 @@ class TestL1Loss:
     def test_shape_mismatch_raises(self):
         with pytest.raises(ShapeError):
             l1_loss(np.zeros(3), np.zeros(4))
+
+    def test_empty_inputs_raise(self):
+        """An empty batch has no mean: refused, not divided by zero."""
+        with pytest.raises(ShapeError, match="empty"):
+            l1_loss(np.zeros((0, 3, 4)), np.zeros((0, 3, 4)))
 
     def test_float32_differences_are_summed_in_float64(self):
         # 20000 differences of 3e34 sum to 6e38, past float32's 3.4e38

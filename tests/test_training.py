@@ -397,6 +397,29 @@ class TestWeightFile:
             save_model(params, path)
         assert not path.exists()
 
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_a_failed_replace_leaves_no_partial_file(self, tmp_path,
+                                                     monkeypatch, existing):
+        """The weight file is written beside ``path`` and moved into place
+        with `os.replace`; when that fails, neither the file nor its
+        temporary remains, and a file already at ``path`` is untouched."""
+        path = tmp_path / "model.bxw"
+        if existing:
+            path.write_bytes(b"old weights")
+
+        def failing_replace(src, dst):
+            raise OSError("replace failed")
+
+        monkeypatch.setattr(training.os, "replace", failing_replace)
+        params = init_params(ModelDims(k=6, p=4, hidden=16, latent=8),
+                             seed=14)
+        with pytest.raises(OSError, match="replace failed"):
+            save_model(params, path)
+        assert [p.name for p in tmp_path.iterdir()] == (
+            ["model.bxw"] if existing else [])
+        if existing:
+            assert path.read_bytes() == b"old weights"
+
     def test_hidden_only_decoder_flag_round_trips(self, tmp_path):
         dims = ModelDims(k=6, p=4, hidden=16, latent=8)
         params = init_params(dims, seed=11, carry_cell_state=False)
