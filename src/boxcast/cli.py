@@ -375,14 +375,8 @@ def _cmd_synth(vals: dict[str, Any]) -> None:
     print(f"wrote {len(tracks)} tracks ({boxes} boxes) to {vals['out']}")
 
 
-def _train_config(vals: dict[str, Any]) -> TrainConfig:
-    cfg = _of(TrainConfig, vals)
-    cfg.validate()
-    return cfg
-
-
 def _cmd_train(vals: dict[str, Any]) -> None:
-    cfg = _train_config(vals)
+    cfg = _of(TrainConfig, vals)
     tracks = _load_tracks(vals)
     window = cfg.k + cfg.p
 
@@ -440,33 +434,31 @@ def _cmd_predict(vals: dict[str, Any]) -> None:
     params, _meta = load_model(vals["weights"])
     k = params.dims.k
     tracks = _load_tracks(vals)
-    kept, windows = [], []
-    for t in tracks:
-        if len(t) < k:
-            print(f"warning: track {t.key} has {len(t)} frames, "
-                  f"needs {k}; skipped", file=sys.stderr)
-            continue
-        kept.append(t)
-        windows.append(build_features(
-            t.boxes[-k:], t.boxes[-k - 1] if len(t) > k else None))
-    skipped = len(tracks) - len(kept)
+    short = [t for t in tracks if len(t) < k]
+    kept = [t for t in tracks if len(t) >= k]
     if not kept:
-        raise DataError(f"all {skipped} tracks are shorter than k={k}; "
+        raise DataError(f"all {len(short)} tracks are shorter than k={k}; "
                         f"nothing predicted")
-    pred = forecast(params, np.stack(windows))
+    pred = forecast(params, np.stack([
+        build_features(t.boxes[-k:], t.boxes[-k - 1] if len(t) > k else None)
+        for t in kept]))
     finite = np.isfinite(pred).all(axis=(1, 2))
     if not finite.all():
         t = kept[int(np.argmin(finite))]
         raise NumericError(
             f"forecast for track {t.key} is not finite; coordinates are "
             f"outside the range the model can represent")
+    # warned only now, so a failing run prints its one error line alone
+    for t in short:
+        print(f"warning: track {t.key} has {len(t)} frames, needs {k}; "
+              f"skipped", file=sys.stderr)
     rows = [[t.video_id, t.track_id, step, *map(repr, box)]
             for t, boxes in zip(kept, pred.tolist())
             for step, box in enumerate(boxes, start=1)]
     _write_rows(vals["out"],
                 ["video_id", "track_id", "step", "cx", "cy", "w", "h"], rows)
-    print(f"wrote {len(rows)} rows ({len(kept)} tracks, {skipped} skipped) "
-          f"to {vals['out']}")
+    print(f"wrote {len(rows)} rows ({len(kept)} tracks, {len(short)} "
+          f"skipped) to {vals['out']}")
 
 
 def _cmd_eval(vals: dict[str, Any]) -> None:
@@ -478,7 +470,7 @@ def _cmd_eval(vals: dict[str, Any]) -> None:
         k, p = params.dims.k, params.dims.p
     else:
         params, k, p = None, vals["k"], vals["p"]
-        ModelDims(k=k, p=p).validate()  # before k + p sizes the slices
+        ModelDims(k=k, p=p)  # checks k and p before k + p sizes the slices
     mts = _minitracks(_load_tracks(vals), k + p, vals["stride"], vals["data"])
     if baseline is not None:
         report = evaluate_baseline(baseline, mts, k, p)
@@ -503,7 +495,6 @@ def _cmd_bench(vals: dict[str, Any]) -> None:
         params, _meta = load_model(vals["weights"])
     else:
         params = init_params(_of(ModelDims, vals), seed=vals["seed"])
-    out = _out_dir(vals, "bench")
     rows = []
     for n in vals["threads"]:
         rep = benchmark_tps(params, threads=n, duration=vals["duration"],
@@ -514,6 +505,8 @@ def _cmd_bench(vals: dict[str, Any]) -> None:
         print(f"threads {rep.threads:2d}: "
               f"{rep.trajectories_per_second:8.2f} forecasts/s "
               f"({rep.equivalent_fps:.0f} frames/s equivalent)")
+    # measured first, so a refused setting leaves no output behind
+    out = _out_dir(vals, "bench")
     _write_rows(os.path.join(out, "bench.csv"),
                 ["threads", "trajectories_per_second", "equivalent_fps",
                  "n_predictions", "elapsed_s", "k", "p", "hidden", "latent",
@@ -521,7 +514,7 @@ def _cmd_bench(vals: dict[str, Any]) -> None:
 
 
 def _cmd_ablate(vals: dict[str, Any]) -> None:
-    cfg = _train_config(vals)
+    cfg = _of(TrainConfig, vals)
     window = cfg.k + cfg.p
     mts = _minitracks(_load_tracks(vals), window, vals["stride"],
                       vals["data"])

@@ -459,7 +459,7 @@ def split_folds(tracks, n_folds: int = 3, seed: int = 0) -> FoldSplit:
     return FoldSplit(n_folds=n_folds, seed=seed, folds=folds)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SynthSpec:
     """Generator settings for synthetic tracks.
 
@@ -475,6 +475,9 @@ class SynthSpec:
     adds i.i.d. Gaussian pixel noise to every stored component.
     ``frame_rate_hz`` is nominal: it is checked and echoed into the run's
     meta file, and no track or CSV stores it.
+
+    A spec checks itself when it is made: an unknown kind or an
+    out-of-range value is a ConfigError, so every built spec is valid.
     """
 
     kind: str = "constant-velocity"
@@ -494,7 +497,7 @@ class SynthSpec:
     seed: int = 0
     frame_rate_hz: float = 30.0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.kind not in SYNTH_KINDS:
             raise ConfigError(
                 f"unknown synthetic kind {self.kind!r}; pick one of {SYNTH_KINDS}")
@@ -545,7 +548,6 @@ def synth_tracks(spec: SynthSpec, count: int) -> list[Track]:
     float64 raise ConfigError from the finiteness check on each track, with
     no numpy overflow warning ahead of it.
     """
-    spec.validate()
     if count < 1:
         raise ConfigError(f"count must be at least 1, got {count}")
     rng = np.random.default_rng(spec.seed)

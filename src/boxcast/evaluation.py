@@ -280,6 +280,8 @@ def benchmark_tps(params: ModelParams, threads: int = 1, duration: float = 1.0,
     """
     if threads < 1:
         raise ConfigError(f"threads must be >= 1, got {threads}")
+    if n_windows < 1:
+        raise ConfigError(f"n_windows must be >= 1, got {n_windows}")
     if not 0 < duration <= threading.TIMEOUT_MAX:
         raise ConfigError(f"duration must be positive and at most "
                           f"{threading.TIMEOUT_MAX:g} s, got {duration}")
@@ -348,9 +350,8 @@ def ablation_run(minitracks: list[MiniTrack], cfg, modes=LOSS_MODES,
     horizons = sorted(int(h) for h in horizons)
     if not horizons or horizons[0] < 1:
         raise ConfigError(f"bad horizons {horizons}")
-    for m in modes:
-        if m not in LOSS_MODES:
-            raise ConfigError(f"unknown loss mode {m!r}")
+    # built before any training, so a bad mode fails first
+    mode_cfgs = [replace(cfg, loss_mode=mode) for mode in modes]
     if eval_minitracks is None:
         eval_minitracks = minitracks
     if not retrain_per_horizon and horizons[-1] > cfg.p:
@@ -358,18 +359,18 @@ def ablation_run(minitracks: list[MiniTrack], cfg, modes=LOSS_MODES,
             f"horizon {horizons[-1]} exceeds the model horizon p={cfg.p}")
     windows, targets = stack_minitracks(eval_minitracks, cfg.k, cfg.p)
     rows: list[dict] = []
-    for mode in modes:
+    for mode_cfg in mode_cfgs:
         if not retrain_per_horizon:
-            pars, _ = train(replace(cfg, loss_mode=mode), minitracks)
+            pars, _ = train(mode_cfg, minitracks)
             pred = forecast(pars, windows)
         for h in horizons:
             if retrain_per_horizon:
-                pars, _ = train(replace(cfg, loss_mode=mode, p=h),
+                pars, _ = train(replace(mode_cfg, p=h),
                                 _truncate(minitracks, cfg.k + h))
                 pred = forecast(pars, windows)
             rep = evaluate_predictions(pred[:, :h], targets[:, :h],
                                        input_k=cfg.k)
-            rows.append({"mode": mode, "horizon": h,
+            rows.append({"mode": mode_cfg.loss_mode, "horizon": h,
                          "ade": rep.ade, "fde": rep.fde})
     return rows
 

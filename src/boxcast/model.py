@@ -119,18 +119,29 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ModelDims:
-    """Shape record: observed steps k, forecast steps p, LSTM width, latent width."""
+    """Shape record: observed steps k, forecast steps p, LSTM width, latent
+    width.
+
+    It checks itself when it is made: a field that is not a positive int
+    is a ConfigError, so every built record is valid.
+    """
 
     k: int
     p: int
     hidden: int = 512
     latent: int = 256
 
-    def validate(self) -> None:
-        for name in ("k", "p", "hidden", "latent"):
-            v = getattr(self, name)
-            if not (isinstance(v, int) and v >= 1):
-                raise ConfigError(f"dims.{name} must be a positive int, got {v!r}")
+    def __post_init__(self) -> None:
+        _check_positive_ints(self, ("k", "p", "hidden", "latent"))
+
+
+def _check_positive_ints(record, names: tuple[str, ...]) -> None:
+    """ConfigError naming the first of ``record``'s fields ``names`` that
+    is not a positive int."""
+    for name in names:
+        v = getattr(record, name)
+        if not (isinstance(v, int) and v >= 1):
+            raise ConfigError(f"{name} must be a positive int, got {v!r}")
 
 
 @dataclass
@@ -211,7 +222,6 @@ def init_params(dims: ModelDims, seed: int | np.random.Generator = 0,
     state; all biases start at zero. Tensors are drawn in the
     `ModelParams.tensors()` order, so a fixed seed fixes every value.
     """
-    dims.validate()
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     s = 1.0 / np.sqrt(dims.hidden)
 
@@ -531,13 +541,16 @@ class LossWeights:
     mode 'traj-del'      weights the L1 on raw delta rows only
     mode 'traj'          weights the L1 on concatenated future boxes only
     mode 'traj+auto-enc' adds alpha * reconstruction L1 to the 'traj' term
+
+    It checks itself when it is made: an unknown mode, or a weight that is
+    not finite and >= 0, is a ConfigError.
     """
 
     alpha: float = 1.0
     beta: float = 2.0
     mode: str = MODE_TRAJ_AUTOENC
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.mode not in LOSS_MODES:
             raise ConfigError(
                 f"unknown loss mode {self.mode!r}; pick one of {LOSS_MODES}")
@@ -572,7 +585,6 @@ def composite_loss(recon: np.ndarray | None, window: np.ndarray,
 
     Returns (loss, unweighted per-term values).
     """
-    weights.validate()
     _check_window(window)
     pred, head = (pred_deltas, "pred_deltas") \
         if weights.mode == MODE_TRAJ_DEL else (pred_boxes, "pred_boxes")
@@ -644,7 +656,6 @@ def loss_and_grads(params: ModelParams, window: np.ndarray,
     is added, before that branch's backward pass runs; the encoder's
     backward pass never runs on a non-finite loss.
     """
-    weights.validate()
     dims = params.dims
     window, batch = _as_rows(params, "feature window", window,
                              (dims.k, INPUT_DIM))

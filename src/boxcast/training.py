@@ -24,6 +24,7 @@ from .model import (
     LossWeights,
     ModelDims,
     ModelParams,
+    _check_positive_ints,
     build_features,  # read only by perfbench/tracing.py::targets
     feature_windows,
     init_params,
@@ -43,12 +44,16 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     """Hyperparameters; the defaults are the full-scale reference setup.
 
     Adam's betas and epsilon are not among them: they are the `nn`
     constants `ADAM_BETA1`, `ADAM_BETA2` and `ADAM_EPS`.
+
+    It checks itself when it is made, so every built config is valid: the
+    shape and loss fields by building its `ModelDims` and `LossWeights`,
+    then its own fields. A bad field is a ConfigError.
     """
 
     k: int = 30
@@ -66,15 +71,12 @@ class TrainConfig:
     carry_cell_state: bool = True
     grad_clip: float = 0.0  # 0 disables clipping
 
-    def validate(self) -> None:
-        for name in ("k", "p", "hidden", "latent", "batch_size", "epochs",
-                     "halve_every"):
-            v = getattr(self, name)
-            if not (isinstance(v, int) and v >= 1):
-                raise ConfigError(f"{name} must be a positive int, got {v!r}")
+    def __post_init__(self) -> None:
+        self.dims()
+        _check_positive_ints(self, ("batch_size", "epochs", "halve_every"))
         if not self.base_lr > 0:
             raise ConfigError(f"base_lr must be positive, got {self.base_lr}")
-        self.loss_weights().validate()
+        self.loss_weights()
         if not self.grad_clip >= 0:
             raise ConfigError(f"grad_clip must be >= 0, got {self.grad_clip}")
 
@@ -124,7 +126,7 @@ def stack_minitracks(minitracks: list[MiniTrack], k: int, p: int
     one `feature_windows` call; a faulty mini-track raises the error
     `build_features` raises on it, the first one in list order.
     """
-    ModelDims(k=k, p=p).validate()
+    ModelDims(k=k, p=p)  # checks k and p
     if not minitracks:
         raise ConfigError("empty mini-track set")
     n = k + p
@@ -169,7 +171,6 @@ def train(cfg: TrainConfig, minitracks: list[MiniTrack],
     parameters and the Adam moments are float32. Losses and the clipping
     norm are summed in float64.
     """
-    cfg.validate()
     windows, targets = (a.astype(np.float32) for a in
                         stack_minitracks(minitracks, cfg.k, cfg.p))
     m = windows.shape[0]
@@ -352,7 +353,6 @@ def load_model(path, expect_dims: ModelDims | None = None
         raise ConfigError(f"weight file lists {n_tensors} tensors, "
                           f"expected {N_TENSORS}")
     dims = ModelDims(k=k, p=p, hidden=hidden, latent=latent)
-    dims.validate()
     if expect_dims is not None and dims != expect_dims:
         raise ConfigError(
             f"weight file dims {dims} do not match the configured {expect_dims}")

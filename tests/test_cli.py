@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from helpers import track_csvs
 
-from boxcast import cli, training
+from boxcast import cli, evaluation, training
 from boxcast.cli import _command_opts, main
 from boxcast.data import (
     SYNTH_KINDS,
@@ -246,14 +246,20 @@ class TestPredict:
         assert "skipped" in err and "3 frames" in err
 
     def test_nothing_predictable_is_a_data_error(self, tmp_path, capsys):
+        """The error line is the only stderr line: no skip warning
+        precedes it."""
         weights = self.make_weights(tmp_path)
-        tracks = parse_tracks(synth_file(tmp_path, count=2, length=3))
+        tracks = parse_tracks(synth_file(tmp_path, count=3, length=3))
         data = tmp_path / "short.csv"
         write_tracks(tracks, data)
+        out = tmp_path / "pred.csv"
         code = main(["predict", "--weights", str(weights), "--data",
-                     str(data), "--out", str(tmp_path / "pred.csv")])
+                     str(data), "--out", str(out)])
         assert code == 3
-        assert "shorter than k=4" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "data error: all 3 tracks are shorter than k=4; nothing "
+            "predicted\n")
+        assert not out.exists()
 
 
 class TestEval:
@@ -332,7 +338,7 @@ class TestBench:
     def test_thread_counts_over_the_ceiling_start_nothing(
             self, tmp_path, monkeypatch, capsys, via, counts):
         """A count above 4 x the CPU count (or below 1) exits 2 while the
-        config is validated, before any thread starts or any file is
+        options are read, before any thread starts or any file is
         written: `Thread.start` raises if it is reached."""
         def refuse(thread):
             raise AssertionError("a thread was started")
@@ -355,6 +361,25 @@ class TestBench:
         name = "--threads" if via == "flag" else "threads"
         assert err.endswith(f"bad value for {name}: thread counts must be "
                             f"1..{ceiling} (4 x the CPU count), got {value!r}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value, reason", [
+        ("--duration", "0", "duration must be positive and at most "
+                            f"{threading.TIMEOUT_MAX:g} s, got 0.0"),
+        ("--duration", "-1", "duration must be positive and at most "
+                             f"{threading.TIMEOUT_MAX:g} s, got -1.0"),
+        ("--duration", "nan", "duration must be positive and at most "
+                              f"{threading.TIMEOUT_MAX:g} s, got nan"),
+        ("--n-windows", "0", "n_windows must be >= 1, got 0"),
+    ], ids=["duration-0", "duration-minus-1", "duration-nan", "n-windows-0"])
+    def test_a_refused_setting_leaves_no_output(self, tmp_path, capsys,
+                                                flag, value, reason):
+        out = tmp_path / "bench"
+        assert main(["bench", "--out", str(out), "--k", "3", "--p", "3",
+                     "--hidden", "4", "--latent", "2", flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"configuration error: {reason}\n"
+        assert captured.out == ""
         assert not out.exists()
 
     def test_weights_file_sets_the_benchmarked_model(self, tmp_path):
@@ -451,6 +476,24 @@ class TestAblate:
             assert capsys.readouterr().err == (
                 f"data error: {reason} {held_out}\n")
             assert not out.exists()
+
+    def test_unknown_mode_exits_two_before_any_training(
+            self, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a model was trained")
+
+        monkeypatch.setattr(evaluation, "train", refuse)
+        data = synth_file(tmp_path, count=4, length=6)
+        capsys.readouterr()
+        out = tmp_path / "ablation"
+        assert main(["ablate", "--data", str(data), "--out", str(out),
+                     "--modes", "traj,bogus", "--k", "3", "--p", "3",
+                     "--hidden", "8", "--latent", "4", "--epochs", "1",
+                     "--horizons", "3"]) == 2
+        assert capsys.readouterr().err == (
+            "configuration error: unknown loss mode 'bogus'; pick one of "
+            "('traj-del', 'traj', 'traj+auto-enc')\n")
+        assert not out.exists()
 
     def test_data_without_mini_tracks_exits_three(self, tmp_path, capsys):
         data = synth_file(tmp_path, length=5)
@@ -552,20 +595,24 @@ class TestConfigFilesAndExitCodes:
         assert "inf" not in captured.out
         assert "1 of them" in captured.err
 
-    @pytest.mark.parametrize("lead", [0, 1])
+    @pytest.mark.parametrize("lead", [0, 1, "short"])
     def test_non_finite_forecast_exits_four_and_writes_nothing(
             self, tmp_path, capsys, lead):
+        """Ahead of the overflowing track: nothing, a normal track, or a
+        track too short to forecast, whose skip warning is not printed."""
         weights = TestPredict().make_weights(tmp_path)
         header, _, extreme = EXTREME_CSV.partition("\n")
-        normal = "".join(f"v,a,{f},{10.0 + f},5,2,2\n" for f in range(6))
+        n = {0: 0, 1: 6, "short": 3}[lead]
+        ahead = "".join(f"v,a,{f},{10.0 + f},5,2,2\n" for f in range(n))
         data = tmp_path / "mixed.csv"
-        data.write_text(f"{header}\n{normal * lead}{extreme}")
+        data.write_text(f"{header}\n{ahead}{extreme}")
         out = tmp_path / "pred.csv"
         code = main(["predict", "--weights", str(weights), "--data",
                      str(data), "--out", str(out)])
         assert code == 4
-        err = capsys.readouterr().err
-        assert "track ('v', 't')" in err and "('v', 'a')" not in err
+        assert capsys.readouterr().err == (
+            "numeric failure: forecast for track ('v', 't') is not finite; "
+            "coordinates are outside the range the model can represent\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["predict", "eval"])

@@ -471,6 +471,9 @@ class TestBenchmark:
             benchmark_tps(params, threads=0)
         with pytest.raises(ConfigError):
             benchmark_tps(params, duration=0.0)
+        with pytest.raises(ConfigError, match="^n_windows must be >= 1, "
+                                              "got 0$"):
+            benchmark_tps(params, n_windows=0)
 
     @pytest.mark.parametrize("duration", [math.inf, 1e300])
     def test_duration_beyond_the_sleep_limit_starts_no_thread(self,

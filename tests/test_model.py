@@ -993,13 +993,13 @@ class TestCompositeLoss:
 
     def test_unknown_mode_raises(self):
         with pytest.raises(ConfigError):
-            LossWeights(mode="everything").validate()
+            LossWeights(mode="everything")
 
     @pytest.mark.parametrize("field", ["alpha", "beta"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
     def test_loss_weights_must_be_finite_and_non_negative(self, field, value):
         with pytest.raises(ConfigError, match=field):
-            LossWeights(**{field: value}).validate()
+            LossWeights(**{field: value})
 
     def test_batch_loss_is_mean_of_per_sample_losses(self):
         rng = np.random.default_rng(27)

@@ -1,5 +1,5 @@
-"""Package hygiene: every name a module imports is used or exported, and
-every exported name exists."""
+"""Package hygiene: every name a module imports is used or exported, every
+exported name exists, and no module keeps a separate `validate` step."""
 
 import ast
 import importlib
@@ -55,3 +55,16 @@ def test_every_export_resolves(name):
     module = importlib.import_module(
         "boxcast" if name == "__init__" else f"boxcast.{name}")
     assert [e for e in _exported(tree) if not hasattr(module, e)] == []
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_records_have_no_separate_validate_step(name):
+    """Config records check themselves in ``__post_init__``, so no module
+    defines or calls a method named ``validate``."""
+    tree = ast.parse((SRC / f"{name}.py").read_text(encoding="utf-8"))
+    defined = [n.lineno for n in ast.walk(tree)
+               if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and n.name == "validate"]
+    called = [n.lineno for n in ast.walk(tree)
+              if isinstance(n, ast.Attribute) and n.attr == "validate"]
+    assert defined == called == []

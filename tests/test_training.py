@@ -4,6 +4,7 @@ file including its failure modes."""
 
 import copy
 import dataclasses
+import re
 import tempfile
 from pathlib import Path
 
@@ -26,6 +27,7 @@ from boxcast.data import (
 from boxcast.errors import ConfigError, DataError, NumericError
 from boxcast.model import (
     MODE_TRAJ,
+    LossWeights,
     ModelDims,
     build_features,
     init_params,
@@ -86,19 +88,60 @@ class TestSchedule:
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
-            TrainConfig(epochs=0).validate()
+            TrainConfig(epochs=0)
         with pytest.raises(ConfigError):
-            TrainConfig(base_lr=0.0).validate()
+            TrainConfig(base_lr=0.0)
         with pytest.raises(ConfigError):
-            TrainConfig(loss_mode="spiral").validate()
+            TrainConfig(loss_mode="spiral")
         with pytest.raises(ConfigError):
-            TrainConfig(grad_clip=-1.0).validate()
+            TrainConfig(grad_clip=-1.0)
         with pytest.raises(ConfigError, match="grad_clip"):
-            TrainConfig(grad_clip=float("nan")).validate()
+            TrainConfig(grad_clip=float("nan"))
         for field, value in (("alpha", float("nan")), ("beta", float("nan")),
                              ("alpha", float("inf")), ("beta", -1.0)):
             with pytest.raises(ConfigError, match=field):
-                TrainConfig(**{field: value}).validate()
+                TrainConfig(**{field: value})
+
+
+class TestRecordsCheckThemselves:
+    """Each config record is valid once it is built: a bad field raises
+    ConfigError from the constructor and from `dataclasses.replace` (the
+    path `ablation_run` takes), and a built record cannot be changed."""
+
+    CASES = [
+        (ModelDims, {"k": 3, "p": 2}, "hidden", 0,
+         "hidden must be a positive int, got 0"),
+        (ModelDims, {"k": 3, "p": 2}, "k", 2.5,
+         "k must be a positive int, got 2.5"),
+        (LossWeights, {}, "mode", "spiral",
+         "unknown loss mode 'spiral'; pick one of "
+         "('traj-del', 'traj', 'traj+auto-enc')"),
+        (LossWeights, {}, "alpha", float("nan"),
+         "loss weight alpha must be finite and >= 0, got nan"),
+        (TrainConfig, {}, "batch_size", 0,
+         "batch_size must be a positive int, got 0"),
+        (TrainConfig, {}, "latent", -1, "latent must be a positive int, got -1"),
+        (TrainConfig, {}, "loss_mode", "spiral",
+         "unknown loss mode 'spiral'; pick one of "
+         "('traj-del', 'traj', 'traj+auto-enc')"),
+        (TrainConfig, {}, "base_lr", 0.0, "base_lr must be positive, got 0.0"),
+        (SynthSpec, {}, "kind", "zigzag",
+         f"unknown synthetic kind 'zigzag'; pick one of {SYNTH_KINDS}"),
+        (SynthSpec, {}, "period", 0.0, "period must be positive, got 0.0"),
+    ]
+
+    @pytest.mark.parametrize("cls, valid, field, bad, message", CASES,
+                             ids=[f"{c[0].__name__}.{c[2]}" for c in CASES])
+    def test_a_bad_field_is_refused_when_the_record_is_made(
+            self, cls, valid, field, bad, message):
+        exact = f"^{re.escape(message)}$"
+        with pytest.raises(ConfigError, match=exact):
+            cls(**{**valid, field: bad})
+        record = cls(**valid)
+        with pytest.raises(ConfigError, match=exact):
+            dataclasses.replace(record, **{field: bad})
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, field, bad)
 
 
 class TestStacking:
