@@ -23,6 +23,7 @@ import numpy as np
 from .data import (
     CsvFormat,
     SynthSpec,
+    _check_seed,
     parse_tracks,
     slice_all_minitracks,
     split_folds,
@@ -80,10 +81,8 @@ def _int_pair(text: str) -> tuple[int, int]:
 
 
 def _seed(text: str) -> int:
-    # numpy's generators refuse negative seeds with a bare ValueError
-    if int(text) < 0:
-        raise ConfigError(f"seed must be >= 0, got {text!r}")
-    return int(text)
+    # `bench` has no config record to check its seed before it draws
+    return _check_seed(int(text))
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -155,7 +154,7 @@ def _train_opts() -> list[Opt]:
         Opt("beta", float, d.beta, "trajectory loss weight"),
         Opt("loss_mode", str, d.loss_mode,
             "one of: " + ", ".join(LOSS_MODES)),
-        Opt("seed", _seed, d.seed, "random seed"),
+        Opt("seed", int, d.seed, "random seed"),
         Opt("carry_cell_state", _bool, d.carry_cell_state,
             "start the future decoder from the encoder cell state too"),
         Opt("grad_clip", float, d.grad_clip,
@@ -187,7 +186,7 @@ def _synth_opts() -> list[Opt]:
             "uniform per-track start offset bound"),
         Opt("velocity_jitter", float, d.velocity_jitter,
             "uniform per-track velocity offset bound"),
-        Opt("seed", _seed, d.seed, "random seed"),
+        Opt("seed", int, d.seed, "random seed"),
         Opt("frame_rate_hz", float, d.frame_rate_hz, "nominal frame rate"),
     ]
 

@@ -530,6 +530,15 @@ class SynthSpec:
             if not 1 <= lo <= hi < 2**63:
                 raise ConfigError(f"{name} must satisfy 1 <= lo <= hi < "
                                   f"2**63, got ({lo}, {hi})")
+        _check_seed(self.seed)
+
+
+def _check_seed(seed) -> int:
+    """``seed``, or a ConfigError unless it is an int >= 0: numpy's
+    generators refuse a negative seed with a bare ValueError."""
+    if not (isinstance(seed, int) and seed >= 0):
+        raise ConfigError(f"seed must be an int >= 0, got {seed!r}")
+    return seed
 
 
 _MAX_JITTER = np.finfo(np.float64).max / 2.0

@@ -50,11 +50,14 @@ the same forward of the encoder and of each decoder branch
 (`_run_encoder`, `_future_branch`, `_recon_branch`), keeps each
 sequence's stacked buffers as its caches, runs its backward pass inside
 them (overwriting the gate activations with their gradients), and returns
-analytic parameter gradients. It runs one decoder branch at a time: each
-branch's forward pass, loss term and backward pass finish, and its caches
-are freed, before the next branch allocates, so at most the encoder's and
-one decoder's caches are live at once. Each head's gradient on the
-per-step hidden states is formed step by step inside the backward loop.
+analytic parameter gradients. It runs a batch of more than
+`TRAIN_BLOCK_ROWS` rows as near-equal row blocks, one after another, and
+within a block one decoder branch at a time: each branch's forward pass,
+loss term and backward pass finish, and its caches are freed, before the
+next branch allocates, so at most one block's encoder and one decoder's
+caches are live at once, whatever the batch size. Each head's gradient on
+the per-step hidden states is formed step by step inside the backward
+loop.
 The objective has one definition, `composite_loss`, built from the
 per-term pieces `loss_and_grads` calls branch by branch.
 """
@@ -74,7 +77,7 @@ from .nn import (
     LstmCellState,
     LstmSeq,
     _lstm_cell_from_preact,
-    l1_loss,
+    l1_sum,
     linear_backward,
     linear_forward,
     linear_param_grads,
@@ -85,6 +88,18 @@ from .nn import (
 
 INPUT_DIM = 8   # cx, cy, w, h, dcx, dcy, dw, dh
 OUTPUT_DIM = 4  # cx, cy, w, h (and their deltas on the future branch)
+
+# Most rows one block of `loss_and_grads` runs: a larger batch runs as
+# near-equal blocks, one at a time, so a training step's LSTM caches grow
+# with this constant, not with the batch. The reference batch of 200 runs
+# as two blocks of 100, which cuts `train`'s peak RSS from 347 to 241 MB.
+# Smaller blocks cost time, as each step's products shrink: a 200-row step
+# took 2380 ms whole, 2560 ms in blocks of 100 and 2760 ms in blocks of 50
+# (hidden 512, float32, one BLAS thread, 2-core Xeon VM; median thread
+# time of 6 alternating processes of 4 steps). Blocks of 100 never leave a
+# tail of 1-12 rows, which would run the slower batch-1 or tiled
+# recurrent products.
+TRAIN_BLOCK_ROWS = 100
 
 MODE_TRAJ_DEL = "traj-del"
 MODE_TRAJ = "traj"
@@ -590,35 +605,49 @@ def composite_loss(recon: np.ndarray | None, window: np.ndarray,
         if weights.mode == MODE_TRAJ_DEL else (pred_boxes, "pred_boxes")
     if pred is None:
         raise ConfigError(f"mode {weights.mode!r} needs {head}")
-    terms = {"traj": _trajectory_term(pred, window, target_boxes, weights)[0]}
-    loss = weights.beta * terms["traj"]
-
+    counts = {"traj": pred.size, "auto_enc": window.size}
+    sums = {"traj": _trajectory_term(pred, window, target_boxes, weights,
+                                     counts["traj"])[0]}
     if weights.mode == MODE_TRAJ_AUTOENC:
         if recon is None:
             raise ConfigError("traj+auto-enc mode needs the reconstruction rows")
-        terms["auto_enc"] = _reconstruction_term(recon, window, weights)[0]
+        sums["auto_enc"] = _reconstruction_term(recon, window, weights,
+                                                counts["auto_enc"])[0]
+    return _weighted_sum(sums, counts, weights)
+
+
+def _weighted_sum(sums: dict[str, float], counts: dict[str, int],
+                  weights: LossWeights) -> tuple[float, dict[str, float]]:
+    """(loss, per-term means) of the per-term L1 sums over ``counts``
+    elements: beta * traj, then + alpha * auto_enc when it is present."""
+    terms = {name: s / counts[name] for name, s in sums.items()}
+    loss = weights.beta * terms["traj"]
+    if "auto_enc" in terms:
         loss += weights.alpha * terms["auto_enc"]
     return loss, terms
 
 
 def _trajectory_term(pred: np.ndarray, window: np.ndarray,
-                     target_boxes: np.ndarray, weights: LossWeights
-                     ) -> tuple[float, np.ndarray]:
-    """The trajectory L1 and its beta-weighted gradient on ``pred``: the
-    delta rows in traj-del mode (against the target deltas, taken from the
-    window's anchor), the future boxes otherwise."""
+                     target_boxes: np.ndarray, weights: LossWeights,
+                     count: int) -> tuple[float, np.ndarray]:
+    """The trajectory L1 sum and the beta-weighted gradient of its mean over
+    ``count`` elements on ``pred``: the delta rows in traj-del mode (against
+    the target deltas, taken from the window's anchor), the future boxes
+    otherwise."""
     target = target_boxes
     if weights.mode == MODE_TRAJ_DEL:
         target = np.diff(target_boxes, axis=-2,
                          prepend=window[..., -1, None, :4])
-    l_traj, g_traj = l1_loss(pred, target)
+    l_traj, g_traj = l1_sum(pred, target, count)
     return l_traj, weights.beta * g_traj
 
 
 def _reconstruction_term(recon: np.ndarray, window: np.ndarray,
-                         weights: LossWeights) -> tuple[float, np.ndarray]:
-    """The reconstruction L1 and its alpha-weighted gradient on ``recon``."""
-    l_auto, g_auto = l1_loss(recon, reconstruction_target(window))
+                         weights: LossWeights, count: int
+                         ) -> tuple[float, np.ndarray]:
+    """The reconstruction L1 sum and the alpha-weighted gradient of its mean
+    over ``count`` elements on ``recon``."""
+    l_auto, g_auto = l1_sum(recon, reconstruction_target(window), count)
     return l_auto, weights.alpha * g_auto
 
 
@@ -641,20 +670,24 @@ def loss_and_grads(params: ModelParams, window: np.ndarray,
     of the batch-mean loss, which equals the mean of the per-sample
     gradients.
 
-    The decoder branches run one at a time, so at most the encoder's and
-    one decoder's caches are live at once. In order: the encoder forward
-    (`_run_encoder`, as `encode` runs it); the future branch's forward,
-    head, trajectory term and backward; in traj+auto-enc mode the
-    reconstruction branch's likewise; then ``fc_latent`` and the encoder
-    backward. Each branch frees its caches before the next one allocates.
-    The loss is the `composite_loss` sum in its order, beta * traj then
-    + alpha * auto, and ``dz`` sums the future branch's part, then the
-    reconstruction branch's.
+    The flattened batch runs as ceil(n / `TRAIN_BLOCK_ROWS`) blocks of
+    near-equal row counts (`np.array_split`), one after another, so the
+    LSTM caches of one block at most are live at once: they grow with
+    `TRAIN_BLOCK_ROWS`, not with the batch. Each block runs `_block_grads`
+    and adds into one gradient dict and into float64 L1 sums. Every block's
+    head gradients divide by the element count of the whole batch, so they
+    have the bits of the unblocked pass; the sums over blocks (the weight
+    and bias gradients, the loss) divide once and reassociate, so only a
+    batch of more than `TRAIN_BLOCK_ROWS` rows rounds apart from the whole
+    batch run as one block. A single window and a batch of at most
+    `TRAIN_BLOCK_ROWS` rows are one block. The loss and the terms come from
+    the sums as `composite_loss` makes them: beta * traj, then
+    + alpha * auto.
 
     An empty batch raises DataError before any forward step. A loss that
     is not finite raises NumericError as soon as the term that makes it so
-    is added, before that branch's backward pass runs; the encoder's
-    backward pass never runs on a non-finite loss.
+    is added, before that block's branch runs its backward pass; that
+    block's encoder backward pass never runs.
     """
     dims = params.dims
     window, batch = _as_rows(params, "feature window", window,
@@ -665,25 +698,54 @@ def loss_and_grads(params: ModelParams, window: np.ndarray,
         raise DataError(f"empty training batch: feature window has shape "
                         f"{batch + (dims.k, INPUT_DIM)}")
 
-    # forward through the encoder; its sequence buffers are its caches
+    grads = {name: np.zeros_like(t) for name, t in params.tensors().items()}
+    counts = {"traj": target_boxes.size, "auto_enc": window.size}
+    sums = {"traj": 0.0}
+    if weights.mode == MODE_TRAJ_AUTOENC:
+        sums["auto_enc"] = 0.0
+    # a single (k, 8) window has no batch axis to split
+    blocks = -(-len(window) // TRAIN_BLOCK_ROWS) if batch else 1
+    for rows, targets in zip(np.array_split(window, blocks),
+                             np.array_split(target_boxes, blocks)):
+        _block_grads(params, rows, targets, weights, counts, sums, grads)
+    loss, terms = _weighted_sum(sums, counts, weights)
+    return loss, terms, grads
+
+
+def _block_grads(params: ModelParams, window: np.ndarray,
+                 target_boxes: np.ndarray, weights: LossWeights,
+                 counts: dict[str, int], sums: dict[str, float],
+                 grads: dict[str, np.ndarray]) -> None:
+    """One block of `loss_and_grads`: adds its L1 sums into ``sums`` and its
+    gradients, each head's divided by the whole batch's ``counts``, into
+    ``grads``. Its caches are freed when it returns.
+
+    The decoder branches run one at a time, so at most the encoder's and
+    one decoder's caches are live at once. In order: the encoder forward
+    (`_run_encoder`, as `encode` runs it); the future branch's forward,
+    head, trajectory term and backward; in traj+auto-enc mode the
+    reconstruction branch's likewise; then ``fc_latent`` and the encoder
+    backward. Each branch frees its caches before the next one allocates.
+    ``dz`` sums the future branch's part, then the reconstruction
+    branch's. After each term the loss of the running sums must be finite.
+    """
     enc, h_relu, z = _run_encoder(params, window)
 
     fut, deltas = _future_branch(params, z, enc.final)
     if weights.mode == MODE_TRAJ_DEL:
         l_traj, d_deltas = _trajectory_term(deltas, window, target_boxes,
-                                            weights)
+                                            weights, counts["traj"])
     else:
         l_traj, d_boxes = _trajectory_term(
             concat_trajectory(deltas, window[..., -1, :4]), window,
-            target_boxes, weights)
+            target_boxes, weights, counts["traj"])
         # box i collects deltas 1..i, so the delta at step t collects the
         # gradient of every box from t onward
         d_deltas = np.flip(np.cumsum(np.flip(d_boxes, axis=-2), axis=-2),
                            axis=-2)
-    terms = {"traj": l_traj}
-    loss = _finite_loss(weights.beta * l_traj)
+    sums["traj"] += l_traj
+    _check_finite_loss(sums, counts, weights)
 
-    grads = {name: np.zeros_like(t) for name, t in params.tensors().items()}
     dz, d_enc_h, d_enc_c = _constant_decoder_backward(
         fut, params.fc_delta, z, d_deltas, grads, "fut_dec", "fc_delta")
     del fut  # freed before the reconstruction branch allocates its caches
@@ -692,9 +754,10 @@ def loss_and_grads(params: ModelParams, window: np.ndarray,
 
     if weights.mode == MODE_TRAJ_AUTOENC:
         auto, recon = _recon_branch(params, z)
-        terms["auto_enc"], d_recon = _reconstruction_term(recon, window,
-                                                          weights)
-        loss = _finite_loss(loss + weights.alpha * terms["auto_enc"])
+        l_auto, d_recon = _reconstruction_term(recon, window, weights,
+                                               counts["auto_enc"])
+        sums["auto_enc"] += l_auto
+        _check_finite_loss(sums, counts, weights)
         dz_auto, _, _ = _constant_decoder_backward(
             auto, params.fc_recon, z, d_recon, grads, "auto_dec", "fc_recon")
         del auto, recon
@@ -710,14 +773,14 @@ def loss_and_grads(params: ModelParams, window: np.ndarray,
     xs = np.moveaxis(window, -2, 0)
     grads["enc.wx"] += da.reshape(-1, da.shape[-1]).T \
         @ xs.reshape(-1, xs.shape[-1])
-    return loss, terms, grads
 
 
-def _finite_loss(loss: float) -> float:
-    """``loss``, or NumericError when it is not finite."""
+def _check_finite_loss(sums: dict[str, float], counts: dict[str, int],
+                       weights: LossWeights) -> None:
+    """NumericError when the loss of the running L1 sums is not finite."""
+    loss = _weighted_sum(sums, counts, weights)[0]
     if not np.isfinite(loss):
         raise NumericError(f"non-finite loss {loss!r}")
-    return loss
 
 
 def _unroll_backward(seq: LstmSeq, dh: np.ndarray, dc: np.ndarray,

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .data import MiniTrack
+from .data import MiniTrack, _check_seed
 from .errors import ConfigError, DataError, NumericError
 from .model import (
     INPUT_DIM,
@@ -79,6 +79,7 @@ class TrainConfig:
         self.loss_weights()
         if not self.grad_clip >= 0:
             raise ConfigError(f"grad_clip must be >= 0, got {self.grad_clip}")
+        _check_seed(self.seed)
 
     def dims(self) -> ModelDims:
         return ModelDims(k=self.k, p=self.p, hidden=self.hidden,
@@ -170,6 +171,12 @@ def train(cfg: TrainConfig, minitracks: list[MiniTrack],
     initial values are drawn as float64 and rounded once, and the returned
     parameters and the Adam moments are float32. Losses and the clipping
     norm are summed in float64.
+
+    Each batch is one `loss_and_grads` call, which runs it in row blocks
+    of at most `model.TRAIN_BLOCK_ROWS` rows: a step's LSTM caches grow
+    with that constant, not with ``batch_size``. A batch of more rows
+    rounds apart from the same batch run as one block, in the sums over
+    its blocks only; training stays deterministic.
     """
     windows, targets = (a.astype(np.float32) for a in
                         stack_minitracks(minitracks, cfg.k, cfg.p))

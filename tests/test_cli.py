@@ -781,14 +781,36 @@ class TestConfigFilesAndExitCodes:
             "2.9,3.7": "expected two whole numbers, got '2.9,3.7'",
             "1e19,1e19": "go_frames must satisfy 1 <= lo <= hi < 2**63, "
                          f"got ({10**19}, {10**19})",
-            "-1": "seed must be >= 0, got '-1'",
+            "-1": "seed must be an int >= 0, got -1",
         }[value]
         assert err.startswith("configuration error: ")
-        assert err.endswith(f": {reason}\n")
+        assert err.endswith(f" {reason}\n")
         assert err.count("\n") == 1
-        if via == "flag" and value != "1e19,1e19":
+        # the flag's converter names the flag; a spec field's check does not
+        if via == "flag" and value not in ("1e19,1e19", "-1"):
             assert f"bad value for --{key.replace('_', '-')}: " in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "synth", "bench"])
+    def test_negative_seed_exits_two_and_writes_nothing(self, tmp_path, capsys,
+                                                        command):
+        """`train` and `synth` leave the seed to their config record;
+        `bench`, which has none, checks the flag itself."""
+        data = synth_file(tmp_path)
+        capsys.readouterr()
+        before = sorted(tmp_path.iterdir())
+        out = tmp_path / "run"
+        argv = {"train": ["--data", str(data), *TINY_TRAIN],
+                "synth": ["--count", "1", "--length", "5"],
+                "bench": ["--k", "3", "--p", "3", "--hidden", "4",
+                          "--latent", "2", "--duration", "0.01"]}[command]
+        assert main([command, "--out", str(out), *argv, "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("configuration error: ")
+        assert captured.err.endswith(" seed must be an int >= 0, got -1\n")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert sorted(tmp_path.iterdir()) == before
 
     def test_unknown_flag_exits_two(self, capsys):
         assert main(["synth", "--flux", "9"]) == 2

@@ -881,9 +881,9 @@ class TestTrainingMemory:
     N = 64
 
     @classmethod
-    def peak_and_budget(cls, cache_steps):
+    def peak_and_budget(cls, cache_steps, rows=N):
         """(peak bytes, 1.25x the caches of runs of ``cache_steps`` steps
-        plus the gradient bytes)."""
+        over ``rows`` rows plus the gradient bytes)."""
         dims, n = cls.DIMS, cls.N
         params = init_params(dims, seed=5).astype(np.float32)
         rng = np.random.default_rng(5)
@@ -892,7 +892,7 @@ class TestTrainingMemory:
         weights = LossWeights(mode=MODE_TRAJ_AUTOENC)
         loss_and_grads(params, window, targets, weights)
         H = dims.hidden
-        cache_values = sum(t * n * 4 * H + 2 * (t + 1) * n * H
+        cache_values = sum(t * rows * 4 * H + 2 * (t + 1) * rows * H
                            for t in cache_steps)
         grad_bytes = sum(t.nbytes for t in params.tensors().values())
         tracemalloc.start()
@@ -922,6 +922,18 @@ class TestTrainingMemory:
         a stacked per-step head gradient, read 1.52)."""
         dims = self.DIMS
         peak, budget = self.peak_and_budget((dims.k, max(dims.k, dims.p)))
+        assert peak <= budget, (peak, budget)
+
+    def test_a_batch_of_four_blocks_holds_one_blocks_caches(self,
+                                                            monkeypatch):
+        """With `TRAIN_BLOCK_ROWS` at a quarter of the batch, each block
+        frees its caches before the next allocates, so the peak stays
+        within 1.25x of one block's encoder and larger decoder caches plus
+        the gradients (measured 1.11; whole-batch caches read 3.43)."""
+        dims = self.DIMS
+        monkeypatch.setattr(model, "TRAIN_BLOCK_ROWS", self.N // 4)
+        peak, budget = self.peak_and_budget((dims.k, max(dims.k, dims.p)),
+                                            self.N // 4)
         assert peak <= budget, (peak, budget)
 
 
@@ -1136,3 +1148,134 @@ class TestLossAndGrads:
             params.enc.wx)
         np.testing.assert_allclose(grads["enc.wx"], numeric,
                                    rtol=1e-4, atol=1e-8)
+
+
+class TestLossAndGradsInBlocks:
+    """`loss_and_grads` runs a batch of more than `TRAIN_BLOCK_ROWS` rows as
+    near-equal blocks. Here the constant is patched to 3, so a batch of 7
+    rows runs as blocks of 3, 2 and 2."""
+
+    N = 7
+
+    @pytest.fixture(autouse=True)
+    def blocks_of_three(self, monkeypatch):
+        monkeypatch.setattr(model, "TRAIN_BLOCK_ROWS", 3)
+
+    def batch(self, seed=40):
+        """(params, 7 windows, their targets): the windows and targets of
+        seven gradcheck cases, run through the first case's params."""
+        cases = [gradcheck_case(seed + j) for j in range(self.N)]
+        return (cases[0][0], np.stack([w for _, w, _ in cases]),
+                np.stack([t for _, _, t in cases]))
+
+    @pytest.mark.parametrize("mode", LOSS_MODES)
+    def test_gradients_match_finite_differences(self, mode):
+        params, window, targets = self.batch()
+        weights = LossWeights(alpha=1.0, beta=2.0, mode=mode)
+        _, _, grads = loss_and_grads(params, window, targets, weights)
+        for name, tensor in params.tensors().items():
+            numeric = fd_grad(
+                lambda _: loss_via_public_ops(params, window, targets,
+                                              weights), tensor)
+            np.testing.assert_allclose(
+                grads[name], numeric, rtol=1e-4, atol=1e-8,
+                err_msg=f"tensor {name}, mode {mode}")
+
+    @pytest.mark.parametrize("mode", LOSS_MODES)
+    def test_loss_and_terms_equal_composite_loss(self, mode):
+        """The blocks' float64 L1 sums divide once, so the loss and each
+        term are the whole batch's `composite_loss` up to the order of
+        the sums."""
+        params, window, targets = self.batch()
+        weights = LossWeights(mode=mode)
+        loss, terms, _ = loss_and_grads(params, window, targets, weights)
+        z, state = encode(params, window)
+        deltas = decode_future(params, z, state)
+        want, want_terms = composite_loss(
+            reconstruct(params, z), window,
+            concat_trajectory(deltas, window[..., -1, :4]), targets, weights,
+            pred_deltas=deltas)
+        np.testing.assert_allclose(loss, want, rtol=1e-12, atol=0)
+        assert terms.keys() == want_terms.keys()
+        for name, value in terms.items():
+            np.testing.assert_allclose(value, want_terms[name], rtol=1e-12,
+                                       atol=0, err_msg=name)
+
+    @pytest.mark.parametrize("mode", LOSS_MODES)
+    def test_gradients_match_the_batch_run_as_one_block(self, mode,
+                                                        monkeypatch):
+        """Only the sums over blocks reassociate, so in float64 each
+        gradient stays within 1e-13 of its tensor's largest entry run as one
+        block (measured: at most 4.9e-16)."""
+        params, window, targets = self.batch()
+        weights = LossWeights(mode=mode)
+        _, _, blocked = loss_and_grads(params, window, targets, weights)
+        monkeypatch.setattr(model, "TRAIN_BLOCK_ROWS", self.N)
+        _, _, whole = loss_and_grads(params, window, targets, weights)
+        for name, want in whole.items():
+            scale = np.abs(want).max()
+            assert np.abs(blocked[name] - want).max() <= 1e-13 * scale, name
+
+    def test_two_calls_give_equal_bits(self):
+        params, window, targets = self.batch()
+        weights = LossWeights(mode=MODE_TRAJ_AUTOENC)
+        first = loss_and_grads(params.astype(np.float32), window, targets,
+                               weights)
+        second = loss_and_grads(params.astype(np.float32), window, targets,
+                                weights)
+        assert first[:2] == second[:2]
+        for name, grad in first[2].items():
+            assert grad.tobytes() == second[2][name].tobytes(), name
+
+    def test_a_non_finite_term_in_a_later_block_stops_before_its_backward(
+            self, monkeypatch):
+        """Row 4 sits in the second block (rows 3 and 4). Its infinite target
+        makes the running trajectory term infinite there, so the first block
+        has run every backward pass (p future, k reconstruction and k
+        encoder steps) and the second block none."""
+        params, window, targets = self.batch()
+        targets[4, 0, 0] = np.inf
+        cells = []
+        real = model.lstm_gate_backward
+
+        def recording(seq, *args):
+            cells.append(seq.cell)
+            return real(seq, *args)
+
+        monkeypatch.setattr(model, "lstm_gate_backward", recording)
+        with pytest.raises(NumericError, match="non-finite loss inf"):
+            loss_and_grads(params, window, targets,
+                           LossWeights(mode=MODE_TRAJ_AUTOENC))
+        assert cells == ([params.fut_dec] * TINY.p
+                         + [params.auto_dec] * TINY.k + [params.enc] * TINY.k)
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_an_overflowing_first_block_skips_the_encoder_backward(
+            self, monkeypatch):
+        """As `TestLossAndGrads` checks on one window: the first block's
+        reconstruction term overflows once its forward pass has run, after
+        its future branch's backward and before any other."""
+        params, window, targets = self.batch()
+        cells = []
+        real = model.lstm_gate_backward
+
+        def recording(seq, *args):
+            cells.append(seq.cell)
+            return real(seq, *args)
+
+        monkeypatch.setattr(model, "lstm_gate_backward", recording)
+        with pytest.raises(NumericError, match="non-finite loss inf"):
+            loss_and_grads(params, window * 1e3, targets,
+                           LossWeights(alpha=1e308, mode=MODE_TRAJ_AUTOENC))
+        assert cells == [params.fut_dec] * TINY.p
+
+    def test_an_empty_batch_is_a_data_error_before_any_step(
+            self, monkeypatch):
+        params = init_params(TINY, seed=12)
+        steps = []
+        monkeypatch.setattr(model, "lstm_cell_forward",
+                            lambda *args: steps.append(args))
+        with pytest.raises(DataError, match="empty training batch"):
+            loss_and_grads(params, np.zeros((0, TINY.k, 8)),
+                           np.zeros((0, TINY.p, 4)), LossWeights())
+        assert steps == []

@@ -125,9 +125,11 @@ class TestRecordsCheckThemselves:
          "unknown loss mode 'spiral'; pick one of "
          "('traj-del', 'traj', 'traj+auto-enc')"),
         (TrainConfig, {}, "base_lr", 0.0, "base_lr must be positive, got 0.0"),
+        (TrainConfig, {}, "seed", -1, "seed must be an int >= 0, got -1"),
         (SynthSpec, {}, "kind", "zigzag",
          f"unknown synthetic kind 'zigzag'; pick one of {SYNTH_KINDS}"),
         (SynthSpec, {}, "period", 0.0, "period must be positive, got 0.0"),
+        (SynthSpec, {}, "seed", 2.5, "seed must be an int >= 0, got 2.5"),
     ]
 
     @pytest.mark.parametrize("cls, valid, field, bad, message", CASES,
