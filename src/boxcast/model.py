@@ -76,8 +76,8 @@ from .nn import (
     LstmCellParams,
     LstmCellState,
     LstmSeq,
+    _l1_sum,
     _lstm_cell_from_preact,
-    l1_sum,
     linear_backward,
     linear_forward,
     linear_param_grads,
@@ -638,7 +638,7 @@ def _trajectory_term(pred: np.ndarray, window: np.ndarray,
     if weights.mode == MODE_TRAJ_DEL:
         target = np.diff(target_boxes, axis=-2,
                          prepend=window[..., -1, None, :4])
-    l_traj, g_traj = l1_sum(pred, target, count)
+    l_traj, g_traj = _l1_sum(pred, target, count)
     return l_traj, weights.beta * g_traj
 
 
@@ -647,7 +647,7 @@ def _reconstruction_term(recon: np.ndarray, window: np.ndarray,
                          ) -> tuple[float, np.ndarray]:
     """The reconstruction L1 sum and the alpha-weighted gradient of its mean
     over ``count`` elements on ``recon``."""
-    l_auto, g_auto = l1_sum(recon, reconstruction_target(window), count)
+    l_auto, g_auto = _l1_sum(recon, reconstruction_target(window), count)
     return l_auto, weights.alpha * g_auto
 
 

@@ -75,7 +75,6 @@ __all__ = [
     "TILE_MAX_NH",
     "adam_step",
     "l1_loss",
-    "l1_sum",
     "linear_backward",
     "linear_forward",
     "linear_param_grads",
@@ -370,12 +369,12 @@ def l1_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
     too large to sum in float32 still give a finite loss. Empty inputs
     have no mean and raise ShapeError.
     """
-    total, grad = l1_sum(pred, target, pred.size)
+    total, grad = _l1_sum(pred, target, pred.size)
     return total / pred.size, grad
 
 
-def l1_sum(pred: np.ndarray, target: np.ndarray, count: int
-           ) -> tuple[float, np.ndarray]:
+def _l1_sum(pred: np.ndarray, target: np.ndarray, count: int
+            ) -> tuple[float, np.ndarray]:
     """The absolute error summed in float64, and ``sign(pred - target) /
     count``: `l1_loss` before its one division. A block of a larger batch
     passes the whole batch's element count, so its gradient has the bits
@@ -384,7 +383,7 @@ def l1_sum(pred: np.ndarray, target: np.ndarray, count: int
         raise ShapeError(
             f"pred shape {pred.shape} != target shape {target.shape}")
     if pred.size == 0:
-        raise ShapeError(f"l1_loss of empty arrays of shape {pred.shape}")
+        raise ShapeError(f"_l1_sum of empty arrays of shape {pred.shape}")
     diff = pred - target
     return float(np.abs(diff).sum(dtype=np.float64)), np.sign(diff) / count
 

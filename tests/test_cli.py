@@ -784,7 +784,7 @@ class TestConfigFilesAndExitCodes:
             "-1": "seed must be an int >= 0, got -1",
         }[value]
         assert err.startswith("configuration error: ")
-        assert err.endswith(f" {reason}\n")
+        assert err.endswith(f": {reason}\n")
         assert err.count("\n") == 1
         # the flag's converter names the flag; a spec field's check does not
         if via == "flag" and value not in ("1e19,1e19", "-1"):
@@ -807,7 +807,7 @@ class TestConfigFilesAndExitCodes:
         assert main([command, "--out", str(out), *argv, "--seed", "-1"]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("configuration error: ")
-        assert captured.err.endswith(" seed must be an int >= 0, got -1\n")
+        assert captured.err.endswith(": seed must be an int >= 0, got -1\n")
         assert captured.err.count("\n") == 1
         assert captured.out == ""
         assert sorted(tmp_path.iterdir()) == before

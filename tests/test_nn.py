@@ -18,10 +18,10 @@ from boxcast.nn import (
     LstmSeq,
     TILE_MACS,
     TILE_MAX_NH,
+    _l1_sum,
     _lstm_cell_from_preact,
     adam_step,
     l1_loss,
-    l1_sum,
     linear_backward,
     linear_forward,
     lstm_gate_backward,
@@ -524,14 +524,14 @@ class TestL1Loss:
         assert grad.dtype == np.float32
 
     def test_blocks_with_the_whole_count_give_the_whole_gradient(self):
-        """`l1_sum` over row blocks, each dividing by the whole element
+        """`_l1_sum` over row blocks, each dividing by the whole element
         count: the gradients are the whole array's bit for bit, and the
         summed blocks over that count are its mean."""
         rng = np.random.default_rng(13)
         pred = rng.normal(size=(7, 3, 4)).astype(np.float32)
         target = rng.normal(size=(7, 3, 4)).astype(np.float32)
         loss, grad = l1_loss(pred, target)
-        sums, grads = zip(*(l1_sum(p, t, pred.size) for p, t in zip(
+        sums, grads = zip(*(_l1_sum(p, t, pred.size) for p, t in zip(
             np.array_split(pred, 3), np.array_split(target, 3))))
         assert np.concatenate(grads).tobytes() == grad.tobytes()
         assert sum(sums) / pred.size == pytest.approx(loss, rel=1e-15)
