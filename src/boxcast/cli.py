@@ -12,7 +12,6 @@ that is not finite.
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 from dataclasses import dataclass, fields
@@ -23,7 +22,9 @@ import numpy as np
 from .data import (
     CsvFormat,
     SynthSpec,
+    _atomic_open,
     _check_seed,
+    _write_rows,
     parse_tracks,
     slice_all_minitracks,
     split_folds,
@@ -37,10 +38,10 @@ from .evaluation import (
     benchmark_tps,
     evaluate,
     evaluate_baseline,
-    forecast,
     summarize_folds,
 )
-from .model import LOSS_MODES, ModelDims, build_features, init_params
+from .model import (LOSS_MODES, ModelDims, build_features, init_params,
+                    predict_from_window)
 from .training import (
     TrainConfig,
     load_model,
@@ -313,13 +314,11 @@ def _merge(opts: list[Opt], args: argparse.Namespace) -> dict[str, Any]:
 
 def _write_echo(path: str, command: str, vals: dict[str, Any],
                 opts: list[Opt]) -> None:
-    lines = [f"# boxcast {command} configuration echo; rerun with "
-             f"`boxcast {command} --config <this file>`"]
-    for o in opts:
-        if vals[o.key] is not None:
-            lines.append(f"{o.key} = {_fmt(vals[o.key])}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    with _atomic_open(path) as fh:
+        fh.write(f"# boxcast {command} configuration echo; rerun with "
+                 f"`boxcast {command} --config <this file>`\n")
+        fh.writelines(f"{o.key} = {_fmt(vals[o.key])}\n" for o in opts
+                      if vals[o.key] is not None)
 
 
 def _load_tracks(vals: dict[str, Any], key: str = "data"):
@@ -353,13 +352,6 @@ def _of(cls, vals: dict[str, Any]):
     """A ``cls`` dataclass from the option values that name its fields."""
     keys = {f.name for f in fields(cls)}
     return cls(**{k: v for k, v in vals.items() if k in keys})
-
-
-def _write_rows(path, header: list[str], rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +430,7 @@ def _cmd_predict(vals: dict[str, Any]) -> None:
     if not kept:
         raise DataError(f"all {len(short)} tracks are shorter than k={k}; "
                         f"nothing predicted")
-    pred = forecast(params, np.stack([
+    pred = predict_from_window(params, np.stack([
         build_features(t.boxes[-k:], t.boxes[-k - 1] if len(t) > k else None)
         for t in kept]))
     finite = np.isfinite(pred).all(axis=(1, 2))

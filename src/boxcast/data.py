@@ -21,8 +21,12 @@ from __future__ import annotations
 import csv
 import io
 import math
+import os
+import secrets
+from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import islice, repeat
+from itertools import chain, islice, repeat
+from pathlib import Path
 
 import numpy as np
 
@@ -367,16 +371,52 @@ def _read_utf8(path) -> str:
                          line=ends + 1) from None
 
 
+@contextmanager
+def _atomic_open(path, binary: bool = False):
+    """A new file whose contents replace ``path`` in one step: the block
+    writes a temporary file beside ``path`` (UTF-8 text with no newline
+    translation, or bytes), which `os.replace` moves into place when the
+    block ends. So ``path`` is either its old file or the whole new one; if
+    the block or the move fails, the temporary file is removed. Every
+    result file is written through it.
+
+    Only a regular file, or a new one in an existing directory, is
+    replaced. Any other ``path`` (a symlink, a pipe or a device such as
+    /dev/stdout, a directory, a path whose directory is missing) is opened
+    as it is, so it is written through, or refused with an error that
+    names it."""
+    path = Path(path)
+    text = {} if binary else {"newline": "", "encoding": "utf-8"}
+    if not path.parent.is_dir() or path.is_symlink() or (
+            path.exists() and not path.is_file()):
+        with open(path, "wb" if binary else "w", **text) as fh:
+            yield fh
+        return
+    # A random name that open() creates exclusively: no other writer's file
+    # is taken over, and the file gets the umask's mode (mkstemp's is 0600).
+    tmp = path.with_name(f".{path.name}.{secrets.token_hex(4)}.tmp")
+    fh = open(tmp, "xb" if binary else "x", **text)
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _write_rows(path, header: list[str], rows) -> None:
+    """A CSV file of ``header`` and then ``rows``, through `_atomic_open`."""
+    with _atomic_open(path) as fh:
+        csv.writer(fh).writerows(chain([header], rows))
+
+
 def write_tracks(tracks, path) -> None:
     """Write tracks in the centroid CSV schema; floats keep full precision."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CENTROID_HEADER)
-        for t in tracks:
-            n = len(t.boxes)
-            writer.writerows(zip(
-                [t.video_id] * n, [t.track_id] * n, t.boxes.frames.tolist(),
-                *(map(repr, c) for c in t.boxes.xywh.T.tolist())))
+    _write_rows(path, CENTROID_HEADER, chain.from_iterable(
+        zip(repeat(t.video_id), repeat(t.track_id), t.boxes.frames.tolist(),
+            *(map(repr, c) for c in t.boxes.xywh.T.tolist()))
+        for t in tracks))
 
 
 def slice_minitracks(track: Track, window: int = 90,

@@ -10,8 +10,9 @@ Evaluation is array-first: `evaluate`, `evaluate_baseline` and
 refuses k or p below 1, an empty set, or a length other than k + p) into
 (N, k, 8) windows and (N, p, 4) targets. `ablation_run` stacks its scored set
 once for both protocols and scores every horizon on a prefix of it. A model
-forecasts the windows through `forecast`, in chunks of `FORECAST_CHUNK` rows
-(CLI `predict` runs its stacked windows through it too), a baseline in one
+forecasts the windows in one `model.predict_from_window` call, which runs
+them in near-equal blocks of at most `model.FORECAST_CHUNK` rows (CLI
+`predict` runs its stacked windows through it too), a baseline in one
 `baseline_predict` call, and `evaluate_predictions` scores the (N, p, 4)
 forecasts. The per-sample metrics `ade`, `fde` and `fde_at` are its N = 1
 case.
@@ -45,15 +46,6 @@ from .training import stack_minitracks, train
 
 BASELINE_KINDS = ("constant-velocity", "constant-acceleration", "stationary")
 
-# Rows per `predict_from_window` call. A full-size float32 forecast holds
-# about 0.89 MB of transient buffers per row (mostly the decoder's stacked
-# gates), so a chunk peaks near 56 MB (tracemalloc). Measured on one BLAS
-# thread, full size, float32, 2-core Xeon VM (numpy 2.4.6, OpenBLAS 0.3.31):
-# 55/145/294/349/368 forecasts/s at batch 1/8/32/64/128 (best of 5 runs of
-# best of 5). Batch 1 has since gained 1.05x at one BLAS thread and 1.15x
-# at two (interleaved A/B), from walking wh's halves in alternating order.
-FORECAST_CHUNK = 64
-
 __all__ = [
     "BASELINE_KINDS",
     "BenchReport",
@@ -67,7 +59,6 @@ __all__ = [
     "evaluate_predictions",
     "fde",
     "fde_at",
-    "forecast",
     "summarize_folds",
 ]
 
@@ -150,22 +141,12 @@ def evaluate_predictions(pred: np.ndarray, gt: np.ndarray,
     )
 
 
-def forecast(params: ModelParams, windows: np.ndarray) -> np.ndarray:
-    """(N, p, 4) model forecasts of (N, k, 8) windows, FORECAST_CHUNK rows
-    per `predict_from_window` call. A row is within 1e-3 px (float32) of the
-    same window forecast alone, not bit-equal: one window runs a
-    matrix-vector product, a chunk a matrix product."""
-    return np.concatenate([
-        predict_from_window(params, windows[i:i + FORECAST_CHUNK])
-        for i in range(0, len(windows), FORECAST_CHUNK)])
-
-
 def evaluate(params: ModelParams, minitracks: list[MiniTrack]) -> MetricReport:
     """Evaluate a trained model over mini-tracks of length k + p."""
     d = params.dims
     windows, targets = stack_minitracks(minitracks, d.k, d.p)
-    return evaluate_predictions(forecast(params, windows), targets,
-                                input_k=d.k)
+    return evaluate_predictions(predict_from_window(params, windows),
+                                targets, input_k=d.k)
 
 
 def evaluate_baseline(kind: str, minitracks: list[MiniTrack], k: int, p: int
@@ -362,12 +343,12 @@ def ablation_run(minitracks: list[MiniTrack], cfg, modes=LOSS_MODES,
     for mode_cfg in mode_cfgs:
         if not retrain_per_horizon:
             pars, _ = train(mode_cfg, minitracks)
-            pred = forecast(pars, windows)
+            pred = predict_from_window(pars, windows)
         for h in horizons:
             if retrain_per_horizon:
                 pars, _ = train(replace(mode_cfg, p=h),
                                 _truncate(minitracks, cfg.k + h))
-                pred = forecast(pars, windows)
+                pred = predict_from_window(pars, windows)
             rep = evaluate_predictions(pred[:, :h], targets[:, :h],
                                        input_k=cfg.k)
             rows.append({"mode": mode_cfg.loss_mode, "horizon": h,

@@ -20,18 +20,16 @@ boxes by running a cumulative sum seeded at the last observed box.
 
 Functions here accept a single sample (window of shape (k, 8)) or a batch
 of any leading shape ((..., k, 8)); results come back in the caller's batch
-shape. Every array `encode`, `reconstruct`, `decode_future` and
-`loss_and_grads` take passes one entry step, `_as_rows`: its shape must be
-the op's batch shape followed by the trailing shape ``params.dims`` gives
-it (window (k, 8), target boxes (p, 4), z (latent,), encoder state h and c
-(hidden,)), where the batch shape is whatever leads the op's first input;
-a mismatch is a ShapeError naming the input. The step then casts the
-array to ``params.dtype`` and flattens its batch axes into one, so below
-the ops every tensor's batch shape is ``()`` or ``(n,)``, and a (2, 3)
-batch gives the bits of the same six windows run as a (6,) batch. A single
-window is not bit-equal to its one-row batch: the output heads run one
-stacked product over the steps, and numpy rounds ``(T, H) @ w.T`` apart
-from ``(T, 1, H) @ w.T``.
+shape. Every array `encode`, `reconstruct`, `decode_future`,
+`predict_from_window` and `loss_and_grads` take passes one entry step,
+`_as_rows`: its shape must be the op's batch shape followed by the
+trailing shape ``params.dims`` gives it (window (k, 8), target boxes
+(p, 4), z (latent,), encoder state h and c (hidden,)), where the batch
+shape is whatever leads the op's first input; a mismatch is a ShapeError
+naming the input. The step then casts the array to ``params.dtype`` and
+flattens its batch axes into one, so below the ops every tensor is (n, ...)
+rows: a single window runs as a one-row batch and gives its bits, and a
+(2, 3) batch gives the bits of the same six windows run as a (6,) batch.
 
 The network runs in ``params.dtype``: since the entry step casts, a
 float32 model loaded from a weight file runs every LSTM step in float32
@@ -44,7 +42,11 @@ anchor, so a float64 window keeps float64 box arithmetic and only the
 deltas come from the float32 network.
 
 The public ops (`encode`, `reconstruct`, `decode_future`,
-`concat_trajectory`, `forward_train`, `predict`) are composable pieces;
+`concat_trajectory`, `forward_train`, `predict`) are composable pieces.
+`predict_from_window` is the one batched forecast path: it runs its rows
+in near-equal blocks of at most `FORECAST_CHUNK`, split by the same rule
+(`_row_blocks`) as the training batch's blocks.
+
 `loss_and_grads` is the training engine that runs the same math through
 the same forward of the encoder and of each decoder branch
 (`_run_encoder`, `_future_branch`, `_recon_branch`), keeps each
@@ -100,6 +102,15 @@ OUTPUT_DIM = 4  # cx, cy, w, h (and their deltas on the future branch)
 # tail of 1-12 rows, which would run the slower batch-1 or tiled
 # recurrent products.
 TRAIN_BLOCK_ROWS = 100
+
+# Most rows one block of `predict_from_window` runs; a larger set runs as
+# near-equal blocks, as `loss_and_grads` runs its batch. A full-size float32
+# forecast holds about 0.89 MB of transient buffers per row (mostly the
+# decoder's stacked gates), so a block peaks near 56 MB (tracemalloc).
+# Measured on one BLAS thread, full size, float32, 2-core Xeon VM (numpy
+# 2.4.6, OpenBLAS 0.3.31): 55/145/294/349/368 forecasts/s at batch
+# 1/8/32/64/128 (best of 5 runs of best of 5).
+FORECAST_CHUNK = 64
 
 MODE_TRAJ_DEL = "traj-del"
 MODE_TRAJ = "traj"
@@ -364,7 +375,7 @@ def _run_encoder(params: ModelParams, window: np.ndarray
     that ReLU, z). Each step projects its own row: one GEMM over the whole
     window would round differently from the per-row products the bitwise
     tests pin."""
-    init = LstmCellState.zeros(params.dims.hidden, window.shape[:-2],
+    init = LstmCellState.zeros(params.dims.hidden, len(window),
                                dtype=params.dtype)
     xs = np.moveaxis(window, -2, 0)
     seq = _unroll(lstm_cell_forward, xs,
@@ -379,11 +390,11 @@ def _run_constant_decoder(cell: LstmCellParams, head: LinearParams,
                           ) -> tuple[LstmSeq, np.ndarray]:
     """Unroll a decoder that reads the same latent vector at every step and
     map each step's hidden state through ``head``: (the sequence, its
-    (..., steps, out) head rows).
+    (n, steps, out) head rows).
 
     The input projection ``z @ wx.T + bx + bh`` is computed once and reused,
     which is what makes the inference path cheap. The head is one stacked
-    product over the (steps, ..., H) hidden states.
+    product over the (steps, n, H) hidden states.
     """
     seq = LstmSeq.start(cell, init, steps)
     x_pre = z @ cell.wx.T
@@ -395,7 +406,7 @@ def _run_constant_decoder(cell: LstmCellParams, head: LinearParams,
 def _future_branch(params: ModelParams, z: np.ndarray,
                    enc_final: LstmCellState) -> tuple[LstmSeq, np.ndarray]:
     """The future branch for p steps, then ``fc_delta``: (its sequence, the
-    (..., p, 4) delta rows). It starts from the encoder's final (h, c) when
+    (n, p, 4) delta rows). It starts from the encoder's final (h, c) when
     the model was built with carry_cell_state, from h and a zero cell
     otherwise."""
     c = enc_final.c if params.carry_cell_state else np.zeros_like(enc_final.h)
@@ -406,10 +417,10 @@ def _future_branch(params: ModelParams, z: np.ndarray,
 def _recon_branch(params: ModelParams, z: np.ndarray
                   ) -> tuple[LstmSeq, np.ndarray]:
     """The reconstruction branch for k steps from a zero state, then
-    ``fc_recon``: (its sequence, the (..., k, 8) reconstruction rows)."""
+    ``fc_recon``: (its sequence, the (n, k, 8) reconstruction rows)."""
     return _run_constant_decoder(
         params.auto_dec, params.fc_recon, z, params.dims.k,
-        LstmCellState.zeros(params.dims.hidden, z.shape[:-1], z.dtype))
+        LstmCellState.zeros(params.dims.hidden, len(z), z.dtype))
 
 
 # ---------------------------------------------------------------------------
@@ -425,19 +436,18 @@ def _as_rows(params: ModelParams, name: str, a: np.ndarray, tail: tuple,
     when ``batch`` is None it is whatever leads ``tail``, so an op passes
     its first input without one and every later input with the first's.
     Then ``a`` is cast to ``params.dtype`` (no copy when it already
-    matches) and its batch axes are flattened into one; an unbatched ``a``
-    keeps its shape. A float64 input reaching a float32 step would make
-    NumPy upcast the whole recurrent weight matrix on every step, and a
-    stacked product over two batch axes can round apart from the same rows
-    over one.
+    matches) and its batch axes are flattened into one, so an unbatched
+    ``a`` comes back as one row. A float64 input reaching a float32 step
+    would make NumPy upcast the whole recurrent weight matrix on every step,
+    and a stacked product over two batch axes, or none, can round apart from
+    the same rows over one.
     """
     shape = np.shape(a)
     if batch is None:
         batch = shape[:len(shape) - len(tail)]
     if shape != batch + tail:
         raise ShapeError(f"{name} has shape {shape}, expected {batch + tail}")
-    a = np.asarray(a, dtype=params.dtype)
-    return (a.reshape((-1,) + tail) if batch else a), batch
+    return np.asarray(a, dtype=params.dtype).reshape((-1,) + tail), batch
 
 
 def encode(params: ModelParams, window: np.ndarray
@@ -538,11 +548,28 @@ def predict(params: ModelParams, boxes, predecessor: Box | None = None
 
 
 def predict_from_window(params: ModelParams, window: np.ndarray) -> np.ndarray:
-    """Forecast from an already-built (..., k, 8) feature window (the
-    benchmark hot path); the boxes come back as (..., p, 4)."""
-    z, state = encode(params, window)
-    deltas = decode_future(params, z, state)
-    return concat_trajectory(deltas, window[..., -1, :4])
+    """Forecast from an already-built (..., k, 8) feature window, the one
+    batched forecast path; the boxes come back as (..., p, 4).
+
+    The window's rows run ``encode`` and ``decode_future`` in
+    ceil(n / `FORECAST_CHUNK`) blocks of near-equal length, one after
+    another, so a forecast's transient buffers grow with `FORECAST_CHUNK`,
+    not with n. One ``concat_trajectory`` then sums every row's deltas on
+    its anchor, the (cx, cy, w, h) of its window's last row as the caller
+    passed it (not cast), so a float64 window keeps float64 box arithmetic.
+    """
+    rows, batch = _as_rows(params, "feature window", window,
+                           (params.dims.k, INPUT_DIM))
+    deltas = np.concatenate([decode_future(params, *encode(params, block))
+                             for block in _row_blocks(rows, FORECAST_CHUNK)])
+    return concat_trajectory(deltas.reshape(batch + deltas.shape[1:]),
+                             np.asarray(window)[..., -1, :4])
+
+
+def _row_blocks(rows: np.ndarray, limit: int) -> list[np.ndarray]:
+    """``rows`` split along its first axis into ceil(n / ``limit``) blocks
+    of near-equal length (`np.array_split`), and one block when n is 0."""
+    return np.array_split(rows, max(1, -(-len(rows) // limit)))
 
 
 # ---------------------------------------------------------------------------
@@ -662,27 +689,25 @@ def loss_and_grads(params: ModelParams, window: np.ndarray,
 
     ``window`` is (k, 8) or (..., k, 8); ``target_boxes`` is (p, 4) behind
     the window's batch shape. Both pass the entry step (`_as_rows`): checked,
-    cast to ``params.dtype`` and flattened to one batch axis, so a
-    multi-axis batch gives its flattened batch's bits and the whole pass,
-    gradients included, runs in the params' dtype; the loss is summed in
-    float64. Gradients come back keyed like ``ModelParams.tensors()``;
+    cast to ``params.dtype`` and flattened to rows, so a single window gives
+    its one-row batch's bits, a multi-axis batch its flattened batch's, and
+    the whole pass, gradients included, runs in the params' dtype; the loss
+    is summed in float64. Gradients come back keyed like ``ModelParams.tensors()``;
     inactive branches contribute zeros. Batched gradients are the gradient
     of the batch-mean loss, which equals the mean of the per-sample
     gradients.
 
-    The flattened batch runs as ceil(n / `TRAIN_BLOCK_ROWS`) blocks of
-    near-equal row counts (`np.array_split`), one after another, so the
-    LSTM caches of one block at most are live at once: they grow with
-    `TRAIN_BLOCK_ROWS`, not with the batch. Each block runs `_block_grads`
+    The rows run as ceil(n / `TRAIN_BLOCK_ROWS`) blocks of near-equal row
+    counts (`np.array_split`, as `predict_from_window` splits), one after
+    another, so the LSTM caches of one block at most are live at once: they
+    grow with `TRAIN_BLOCK_ROWS`, not with the batch. Each block runs `_block_grads`
     and adds into one gradient dict and into float64 L1 sums. Every block's
     head gradients divide by the element count of the whole batch, so they
     have the bits of the unblocked pass; the sums over blocks (the weight
     and bias gradients, the loss) divide once and reassociate, so only a
     batch of more than `TRAIN_BLOCK_ROWS` rows rounds apart from the whole
-    batch run as one block. A single window and a batch of at most
-    `TRAIN_BLOCK_ROWS` rows are one block. The loss and the terms come from
-    the sums as `composite_loss` makes them: beta * traj, then
-    + alpha * auto.
+    batch run as one block. The loss and the terms come from the sums as
+    `composite_loss` makes them: beta * traj, then + alpha * auto.
 
     An empty batch raises DataError before any forward step. A loss that
     is not finite raises NumericError as soon as the term that makes it so
@@ -703,10 +728,8 @@ def loss_and_grads(params: ModelParams, window: np.ndarray,
     sums = {"traj": 0.0}
     if weights.mode == MODE_TRAJ_AUTOENC:
         sums["auto_enc"] = 0.0
-    # a single (k, 8) window has no batch axis to split
-    blocks = -(-len(window) // TRAIN_BLOCK_ROWS) if batch else 1
-    for rows, targets in zip(np.array_split(window, blocks),
-                             np.array_split(target_boxes, blocks)):
+    for rows, targets in zip(_row_blocks(window, TRAIN_BLOCK_ROWS),
+                             _row_blocks(target_boxes, TRAIN_BLOCK_ROWS)):
         _block_grads(params, rows, targets, weights, counts, sums, grads)
     loss, terms = _weighted_sum(sums, counts, weights)
     return loss, terms, grads
@@ -790,14 +813,14 @@ def _unroll_backward(seq: LstmSeq, dh: np.ndarray, dc: np.ndarray,
     """Backward through an unrolled run, input side excluded.
 
     The upstream gradient enters at the final state and, when ``d_out``
-    ((steps, ..., out)) is given, at every step's hidden state through the
+    ((steps, n, out)) is given, at every step's hidden state through the
     output head ``h @ w_out.T`` of that step: step t's hidden state receives
-    ``d_out[t] @ w_out``, formed inside the loop, so no (steps, ..., H)
+    ``d_out[t] @ w_out``, formed inside the loop, so no (steps, n, H)
     stack of those gradients is held. The pass consumes the forward cache:
     each step's gate gradients overwrite its gate activations in
     ``seq.gates``, so ``seq`` cannot be run backward twice. Accumulates the
     ``wh``/``bx``/``bh`` gradients into ``grads`` and returns (per-step gate
-    gradients, i.e. ``seq.gates`` (steps, ..., 4H), dh_init, dc_init).
+    gradients, i.e. ``seq.gates`` (steps, n, 4H), dh_init, dc_init).
     """
     da = seq.gates
     for t in reversed(range(len(da))):
@@ -819,7 +842,7 @@ def _constant_decoder_backward(seq: LstmSeq, head: LinearParams, z: np.ndarray,
                                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Backward through a constant-input decoder run and its output head.
 
-    ``d_out`` is the upstream gradient on the head's (..., steps, out) rows.
+    ``d_out`` is the upstream gradient on the head's (n, steps, out) rows.
     Accumulates the head's and the cell's gradients into ``grads`` and
     returns (dz, dh_init, dc_init). The head's weight and bias gradients are
     one product over all steps; its gradient on each step's hidden state is
@@ -835,7 +858,6 @@ def _constant_decoder_backward(seq: LstmSeq, head: LinearParams, z: np.ndarray,
                                   np.zeros_like(seq.c[0]), d_out, head.w,
                                   grads, prefix)
     da_sum = da.sum(axis=0)
-    grads[prefix + ".wx"] += da_sum.reshape(-1, da_sum.shape[-1]).T \
-        @ z.reshape(-1, z.shape[-1])
+    grads[prefix + ".wx"] += da_sum.T @ z
     dz = da_sum @ seq.cell.wx
     return dz, dh, dc

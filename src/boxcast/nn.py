@@ -1,13 +1,13 @@
 """Dense numeric kernel: LSTM cell, linear map, ReLU, L1 loss and Adam.
 
-Tensors are plain numpy arrays, row-major. Every vector op accepts either a
-single sample (trailing feature axis only, e.g. shape ``(D,)``) or a batch
-(``(N, D)``); batched results stack along the leading axis and equal the
-per-sample results row for row, up to rounding: a batch runs a matrix
-product where one sample runs a matrix-vector product. All ops are pure
-functions of their inputs (no hidden state, no randomness), so identical
-inputs give identical outputs and concurrent read-only use of shared
-parameter tensors is safe.
+Tensors are plain numpy arrays, row-major. The LSTM ops take rows only:
+every state, input and gate array of a pass is ``(N, ...)``, one sample
+per row, a single sample being one row. The linear map, ReLU and the L1
+loss take any leading shape. A row's result equals the same row run alone
+up to rounding: N rows run a matrix product where one row runs
+matrix-vector products. All ops are pure functions of their inputs (no
+hidden state, no randomness), so identical inputs give identical outputs
+and concurrent read-only use of shared parameter tensors is safe.
 
 Packed LSTM gate tensors use a fixed slice layout along the ``4H`` axis:
 input gate, forget gate, cell candidate, output gate, in that order. Both
@@ -60,7 +60,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError, ShapeError
+from .errors import ConfigError, NumericError, ShapeError
 
 __all__ = [
     "ADAM_BETA1",
@@ -126,21 +126,17 @@ class LstmCellParams:
 
 @dataclass
 class LstmCellState:
-    """Hidden and cell activations of shape (..., H), always matching: (H,)
-    for one sample. The model's ops flatten every batch to one axis before
-    they reach a cell, so there the shape is (H,) or (N, H). Both stay,
-    because a single model window runs unbatched (its one-row batch rounds
-    apart in the output heads): ``zeros``' ``batch_shape`` serves () and
-    (N,) alike."""
+    """Hidden and cell activations of matching shapes (..., H). The model's
+    public ops take and return states in the caller's batch shape; a pass
+    (`LstmSeq`) starts from (N, H) rows only, and ``zeros`` makes those."""
 
     h: np.ndarray
     c: np.ndarray
 
     @classmethod
-    def zeros(cls, hidden_size: int, batch_shape: tuple = (),
-              dtype=np.float64) -> "LstmCellState":
-        shape = tuple(batch_shape) + (hidden_size,)
-        return cls(np.zeros(shape, dtype=dtype), np.zeros(shape, dtype=dtype))
+    def zeros(cls, hidden_size: int, rows: int, dtype=np.float64
+              ) -> "LstmCellState":
+        return cls(*np.zeros((2, rows, hidden_size), dtype=dtype))
 
 
 @dataclass
@@ -148,11 +144,11 @@ class LstmSeq:
     """The forward cache of one unrolled LSTM pass of T steps, as stacked
     buffers preallocated for the whole pass.
 
-    gates : (T, ..., 4H) post-activation (i, f, g, o) of every step; the
+    gates : (T, N, 4H) post-activation (i, f, g, o) of every step; the
             backward pass overwrites step t's with its pre-activation
             gradient (`lstm_gate_backward`), so after it the buffer holds
             gradients, not activations
-    c, h  : (T+1, ..., H) cell and hidden states; index 0 holds the initial
+    c, h  : (T+1, N, H) cell and hidden states; index 0 holds the initial
             state and index t+1 the output of step t, so ``h[:-1]`` are the
             steps' previous hidden states
     cell  : the cell this pass runs, and ``bias`` its summed ``bx + bh``
@@ -164,11 +160,10 @@ class LstmSeq:
             in the sigmoid lanes, 1 and -0.0 in the g lane
 
     tanh(c) is not kept: the backward pass recomputes it from ``c``.
-    `start` checks the state shape once for the whole pass; each step call
-    fills its own index in place. The network runs in the cell's dtype.
-    The model's ops start a pass on an unbatched (H,) state or on (N, H)
-    rows, and a step's ``reshape(-1, ...)`` to rows serves both, so ``...``
-    here means one batch axis or none.
+    `start` checks the state shape once for the whole pass: (N, H) rows,
+    a single sample being one row; any other shape is a ShapeError. Each
+    step call fills its own index in place. The network runs in the cell's
+    dtype.
     """
 
     cell: LstmCellParams
@@ -185,24 +180,22 @@ class LstmSeq:
               steps: int) -> "LstmSeq":
         """Buffers for ``steps`` steps starting from ``init``."""
         H = cell.hidden_size
-        _check_last_dim("state.h", init.h, H)
-        if init.c.shape != init.h.shape:
-            raise ShapeError(f"state.c has shape {init.c.shape}, state.h "
-                             f"{init.h.shape}")
+        if init.h.shape[1:] != (H,) or init.c.shape != init.h.shape:
+            raise ShapeError(f"state (h, c) has shapes {init.h.shape} and "
+                             f"{init.c.shape}, expected (N, {H}) rows each")
+        n = len(init.h)
         dtype = cell.wh.dtype
-        batch = init.h.shape[:-1]
-        c = np.empty((steps + 1,) + batch + (H,), dtype=dtype)
+        c = np.empty((steps + 1, n, H), dtype=dtype)
         h = np.empty_like(c)
         c[0] = init.c
         h[0] = init.h
-        n = init.h.size // H
         r = 4 * H
         if n == 1:
             r = 2 * H
         elif n >= 2 and n * H <= TILE_MAX_NH:
             r = min(r, 1 << ((TILE_MACS // (n * H)).bit_length() - 1))
         return cls(cell=cell, bias=cell.bx + cell.bh,
-                   gates=np.empty((steps,) + batch + (4 * H,), dtype=dtype),
+                   gates=np.empty((steps, n, 4 * H), dtype=dtype),
                    c=c, h=h,
                    tiles=tuple(slice(j, j + r) for j in range(0, 4 * H, r)),
                    scale=np.repeat(np.array(_LANE_SCALE, dtype), H),
@@ -213,12 +206,6 @@ class LstmSeq:
         return LstmCellState(self.h[-1], self.c[-1])
 
 
-def _check_last_dim(name: str, arr: np.ndarray, expected: int) -> None:
-    if arr.shape[-1] != expected:
-        raise ShapeError(
-            f"{name} has shape {arr.shape}, expected last dim {expected}")
-
-
 def _gate_lanes(a: np.ndarray, H: int) -> tuple[np.ndarray, ...]:
     """Views of the (i, f, g, o) lanes of a packed (..., 4H) gate array."""
     return a[..., :H], a[..., H: 2 * H], a[..., 2 * H: 3 * H], a[..., 3 * H:]
@@ -226,8 +213,8 @@ def _gate_lanes(a: np.ndarray, H: int) -> tuple[np.ndarray, ...]:
 
 def lstm_cell_forward(params: LstmCellParams, x: np.ndarray, seq: LstmSeq,
                       t: int) -> None:
-    """Step ``t`` of ``seq`` on input x, (D,) or (N, D) matching the batch
-    shape ``seq`` was started with, written in place into ``seq``."""
+    """Step ``t`` of ``seq`` on the (N, D) input rows x, one per row
+    ``seq`` was started with, written in place into ``seq``."""
     x_pre = x @ params.wx.T
     x_pre += seq.bias
     _lstm_cell_from_preact(params, x_pre, seq, t)
@@ -245,26 +232,25 @@ def _lstm_cell_from_preact(params: LstmCellParams, x_pre: np.ndarray,
     a = seq.gates[t]
     # Weight-left: with wh as the right operand OpenBLAS packs it slowly at
     # small batch, so ``wh @ h.T`` runs 1.5-2x faster than ``h @ wh.T`` at
-    # batch 2-16 with the same bits (the same gemv at batch 1). Every batch
-    # shape is flattened to rows for it. At 2-12 rows even that product
-    # packs all of wh each step; split into row tiles of at most 2^19
-    # multiply-adds, each product takes OpenBLAS's small-matrix kernel,
-    # which reads wh in place: 2-2.5x faster at 2-6 rows, 1.2x at 12 (at
-    # H = 512, float32, one thread). 13+ rows run one tile. One row runs
+    # batch 2-16 with the same bits (the same gemv at batch 1). At 2-12 rows
+    # even that product packs all of wh each step; split into row tiles of
+    # at most 2^19 multiply-adds, each product takes OpenBLAS's small-matrix
+    # kernel, which reads wh in place: 2-2.5x faster at 2-6 rows, 1.2x at 12
+    # (at H = 512, float32, one thread). 13+ rows run one tile. One row runs
     # wh's two halves as gemvs that write their gate lanes in place, with
     # no (r, 1) temporary or transposed copy. Odd steps walk the tiles
     # backward, so each step starts on the tile the previous one read
     # last, which the L2 still partly holds (see the module docstring).
     # Each gate's pre-activation is its own dot product, so neither the
     # split nor the order moves a bit.
-    rows, h_prev = a.reshape(-1, 4 * H), seq.h[t].reshape(-1, H)
+    h_prev = seq.h[t]
     tiles = seq.tiles[::-1] if t % 2 else seq.tiles
     if len(h_prev) == 1:
         for tile in tiles:
-            np.matmul(params.wh[tile], h_prev[0], out=rows[0, tile])
+            np.matmul(params.wh[tile], h_prev[0], out=a[0, tile])
     else:
         for tile in tiles:
-            rows[:, tile] = (params.wh[tile] @ h_prev.T).T
+            a[:, tile] = (params.wh[tile] @ h_prev.T).T
     a += x_pre
     # One tanh pass over all four lanes, since sigmoid(x) = (1 + tanh(x/2))/2:
     # halve the sigmoid lanes, tanh everything, then map those lanes back,
@@ -339,7 +325,9 @@ class LinearParams:
 
 def linear_forward(w: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Affine map; x is (in,) or (..., in), result (out,) or (..., out)."""
-    _check_last_dim("x", x, w.shape[1])
+    if x.shape[-1] != w.shape[1]:
+        raise ShapeError(
+            f"x has shape {x.shape}, expected last dim {w.shape[1]}")
     if b.shape != (w.shape[0],):
         raise ShapeError(f"b has shape {b.shape}, expected ({w.shape[0]},)")
     return x @ w.T + b
@@ -407,11 +395,12 @@ def adam_step(state: AdamState, params: dict[str, np.ndarray],
               grads: dict[str, np.ndarray], lr: float) -> None:
     """One bias-corrected Adam update, applied to the parameters in place.
 
-    No weight decay. Raises NumericError naming the first tensor whose
-    gradient contains a non-finite value.
+    No weight decay. A learning rate that is not > 0 is a ConfigError.
+    Raises NumericError naming the first tensor whose gradient contains a
+    non-finite value.
     """
     if not lr > 0:
-        raise ShapeError(f"learning rate must be positive, got {lr}")
+        raise ConfigError(f"learning rate must be positive, got {lr}")
     for name, p in params.items():
         g = grads[name]
         if g.shape != p.shape:

@@ -4,18 +4,15 @@ loss-mode selection, and versioned binary weight serialization.
 
 from __future__ import annotations
 
-import os
-import secrets
 import struct
 import time
 import zlib
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
-from .data import MiniTrack, _check_seed
+from .data import MiniTrack, _atomic_open, _check_seed
 from .errors import ConfigError, DataError, NumericError
 from .model import (
     INPUT_DIM,
@@ -53,7 +50,8 @@ class TrainConfig:
 
     It checks itself when it is made, so every built config is valid: the
     shape and loss fields by building its `ModelDims` and `LossWeights`,
-    then its own fields. A bad field is a ConfigError.
+    then its own fields. A bad field, or a schedule whose last rate
+    (`lr_schedule` of the last epoch) underflows to 0, is a ConfigError.
     """
 
     k: int = 30
@@ -76,6 +74,10 @@ class TrainConfig:
         _check_positive_ints(self, ("batch_size", "epochs", "halve_every"))
         if not self.base_lr > 0:
             raise ConfigError(f"base_lr must be positive, got {self.base_lr}")
+        if not lr_schedule(self.epochs - 1, self) > 0:
+            raise ConfigError(f"base_lr {self.base_lr} halved every "
+                              f"{self.halve_every} epochs underflows to 0 by "
+                              f"the last of {self.epochs} epochs")
         self.loss_weights()
         if not self.grad_clip >= 0:
             raise ConfigError(f"grad_clip must be >= 0, got {self.grad_clip}")
@@ -113,7 +115,9 @@ def lr_schedule(epoch: int, cfg: TrainConfig) -> float:
     ``halve_every`` epochs (piecewise constant, non-increasing)."""
     if epoch < 0:
         raise ConfigError(f"epoch must be >= 0, got {epoch}")
-    return cfg.base_lr * 0.5 ** (epoch // cfg.halve_every)
+    # 0.5 ** n is 0.0 from n = 1075 on, while a halving count past the
+    # float range (~1.8e308) would make the power raise OverflowError
+    return cfg.base_lr * 0.5 ** min(epoch // cfg.halve_every, 1075)
 
 
 def stack_minitracks(minitracks: list[MiniTrack], k: int, p: int
@@ -243,11 +247,11 @@ def _clip_global_norm(grads: dict[str, np.ndarray], clip: float) -> None:
 
 def write_history(history: list[EpochStats], path) -> None:
     """History CSV: epoch, loss, loss_auto_enc, loss_traj, lr, seconds."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with _atomic_open(path) as fh:
         fh.write("epoch,loss,loss_auto_enc,loss_traj,lr,seconds\n")
-        for s in history:
-            fh.write(f"{s.epoch},{s.loss!r},{s.loss_auto_enc!r},"
-                     f"{s.loss_traj!r},{s.lr!r},{s.seconds!r}\n")
+        fh.writelines(f"{s.epoch},{s.loss!r},{s.loss_auto_enc!r},"
+                      f"{s.loss_traj!r},{s.lr!r},{s.seconds!r}\n"
+                      for s in history)
 
 
 # ---------------------------------------------------------------------------
@@ -282,9 +286,8 @@ def save_model(params: ModelParams, path) -> None:
 
     A tensor that is not finite at single precision raises NumericError
     before any file is opened, so no weight file holds inf or NaN. The
-    bytes go to a temporary file beside ``path`` that `os.replace` then
-    moves into place, so ``path`` is either its old file or the whole new
-    one; on any failure the temporary file is removed."""
+    bytes go through `data._atomic_open`, so ``path`` is either its old
+    file or the whole new one."""
     d = params.dims
     chunks = []
     for name, t in params.tensors().items():
@@ -301,19 +304,8 @@ def save_model(params: ModelParams, path) -> None:
         INPUT_DIM, OUTPUT_DIM, 4,
         GATE_ORDER_TAG, BIAS_CONVENTION_TAG, LATENT_ACTIVATION_TAG,
         dec_tag.ljust(4, b"\x00"), N_TENSORS, zlib.crc32(payload))
-    # A random name that open() creates exclusively: no other writer's file
-    # is taken over, and the file gets the umask's mode (mkstemp's is 0600).
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{secrets.token_hex(4)}.tmp")
-    fh = open(tmp, "xb")
-    try:
-        with fh:
-            fh.write(header)
-            fh.write(payload)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    with _atomic_open(path, binary=True) as fh:
+        fh.writelines((header, payload))
 
 
 def load_model(path, expect_dims: ModelDims | None = None

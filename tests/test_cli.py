@@ -28,18 +28,15 @@ from boxcast.data import (
     split_folds,
     write_tracks,
 )
-from boxcast.evaluation import (
-    BASELINE_KINDS,
-    FORECAST_CHUNK,
-    ablation_run,
-    forecast,
-)
+from boxcast.evaluation import BASELINE_KINDS, ablation_run
 from boxcast.model import (
+    FORECAST_CHUNK,
     LOSS_MODES,
     ModelDims,
     build_features,
     init_params,
     predict,
+    predict_from_window,
 )
 from boxcast.training import TrainConfig, load_model, save_model
 
@@ -196,7 +193,7 @@ class TestPredict:
         assert len(rows) == 1 + 2 * 5
         params, _ = load_model(weights)
         tracks = parse_tracks(data)
-        expected = forecast(params, np.stack(
+        expected = predict_from_window(params, np.stack(
             [build_features(t.boxes[-4:], t.boxes[-5]) for t in tracks]))
         for track, exp in zip(tracks, expected):
             got = [r for r in rows[1:] if r[1] == track.track_id]
@@ -690,7 +687,8 @@ class TestConfigFilesAndExitCodes:
                       []),
             "train": (training, "init_params", tmp_path / "run",
                       "run/model.bxw", ["--data", str(data), *TINY_TRAIN]),
-            "predict": (cli, "forecast", tmp_path / "pred.csv", "pred.csv",
+            "predict": (cli, "predict_from_window", tmp_path / "pred.csv",
+                        "pred.csv",
                         ["--data", str(data), "--weights", str(weights)]),
         }[command]
         monkeypatch.setattr(module, name, out_of_memory)
@@ -699,6 +697,142 @@ class TestConfigFilesAndExitCodes:
         captured = capsys.readouterr()
         assert captured.err == f"resource error: out of memory: {message}\n"
         assert not (tmp_path / written).exists()
+
+    # (command, extra arguments, --out name, result file whose move fails)
+    REPLACE_CASES = [
+        ("synth", ["--count", "1", "--length", "5"], "s.csv", "s.csv"),
+        ("synth", ["--count", "1", "--length", "5"], "s.csv",
+         "s.csv.meta.txt"),
+        ("train", [], "run", "config.txt"),
+        ("train", [], "run", "model.bxw"),
+        ("train", [], "run", "history.csv"),
+        ("train", ["--folds", "2"], "run", "cv_summary.csv"),
+        ("predict", [], "pred.csv", "pred.csv"),
+        ("eval", [], "ev", "metrics.csv"),
+        ("eval", [], "ev", "per_step.csv"),
+        ("bench", ["--k", "3", "--p", "3", "--hidden", "4", "--latent", "2",
+                   "--duration", "0.01"], "b", "bench.csv"),
+        ("ablate", ["--horizons", "3"], "ab", "ablation.csv"),
+    ]
+
+    @pytest.mark.parametrize(
+        "command, extra, out_name, failing", REPLACE_CASES,
+        ids=[f"{c[0]}{'-folds' if '--folds' in c[1] else ''}-{c[3]}"
+             for c in REPLACE_CASES])
+    def test_a_failed_replace_leaves_no_partial_result_file(
+            self, tmp_path, capsys, monkeypatch, command, extra, out_name,
+            failing):
+        """Every result file is written beside its path and moved into
+        place with `os.replace`. When the move of one fails, the command
+        exits 3 with one line, and neither that file nor any temporary
+        file is left; the files written before it are whole."""
+        data = synth_file(tmp_path)
+        weights = TestPredict().make_weights(tmp_path)
+        inputs = {"data": ["--data", str(data)],
+                  "weights": ["--weights", str(weights)]}
+        argv = {"synth": [],
+                "train": inputs["data"] + TINY_TRAIN,
+                "predict": inputs["data"] + inputs["weights"],
+                "eval": inputs["data"] + inputs["weights"],
+                "bench": [],
+                "ablate": inputs["data"] + TINY_TRAIN}[command]
+        real = os.replace
+
+        def replace(src, dst):
+            if Path(dst).name == failing:
+                raise OSError("replace failed")
+            real(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        capsys.readouterr()
+        code = main([command, "--out", str(tmp_path / out_name), *argv,
+                     *extra])
+        assert code == 3
+        assert capsys.readouterr().err == "data error: replace failed\n"
+        monkeypatch.undo()
+        left = [p.name for p in tmp_path.rglob("*")]
+        assert failing not in left
+        assert [n for n in left if n.endswith(".tmp")] == []
+        if "config.txt" in left:
+            assert (tmp_path / out_name / "config.txt").read_text(
+                encoding="utf-8").endswith("\n")
+
+    @pytest.mark.parametrize("command", ["synth", "predict"])
+    @pytest.mark.parametrize("target", ["missing-directory", "directory"])
+    def test_an_output_that_cannot_be_replaced_fails_by_its_own_name(
+            self, tmp_path, capsys, command, target):
+        """A result file replaces its target through a temporary file, but
+        an --out in a directory that does not exist, or one that is a
+        directory, is opened as it is: exit 3, and the one error line names
+        the path given, not a temporary file."""
+        data = synth_file(tmp_path)
+        weights = TestPredict().make_weights(tmp_path)
+        if target == "directory":
+            out = tmp_path / "results"
+            out.mkdir()
+            reason = "[Errno 21] Is a directory"
+        else:
+            out = tmp_path / "missing" / "out.csv"
+            reason = "[Errno 2] No such file or directory"
+        argv = {"synth": ["--count", "1", "--length", "5"],
+                "predict": ["--data", str(data), "--weights", str(weights)],
+                }[command]
+        capsys.readouterr()
+        assert main([command, "--out", str(out), *argv]) == 3
+        assert capsys.readouterr().err == f"data error: {reason}: '{out}'\n"
+        assert [p.name for p in out.parent.glob(".*")] == []
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_a_pipe_output_is_written_through(self, tmp_path, capsys):
+        """An --out that names a pipe (as /dev/stdout may) is written
+        through, not replaced by a regular file."""
+        fifo = tmp_path / "pipe.csv"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()),
+                                  daemon=True)
+        reader.start()
+        argv = ["--count", "2", "--length", "5", "--seed", "3"]
+        assert main(["synth", "--out", str(fifo), *argv]) == 0
+        reader.join(timeout=60)
+        assert not reader.is_alive()
+        assert fifo.is_fifo()
+        want = tmp_path / "file.csv"
+        assert main(["synth", "--out", str(want), *argv]) == 0
+        assert got == [want.read_bytes()]
+
+    def test_a_symlinked_output_is_written_through(self, tmp_path, capsys):
+        """An --out that is a symlink keeps its link: the file it points
+        to gets the result."""
+        target = tmp_path / "target.csv"
+        target.write_text("old\n")
+        link = tmp_path / "link.csv"
+        link.symlink_to(target.name)
+        argv = ["--count", "2", "--length", "5", "--seed", "3"]
+        assert main(["synth", "--out", str(link), *argv]) == 0
+        want = tmp_path / "file.csv"
+        assert main(["synth", "--out", str(want), *argv]) == 0
+        assert link.is_symlink()
+        assert target.read_bytes() == want.read_bytes()
+
+    def test_a_learning_rate_that_underflows_exits_two_and_writes_nothing(
+            self, tmp_path, capsys):
+        """A base rate that halves to 0 by the last epoch is refused when
+        the config is made: one line, exit 2, no output directory."""
+        data = synth_file(tmp_path)
+        out = tmp_path / "run"
+        capsys.readouterr()
+        code = main(["train", "--data", str(data), "--out", str(out),
+                     "--k", "4", "--p", "3", "--hidden", "4", "--latent",
+                     "2", "--epochs", "2", "--halve-every", "1",
+                     "--base-lr", "5e-324"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "configuration error: base_lr 5e-324 halved every 1 epochs "
+            "underflows to 0 by the last of 2 epochs\n")
+        assert captured.out == ""
+        assert not out.exists()
 
     @pytest.mark.parametrize("k,p", [("5", "-3"), ("-2", "5"), ("0", "5"),
                                      ("-100", "150")])

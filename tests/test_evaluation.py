@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from boxcast import evaluation
+from boxcast import evaluation, model
 from boxcast.data import (
     SYNTH_KINDS,
     Boxes,
@@ -368,24 +368,33 @@ class TestBatchedEvaluation:
         assert report.n_samples == len(mts) == 16
 
     def test_sets_longer_than_one_chunk_keep_every_row(self, monkeypatch):
+        """2 * `FORECAST_CHUNK` + 1 = 129 windows run as three near-equal
+        blocks of 43 rows, whose forecasts, in order, are every window's."""
         dims = ModelDims(k=5, p=6, hidden=8, latent=4)
         params = init_params(dims, seed=9).astype(np.float32)
-        mts = cv_minitracks(k=5, p=6, count=2 * evaluation.FORECAST_CHUNK + 1,
+        mts = cv_minitracks(k=5, p=6, count=2 * model.FORECAST_CHUNK + 1,
                             start_jitter=20.0, velocity_jitter=1.0, seed=9)
-        chunks = []
-        real = evaluation.predict_from_window
+        blocks, scored = [], []
+        real_encode = model.encode
+        real_score = evaluation.evaluate_predictions
 
-        def recording(params, windows):
-            chunks.append(real(params, windows))
-            return chunks[-1]
+        def encode(params, window):
+            blocks.append(len(window))
+            return real_encode(params, window)
 
-        monkeypatch.setattr(evaluation, "predict_from_window", recording)
+        def score(pred, *args, **kwargs):
+            scored.append(pred)
+            return real_score(pred, *args, **kwargs)
+
+        monkeypatch.setattr(model, "encode", encode)
+        monkeypatch.setattr(evaluation, "evaluate_predictions", score)
         report = evaluate(params, mts)
-        assert [len(c) for c in chunks] == [evaluation.FORECAST_CHUNK] * 2 + [1]
+        assert blocks == [43, 43, 43]
         assert report.n_samples == len(mts)
+        monkeypatch.undo()
         want = np.stack([predict(params, mt.boxes[:5], mt.predecessor)
                          for mt in mts])
-        assert np.abs(np.concatenate(chunks) - want).max() <= self.BOUND_PX
+        assert np.abs(scored[0] - want).max() <= self.BOUND_PX
 
 
 class TestInferencePrecision:

@@ -148,14 +148,14 @@ class TestEncode:
         window, _ = random_window_and_targets(np.random.default_rng(4), 4, 3)
         z, state = encode(params, window)
 
-        s = LstmCellState.zeros(8)
+        s = LstmCellState.zeros(8, 1)
         for t in range(4):
-            s, _ = lstm_step(params.enc, window[t], s)
+            s, _ = lstm_step(params.enc, window[None, t], s)
         z_manual = linear_forward(params.fc_latent.w, params.fc_latent.b,
                                   relu(s.h))
-        assert np.array_equal(state.h, s.h)
-        assert np.array_equal(state.c, s.c)
-        assert np.array_equal(z, z_manual)
+        assert np.array_equal(state.h, s.h[0])
+        assert np.array_equal(state.c, s.c[0])
+        assert np.array_equal(z, z_manual[0])
 
     def test_wrong_row_count_raises(self):
         params = init_params(TINY, seed=5)
@@ -180,7 +180,8 @@ class TestDecoders:
         for t in params.tensors().values():
             t[...] = 0.0
         params.fc_delta.b[...] = [1.0, 2.0, 3.0, 4.0]
-        out = decode_future(params, np.zeros(6), LstmCellState.zeros(8))
+        out = decode_future(params, np.zeros(6),
+                            LstmCellState(np.zeros(8), np.zeros(8)))
         assert out.shape == (3, 4)
         np.testing.assert_array_equal(out, np.tile([1.0, 2.0, 3.0, 4.0], (3, 1)))
 
@@ -188,11 +189,12 @@ class TestDecoders:
         params = init_params(TINY, seed=8)
         z = np.random.default_rng(8).normal(size=6)
         out = reconstruct(params, z)
-        s = LstmCellState.zeros(8)
+        s = LstmCellState.zeros(8, 1)
         rows = []
         for _ in range(4):
-            s, _ = lstm_step(params.auto_dec, z, s)
-            rows.append(linear_forward(params.fc_recon.w, params.fc_recon.b, s.h))
+            s, _ = lstm_step(params.auto_dec, z[None], s)
+            rows.append(linear_forward(params.fc_recon.w, params.fc_recon.b,
+                                       s.h[0]))
         np.testing.assert_allclose(out, np.stack(rows), rtol=1e-13, atol=1e-16)
 
     def test_decode_future_matches_manual_unroll(self):
@@ -201,11 +203,12 @@ class TestDecoders:
         z = rng.normal(size=6)
         enc_state = LstmCellState(rng.normal(size=8), rng.normal(size=8))
         out = decode_future(params, z, enc_state)
-        s = LstmCellState(enc_state.h, enc_state.c)
+        s = LstmCellState(enc_state.h[None], enc_state.c[None])
         rows = []
         for _ in range(3):
-            s, _ = lstm_step(params.fut_dec, z, s)
-            rows.append(linear_forward(params.fc_delta.w, params.fc_delta.b, s.h))
+            s, _ = lstm_step(params.fut_dec, z[None], s)
+            rows.append(linear_forward(params.fc_delta.w, params.fc_delta.b,
+                                       s.h[0]))
         np.testing.assert_allclose(out, np.stack(rows), rtol=1e-13, atol=1e-16)
 
     def test_cell_state_carry_flag_changes_the_rollout(self):
@@ -561,7 +564,9 @@ class TestInferenceDtypeFlow:
 class TestPredictMatchesTrainingHead:
     """`predict_from_window` is `forward_train`'s future head without the
     reconstruction branch, so the two agree bit for bit: any dims, either
-    dtype, either carry setting, one window or a stack of them."""
+    dtype, either carry setting, one window or a stack of them. A single
+    window runs as a one-row batch, so it also gives its (1,) batch's
+    bits."""
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 7),
@@ -592,6 +597,10 @@ class TestPredictMatchesTrainingHead:
             # a 2-D batch runs its steps as the same rows, flattened
             flat = predict_from_window(params, np.stack(windows))
             assert got.tobytes() == flat.tobytes()
+        if batch == ():
+            one = predict_from_window(params, window[None])
+            assert one.shape == (1, p, 4)
+            assert got.tobytes() == one.tobytes()
 
 
 class TestTrainingBatchIsItsFlatBatch:
@@ -632,9 +641,10 @@ class TestBatchedMatchesPerSample:
     """Each row of a batched forecast is within a stated bound of the same
     window forecast alone: 1e-3 px at float32 (the bound batched evaluation
     is held to) and 1e-9 px at float64. The rows are not bitwise equal,
-    since a batch runs one matrix product per step where a single window
-    runs a matrix-vector product (measured at full size, float32, on 64
-    synthetic windows at batches 2 to 64: at most 1.8e-6 px)."""
+    since a batch of n rows runs one matrix product per step where a single
+    window, a one-row batch, runs matrix-vector products (measured at full
+    size, float32, on 64 synthetic windows at batches 2 to 64: at most
+    1.8e-6 px)."""
 
     BOUND_PX = {np.float32: 1e-3, np.float64: 1e-9}
 
@@ -730,7 +740,7 @@ class TestTiledBatchesAtFullSize:
     @pytest.mark.parametrize("batch", [(2,), (2, 3), (12,)], ids=str)
     def test_predict_equals_forward_train_bitwise(self, full_f32, batch):
         seq = LstmSeq.start(full_f32.enc, LstmCellState.zeros(
-            FULL.hidden, batch, np.float32), 0)
+            FULL.hidden, int(np.prod(batch)), np.float32), 0)
         assert len(seq.tiles) > 1
         window = stacked_windows(np.random.default_rng(sum(batch)), batch,
                                  FULL.k)
@@ -749,6 +759,51 @@ class TestTiledBatchesAtFullSize:
         gap = max(float(np.abs(batched[j] - predict_from_window(
             full_f32, windows[j])).max()) for j in range(n))
         assert gap <= TestBatchedMatchesPerSample.BOUND_PX[np.float32], gap
+
+
+class TestForecastBlocks:
+    """`predict_from_window` runs n rows as ceil(n / `FORECAST_CHUNK`)
+    near-equal blocks, as `loss_and_grads` runs its batch."""
+
+    @pytest.mark.parametrize("n", [70, 129])
+    def test_full_size_blocks_equal_forward_train_bitwise(self, full_f32, n):
+        """70 rows run as two blocks of 35 and 129 as three of 43, every
+        block past the 2-12 rows of the tiled recurrent product, so each
+        row has the bits of the same rows run as one batch through
+        `forward_train` (fixed 64-row chunks left tails of 6 and 1 rows,
+        which round apart by up to 6.7e-7 px)."""
+        window = stacked_windows(np.random.default_rng(n), (n,), FULL.k)
+        got = predict_from_window(full_f32, window)
+        _, want = forward_train(full_f32, window)
+        assert got.shape == (n, FULL.p, 4)
+        assert got.tobytes() == want.tobytes()
+
+    def test_blocks_keep_the_batch_shape_and_the_callers_anchors(
+            self, monkeypatch):
+        """With the limit patched to 2, a (5, 1) float64 batch on float32
+        weights runs blocks of 2, 2 and 1 rows. The result has the caller's
+        batch shape and float64 boxes, and equals each block forecast on
+        its own, bit for bit."""
+        monkeypatch.setattr(model, "FORECAST_CHUNK", 2)
+        params = init_params(TINY, seed=15).astype(np.float32)
+        rng = np.random.default_rng(15)
+        windows = np.stack([random_window_and_targets(rng, TINY.k, 1)[0]
+                            for _ in range(5)])
+        rows = []
+        real = model.encode
+
+        def recording(params, window):
+            rows.append(len(window))
+            return real(params, window)
+
+        monkeypatch.setattr(model, "encode", recording)
+        got = predict_from_window(params, windows[:, None])
+        assert rows == [2, 2, 1]
+        assert got.shape == (5, 1, TINY.p, 4)
+        assert got.dtype == np.float64
+        want = np.concatenate([predict_from_window(params, windows[j:j + 2])
+                               for j in (0, 2, 4)])
+        assert got.reshape(5, TINY.p, 4).tobytes() == want.tobytes()
 
 
 # Run in a child process: full-size float32 forecasts of a single window
@@ -773,8 +828,10 @@ print(json.dumps({name: hashlib.sha256(
 def test_forecast_bits_do_not_depend_on_the_blas_thread_count():
     """The same forecasts at one and at two BLAS threads, each in its own
     child process (numpy fixes the BLAS pool when it loads), are equal bit
-    for bit. Training gradients are not yet: some of their weight-gradient
-    products round apart between the two counts."""
+    for bit, and at each count a single window's forecast has the bytes of
+    its (1,) batch's. Training gradients are not yet thread-count
+    independent: some of their weight-gradient products round apart
+    between the two counts."""
     paths = [str(Path(model.__file__).parents[1]), str(Path(__file__).parent)]
     digests = []
     for threads in ("1", "2"):
@@ -787,6 +844,7 @@ def test_forecast_bits_do_not_depend_on_the_blas_thread_count():
         digests.append(json.loads(out.stdout.splitlines()[-1]))
     assert list(digests[0]) == ["()", "(1,)", "(6,)", "(64,)"]
     assert digests[0] == digests[1]
+    assert all(d["()"] == d["(1,)"] for d in digests)
 
 
 class TestFloat32WithinBoundOfFloat64:

@@ -9,7 +9,7 @@ import pytest
 
 from helpers import fd_grad, lstm_step, sigmoid
 
-from boxcast.errors import NumericError, ShapeError
+from boxcast.errors import ConfigError, NumericError, ShapeError
 from boxcast.nn import (
     AdamState,
     LinearParams,
@@ -45,8 +45,8 @@ def random_linear(rng, in_features, out_features):
                         b=np.zeros(out_features))
 
 
-def random_state(rng, hidden_size=4, batch_shape=()):
-    shape = tuple(batch_shape) + (hidden_size,)
+def random_state(rng, hidden_size=4, rows=1):
+    shape = (rows, hidden_size)
     return LstmCellState(rng.normal(size=shape), rng.normal(size=shape))
 
 
@@ -59,7 +59,8 @@ def gate_backward(seq, dh, dc):
 
 def full_size_step_inputs(rng, batch_shape, H=512, D=8):
     """A float32 hidden-512 cell with zero biases, an initial state of the
-    batch shape and a projected input ``x_pre``, as one step reads them."""
+    (n,) batch shape's n rows and a projected input ``x_pre``, as one step
+    reads them."""
     cell = LstmCellParams(
         wx=rng.uniform(-0.04, 0.04, (4 * H, D)).astype(np.float32),
         wh=rng.uniform(-0.04, 0.04, (4 * H, H)).astype(np.float32),
@@ -118,11 +119,11 @@ class TestLstmCell:
     def test_forward_matches_manual_gate_math(self):
         rng = np.random.default_rng(1)
         p = random_cell(rng)
-        x = rng.normal(size=3)
+        x = rng.normal(size=(1, 3))
         s = random_state(rng)
         new, _ = lstm_step(p, x, s)
 
-        a = p.wx @ x + p.wh @ s.h + p.bx + p.bh
+        a = p.wx @ x[0] + p.wh @ s.h[0] + p.bx + p.bh
         H = 4
 
         def sig(v):
@@ -130,46 +131,47 @@ class TestLstmCell:
 
         i, f = sig(a[:H]), sig(a[H:2 * H])
         g, o = np.tanh(a[2 * H:3 * H]), sig(a[3 * H:])
-        c = f * s.c + i * g
-        np.testing.assert_allclose(new.c, c, rtol=1e-12)
-        np.testing.assert_allclose(new.h, o * np.tanh(c), rtol=1e-12)
+        c = f * s.c[0] + i * g
+        np.testing.assert_allclose(new.c[0], c, rtol=1e-12)
+        np.testing.assert_allclose(new.h[0], o * np.tanh(c), rtol=1e-12)
 
     def test_hidden_state_stays_inside_unit_box(self):
         rng = np.random.default_rng(2)
         for trial in range(20):
             p = random_cell(rng, input_size=5, hidden_size=6)
-            s = LstmCellState.zeros(6)
+            s = LstmCellState.zeros(6, 1)
             for _ in range(40):
-                x = rng.normal(scale=3.0, size=5)
+                x = rng.normal(scale=3.0, size=(1, 5))
                 s, _ = lstm_step(p, x, s)
                 assert np.all(np.abs(s.h) < 1.0)
 
     @pytest.mark.parametrize("dtype, tol", [
         (np.float64, {"rtol": 1e-13}), (np.float32, {"atol": 1e-6})])
-    @pytest.mark.parametrize("batch_shape", [(5,), (2, 3)])
+    @pytest.mark.parametrize("batch_shape", [(5,), (6,)])
     def test_batched_rows_equal_per_sample_calls(self, batch_shape, dtype,
                                                  tol):
-        """Every row of a batched step, flat or 2-D batch, equals the step
-        run on that row alone, up to rounding: the batch runs one matrix
-        product where a single row runs a matrix-vector product (float32:
-        within 1e-6 absolute, a few ulps of the O(1) states)."""
+        """Every row of a batched step equals the step run on that row
+        alone, up to rounding: the batch runs one matrix product where a
+        single row runs a matrix-vector product (float32: within 1e-6
+        absolute, a few ulps of the O(1) states)."""
         rng = np.random.default_rng(3)
         p = random_cell(rng)
         p = LstmCellParams(*(t.astype(dtype) for t in
                              (p.wx, p.wh, p.bx, p.bh)))
         xb = rng.normal(size=batch_shape + (3,)).astype(dtype)
-        sb = random_state(rng, batch_shape=batch_shape)
+        sb = random_state(rng, rows=len(xb))
         sb = LstmCellState(sb.h.astype(dtype), sb.c.astype(dtype))
         batched, _ = lstm_step(p, xb, sb)
         assert batched.h.shape == batched.c.shape == batch_shape + (4,)
         assert batched.h.dtype == dtype
-        for n in np.ndindex(batch_shape):
+        for n in range(len(xb)):
+            row = slice(n, n + 1)
             single, _ = lstm_step(
-                p, xb[n], LstmCellState(sb.h[n], sb.c[n]))
-            np.testing.assert_allclose(batched.h[n], single.h, **tol)
-            np.testing.assert_allclose(batched.c[n], single.c, **tol)
+                p, xb[row], LstmCellState(sb.h[row], sb.c[row]))
+            np.testing.assert_allclose(batched.h[row], single.h, **tol)
+            np.testing.assert_allclose(batched.c[row], single.c, **tol)
 
-    @pytest.mark.parametrize("batch_shape", [(), (2,), (6,), (3, 4), (64,)])
+    @pytest.mark.parametrize("batch_shape", [(1,), (2,), (6,), (12,), (64,)])
     def test_step_never_copies_the_recurrent_weights(self, batch_shape):
         """One float32 full-size step (hidden 512) allocates less than
         ``wh`` itself: the recurrent product reads ``wh`` in place, neither
@@ -182,7 +184,7 @@ class TestLstmCell:
         cell, init, x_pre = full_size_step_inputs(rng, batch_shape)
         seq = LstmSeq.start(cell, init, 1)
         assert (len(seq.tiles) > 1) == (batch_shape
-                                        in [(), (2,), (6,), (3, 4)])
+                                        in [(1,), (2,), (6,), (12,)])
         tracemalloc.start()
         try:
             _lstm_cell_from_preact(cell, x_pre, seq, 0)
@@ -194,7 +196,7 @@ class TestLstmCell:
     def test_forward_is_deterministic(self):
         rng = np.random.default_rng(4)
         p = random_cell(rng)
-        x = rng.normal(size=3)
+        x = rng.normal(size=(1, 3))
         s = random_state(rng)
         a, _ = lstm_step(p, x, s)
         b, _ = lstm_step(p, x, s)
@@ -214,12 +216,12 @@ class TestLstmCell:
         cell = LstmCellParams(wx=pre[:, None], wh=np.zeros((4 * H, H), dtype),
                               bx=np.zeros(4 * H, dtype),
                               bh=np.zeros(4 * H, dtype))
-        _, seq = lstm_step(cell, np.ones(1, dtype),
-                           LstmCellState.zeros(H, dtype=dtype))
+        _, seq = lstm_step(cell, np.ones((1, 1), dtype),
+                           LstmCellState.zeros(H, 1, dtype=dtype))
         x = pre[:H]
         want = np.concatenate([sigmoid(x), sigmoid(x), np.tanh(x), sigmoid(x)])
         assert seq.gates.dtype == dtype
-        np.testing.assert_allclose(seq.gates[0], want, rtol=0,
+        np.testing.assert_allclose(seq.gates[0, 0], want, rtol=0,
                                    atol=8 * np.finfo(dtype).eps)
 
     def test_shape_mismatch_raises(self):
@@ -232,14 +234,23 @@ class TestLstmCell:
         with pytest.raises(ShapeError):
             LstmSeq.start(p, LstmCellState(s.h, rng.normal(size=(2, 4))), 1)
 
+    @pytest.mark.parametrize("shape", [(4,), (2, 3, 4), ()], ids=str)
+    def test_a_pass_starts_from_rows_only(self, shape):
+        """A pass starts from (N, H) rows: an unbatched (H,) state, a
+        multi-axis one or a scalar is a ShapeError, even with matching c."""
+        p = random_cell(np.random.default_rng(5))
+        state = LstmCellState(np.zeros(shape), np.zeros(shape))
+        with pytest.raises(ShapeError, match=r"expected \(N, 4\) rows"):
+            LstmSeq.start(p, state, 1)
+
     @pytest.mark.parametrize("seed", range(5))
     def test_backward_matches_finite_differences(self, seed):
         rng = np.random.default_rng(100 + seed)
         p = random_cell(rng)
-        x = rng.normal(size=3)
+        x = rng.normal(size=(1, 3))
         s = random_state(rng)
-        dh = rng.normal(size=4)
-        dc = rng.normal(size=4)
+        dh = rng.normal(size=(1, 4))
+        dc = rng.normal(size=(1, 4))
 
         _, cache = lstm_step(p, x, s)
         da, dh_prev, dc_prev = gate_backward(cache, dh, dc)
@@ -248,10 +259,10 @@ class TestLstmCell:
             new, _ = lstm_step(params, x, LstmCellState(hh, cc))
             return float(np.sum(new.h * dh) + np.sum(new.c * dc))
 
-        # for one sample the gate gradient is the gradient on either bias,
+        # for one row the gate gradient is the gradient on either bias,
         # and the weight gradients are its outer products with the inputs
         analytic = {"wx": np.outer(da, x), "wh": np.outer(da, s.h),
-                    "bx": da, "bh": da}
+                    "bx": da[0], "bh": da[0]}
         for name, grad in analytic.items():
             def f(v, name=name):
                 return with_inputs(LstmCellParams(**{**p.__dict__, name: v}),
@@ -268,7 +279,7 @@ class TestLstmCell:
         rng = np.random.default_rng(6)
         p = random_cell(rng)
         xb = rng.normal(size=(4, 3))
-        sb = random_state(rng, batch_shape=(4,))
+        sb = random_state(rng, rows=4)
         dh = rng.normal(size=(4, 4))
         dc = rng.normal(size=(4, 4))
         _, cache = lstm_step(p, xb, sb)
@@ -277,23 +288,20 @@ class TestLstmCell:
         acc_wh = 0.0
         acc_b = 0.0
         for n in range(4):
-            _, c1 = lstm_step(p, xb[n], LstmCellState(sb.h[n], sb.c[n]))
-            da1, dh1, dc1 = gate_backward(c1, dh[n], dc[n])
+            row = slice(n, n + 1)
+            _, c1 = lstm_step(p, xb[row], LstmCellState(sb.h[row], sb.c[row]))
+            da1, dh1, dc1 = gate_backward(c1, dh[row], dc[row])
             acc_wh = acc_wh + np.outer(da1, sb.h[n])
-            acc_b = acc_b + da1
-            np.testing.assert_allclose(da[n], da1, rtol=1e-12, atol=1e-14)
-            np.testing.assert_allclose(dh_prev[n], dh1, rtol=1e-12, atol=1e-14)
-            np.testing.assert_allclose(dc_prev[n], dc1, rtol=1e-12, atol=1e-14)
+            acc_b = acc_b + da1[0]
+            np.testing.assert_allclose(da[row], da1, rtol=1e-12, atol=1e-14)
+            np.testing.assert_allclose(dh_prev[row], dh1, rtol=1e-12,
+                                       atol=1e-14)
+            np.testing.assert_allclose(dc_prev[row], dc1, rtol=1e-12,
+                                       atol=1e-14)
         np.testing.assert_allclose(da.T @ cache.h[0], acc_wh,
                                    rtol=1e-12, atol=1e-14)
         np.testing.assert_allclose(da.sum(axis=0), acc_b,
                                    rtol=1e-12, atol=1e-14)
-
-
-def _batch_shapes(n):
-    """The flat shape (n,) and a 2-D shape (n1, n2) of n rows."""
-    n1 = max(d for d in range(1, int(n ** 0.5) + 1) if n % d == 0)
-    return [(n,), (n1, n // n1)]
 
 
 def reference_pass(cell, init, x_pres, tiles):
@@ -301,12 +309,12 @@ def reference_pass(cell, init, x_pres, tiles):
     its product taken over ``tiles`` in forward order, then the activations
     lane by lane. Returns the (gates, c, h) stacks of `LstmSeq`."""
     H = cell.hidden_size
-    h, c = init.h.reshape(-1, H), init.c.reshape(-1, H)
+    h, c = init.h, init.c
     gates, cs, hs = [], [c], [h]
     for x_pre in x_pres:
         a = np.concatenate([(cell.wh[tile] @ h.T).T for tile in tiles],
                            axis=-1)
-        a += x_pre.reshape(-1, 4 * H)
+        a += x_pre
         sigmoid_lanes = (a[:, :2 * H], a[:, 3 * H:])
         for lane in sigmoid_lanes:
             lane *= 0.5
@@ -322,9 +330,7 @@ def reference_pass(cell, init, x_pres, tiles):
         gates.append(a)
         cs.append(c)
         hs.append(h)
-    batch = init.h.shape[:-1]
-    return tuple(np.stack(s).reshape((len(s),) + batch + (-1,))
-                 for s in (gates, cs, hs))
+    return tuple(np.stack(s) for s in (gates, cs, hs))
 
 
 class _SignedZeroProduct(np.ndarray):
@@ -349,8 +355,7 @@ class TestRecurrentTiles:
     # (measured at most 2.7e-7 tiled and 9.4e-7 untiled).
     GATE_BOUND = 4e-6
 
-    @pytest.mark.parametrize("batch_shape",
-                             [s for n in range(1, 17) for s in _batch_shapes(n)],
+    @pytest.mark.parametrize("batch_shape", [(n,) for n in range(1, 17)],
                              ids=str)
     def test_gates_within_bound_of_float64(self, batch_shape):
         rng = np.random.default_rng(sum(batch_shape))
@@ -367,8 +372,7 @@ class TestRecurrentTiles:
         assert float(np.abs(got - want).max()) <= self.GATE_BOUND
 
     @pytest.mark.parametrize("batch_shape",
-                             [s for n in (1, 13, 14, 15, 16)
-                              for s in _batch_shapes(n)] + [(64,), ()],
+                             [(n,) for n in (1, 13, 14, 15, 16, 64)],
                              ids=str)
     def test_one_row_and_13_or_more_rows_keep_the_untiled_bits(
             self, batch_shape):
@@ -379,19 +383,19 @@ class TestRecurrentTiles:
         rng = np.random.default_rng(20 + sum(batch_shape))
         cell, init, x_pre = full_size_step_inputs(rng, batch_shape)
         H = cell.hidden_size
-        rows = (cell.wh @ init.h.reshape(-1, H).T).T
-        rows += x_pre.reshape(-1, 4 * H)
+        rows = (cell.wh @ init.h.T).T
+        rows += x_pre
         zero = LstmCellParams(cell.wx, np.zeros_like(cell.wh), cell.bx,
                               cell.bh)
-        want = step_gates(zero, init, rows.reshape(x_pre.shape))
+        want = step_gates(zero, init, rows)
         seq = LstmSeq.start(cell, init, 1)
         assert seq.tiles == ((slice(0, 2 * H), slice(2 * H, 4 * H))
-                             if init.h.size == H else (slice(0, 4 * H),))
+                             if len(init.h) == 1 else (slice(0, 4 * H),))
         np.testing.assert_array_equal(step_gates(cell, init, x_pre), want)
 
     @pytest.mark.parametrize("batch_shape, dtype", [
-        ((), np.float32), ((1,), np.float32), ((2,), np.float32),
-        ((6,), np.float32), ((12,), np.float32), ((), np.float64)],
+        ((1,), np.float32), ((2,), np.float32), ((3,), np.float32),
+        ((6,), np.float32), ((12,), np.float32), ((1,), np.float64)],
         ids=str)
     def test_reversed_steps_equal_the_reference_loop(self, batch_shape,
                                                      dtype):
@@ -411,7 +415,7 @@ class TestRecurrentTiles:
         assert len(seq.tiles) > 1
         for t, x_pre in enumerate(x_pres):
             _lstm_cell_from_preact(cell, x_pre, seq, t)
-        tiles = (slice(0, 4 * H),) if init.h.size == H else seq.tiles
+        tiles = (slice(0, 4 * H),) if len(init.h) == 1 else seq.tiles
         for got, want in zip((seq.gates, seq.c, seq.h),
                              reference_pass(cell, init, x_pres, tiles)):
             assert got.dtype == dtype
@@ -425,11 +429,11 @@ class TestRecurrentTiles:
         H = 4
         cell = random_cell(np.random.default_rng(9), hidden_size=H)
         cell.wh = cell.wh.view(_SignedZeroProduct)
-        seq = LstmSeq.start(cell, LstmCellState.zeros(H), 2)
-        _lstm_cell_from_preact(cell, np.full(4 * H, -0.0), seq, t)
-        g = np.asarray(seq.gates[t, 2 * H:3 * H])
+        seq = LstmSeq.start(cell, LstmCellState.zeros(H, 1), 2)
+        _lstm_cell_from_preact(cell, np.full((1, 4 * H), -0.0), seq, t)
+        g = np.asarray(seq.gates[t, 0, 2 * H:3 * H])
         assert (g == 0.0).all() and np.signbit(g).all()
-        np.testing.assert_array_equal(seq.gates[t, :2 * H], 0.5)
+        np.testing.assert_array_equal(seq.gates[t, 0, :2 * H], 0.5)
 
     @pytest.mark.parametrize("n, hidden, tiles", [
         (1, 512, 2), (1, 8, 2), (2, 512, 4), (3, 512, 8), (4, 512, 8), (6, 512, 16),
@@ -443,7 +447,7 @@ class TestRecurrentTiles:
         # zero-stride weights: only their shapes are read
         zeros = np.broadcast_to(0.0, (4 * hidden, hidden))
         cell = LstmCellParams(zeros, zeros, zeros[:, 0], zeros[:, 0])
-        seq = LstmSeq.start(cell, LstmCellState.zeros(hidden, (n,)), 0)
+        seq = LstmSeq.start(cell, LstmCellState.zeros(hidden, n), 0)
         assert len(seq.tiles) == tiles
         assert seq.tiles[0].start == 0 and seq.tiles[-1].stop >= 4 * hidden
         r = seq.tiles[0].stop
@@ -586,6 +590,18 @@ class TestAdam:
         with pytest.raises(NumericError, match="'b'"):
             adam_step(state, params, {"w": np.zeros(2),
                                       "b": np.array([1.0, np.nan])}, 0.1)
+
+    @pytest.mark.parametrize("lr", [0.0, -0.1, float("nan")], ids=str)
+    def test_a_rate_that_is_not_positive_is_a_config_error(self, lr):
+        """A rate that is not > 0 is a setting, not a shape: ConfigError,
+        raised before any moment or parameter changes."""
+        params = {"w": np.ones(2)}
+        state = AdamState.init(params)
+        with pytest.raises(ConfigError, match="learning rate must be "
+                                              "positive"):
+            adam_step(state, params, {"w": np.ones(2)}, lr)
+        assert state.t == 0
+        np.testing.assert_array_equal(params["w"], np.ones(2))
 
     def test_descends_a_quadratic(self):
         params = {"w": np.array([5.0, -3.0])}

@@ -4,6 +4,7 @@ file including its failure modes."""
 
 import copy
 import dataclasses
+import os
 import re
 import tempfile
 from pathlib import Path
@@ -71,6 +72,16 @@ class TestSchedule:
         assert lr_schedule(5, cfg) == pytest.approx(0.000705)
         assert lr_schedule(29, cfg) == pytest.approx(4.40625e-05)
 
+    def test_any_halving_count_gives_a_rate(self):
+        """A halving count past the float range gives 0.0, where a float
+        power of 0.5 would raise OverflowError, so a config of that many
+        epochs is refused as any underflowing schedule is."""
+        cfg = TrainConfig()
+        assert lr_schedule(5 * 1000, cfg) == 0.00141 * 0.5 ** 1000
+        assert lr_schedule(5 * 10 ** 400, cfg) == 0.0
+        with pytest.raises(ConfigError, match="underflows to 0"):
+            TrainConfig(epochs=10 ** 400)
+
     def test_negative_epoch_rejected(self):
         with pytest.raises(ConfigError):
             lr_schedule(-1, TrainConfig())
@@ -125,6 +136,12 @@ class TestRecordsCheckThemselves:
          "unknown loss mode 'spiral'; pick one of "
          "('traj-del', 'traj', 'traj+auto-enc')"),
         (TrainConfig, {}, "base_lr", 0.0, "base_lr must be positive, got 0.0"),
+        (TrainConfig, {}, "epochs", 5400,
+         "base_lr 0.00141 halved every 5 epochs underflows to 0 by the last "
+         "of 5400 epochs"),
+        (TrainConfig, {"epochs": 1200}, "halve_every", 1,
+         "base_lr 0.00141 halved every 1 epochs underflows to 0 by the last "
+         "of 1200 epochs"),
         (TrainConfig, {}, "seed", -1, "seed must be an int >= 0, got -1"),
         (SynthSpec, {}, "kind", "zigzag",
          f"unknown synthetic kind 'zigzag'; pick one of {SYNTH_KINDS}"),
@@ -455,7 +472,7 @@ class TestWeightFile:
         def failing_replace(src, dst):
             raise OSError("replace failed")
 
-        monkeypatch.setattr(training.os, "replace", failing_replace)
+        monkeypatch.setattr(os, "replace", failing_replace)
         params = init_params(ModelDims(k=6, p=4, hidden=16, latent=8),
                              seed=14)
         with pytest.raises(OSError, match="replace failed"):
