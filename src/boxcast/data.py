@@ -541,8 +541,7 @@ class SynthSpec:
         if self.kind not in SYNTH_KINDS:
             raise ConfigError(
                 f"unknown synthetic kind {self.kind!r}; pick one of {SYNTH_KINDS}")
-        if self.length < 1:
-            raise ConfigError(f"length must be at least 1, got {self.length}")
+        _check_positive_ints(length=self.length)
         for name in _SYNTH_FLOAT_FIELDS:
             value = getattr(self, name)
             if not np.isfinite(value).all():
@@ -581,6 +580,14 @@ def _check_seed(seed) -> int:
     return seed
 
 
+def _check_positive_ints(**values) -> None:
+    """ConfigError naming the first of ``values`` that is not a positive
+    int."""
+    for name, v in values.items():
+        if not (isinstance(v, int) and v >= 1):
+            raise ConfigError(f"{name} must be a positive int, got {v!r}")
+
+
 _MAX_JITTER = np.finfo(np.float64).max / 2.0
 _SYNTH_FLOAT_FIELDS = ("start", "size", "velocity", "accel", "size_rate",
                        "amplitude", "period", "noise_std", "start_jitter",
@@ -597,8 +604,7 @@ def synth_tracks(spec: SynthSpec, count: int) -> list[Track]:
     float64 raise ConfigError from the finiteness check on each track, with
     no numpy overflow warning ahead of it.
     """
-    if count < 1:
-        raise ConfigError(f"count must be at least 1, got {count}")
+    _check_positive_ints(count=count)
     rng = np.random.default_rng(spec.seed)
     tracks = []
     for idx in range(count):

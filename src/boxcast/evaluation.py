@@ -326,7 +326,8 @@ def ablation_run(minitracks: list[MiniTrack], cfg, modes=LOSS_MODES,
     (mode, horizon, ade, fde) per combination, in mode-major order.
     Both protocols score the same set, ``eval_minitracks`` (the training
     set by default) of length cfg.k + cfg.p, stacked once; a horizon h
-    scores the first h forecast and target steps.
+    scores the first h forecast and target steps, so a horizon beyond cfg.p
+    is a ConfigError in both protocols, raised before any model trains.
     """
     horizons = sorted(int(h) for h in horizons)
     if not horizons or horizons[0] < 1:
@@ -335,7 +336,7 @@ def ablation_run(minitracks: list[MiniTrack], cfg, modes=LOSS_MODES,
     mode_cfgs = [replace(cfg, loss_mode=mode) for mode in modes]
     if eval_minitracks is None:
         eval_minitracks = minitracks
-    if not retrain_per_horizon and horizons[-1] > cfg.p:
+    if horizons[-1] > cfg.p:
         raise ConfigError(
             f"horizon {horizons[-1]} exceeds the model horizon p={cfg.p}")
     windows, targets = stack_minitracks(eval_minitracks, cfg.k, cfg.p)
@@ -347,7 +348,8 @@ def ablation_run(minitracks: list[MiniTrack], cfg, modes=LOSS_MODES,
         for h in horizons:
             if retrain_per_horizon:
                 pars, _ = train(replace(mode_cfg, p=h),
-                                _truncate(minitracks, cfg.k + h))
+                                [replace(mt, boxes=mt.boxes[:cfg.k + h])
+                                 for mt in minitracks])
                 pred = predict_from_window(pars, windows)
             rep = evaluate_predictions(pred[:, :h], targets[:, :h],
                                        input_k=cfg.k)
@@ -355,13 +357,3 @@ def ablation_run(minitracks: list[MiniTrack], cfg, modes=LOSS_MODES,
                          "ade": rep.ade, "fde": rep.fde})
     return rows
 
-
-def _truncate(minitracks: list[MiniTrack], length: int) -> list[MiniTrack]:
-    out = []
-    for mt in minitracks:
-        if len(mt) < length:
-            raise DataError(
-                f"mini-track of length {len(mt)} too short to truncate to "
-                f"{length}")
-        out.append(replace(mt, boxes=mt.boxes[:length]))
-    return out

@@ -60,8 +60,11 @@ next branch allocates, so at most one block's encoder and one decoder's
 caches are live at once, whatever the batch size. Each head's gradient on
 the per-step hidden states is formed step by step inside the backward
 loop.
-The objective has one definition, `composite_loss`, built from the
-per-term pieces `loss_and_grads` calls branch by branch.
+The objective has one definition, `composite_loss`, which takes the
+network's outputs as it emits them (reconstruction rows and delta rows)
+and is built from the per-term pieces `loss_and_grads` calls branch by
+branch; of those, `_trajectory_term` alone picks what a loss mode
+supervises.
 """
 
 from __future__ import annotations
@@ -71,7 +74,7 @@ from typing import Callable
 
 import numpy as np
 
-from .data import Box, Boxes
+from .data import Box, Boxes, _check_positive_ints
 from .errors import ConfigError, DataError, NumericError, ShapeError
 from .nn import (
     LinearParams,
@@ -158,16 +161,8 @@ class ModelDims:
     latent: int = 256
 
     def __post_init__(self) -> None:
-        _check_positive_ints(self, ("k", "p", "hidden", "latent"))
-
-
-def _check_positive_ints(record, names: tuple[str, ...]) -> None:
-    """ConfigError naming the first of ``record``'s fields ``names`` that
-    is not a positive int."""
-    for name in names:
-        v = getattr(record, name)
-        if not (isinstance(v, int) and v >= 1):
-            raise ConfigError(f"{name} must be a positive int, got {v!r}")
+        _check_positive_ints(k=self.k, p=self.p, hidden=self.hidden,
+                             latent=self.latent)
 
 
 @dataclass
@@ -604,21 +599,21 @@ class LossWeights:
 
 
 def composite_loss(recon: np.ndarray | None, window: np.ndarray,
-                   pred_boxes: np.ndarray | None, target_boxes: np.ndarray,
-                   weights: LossWeights,
-                   pred_deltas: np.ndarray | None = None
-                   ) -> tuple[float, dict[str, float]]:
-    """Weighted training objective over the active branches.
+                   deltas: np.ndarray, target_boxes: np.ndarray,
+                   weights: LossWeights) -> tuple[float, dict[str, float]]:
+    """Weighted training objective over the active branches, taken from the
+    network's outputs as it emits them: the reconstruction rows ``recon``
+    and the future branch's (..., p, 4) delta rows ``deltas``.
 
     Per mode:
-      traj-del       beta * L1(pred_deltas, target deltas)
-      traj           beta * L1(pred_boxes, target_boxes)
+      traj-del       beta * L1(deltas, target deltas)
+      traj           beta * L1(concat_trajectory(deltas, anchor), target_boxes)
       traj+auto-enc  the traj term + alpha * L1(recon, reconstruction_target)
 
-    Each mode needs the head it supervises: ``pred_deltas`` in traj-del
-    mode, ``pred_boxes`` otherwise, and ``recon`` too in traj+auto-enc
-    mode. Target deltas derive from ``target_boxes`` and the anchor stored
-    in the window's last row. L1 terms are means over every element
+    `_trajectory_term` picks what the mode supervises; the anchor is the
+    (cx, cy, w, h) of the window's last row, and the target deltas derive
+    from it and ``target_boxes``. ``recon`` is read, and must be given,
+    only in traj+auto-enc mode. L1 terms are means over every element
     (batched inputs average over the batch too), so the loss of a batch is
     the mean of the per-sample losses. The sum is built from the per-term
     pieces `loss_and_grads` also uses, in the same order: beta * traj, then
@@ -628,12 +623,8 @@ def composite_loss(recon: np.ndarray | None, window: np.ndarray,
     Returns (loss, unweighted per-term values).
     """
     _check_window(window)
-    pred, head = (pred_deltas, "pred_deltas") \
-        if weights.mode == MODE_TRAJ_DEL else (pred_boxes, "pred_boxes")
-    if pred is None:
-        raise ConfigError(f"mode {weights.mode!r} needs {head}")
-    counts = {"traj": pred.size, "auto_enc": window.size}
-    sums = {"traj": _trajectory_term(pred, window, target_boxes, weights,
+    counts = {"traj": deltas.size, "auto_enc": window.size}
+    sums = {"traj": _trajectory_term(deltas, window, target_boxes, weights,
                                      counts["traj"])[0]}
     if weights.mode == MODE_TRAJ_AUTOENC:
         if recon is None:
@@ -654,19 +645,31 @@ def _weighted_sum(sums: dict[str, float], counts: dict[str, int],
     return loss, terms
 
 
-def _trajectory_term(pred: np.ndarray, window: np.ndarray,
+def _trajectory_term(deltas: np.ndarray, window: np.ndarray,
                      target_boxes: np.ndarray, weights: LossWeights,
                      count: int) -> tuple[float, np.ndarray]:
     """The trajectory L1 sum and the beta-weighted gradient of its mean over
-    ``count`` elements on ``pred``: the delta rows in traj-del mode (against
-    the target deltas, taken from the window's anchor), the future boxes
-    otherwise."""
-    target = target_boxes
+    ``count`` elements on the delta rows ``deltas``; the one place that
+    picks what a loss mode supervises.
+
+    In traj-del mode the deltas are compared with the target deltas, taken
+    from the window's anchor (the (cx, cy, w, h) of its last row). In the
+    other modes `concat_trajectory` sums the deltas on that anchor into
+    boxes, compared with ``target_boxes``, and the boxes' gradient flows
+    back to the deltas through a reverse cumulative sum.
+    """
+    anchor = window[..., -1, :4]
     if weights.mode == MODE_TRAJ_DEL:
-        target = np.diff(target_boxes, axis=-2,
-                         prepend=window[..., -1, None, :4])
-    l_traj, g_traj = _l1_sum(pred, target, count)
-    return l_traj, weights.beta * g_traj
+        target = np.diff(target_boxes, axis=-2, prepend=anchor[..., None, :])
+        l_traj, g_traj = _l1_sum(deltas, target, count)
+        return l_traj, weights.beta * g_traj
+    l_traj, g_traj = _l1_sum(concat_trajectory(deltas, anchor), target_boxes,
+                             count)
+    d_boxes = weights.beta * g_traj
+    # box i collects deltas 1..i, so the delta at step t collects the
+    # gradient of every box from t onward
+    return l_traj, np.flip(np.cumsum(np.flip(d_boxes, axis=-2), axis=-2),
+                           axis=-2)
 
 
 def _reconstruction_term(recon: np.ndarray, window: np.ndarray,
@@ -755,17 +758,8 @@ def _block_grads(params: ModelParams, window: np.ndarray,
     enc, h_relu, z = _run_encoder(params, window)
 
     fut, deltas = _future_branch(params, z, enc.final)
-    if weights.mode == MODE_TRAJ_DEL:
-        l_traj, d_deltas = _trajectory_term(deltas, window, target_boxes,
-                                            weights, counts["traj"])
-    else:
-        l_traj, d_boxes = _trajectory_term(
-            concat_trajectory(deltas, window[..., -1, :4]), window,
-            target_boxes, weights, counts["traj"])
-        # box i collects deltas 1..i, so the delta at step t collects the
-        # gradient of every box from t onward
-        d_deltas = np.flip(np.cumsum(np.flip(d_boxes, axis=-2), axis=-2),
-                           axis=-2)
+    l_traj, d_deltas = _trajectory_term(deltas, window, target_boxes, weights,
+                                        counts["traj"])
     sums["traj"] += l_traj
     _check_finite_loss(sums, counts, weights)
 

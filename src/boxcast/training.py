@@ -12,7 +12,7 @@ from typing import Callable
 
 import numpy as np
 
-from .data import MiniTrack, _atomic_open, _check_seed
+from .data import MiniTrack, _atomic_open, _check_positive_ints, _check_seed
 from .errors import ConfigError, DataError, NumericError
 from .model import (
     INPUT_DIM,
@@ -21,7 +21,6 @@ from .model import (
     LossWeights,
     ModelDims,
     ModelParams,
-    _check_positive_ints,
     build_features,  # read only by perfbench/tracing.py::targets
     feature_windows,
     init_params,
@@ -71,7 +70,8 @@ class TrainConfig:
 
     def __post_init__(self) -> None:
         self.dims()
-        _check_positive_ints(self, ("batch_size", "epochs", "halve_every"))
+        _check_positive_ints(batch_size=self.batch_size, epochs=self.epochs,
+                             halve_every=self.halve_every)
         if not self.base_lr > 0:
             raise ConfigError(f"base_lr must be positive, got {self.base_lr}")
         if not lr_schedule(self.epochs - 1, self) > 0:

@@ -41,7 +41,6 @@ from boxcast.model import (
     reconstruct,
     reconstruction_target,
     MODE_TRAJ_AUTOENC,
-    MODE_TRAJ_DEL,
 )
 from boxcast.nn import LstmSeq, lstm_cell_forward
 
@@ -113,12 +112,8 @@ def loss_via_public_ops(params, window, targets, weights):
     recon = None
     if weights.mode == MODE_TRAJ_AUTOENC:
         recon = reconstruct(params, z)
-    deltas = decode_future(params, z, state)
-    boxes = None
-    if weights.mode != MODE_TRAJ_DEL:
-        boxes = concat_trajectory(deltas, window[..., -1, :4])
-    loss, _ = composite_loss(recon, window, boxes, targets, weights,
-                             pred_deltas=deltas)
+    loss, _ = composite_loss(recon, window, decode_future(params, z, state),
+                             targets, weights)
     return loss
 
 

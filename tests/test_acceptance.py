@@ -369,9 +369,14 @@ def test_07_throughput_benchmark(full_size_params, capsys):
     cores = os.cpu_count() or 1
     single = benchmark_tps(full_size_params, threads=1, duration=1.0,
                            n_windows=16, seed=0)
+    blas = ", ".join(f"{name}={os.environ[name]}"
+                     for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+                     if name in os.environ) or "unset: BLAS default"
     detail = (f"single-thread {single.trajectories_per_second:.2f} TPS "
               f"(= {single.equivalent_fps:.0f} frames/s, "
-              f"{single.n_predictions} forecasts in {single.elapsed_s:.2f}s)")
+              f"{single.n_predictions} forecasts in {single.elapsed_s:.2f}s; "
+              f"one Python thread, BLAS threads {blas}, "
+              f"os.cpu_count() {os.cpu_count()})")
     hardware_ok = True
     if cores >= 4:
         multi = benchmark_tps(full_size_params, threads=4, duration=1.0,

@@ -502,23 +502,23 @@ class TestAblate:
             f"data error: no mini-tracks of length 6 in {data}\n")
         assert not out.exists()
 
-    @pytest.mark.parametrize("retrain, code, err", [
-        ("false", 2, "configuration error: horizon 5 exceeds the model "
-                     "horizon p=3\n"),
-        ("true", 3, "data error: mini-track of length 6 too short to "
-                    "truncate to 8\n"),
-    ])
+    @pytest.mark.parametrize("retrain", ["false", "true"])
     def test_horizon_beyond_p_exits_per_protocol(self, tmp_path, capsys,
-                                                 retrain, code, err):
-        """The truncation protocol refuses the horizon before training; the
-        retrain protocol cannot cut its mini-tracks to k + 5."""
+                                                 monkeypatch, retrain):
+        """Both protocols refuse the horizon before any model trains: the
+        scored targets are stacked at p."""
+        def no_training(*_args, **_kwargs):
+            raise AssertionError("a model was trained")
+
+        monkeypatch.setattr(evaluation, "train", no_training)
         data = synth_file(tmp_path, count=4, length=6)
         out = tmp_path / "ablation"
         assert main(["ablate", "--data", str(data), "--out", str(out),
                      "--k", "3", "--p", "3", "--hidden", "8", "--latent", "4",
                      "--epochs", "1", "--horizons", "2,5",
-                     "--retrain-per-horizon", retrain]) == code
-        assert capsys.readouterr().err == err
+                     "--retrain-per-horizon", retrain]) == 2
+        assert capsys.readouterr().err == (
+            "configuration error: horizon 5 exceeds the model horizon p=3\n")
         assert not out.exists()
 
 

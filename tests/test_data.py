@@ -705,8 +705,10 @@ class TestSynthTracks:
             synth_tracks(SynthSpec(period=0.0), 1)
         with pytest.raises(ConfigError):
             synth_tracks(SynthSpec(go_frames=(0, 5)), 1)
-        with pytest.raises(ConfigError):
-            synth_tracks(SynthSpec(), 0)
+        for count in (0, 2.5):
+            with pytest.raises(ConfigError, match=f"^count must be a positive "
+                                                  f"int, got {count}$"):
+                synth_tracks(SynthSpec(), count)
 
     @pytest.mark.parametrize("fields", [
         {"start": (1e308, 0.0), "velocity": (1e308, 0.0), "length": 5},

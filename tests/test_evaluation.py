@@ -518,10 +518,20 @@ class TestAblation:
         assert rows[0]["ade"] == rows[0]["fde"]
         assert rows[0]["horizon"] == 1
 
-    def test_horizon_beyond_model_requires_retraining(self):
+    @pytest.mark.parametrize("retrain", [False, True])
+    def test_horizon_beyond_p_is_refused_before_any_training(
+            self, retrain, monkeypatch):
+        """The scored targets are stacked at p, so neither protocol can
+        score a longer horizon, and neither trains a model first."""
+        def no_training(*_args, **_kwargs):
+            raise AssertionError("a model was trained")
+
+        monkeypatch.setattr(evaluation, "train", no_training)
         mts = cv_minitracks(k=5, p=4, count=4, seed=10)
-        with pytest.raises(ConfigError, match="exceeds"):
-            ablation_run(mts, self.CFG, modes=(MODE_TRAJ,), horizons=(8,))
+        with pytest.raises(ConfigError, match="^horizon 8 exceeds the model "
+                                              "horizon p=4$"):
+            ablation_run(mts, self.CFG, modes=(MODE_TRAJ,), horizons=(2, 8),
+                         retrain_per_horizon=retrain)
 
     def test_retrain_per_horizon_fits_shorter_models(self):
         mts = cv_minitracks(k=5, p=4, count=4, start_jitter=5.0, seed=11)
@@ -546,8 +556,10 @@ class TestAblation:
         for m in modes:
             for h in horizons:
                 pars, _ = train(replace(self.CFG, loss_mode=m, p=h),
-                                evaluation._truncate(mts, 5 + h))
-                rep = evaluate(pars, evaluation._truncate(eval_mts, 5 + h))
+                                [replace(mt, boxes=mt.boxes[:5 + h])
+                                 for mt in mts])
+                rep = evaluate(pars, [replace(mt, boxes=mt.boxes[:5 + h])
+                                      for mt in eval_mts])
                 expected.append({"mode": m, "horizon": h,
                                  "ade": rep.ade, "fde": rep.fde})
         assert rows == expected

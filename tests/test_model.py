@@ -485,8 +485,8 @@ class TestTracedStepNames:
 
 class TestTracerTargets:
     """perfbench's traced run rebinds each (module, attribute) its tracing
-    module lists, so every one must exist; checked here because tier-1 does
-    not collect perfbench's own tests."""
+    module lists; this adds that every rebound target exists and is
+    callable."""
 
     def test_every_traced_name_resolves(self):
         path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -1007,58 +1007,63 @@ class TestParamCount:
 
 
 class TestCompositeLoss:
-    def test_perfect_predictions_give_zero_loss_in_every_mode(self):
+    """`composite_loss` takes the delta rows the network emits. The cases
+    are integer-valued boxes, so differencing them into deltas and summing
+    deltas back into boxes round nowhere and every loss below is exact."""
+
+    def integer_case(self):
+        """(window, target boxes, target deltas) of k = 4, p = 3 boxes."""
         rng = np.random.default_rng(22)
-        window, targets = random_window_and_targets(rng, 4, 3)
-        anchor = window[-1, :4]
-        target_deltas = np.diff(targets, axis=0, prepend=anchor[None, :])
+        boxes = np.cumsum(rng.integers(-3, 4, size=(7, 4)), axis=0) \
+            + np.array([100.0, 80.0, 20.0, 30.0])
+        window, targets = build_features(boxes[:4]), boxes[4:]
+        return window, targets, np.diff(targets, axis=0,
+                                        prepend=window[-1, None, :4])
+
+    def test_perfect_predictions_give_zero_loss_in_every_mode(self):
+        window, targets, target_deltas = self.integer_case()
         for mode in LOSS_MODES:
             loss, _ = composite_loss(
-                reconstruction_target(window), window, targets.copy(), targets,
-                LossWeights(mode=mode), pred_deltas=target_deltas.copy())
+                reconstruction_target(window), window, target_deltas.copy(),
+                targets, LossWeights(mode=mode))
             assert loss == 0.0
 
     def test_weighted_sum_with_both_branch_l1_at_half(self):
-        rng = np.random.default_rng(23)
-        window, targets = random_window_and_targets(rng, 4, 3)
+        window, targets, target_deltas = self.integer_case()
         recon = reconstruction_target(window) + 0.5
-        boxes = targets + 0.5
+        deltas = target_deltas.copy()
+        deltas[0] += 0.5  # every box 0.5 off
         loss, terms = composite_loss(
-            recon, window, boxes, targets,
+            recon, window, deltas, targets,
             LossWeights(alpha=1.0, beta=2.0, mode=MODE_TRAJ_AUTOENC))
         assert loss == pytest.approx(1.5, rel=1e-12)
         assert terms["auto_enc"] == pytest.approx(0.5, rel=1e-12)
         assert terms["traj"] == pytest.approx(0.5, rel=1e-12)
 
     def test_traj_mode_ignores_reconstruction(self):
-        rng = np.random.default_rng(24)
-        window, targets = random_window_and_targets(rng, 4, 3)
-        boxes = targets + 1.0
+        window, targets, target_deltas = self.integer_case()
+        deltas = target_deltas.copy()
+        deltas[0] += 1.0  # every box 1.0 off
         loss, terms = composite_loss(
-            None, window, boxes, targets, LossWeights(mode=MODE_TRAJ))
+            None, window, deltas, targets, LossWeights(mode=MODE_TRAJ))
         assert loss == pytest.approx(2.0, rel=1e-12)
         assert "auto_enc" not in terms
 
     def test_traj_del_mode_supervises_deltas(self):
-        rng = np.random.default_rng(25)
-        window, targets = random_window_and_targets(rng, 4, 3)
-        anchor = window[-1, :4]
-        target_deltas = np.diff(targets, axis=0, prepend=anchor[None, :])
-        loss, _ = composite_loss(
-            None, window, None, targets,
-            LossWeights(beta=2.0, mode=MODE_TRAJ_DEL),
-            pred_deltas=target_deltas + 0.25)
+        window, targets, target_deltas = self.integer_case()
+        deltas = target_deltas + 0.25
+        loss, _ = composite_loss(None, window, deltas, targets,
+                                 LossWeights(beta=2.0, mode=MODE_TRAJ_DEL))
         assert loss == pytest.approx(0.5, rel=1e-12)
-        # boxes are not differenced back into deltas
-        with pytest.raises(ConfigError, match="pred_deltas"):
-            composite_loss(None, window, targets, targets,
-                           LossWeights(mode=MODE_TRAJ_DEL))
+        # the same deltas summed into boxes are 0.25, 0.5 and 0.75 off
+        loss, _ = composite_loss(None, window, deltas, targets,
+                                 LossWeights(beta=2.0, mode=MODE_TRAJ))
+        assert loss == pytest.approx(1.0, rel=1e-12)
 
     def test_missing_reconstruction_rows_raise(self):
-        rng = np.random.default_rng(26)
-        window, targets = random_window_and_targets(rng, 4, 3)
-        with pytest.raises(ConfigError):
-            composite_loss(None, window, targets, targets,
+        window, targets, target_deltas = self.integer_case()
+        with pytest.raises(ConfigError, match="reconstruction rows"):
+            composite_loss(None, window, target_deltas, targets,
                            LossWeights(mode=MODE_TRAJ_AUTOENC))
 
     def test_unknown_mode_raises(self):
@@ -1249,10 +1254,8 @@ class TestLossAndGradsInBlocks:
         loss, terms, _ = loss_and_grads(params, window, targets, weights)
         z, state = encode(params, window)
         deltas = decode_future(params, z, state)
-        want, want_terms = composite_loss(
-            reconstruct(params, z), window,
-            concat_trajectory(deltas, window[..., -1, :4]), targets, weights,
-            pred_deltas=deltas)
+        want, want_terms = composite_loss(reconstruct(params, z), window,
+                                          deltas, targets, weights)
         np.testing.assert_allclose(loss, want, rtol=1e-12, atol=0)
         assert terms.keys() == want_terms.keys()
         for name, value in terms.items():

@@ -147,6 +147,8 @@ class TestRecordsCheckThemselves:
          f"unknown synthetic kind 'zigzag'; pick one of {SYNTH_KINDS}"),
         (SynthSpec, {}, "period", 0.0, "period must be positive, got 0.0"),
         (SynthSpec, {}, "seed", 2.5, "seed must be an int >= 0, got 2.5"),
+        (SynthSpec, {}, "length", 2.5,
+         "length must be a positive int, got 2.5"),
     ]
 
     @pytest.mark.parametrize("cls, valid, field, bad, message", CASES,
