@@ -23,7 +23,6 @@ from .data import (
     CsvFormat,
     SynthSpec,
     _atomic_open,
-    _check_seed,
     _write_rows,
     parse_tracks,
     slice_all_minitracks,
@@ -79,11 +78,6 @@ def _int_pair(text: str) -> tuple[int, int]:
     if not all(v.is_integer() for v in pair):
         raise ConfigError(f"expected two whole numbers, got {text!r}")
     return (int(pair[0]), int(pair[1]))
-
-
-def _seed(text: str) -> int:
-    # `bench` has no config record to check its seed before it draws
-    return _check_seed(int(text))
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -241,7 +235,7 @@ def _command_opts(command: str) -> list[Opt]:
                     "state width (fresh params)"),
                 Opt("latent", int, TrainConfig.latent,
                     "latent width (fresh params)"),
-                Opt("seed", _seed, 0, "seed for fresh params and windows")]
+                Opt("seed", int, 0, "seed for fresh params and windows")]
     if command == "ablate":
         return [out_dir, *_DATA_OPTS, *_train_opts(),
                 Opt("modes", _str_list, LOSS_MODES,

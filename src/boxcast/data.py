@@ -492,7 +492,7 @@ def split_folds(tracks, n_folds: int = 3, seed: int = 0) -> FoldSplit:
     if len(keys) < n_folds:
         raise ConfigError(
             f"cannot split {len(keys)} tracks into {n_folds} folds")
-    order = np.random.default_rng(seed).permutation(len(keys))
+    order = np.random.default_rng(_check_seed(seed)).permutation(len(keys))
     folds: list[list[tuple[str, str]]] = [[] for _ in range(n_folds)]
     for j, idx in enumerate(order):
         folds[j % n_folds].append(keys[int(idx)])
@@ -572,19 +572,25 @@ class SynthSpec:
         _check_seed(self.seed)
 
 
+def _is_int(v) -> bool:
+    """The one integer test of the field rules: a Python or NumPy integer,
+    never a bool."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 def _check_seed(seed) -> int:
-    """``seed``, or a ConfigError unless it is an int >= 0: numpy's
-    generators refuse a negative seed with a bare ValueError."""
-    if not (isinstance(seed, int) and seed >= 0):
+    """``seed``, or a ConfigError unless it is an int >= 0 (`_is_int`):
+    numpy's generators refuse a negative seed with a bare ValueError."""
+    if not (_is_int(seed) and seed >= 0):
         raise ConfigError(f"seed must be an int >= 0, got {seed!r}")
     return seed
 
 
 def _check_positive_ints(**values) -> None:
     """ConfigError naming the first of ``values`` that is not a positive
-    int."""
+    int (`_is_int`)."""
     for name, v in values.items():
-        if not (isinstance(v, int) and v >= 1):
+        if not (_is_int(v) and v >= 1):
             raise ConfigError(f"{name} must be a positive int, got {v!r}")
 
 

@@ -59,7 +59,10 @@ loss term and backward pass finish, and its caches are freed, before the
 next branch allocates, so at most one block's encoder and one decoder's
 caches are live at once, whatever the batch size. Each head's gradient on
 the per-step hidden states is formed step by step inside the backward
-loop.
+loop. Every weight and bias gradient is formed by `nn`'s
+`linear_param_grads` or its weight half `linear_weight_grad`, and added
+into a gradient record of the parameter layout (a zero `ModelParams`),
+one layer record per backward helper.
 The objective has one definition, `composite_loss`, which takes the
 network's outputs as it emits them (reconstruction rows and delta rows)
 and is built from the per-term pieces `loss_and_grads` calls branch by
@@ -74,7 +77,7 @@ from typing import Callable
 
 import numpy as np
 
-from .data import Box, Boxes, _check_positive_ints
+from .data import Box, Boxes, _check_positive_ints, _check_seed
 from .errors import ConfigError, DataError, NumericError, ShapeError
 from .nn import (
     LinearParams,
@@ -86,6 +89,7 @@ from .nn import (
     linear_backward,
     linear_forward,
     linear_param_grads,
+    linear_weight_grad,
     lstm_cell_forward,
     lstm_gate_backward,
     relu,
@@ -241,9 +245,11 @@ def init_params(dims: ModelDims, seed: int | np.random.Generator = 0,
     Every weight matrix draws uniform on +-1/sqrt(hidden), which is
     +-1/sqrt(fan_in) for the affine maps too since they all read a hidden
     state; all biases start at zero. Tensors are drawn in the
-    `ModelParams.tensors()` order, so a fixed seed fixes every value.
+    `ModelParams.tensors()` order, so a fixed seed fixes every value. A
+    seed that is not a Generator must be an int >= 0, or a ConfigError.
     """
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = seed if isinstance(seed, np.random.Generator) \
+        else np.random.default_rng(_check_seed(seed))
     s = 1.0 / np.sqrt(dims.hidden)
 
     def draw(_name: str, shape: tuple) -> np.ndarray:
@@ -695,7 +701,8 @@ def loss_and_grads(params: ModelParams, window: np.ndarray,
     cast to ``params.dtype`` and flattened to rows, so a single window gives
     its one-row batch's bits, a multi-axis batch its flattened batch's, and
     the whole pass, gradients included, runs in the params' dtype; the loss
-    is summed in float64. Gradients come back keyed like ``ModelParams.tensors()``;
+    is summed in float64. Gradients accumulate into a zero `ModelParams` of
+    the params' layout and dtype, and come back as its ``tensors()``;
     inactive branches contribute zeros. Batched gradients are the gradient
     of the batch-mean loss, which equals the mean of the per-sample
     gradients.
@@ -704,7 +711,7 @@ def loss_and_grads(params: ModelParams, window: np.ndarray,
     counts (`np.array_split`, as `predict_from_window` splits), one after
     another, so the LSTM caches of one block at most are live at once: they
     grow with `TRAIN_BLOCK_ROWS`, not with the batch. Each block runs `_block_grads`
-    and adds into one gradient dict and into float64 L1 sums. Every block's
+    and adds into the one gradient record and into float64 L1 sums. Every block's
     head gradients divide by the element count of the whole batch, so they
     have the bits of the unblocked pass; the sums over blocks (the weight
     and bias gradients, the loss) divide once and reassociate, so only a
@@ -726,7 +733,9 @@ def loss_and_grads(params: ModelParams, window: np.ndarray,
         raise DataError(f"empty training batch: feature window has shape "
                         f"{batch + (dims.k, INPUT_DIM)}")
 
-    grads = {name: np.zeros_like(t) for name, t in params.tensors().items()}
+    grads = ModelParams.build(
+        dims, lambda _name, shape: np.zeros(shape, dtype=params.dtype),
+        params.carry_cell_state)
     counts = {"traj": target_boxes.size, "auto_enc": window.size}
     sums = {"traj": 0.0}
     if weights.mode == MODE_TRAJ_AUTOENC:
@@ -735,25 +744,28 @@ def loss_and_grads(params: ModelParams, window: np.ndarray,
                              _row_blocks(target_boxes, TRAIN_BLOCK_ROWS)):
         _block_grads(params, rows, targets, weights, counts, sums, grads)
     loss, terms = _weighted_sum(sums, counts, weights)
-    return loss, terms, grads
+    return loss, terms, grads.tensors()
 
 
 def _block_grads(params: ModelParams, window: np.ndarray,
                  target_boxes: np.ndarray, weights: LossWeights,
                  counts: dict[str, int], sums: dict[str, float],
-                 grads: dict[str, np.ndarray]) -> None:
+                 grads: ModelParams) -> None:
     """One block of `loss_and_grads`: adds its L1 sums into ``sums`` and its
     gradients, each head's divided by the whole batch's ``counts``, into
-    ``grads``. Its caches are freed when it returns.
+    the gradient record ``grads``, each into the layer of its parameter.
+    Its caches are freed when it returns.
 
     The decoder branches run one at a time, so at most the encoder's and
     one decoder's caches are live at once. In order: the encoder forward
     (`_run_encoder`, as `encode` runs it); the future branch's forward,
     head, trajectory term and backward; in traj+auto-enc mode the
     reconstruction branch's likewise; then ``fc_latent`` and the encoder
-    backward. Each branch frees its caches before the next one allocates.
-    ``dz`` sums the future branch's part, then the reconstruction
-    branch's. After each term the loss of the running sums must be finite.
+    backward, whose ``wx`` gradient is `linear_weight_grad` of the window
+    rows against the gate gradients. Each branch frees its caches before
+    the next one allocates. ``dz`` sums the future branch's part, then the
+    reconstruction branch's. After each term the loss of the running sums
+    must be finite.
     """
     enc, h_relu, z = _run_encoder(params, window)
 
@@ -764,7 +776,7 @@ def _block_grads(params: ModelParams, window: np.ndarray,
     _check_finite_loss(sums, counts, weights)
 
     dz, d_enc_h, d_enc_c = _constant_decoder_backward(
-        fut, params.fc_delta, z, d_deltas, grads, "fut_dec", "fc_delta")
+        fut, params.fc_delta, z, d_deltas, grads.fut_dec, grads.fc_delta)
     del fut  # freed before the reconstruction branch allocates its caches
     if not params.carry_cell_state:
         d_enc_c = np.zeros_like(d_enc_c)
@@ -776,20 +788,17 @@ def _block_grads(params: ModelParams, window: np.ndarray,
         sums["auto_enc"] += l_auto
         _check_finite_loss(sums, counts, weights)
         dz_auto, _, _ = _constant_decoder_backward(
-            auto, params.fc_recon, z, d_recon, grads, "auto_dec", "fc_recon")
+            auto, params.fc_recon, z, d_recon, grads.auto_dec, grads.fc_recon)
         del auto, recon
         dz = dz + dz_auto
 
     dw, db, d_hrelu = linear_backward(params.fc_latent.w, h_relu, dz)
-    grads["fc_latent.w"] += dw
-    grads["fc_latent.b"] += db
+    grads.fc_latent.w += dw
+    grads.fc_latent.b += db
     dh_final = d_hrelu * (h_relu > 0) + d_enc_h
 
-    da, _, _ = _unroll_backward(enc, dh_final, d_enc_c, None, None, grads,
-                                "enc")
-    xs = np.moveaxis(window, -2, 0)
-    grads["enc.wx"] += da.reshape(-1, da.shape[-1]).T \
-        @ xs.reshape(-1, xs.shape[-1])
+    da, _, _ = _unroll_backward(enc, dh_final, d_enc_c, None, None, grads.enc)
+    grads.enc.wx += linear_weight_grad(np.moveaxis(window, -2, 0), da)
 
 
 def _check_finite_loss(sums: dict[str, float], counts: dict[str, int],
@@ -802,7 +811,7 @@ def _check_finite_loss(sums: dict[str, float], counts: dict[str, int],
 
 def _unroll_backward(seq: LstmSeq, dh: np.ndarray, dc: np.ndarray,
                      d_out: np.ndarray | None, w_out: np.ndarray | None,
-                     grads: dict[str, np.ndarray], prefix: str
+                     cell_grads: LstmCellParams
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Backward through an unrolled run, input side excluded.
 
@@ -812,46 +821,50 @@ def _unroll_backward(seq: LstmSeq, dh: np.ndarray, dc: np.ndarray,
     ``d_out[t] @ w_out``, formed inside the loop, so no (steps, n, H)
     stack of those gradients is held. The pass consumes the forward cache:
     each step's gate gradients overwrite its gate activations in
-    ``seq.gates``, so ``seq`` cannot be run backward twice. Accumulates the
-    ``wh``/``bx``/``bh`` gradients into ``grads`` and returns (per-step gate
-    gradients, i.e. ``seq.gates`` (steps, n, 4H), dh_init, dc_init).
+    ``seq.gates``, so ``seq`` cannot be run backward twice. Adds the
+    ``wh``, ``bx`` and ``bh`` gradients into the cell's gradient record
+    ``cell_grads``, as `linear_param_grads` of the previous hidden states
+    ``seq.h[:-1]`` against the gate gradients (the two biases get the same
+    sum), and returns (per-step gate gradients, i.e. ``seq.gates`` (steps,
+    n, 4H), dh_init, dc_init); the caller adds the ``wx`` gradient, which
+    needs the steps' inputs.
     """
     da = seq.gates
     for t in reversed(range(len(da))):
         if d_out is not None:
             dh = dh + d_out[t] @ w_out
         dh, dc = lstm_gate_backward(seq, t, dh, dc)
-    da2 = da.reshape(-1, da.shape[-1])
-    h_prev = seq.h[:-1]
-    grads[prefix + ".wh"] += da2.T @ h_prev.reshape(-1, h_prev.shape[-1])
-    db = da2.sum(axis=0)
-    grads[prefix + ".bx"] += db
-    grads[prefix + ".bh"] += db
+    dwh, db = linear_param_grads(seq.h[:-1], da)
+    cell_grads.wh += dwh
+    cell_grads.bx += db
+    cell_grads.bh += db
     return da, dh, dc
 
 
 def _constant_decoder_backward(seq: LstmSeq, head: LinearParams, z: np.ndarray,
-                               d_out: np.ndarray, grads: dict[str, np.ndarray],
-                               prefix: str, head_prefix: str
+                               d_out: np.ndarray, cell_grads: LstmCellParams,
+                               head_grads: LinearParams
                                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Backward through a constant-input decoder run and its output head.
 
     ``d_out`` is the upstream gradient on the head's (n, steps, out) rows.
-    Accumulates the head's and the cell's gradients into ``grads`` and
-    returns (dz, dh_init, dc_init). The head's weight and bias gradients are
-    one product over all steps; its gradient on each step's hidden state is
-    formed step by step inside the recurrent backward loop. Because the
-    input is the same z at every step, the input-side weight gradient
-    reduces to one product with the summed gate gradients.
+    Adds the head's gradients into ``head_grads`` and the cell's into
+    ``cell_grads``, the gradient records of those two layers, and returns
+    (dz, dh_init, dc_init). The head's weight and bias gradients are
+    `linear_param_grads` over all steps; its gradient on each step's hidden
+    state is formed step by step inside the recurrent backward loop.
+    Because the input is the same z at every step, the input-side weight
+    gradient reduces to `linear_weight_grad` of z against the gate
+    gradients summed over the steps.
     """
     d_out = np.moveaxis(d_out, -2, 0)
     dw, db = linear_param_grads(seq.h[1:], d_out)
-    grads[head_prefix + ".w"] += dw
-    grads[head_prefix + ".b"] += db
+    head_grads.w += dw
+    head_grads.b += db
     da, dh, dc = _unroll_backward(seq, np.zeros_like(seq.h[0]),
                                   np.zeros_like(seq.c[0]), d_out, head.w,
-                                  grads, prefix)
+                                  cell_grads)
     da_sum = da.sum(axis=0)
-    grads[prefix + ".wx"] += da_sum.T @ z
+    cell_grads.wx += linear_weight_grad(z, da_sum)
     dz = da_sum @ seq.cell.wx
     return dz, dh, dc

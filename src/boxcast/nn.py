@@ -20,10 +20,14 @@ into its own index in place. The backward pass runs inside that cache:
 `lstm_gate_backward` reads step t's gate activations and overwrites them
 with their gradients, recomputing tanh(c) rather than storing it, so a
 sequence's backward allocates no buffer of its own beyond a few per-step
-temporaries. `linear_param_grads` is the weight-gradient half of
-`linear_backward`, for a caller that forms the input gradient of a per-step
-output head one step at a time inside that backward loop. The ops run in
-the dtype of their parameters; the loss is summed in float64.
+temporaries. Every weight gradient of the network is one product,
+`linear_weight_grad`: the rows of the output gradient transposed, times
+the rows of the input, over every leading axis. `linear_param_grads` adds
+the bias gradient, the output gradient summed over those rows. The model
+takes both for its heads and, with the gate gradients as the output
+gradient, for each LSTM's ``wh`` and biases, and the weight half alone for
+each LSTM's ``wx``. The ops run in the dtype of their parameters; the loss
+is summed in float64.
 
 The LSTM step has one form: ``lstm_cell_forward(params, x, seq, t)``
 writes step t of an `LstmSeq` in place and returns nothing; `LstmSeq.start`
@@ -78,6 +82,7 @@ __all__ = [
     "linear_backward",
     "linear_forward",
     "linear_param_grads",
+    "linear_weight_grad",
     "lstm_cell_forward",
     "lstm_gate_backward",
     "relu",
@@ -276,9 +281,10 @@ def lstm_gate_backward(seq: LstmSeq, t: int, dh: np.ndarray, dc: np.ndarray
     Overwrites ``seq.gates[t]`` with the gradient on the packed (i, f, g, o)
     pre-activation vector, consuming the step's gate activations, and returns
     ``(dh_prev, dc_prev)``. ``seq.gates[t]`` is then also the gradient on
-    each bias; the caller turns it into the weight gradients (times the
-    step's input for ``wx``, times ``seq.h[t]`` for ``wh``). tanh of the new
-    cell state is recomputed from ``seq.c[t + 1]``.
+    each bias; the caller turns the pass's gate gradients into the weight
+    gradients with `linear_weight_grad` (against the steps' inputs for
+    ``wx``, against ``seq.h[:-1]`` for ``wh``). tanh of the new cell state
+    is recomputed from ``seq.c[t + 1]``.
     """
     H = seq.cell.hidden_size
     i, f, g, o = _gate_lanes(seq.gates[t], H)
@@ -341,11 +347,19 @@ def linear_backward(w: np.ndarray, x: np.ndarray, dy: np.ndarray
 
 def linear_param_grads(x: np.ndarray, dy: np.ndarray
                        ) -> tuple[np.ndarray, np.ndarray]:
-    """The (dw, db) of `linear_backward`, summed over every leading axis,
-    for callers that form the input gradient ``dy @ w`` themselves."""
-    dy2 = dy.reshape(-1, dy.shape[-1])
-    x2 = x.reshape(-1, x.shape[-1])
-    return dy2.T @ x2, dy2.sum(axis=0)
+    """The (dw, db) of `linear_backward`, summed over every leading axis:
+    `linear_weight_grad` and ``dy`` summed over its rows. For callers that
+    form the input gradient ``dy @ w`` themselves, or have none."""
+    dy2 = dy.reshape(-1, dy.shape[-1])  # one copy when dy is a strided view
+    return linear_weight_grad(x, dy2), dy2.sum(axis=0)
+
+
+def linear_weight_grad(x: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """The weight gradient of ``y = x @ w.T + b`` for output gradient
+    ``dy``: the rows of ``dy`` transposed, times the rows of ``x``, one
+    product over every leading axis of the (..., out) and (..., in)
+    arrays."""
+    return dy.reshape(-1, dy.shape[-1]).T @ x.reshape(-1, x.shape[-1])
 
 
 def l1_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:

@@ -928,8 +928,9 @@ class TestConfigFilesAndExitCodes:
     @pytest.mark.parametrize("command", ["train", "synth", "bench"])
     def test_negative_seed_exits_two_and_writes_nothing(self, tmp_path, capsys,
                                                         command):
-        """`train` and `synth` leave the seed to their config record;
-        `bench`, which has none, checks the flag itself."""
+        """`train` and `synth` leave the seed to their config record, and
+        `bench`, which has none, to `init_params`, which checks the seed it
+        draws from."""
         data = synth_file(tmp_path)
         capsys.readouterr()
         before = sorted(tmp_path.iterdir())

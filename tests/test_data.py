@@ -592,6 +592,14 @@ class TestFolds:
         with pytest.raises(DataError, match="duplicate"):
             split_folds(tracks + [make_track(5, track_id="t0")], n_folds=3)
 
+    def test_a_negative_seed_is_a_config_error(self):
+        """The seed is checked where the shuffle draws from it; numpy
+        would refuse -1 with a bare ValueError."""
+        tracks = [make_track(5, track_id=f"t{i}") for i in range(3)]
+        with pytest.raises(ConfigError,
+                           match=r"^seed must be an int >= 0, got -1$"):
+            split_folds(tracks, n_folds=3, seed=-1)
+
 
 class TestSynthTracks:
     def test_constant_velocity_closed_form(self):

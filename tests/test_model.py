@@ -683,8 +683,9 @@ class TestTrainingDtypeFlow:
                                             LossWeights())
         assert type(loss) is float
         assert all(type(v) is float for v in terms.values())
-        for name, g in grads.items():
-            assert g.dtype == np.float32, name
+        assert [(name, g.shape, g.dtype) for name, g in grads.items()] == [
+            (name, t.shape, np.float32)
+            for name, t in params.tensors().items()]
         # no float64 step ran: float32 inputs give the very same bits
         loss32, _, grads32 = loss_and_grads(
             params, window.astype(np.float32), targets.astype(np.float32),
@@ -1004,6 +1005,16 @@ class TestParamCount:
         for dims in (TINY, ModelDims(k=5, p=4, hidden=16, latent=12),
                      ModelDims(k=30, p=60, hidden=512, latent=256)):
             assert param_count(init_params(dims, seed=1)) == param_count_for(dims)
+
+
+class TestInitParams:
+    @pytest.mark.parametrize("seed", [-1, True, 2.5])
+    def test_an_int_seed_is_checked_where_it_is_drawn(self, seed):
+        """A seed that is not a Generator must be an int >= 0 (a bool is
+        not one); numpy would refuse -1 with a bare ValueError."""
+        message = f"^seed must be an int >= 0, got {re.escape(repr(seed))}$"
+        with pytest.raises(ConfigError, match=message):
+            init_params(TINY, seed=seed)
 
 
 class TestCompositeLoss:

@@ -24,6 +24,8 @@ from boxcast.nn import (
     l1_loss,
     linear_backward,
     linear_forward,
+    linear_param_grads,
+    linear_weight_grad,
     lstm_gate_backward,
     relu,
 )
@@ -480,6 +482,33 @@ class TestLinear:
         assert_close_to_fd(dw, fd_grad(lambda v: obj(v, p.b, x), p.w))
         assert_close_to_fd(db, fd_grad(lambda v: obj(p.w, v, x), p.b))
         assert_close_to_fd(dx, fd_grad(lambda v: obj(p.w, p.b, v), x))
+
+    @pytest.mark.parametrize("lead", [(4, 2), (2, 3, 2)])
+    def test_param_grads_reduce_every_leading_axis(self, lead):
+        """Stacked inputs, as an LSTM pass hands over its (T, n, H)
+        previous hidden states and (T, n, 4H) gate gradients: the weight
+        gradient is one product over every row and equals the sum of the
+        per-row outer products, the bias gradient sums ``dy`` over every
+        leading axis, and both match finite differences."""
+        rng = np.random.default_rng(10)
+        p = random_linear(rng, 5, 3)
+        x = rng.normal(size=lead + (5,))
+        dy = rng.normal(size=lead + (3,))
+        dw, db = linear_param_grads(x, dy)
+        assert dw.shape == p.w.shape and db.shape == p.b.shape
+        np.testing.assert_array_equal(linear_weight_grad(x, dy), dw)
+
+        def obj(w, b):
+            return float(np.sum(linear_forward(w, b, x) * dy))
+
+        assert_close_to_fd(dw, fd_grad(lambda v: obj(v, p.b), p.w))
+        assert_close_to_fd(db, fd_grad(lambda v: obj(p.w, v), p.b))
+        rows = list(np.ndindex(lead))
+        np.testing.assert_allclose(
+            dw, sum(np.outer(dy[i], x[i]) for i in rows), rtol=1e-12)
+        np.testing.assert_allclose(db, sum(dy[i] for i in rows), rtol=1e-12)
+        np.testing.assert_allclose(db, dy.sum(axis=tuple(range(len(lead)))),
+                                   rtol=1e-12)
 
     def test_bad_bias_shape_raises(self):
         rng = np.random.default_rng(9)

@@ -1,5 +1,6 @@
 """Package hygiene: every name a module imports is used or exported, every
-exported name exists, and no module keeps a separate `validate` step."""
+exported name exists, no module keeps a separate `validate` step, and
+every weight-gradient product is formed in `nn`."""
 
 import ast
 import importlib
@@ -68,3 +69,18 @@ def test_records_have_no_separate_validate_step(name):
     called = [n.lineno for n in ast.walk(tree)
               if isinstance(n, ast.Attribute) and n.attr == "validate"]
     assert defined == called == []
+
+
+@pytest.mark.parametrize("name", [m for m in MODULES if m != "nn"])
+def test_weight_gradient_products_are_formed_in_nn(name):
+    """Outside `nn`, no ``@`` product has a transposed (``.T``) left
+    operand: a weight-gradient product, ``dy.T @ x``, is always
+    `nn.linear_weight_grad`, so how every weight gradient reduces its rows
+    is decided in that one function."""
+    tree = ast.parse((SRC / f"{name}.py").read_text(encoding="utf-8"))
+    transposed_left = [n.lineno for n in ast.walk(tree)
+                       if isinstance(n, ast.BinOp)
+                       and isinstance(n.op, ast.MatMult)
+                       and isinstance(n.left, ast.Attribute)
+                       and n.left.attr == "T"]
+    assert transposed_left == []

@@ -164,6 +164,32 @@ class TestRecordsCheckThemselves:
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(record, field, bad)
 
+    BOOL_CASES = [(ModelDims, {"k": 3, "p": 2}, "k", "k must be a positive int"),
+                  (ModelDims, {"k": 3, "p": 2}, "p", "p must be a positive int"),
+                  (SynthSpec, {}, "length", "length must be a positive int"),
+                  (TrainConfig, {}, "seed", "seed must be an int >= 0")]
+
+    @pytest.mark.parametrize("cls, valid, field, message", BOOL_CASES,
+                             ids=[f"{c[0].__name__}.{c[2]}" for c in BOOL_CASES])
+    def test_a_bool_is_not_an_int(self, cls, valid, field, message):
+        with pytest.raises(ConfigError, match=f"^{message}, got True$"):
+            cls(**{**valid, field: True})
+
+    def test_numpy_integers_are_ints(self, tmp_path):
+        """A NumPy integer passes every int field rule, and a model built
+        on NumPy-int dims writes the bytes of the same model on int dims."""
+        assert ModelDims(k=np.int64(3), p=2) == ModelDims(k=3, p=2)
+        assert TrainConfig(seed=np.int64(4)).seed == 4
+        assert SynthSpec(length=np.int32(5)).length == 5
+        spec = SynthSpec(length=6)
+        assert synth_tracks(spec, np.int64(2)) == synth_tracks(spec, 2)
+        paths = []
+        for kind in (int, np.int64):
+            dims = ModelDims(*(kind(v) for v in (3, 2, 4, 2)))
+            paths.append(tmp_path / f"{kind.__name__}.bxw")
+            save_model(init_params(dims, seed=kind(5)), paths[-1])
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
 
 class TestStacking:
     def test_windows_and_targets_split_the_boxes(self):
