@@ -189,12 +189,16 @@ def parse_tracks(path, fmt: CsvFormat = CsvFormat()) -> list[Track]:
     and checks each row and names the first faulty line.
     """
     text = _read_utf8(path)
-    keys, frames, xywh = _columns(text, fmt) or _rows(text, fmt)
-    if not keys:
+    videos, track_ids, frames, xywh = _columns(text, fmt) or _rows(text, fmt)
+    if not videos:
         return []
-    key_ids = {key: j for j, key in enumerate(dict.fromkeys(keys))}
-    kid = np.fromiter(map(key_ids.__getitem__, keys), dtype=np.int64,
-                      count=len(keys))
+    # a key is named by the first row that holds it, so keys sort in order
+    # of first appearance
+    vid = _first_appearance_codes(videos)
+    tid = _first_appearance_codes(track_ids)
+    _, first, pair = np.unique(vid * (tid.max() + 1) + tid,
+                               return_index=True, return_inverse=True)
+    kid = first[pair]
     # lexsort is stable: rows of one key and frame keep their file order
     order = np.lexsort((frames, kid))
     kid, frames, xywh = kid[order], frames[order], xywh[order]
@@ -204,11 +208,10 @@ def parse_tracks(path, fmt: CsvFormat = CsvFormat()) -> list[Track]:
     dup = np.flatnonzero(same_key & (step == 0))
     if dup.size:
         j = int(dup[0]) + 1
-        video_id, track_id = keys[order[j]]
-        raise ParseError(f"track ({video_id}, {track_id}) has duplicate "
-                         f"frame {frames[j]}",
-                         line=_data_line(text, int(order[j])))
-    names = list(key_ids)
+        row = int(order[j])
+        raise ParseError(f"track ({videos[row]}, {track_ids[row]}) has "
+                         f"duplicate frame {frames[j]}",
+                         line=_data_line(text, row))
     bounds = [0, *(np.flatnonzero(~same_key | (step != 1)) + 1).tolist(),
               len(order)]
     n_segments = np.bincount(kid[bounds[:-1]]).tolist()
@@ -217,7 +220,7 @@ def parse_tracks(path, fmt: CsvFormat = CsvFormat()) -> list[Track]:
     for a, b in zip(bounds, bounds[1:]):
         key = int(kid[a])
         segment = segment + 1 if a and kid[a - 1] == key else 0
-        video_id, track_id = names[key]
+        video_id, track_id = videos[key], track_ids[key]
         if n_segments[key] > 1:
             track_id = f"{track_id}~{segment}"
         tracks.append(Track(video_id=video_id, track_id=track_id,
@@ -225,11 +228,20 @@ def parse_tracks(path, fmt: CsvFormat = CsvFormat()) -> list[Track]:
     return tracks
 
 
+def _first_appearance_codes(column: list[str]) -> np.ndarray:
+    """Each entry's int64 index among the column's distinct strings in
+    order of first appearance."""
+    ids = dict(zip(dict.fromkeys(column), range(len(column))))
+    return np.fromiter(map(ids.__getitem__, column), dtype=np.int64,
+                       count=len(column))
+
+
 def _columns(text: str, fmt: CsvFormat):
-    """(keys, frames, xywh) of the data rows of a plain ``text``: the
-    stripped (video_id, track_id) of each row, its int64 frame, and its
-    (n, 4) (cx, cy, w, h) box. None when the text is not plain or any
-    record is faulty; `_rows` then reads it, making the same checks."""
+    """(videos, track_ids, frames, xywh) of the data rows of a plain
+    ``text``: the stripped video_id and track_id columns as lists of
+    strings, the int64 frames, and the (n, 4) (cx, cy, w, h) boxes. None
+    when the text is not plain or any record is faulty; `_rows` then reads
+    it, making the same checks."""
     fields = _plain_fields(text)
     if fields is None or _header_error(fields[:7], fmt):
         return None
@@ -246,9 +258,8 @@ def _columns(text: str, fmt: CsvFormat):
                              x2 - x1, y2 - y1])
     if not (np.isfinite(vals).all() and (vals[2:] > 0).all()):
         return None
-    keys = list(zip(map(str.strip, fields[0::7]),
-                    map(str.strip, fields[1::7])))
-    return keys, frames, vals.T
+    return (list(map(str.strip, fields[0::7])),
+            list(map(str.strip, fields[1::7])), frames, vals.T)
 
 
 def _plain_fields(text: str) -> list[str] | None:
@@ -315,7 +326,7 @@ def _rows(text: str, fmt: CsvFormat):
     err = first and _header_error(first[1], fmt)
     if err:
         raise err
-    keys, frames, vals = [], [], []
+    videos, track_ids, frames, vals = [], [], [], []
     for line, row in records:
         if len(row) != 7:
             if _blank(row):
@@ -337,10 +348,11 @@ def _rows(text: str, fmt: CsvFormat):
             raise ParseError("non-finite box fields", line=line)
         if w <= 0 or h <= 0:
             raise ParseError(f"non-positive box size w={w}, h={h}", line=line)
-        keys.append((row[0].strip(), row[1].strip()))
+        videos.append(row[0].strip())
+        track_ids.append(row[1].strip())
         frames.append(frame)
         vals += box
-    return (keys, np.array(frames, dtype=np.int64),
+    return (videos, track_ids, np.array(frames, dtype=np.int64),
             np.array(vals, dtype=np.float64).reshape(-1, 4))
 
 

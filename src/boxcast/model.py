@@ -50,9 +50,13 @@ in near-equal blocks of at most `FORECAST_CHUNK`, split by the same rule
 `loss_and_grads` is the training engine that runs the same math through
 the same forward of the encoder and of each decoder branch
 (`_run_encoder`, `_future_branch`, `_recon_branch`), keeps each
-sequence's stacked buffers as its caches, runs its backward pass inside
-them (overwriting the gate activations with their gradients), and returns
-analytic parameter gradients. It runs a batch of more than
+sequence's buffers as its caches, runs its backward pass inside them
+(overwriting the gate activations with their gradients, and each spent
+cell state with the hidden state the backward rebuilds from it), and
+returns analytic parameter gradients. No pass keeps a stack of hidden
+states: a decoder forms its head rows step by step inside its forward
+loop, and the weight gradients read the hidden states the backward
+rebuilt. It runs a batch of more than
 `TRAIN_BLOCK_ROWS` rows as near-equal row blocks, one after another, and
 within a block one decoder branch at a time: each branch's forward pass,
 loss term and backward pass finish, and its caches are freed, before the
@@ -101,7 +105,7 @@ OUTPUT_DIM = 4  # cx, cy, w, h (and their deltas on the future branch)
 # Most rows one block of `loss_and_grads` runs: a larger batch runs as
 # near-equal blocks, one at a time, so a training step's LSTM caches grow
 # with this constant, not with the batch. The reference batch of 200 runs
-# as two blocks of 100, which cuts `train`'s peak RSS from 347 to 241 MB.
+# as two blocks of 100, which cuts `train`'s peak RSS from 304 to 222 MB.
 # Smaller blocks cost time, as each step's products shrink: a 200-row step
 # took 2380 ms whole, 2560 ms in blocks of 100 and 2760 ms in blocks of 50
 # (hidden 512, float32, one BLAS thread, 2-core Xeon VM; median thread
@@ -112,8 +116,9 @@ TRAIN_BLOCK_ROWS = 100
 
 # Most rows one block of `predict_from_window` runs; a larger set runs as
 # near-equal blocks, as `loss_and_grads` runs its batch. A full-size float32
-# forecast holds about 0.89 MB of transient buffers per row (mostly the
-# decoder's stacked gates), so a block peaks near 56 MB (tracemalloc).
+# forecast holds about 0.65 MB of transient buffers per row (mostly the
+# decoder's stacked gates; the encoder's buffers are freed before the
+# decoder allocates), so a block peaks near 41 MB (tracemalloc).
 # Measured on one BLAS thread, full size, float32, 2-core Xeon VM (numpy
 # 2.4.6, OpenBLAS 0.3.31): 55/145/294/349/368 forecasts/s at batch
 # 1/8/32/64/128 (best of 5 runs of best of 5).
@@ -361,14 +366,6 @@ def _check_window(window: np.ndarray) -> None:
 # sequence drivers
 
 
-def _unroll(step, xs, seq: LstmSeq) -> LstmSeq:
-    """The sequence driver: ``step(seq.cell, x, seq, t)`` for each step input
-    ``x`` in ``xs``, each call filling step ``t`` of ``seq`` in place."""
-    for t, x in enumerate(xs):
-        step(seq.cell, x, seq, t)
-    return seq
-
-
 def _run_encoder(params: ModelParams, window: np.ndarray
                  ) -> tuple[LstmSeq, np.ndarray, np.ndarray]:
     """Unroll the encoder over the window rows from a zero state, then
@@ -379,9 +376,10 @@ def _run_encoder(params: ModelParams, window: np.ndarray
     init = LstmCellState.zeros(params.dims.hidden, len(window),
                                dtype=params.dtype)
     xs = np.moveaxis(window, -2, 0)
-    seq = _unroll(lstm_cell_forward, xs,
-                  LstmSeq.start(params.enc, init, len(xs)))
-    h_relu = relu(seq.h[-1])
+    seq = LstmSeq.start(params.enc, init, len(xs))
+    for t, x in enumerate(xs):
+        lstm_cell_forward(params.enc, x, seq, t)
+    h_relu = relu(seq.final.h)
     return seq, h_relu, linear_forward(params.fc_latent.w, params.fc_latent.b,
                                        h_relu)
 
@@ -394,14 +392,24 @@ def _run_constant_decoder(cell: LstmCellParams, head: LinearParams,
     (n, steps, out) head rows).
 
     The input projection ``z @ wx.T + bx + bh`` is computed once and reused,
-    which is what makes the inference path cheap. The head is one stacked
-    product over the (steps, n, H) hidden states.
+    which is what makes the inference path cheap. The sequence keeps no
+    stack of hidden states, so each step's head product is taken in the
+    loop, as soon as the step has written its h, into that step's rows of
+    one (steps, n, out) buffer; the bias is added once after the loop.
+    These are the bits of one stacked product over the (steps, n, H)
+    hidden states, which numpy runs as the same per-step products.
     """
     seq = LstmSeq.start(cell, init, steps)
     x_pre = z @ cell.wx.T
     x_pre += seq.bias
-    _unroll(_lstm_cell_from_preact, [x_pre] * steps, seq)
-    return seq, np.moveaxis(seq.h[1:] @ head.w.T + head.b, 0, -2)
+    rows = np.empty((steps, len(z), len(head.b)),
+                    dtype=np.result_type(seq.h, head.w))
+    w = head.w.T
+    for t in range(steps):
+        _lstm_cell_from_preact(cell, x_pre, seq, t)
+        np.matmul(seq.h[(t + 1) % 2], w, out=rows[t])
+    rows += head.b
+    return seq, np.moveaxis(rows, 0, -2)
 
 
 def _future_branch(params: ModelParams, z: np.ndarray,
@@ -455,15 +463,18 @@ def encode(params: ModelParams, window: np.ndarray
            ) -> tuple[np.ndarray, LstmCellState]:
     """Map a (..., k, 8) window to (latent vector z, encoder final state).
 
-    The returned state is the raw final (h, c); the ReLU sits only on the
-    path into the latent projection. All three are in ``params.dtype``,
-    with the window's batch shape.
+    The returned state is the raw final (h, c), copied out of the
+    encoder's buffers; the ReLU sits only on the path into the latent
+    projection. All three are in ``params.dtype``, with the window's batch
+    shape.
     """
     rows, batch = _as_rows(params, "feature window", window,
                            (params.dims.k, INPUT_DIM))
     seq, _, z = _run_encoder(params, rows)
+    # copies, so no view keeps the sequence's buffers alive once it is freed
+    final = seq.final
     z, h, c = (a.reshape(batch + a.shape[-1:])
-               for a in (z, seq.h[-1], seq.c[-1]))
+               for a in (z, final.h.copy(), final.c.copy()))
     return z, LstmCellState(h, c)
 
 
@@ -821,10 +832,13 @@ def _unroll_backward(seq: LstmSeq, dh: np.ndarray, dc: np.ndarray,
     ``d_out[t] @ w_out``, formed inside the loop, so no (steps, n, H)
     stack of those gradients is held. The pass consumes the forward cache:
     each step's gate gradients overwrite its gate activations in
-    ``seq.gates``, so ``seq`` cannot be run backward twice. Adds the
+    ``seq.gates``, and each step's hidden state, rebuilt by
+    `lstm_gate_backward`, overwrites its cell state in ``seq.c``; after the
+    loop ``seq.h0`` goes into ``seq.c[0]``, so ``seq.c`` holds the hidden
+    states h[0..T] and ``seq`` cannot be run backward twice. Adds the
     ``wh``, ``bx`` and ``bh`` gradients into the cell's gradient record
     ``cell_grads``, as `linear_param_grads` of the previous hidden states
-    ``seq.h[:-1]`` against the gate gradients (the two biases get the same
+    ``seq.c[:-1]`` against the gate gradients (the two biases get the same
     sum), and returns (per-step gate gradients, i.e. ``seq.gates`` (steps,
     n, 4H), dh_init, dc_init); the caller adds the ``wx`` gradient, which
     needs the steps' inputs.
@@ -834,7 +848,8 @@ def _unroll_backward(seq: LstmSeq, dh: np.ndarray, dc: np.ndarray,
         if d_out is not None:
             dh = dh + d_out[t] @ w_out
         dh, dc = lstm_gate_backward(seq, t, dh, dc)
-    dwh, db = linear_param_grads(seq.h[:-1], da)
+    seq.c[0] = seq.h0
+    dwh, db = linear_param_grads(seq.c[:-1], da)
     cell_grads.wh += dwh
     cell_grads.bx += db
     cell_grads.bh += db
@@ -850,20 +865,21 @@ def _constant_decoder_backward(seq: LstmSeq, head: LinearParams, z: np.ndarray,
     ``d_out`` is the upstream gradient on the head's (n, steps, out) rows.
     Adds the head's gradients into ``head_grads`` and the cell's into
     ``cell_grads``, the gradient records of those two layers, and returns
-    (dz, dh_init, dc_init). The head's weight and bias gradients are
-    `linear_param_grads` over all steps; its gradient on each step's hidden
-    state is formed step by step inside the recurrent backward loop.
+    (dz, dh_init, dc_init). The head's gradient on each step's hidden
+    state is formed step by step inside the recurrent backward loop; its
+    weight and bias gradients are `linear_param_grads` over all steps,
+    taken after that loop from the hidden states it rebuilt in ``seq.c``.
     Because the input is the same z at every step, the input-side weight
     gradient reduces to `linear_weight_grad` of z against the gate
     gradients summed over the steps.
     """
     d_out = np.moveaxis(d_out, -2, 0)
-    dw, db = linear_param_grads(seq.h[1:], d_out)
+    da, dh, dc = _unroll_backward(seq, np.zeros_like(seq.h0),
+                                  np.zeros_like(seq.h0), d_out, head.w,
+                                  cell_grads)
+    dw, db = linear_param_grads(seq.c[1:], d_out)
     head_grads.w += dw
     head_grads.b += db
-    da, dh, dc = _unroll_backward(seq, np.zeros_like(seq.h[0]),
-                                  np.zeros_like(seq.c[0]), d_out, head.w,
-                                  cell_grads)
     da_sum = da.sum(axis=0)
     cell_grads.wx += linear_weight_grad(z, da_sum)
     dz = da_sum @ seq.cell.wx

@@ -14,11 +14,19 @@ input gate, forget gate, cell candidate, output gate, in that order. Both
 the input side and the recurrent side carry their own bias vector, and the
 two are simply added, so the effective bias is ``bx + bh``.
 
-An unrolled LSTM pass keeps its forward cache as stacked buffers allocated
-once per sequence (`LstmSeq`): each step call writes its gates and new state
-into its own index in place. The backward pass runs inside that cache:
+An unrolled LSTM pass keeps its forward cache as buffers allocated once
+per sequence (`LstmSeq`): each step call writes its gates and new cell
+state into its own index of stacked buffers in place, and its new hidden
+state into one slot of a two-slot rolling buffer; no stack of hidden
+states is kept. The backward pass runs inside that cache:
 `lstm_gate_backward` reads step t's gate activations and overwrites them
-with their gradients, recomputing tanh(c) rather than storing it, so a
+with their gradients, recomputing tanh(c) rather than storing it, and
+rebuilds h[t+1] = tanh(c[t+1]) * o, the forward's own product, in the
+slot of c[t+1], which the rest of the backward never reads. Once the
+caller puts the initial hidden state into c[0], the cell-state stack
+holds every hidden state, which is what the weight gradients read. Like
+checkpointed BPTT (Chen et al., arXiv:1604.06174) this trades a stored
+tensor for recomputation, but the rebuild reruns no matrix product. So a
 sequence's backward allocates no buffer of its own beyond a few per-step
 temporaries. Every weight gradient of the network is one product,
 `linear_weight_grad`: the rows of the output gradient transposed, times
@@ -146,16 +154,23 @@ class LstmCellState:
 
 @dataclass
 class LstmSeq:
-    """The forward cache of one unrolled LSTM pass of T steps, as stacked
-    buffers preallocated for the whole pass.
+    """The forward cache of one unrolled LSTM pass of T steps, as buffers
+    preallocated for the whole pass.
 
     gates : (T, N, 4H) post-activation (i, f, g, o) of every step; the
             backward pass overwrites step t's with its pre-activation
             gradient (`lstm_gate_backward`), so after it the buffer holds
             gradients, not activations
-    c, h  : (T+1, N, H) cell and hidden states; index 0 holds the initial
-            state and index t+1 the output of step t, so ``h[:-1]`` are the
-            steps' previous hidden states
+    c     : (T+1, N, H) cell states; index 0 holds the initial state and
+            index t+1 the output of step t. The backward pass overwrites
+            index t+1 with the hidden state h[t+1] once step t is done
+            (`lstm_gate_backward`), and the caller puts ``h0`` into index 0,
+            so after it ``c`` holds the hidden states h[0..T]: ``c[:-1]``
+            are the steps' previous hidden states, ``c[1:]`` their outputs
+    h     : (2, N, H) rolling hidden state: step t reads h[t] from slot
+            t % 2 and writes h[t+1] into slot (t + 1) % 2
+    h0    : (N, H) copy of the initial hidden state, which slot 0 loses at
+            step 1
     cell  : the cell this pass runs, and ``bias`` its summed ``bx + bh``
     tiles : row slices of ``wh`` the recurrent product runs over, one per
             matrix product: the two halves of ``wh`` at one row, tiles of
@@ -165,10 +180,11 @@ class LstmSeq:
             in the sigmoid lanes, 1 and -0.0 in the g lane
 
     tanh(c) is not kept: the backward pass recomputes it from ``c``.
-    `start` checks the state shape once for the whole pass: (N, H) rows,
-    a single sample being one row; any other shape is a ShapeError. Each
-    step call fills its own index in place. The network runs in the cell's
-    dtype.
+    `final` is the state step T-1 wrote, valid only before the backward
+    pass, which turns ``c[-1]`` into h[T]. `start` checks the state shape
+    once for the whole pass: (N, H) rows, a single sample being one row;
+    any other shape is a ShapeError. Each step call fills its own index,
+    and its slot of ``h``, in place. The network runs in the cell's dtype.
     """
 
     cell: LstmCellParams
@@ -176,6 +192,7 @@ class LstmSeq:
     gates: np.ndarray
     c: np.ndarray
     h: np.ndarray
+    h0: np.ndarray
     tiles: tuple[slice, ...]
     scale: np.ndarray
     shift: np.ndarray
@@ -191,8 +208,8 @@ class LstmSeq:
         n = len(init.h)
         dtype = cell.wh.dtype
         c = np.empty((steps + 1, n, H), dtype=dtype)
-        h = np.empty_like(c)
         c[0] = init.c
+        h = np.empty((2, n, H), dtype=dtype)
         h[0] = init.h
         r = 4 * H
         if n == 1:
@@ -201,14 +218,14 @@ class LstmSeq:
             r = min(r, 1 << ((TILE_MACS // (n * H)).bit_length() - 1))
         return cls(cell=cell, bias=cell.bx + cell.bh,
                    gates=np.empty((steps, n, 4 * H), dtype=dtype),
-                   c=c, h=h,
+                   c=c, h=h, h0=h[0].copy(),
                    tiles=tuple(slice(j, j + r) for j in range(0, 4 * H, r)),
                    scale=np.repeat(np.array(_LANE_SCALE, dtype), H),
                    shift=np.repeat(np.array(_LANE_SHIFT, dtype), H))
 
     @property
     def final(self) -> LstmCellState:
-        return LstmCellState(self.h[-1], self.c[-1])
+        return LstmCellState(self.h[len(self.gates) % 2], self.c[-1])
 
 
 def _gate_lanes(a: np.ndarray, H: int) -> tuple[np.ndarray, ...]:
@@ -248,7 +265,7 @@ def _lstm_cell_from_preact(params: LstmCellParams, x_pre: np.ndarray,
     # last, which the L2 still partly holds (see the module docstring).
     # Each gate's pre-activation is its own dot product, so neither the
     # split nor the order moves a bit.
-    h_prev = seq.h[t]
+    h_prev = seq.h[t % 2]
     tiles = seq.tiles[::-1] if t % 2 else seq.tiles
     if len(h_prev) == 1:
         for tile in tiles:
@@ -268,7 +285,7 @@ def _lstm_cell_from_preact(params: LstmCellParams, x_pre: np.ndarray,
     c = seq.c[t + 1]
     np.multiply(f, seq.c[t], out=c)
     c += i * g
-    h = np.tanh(c, out=seq.h[t + 1])
+    h = np.tanh(c, out=seq.h[(t + 1) % 2])
     h *= o
 
 
@@ -281,14 +298,20 @@ def lstm_gate_backward(seq: LstmSeq, t: int, dh: np.ndarray, dc: np.ndarray
     Overwrites ``seq.gates[t]`` with the gradient on the packed (i, f, g, o)
     pre-activation vector, consuming the step's gate activations, and returns
     ``(dh_prev, dc_prev)``. ``seq.gates[t]`` is then also the gradient on
-    each bias; the caller turns the pass's gate gradients into the weight
-    gradients with `linear_weight_grad` (against the steps' inputs for
-    ``wx``, against ``seq.h[:-1]`` for ``wh``). tanh of the new cell state
-    is recomputed from ``seq.c[t + 1]``.
+    each bias. tanh of the new cell state is recomputed from
+    ``seq.c[t + 1]``, and then ``seq.c[t + 1]``, which the rest of the
+    backward never reads, is overwritten with the step's hidden state
+    ``tanh(c) * o``, the bits of the forward's h[t + 1]. The caller turns
+    the pass's gate gradients into the weight gradients with
+    `linear_weight_grad` (against the steps' inputs for ``wx``, against
+    the previous hidden states ``seq.c[:-1]`` for ``wh``, once it has put
+    ``seq.h0`` into ``seq.c[0]``).
     """
     H = seq.cell.hidden_size
     i, f, g, o = _gate_lanes(seq.gates[t], H)
     tc = np.tanh(seq.c[t + 1])
+    # h[t + 1] as the forward formed it, in the slot of the spent c[t + 1]
+    np.multiply(tc, o, out=seq.c[t + 1])
     # gradient reaching the new cell state: dc + dh * o * (1 - tanh(c)^2)
     dc_total = np.multiply(tc, tc)
     np.subtract(1.0, dc_total, out=dc_total)

@@ -934,7 +934,9 @@ class TestTrainingMemory:
     """Tracemalloc peak of one float32 traj+auto-enc `loss_and_grads` against
     the bytes it must hold: LSTM caches (gates, c and h buffers) plus the
     gradients. The encoder and the reconstruction decoder run k steps, the
-    future decoder p."""
+    future decoder p. The budgets count a (T+1)-step h buffer per pass,
+    which no pass keeps any more; `TestNoHiddenStateStack` bounds that
+    tighter."""
 
     DIMS = ModelDims(k=10, p=20, hidden=64, latent=32)
     N = 64
@@ -965,7 +967,7 @@ class TestTrainingMemory:
     def test_backward_runs_inside_the_forward_caches(self):
         """The backward pass writes its gate gradients over the forward
         caches and keeps no tanh(c) buffer, so the peak stays within 1.25x
-        of all three sequences' caches plus the gradients (measured 0.83; a
+        of all three sequences' caches plus the gradients (measured 0.72; a
         separate gates-shaped gradient buffer per sequence reads 1.61 when
         all three sequences are live at once)."""
         dims = self.DIMS
@@ -977,7 +979,7 @@ class TestTrainingMemory:
         before the next one allocates, and forms its head's per-step
         hidden-state gradients inside the backward loop, so the peak stays
         within 1.25x of the encoder's and the larger decoder's caches plus
-        the gradients (measured 1.08; all three sequences live at once, with
+        the gradients (measured 0.95; all three sequences live at once, with
         a stacked per-step head gradient, read 1.52)."""
         dims = self.DIMS
         peak, budget = self.peak_and_budget((dims.k, max(dims.k, dims.p)))
@@ -988,11 +990,70 @@ class TestTrainingMemory:
         """With `TRAIN_BLOCK_ROWS` at a quarter of the batch, each block
         frees its caches before the next allocates, so the peak stays
         within 1.25x of one block's encoder and larger decoder caches plus
-        the gradients (measured 1.11; whole-batch caches read 3.43)."""
+        the gradients (measured 1.00; whole-batch caches read 3.43)."""
         dims = self.DIMS
         monkeypatch.setattr(model, "TRAIN_BLOCK_ROWS", self.N // 4)
         peak, budget = self.peak_and_budget((dims.k, max(dims.k, dims.p)),
                                             self.N // 4)
+        assert peak <= budget, (peak, budget)
+
+
+class TestNoHiddenStateStack:
+    """No LSTM pass keeps a (T+1, n, H) stack of hidden states: a pass
+    holds its gates, its cell-state stack, a two-slot rolling h and a copy
+    of its initial h, and the backward rebuilds the hidden states in the
+    cell-state stack. Tracemalloc peaks at hidden 64, latent 32, k 30,
+    p 60, float64, against that cache arithmetic."""
+
+    DIMS = ModelDims(k=30, p=60, hidden=64, latent=32)
+
+    @classmethod
+    def cache_bytes(cls, steps, rows):
+        """Bytes of one float64 pass's caches: (steps, rows, 4H) gates,
+        (steps + 1, rows, H) cell states, and three (rows, H) hidden
+        states (the two rolling slots and the initial copy)."""
+        H = cls.DIMS.hidden
+        return 8 * rows * H * (4 * steps + (steps + 1) + 3)
+
+    @staticmethod
+    def traced_peak(fn, *args):
+        fn(*args)
+        tracemalloc.start()
+        try:
+            fn(*args)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak
+
+    def test_training_step_holds_no_hidden_state_stack(self):
+        """A 100-row traj+auto-enc `loss_and_grads` (one block) peaks
+        within 1.12x of the encoder's and the future decoder's caches plus
+        the gradients (measured 1.04; with both passes' h stacks, 1.23)."""
+        dims, n = self.DIMS, 100
+        params = init_params(dims, seed=5)
+        rng = np.random.default_rng(5)
+        window = rng.normal(size=(n, dims.k, 8))
+        targets = rng.normal(size=(n, dims.p, 4))
+        peak = self.traced_peak(loss_and_grads, params, window, targets,
+                                LossWeights(mode=MODE_TRAJ_AUTOENC))
+        grad_bytes = sum(t.nbytes for t in params.tensors().values())
+        budget = 1.12 * (self.cache_bytes(dims.k, n)
+                         + self.cache_bytes(dims.p, n) + grad_bytes)
+        assert peak <= budget, (peak, budget)
+
+    def test_forecast_holds_one_decoder_pass(self):
+        """A 64-row `predict_from_window` peaks within 1.12x of the future
+        decoder's caches (measured 1.04): the encoder's buffers are freed
+        before the decoder allocates, since `encode` returns copies of its
+        final state, and neither pass keeps an h stack (the encoder's
+        cell-state stack kept alive by a view, with both h stacks, read
+        1.44)."""
+        dims, n = self.DIMS, 64
+        params = init_params(dims, seed=6)
+        window = np.random.default_rng(6).normal(size=(n, dims.k, 8))
+        peak = self.traced_peak(predict_from_window, params, window)
+        budget = 1.12 * self.cache_bytes(dims.p, n)
         assert peak <= budget, (peak, budget)
 
 

@@ -10,6 +10,7 @@ import pytest
 from helpers import fd_grad, lstm_step, sigmoid
 
 from boxcast.errors import ConfigError, NumericError, ShapeError
+from boxcast.model import _unroll_backward
 from boxcast.nn import (
     AdamState,
     LinearParams,
@@ -300,7 +301,7 @@ class TestLstmCell:
                                        atol=1e-14)
             np.testing.assert_allclose(dc_prev[row], dc1, rtol=1e-12,
                                        atol=1e-14)
-        np.testing.assert_allclose(da.T @ cache.h[0], acc_wh,
+        np.testing.assert_allclose(da.T @ cache.h0, acc_wh,
                                    rtol=1e-12, atol=1e-14)
         np.testing.assert_allclose(da.sum(axis=0), acc_b,
                                    rtol=1e-12, atol=1e-14)
@@ -309,7 +310,8 @@ class TestLstmCell:
 def reference_pass(cell, init, x_pres, tiles):
     """The step loop written out: per step ``a = (wh @ h.T).T + x_pre``,
     its product taken over ``tiles`` in forward order, then the activations
-    lane by lane. Returns the (gates, c, h) stacks of `LstmSeq`."""
+    lane by lane. Returns the (gates, c, h) stacks: `LstmSeq`'s gates and
+    c buffers, and the hidden states h[0..T] it keeps no stack of."""
     H = cell.hidden_size
     h, c = init.h, init.c
     gates, cs, hs = [], [c], [h]
@@ -402,10 +404,12 @@ class TestRecurrentTiles:
     def test_reversed_steps_equal_the_reference_loop(self, batch_shape,
                                                      dtype):
         """A 4-step pass, whose odd steps walk the tiles backward, equals
-        `reference_pass` bit for bit in its gates and states. At one row
-        the reference runs the one product over all of ``wh``; at 2 to 12
-        rows, whose tiles round apart from that product, it runs the same
-        tiles in forward order."""
+        `reference_pass` bit for bit in its gates and cell states, in the
+        hidden state each step leaves in its slot of the rolling buffer,
+        and in its final state. At one row the reference runs the one
+        product over all of ``wh``; at 2 to 12 rows, whose tiles round
+        apart from that product, it runs the same tiles in forward
+        order."""
         rng = np.random.default_rng(40 + sum(batch_shape))
         cell, init, _ = full_size_step_inputs(rng, batch_shape)
         cell = LstmCellParams(*(t.astype(dtype) for t in
@@ -415,13 +419,44 @@ class TestRecurrentTiles:
         x_pres = rng.normal(size=(4,) + batch_shape + (4 * H,)).astype(dtype)
         seq = LstmSeq.start(cell, init, len(x_pres))
         assert len(seq.tiles) > 1
+        tiles = (slice(0, 4 * H),) if len(init.h) == 1 else seq.tiles
+        gates, c, h = reference_pass(cell, init, x_pres, tiles)
+        assert seq.h.shape == (2,) + batch_shape + (H,)
+        np.testing.assert_array_equal(seq.h0, h[0])
         for t, x_pre in enumerate(x_pres):
             _lstm_cell_from_preact(cell, x_pre, seq, t)
-        tiles = (slice(0, 4 * H),) if len(init.h) == 1 else seq.tiles
-        for got, want in zip((seq.gates, seq.c, seq.h),
-                             reference_pass(cell, init, x_pres, tiles)):
+            np.testing.assert_array_equal(seq.h[(t + 1) % 2], h[t + 1])
+        for got, want in ((seq.gates, gates), (seq.c, c),
+                          (seq.final.h, h[-1]), (seq.final.c, c[-1])):
             assert got.dtype == dtype
             np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("n", [1, 6, 100])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=str)
+    def test_backward_rebuilds_the_hidden_states_in_c(self, n, dtype):
+        """After `model._unroll_backward` the cell-state stack holds the
+        hidden states h[0..T] of `reference_pass` bit for bit: each step's
+        backward rebuilds tanh(c) * o in its spent cell-state slot, and
+        the initial h goes into c[0]. A 5-step pass, so both parities of
+        the rolling buffer end a pass."""
+        rng = np.random.default_rng(60 + n)
+        cell, init, _ = full_size_step_inputs(rng, (n,))
+        cell = LstmCellParams(*(t.astype(dtype) for t in
+                                (cell.wx, cell.wh, cell.bx, cell.bh)))
+        init = LstmCellState(init.h.astype(dtype), init.c.astype(dtype))
+        H = cell.hidden_size
+        x_pres = rng.normal(size=(5, n, 4 * H)).astype(dtype)
+        seq = LstmSeq.start(cell, init, len(x_pres))
+        for t, x_pre in enumerate(x_pres):
+            _lstm_cell_from_preact(cell, x_pre, seq, t)
+        tiles = (slice(0, 4 * H),) if n == 1 else seq.tiles
+        _, _, h = reference_pass(cell, init, x_pres, tiles)
+        dh, dc = rng.normal(size=(2, n, H)).astype(dtype)
+        grads = LstmCellParams(*(np.zeros_like(t) for t in
+                                 (cell.wx, cell.wh, cell.bx, cell.bh)))
+        _unroll_backward(seq, dh, dc, None, None, grads)
+        assert seq.c.dtype == dtype
+        np.testing.assert_array_equal(seq.c, h)
 
     @pytest.mark.parametrize("t", [0, 1])
     def test_negative_zero_g_lane_stays_negative_zero(self, t):
