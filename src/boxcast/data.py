@@ -22,6 +22,7 @@ import csv
 import io
 import math
 import os
+import re
 import secrets
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -275,7 +276,7 @@ def _plain_fields(text: str) -> list[str] | None:
     check and `float` strip. Blank data lines are dropped, as `_rows`
     drops blank records.
     """
-    if '"' in text or "\0" in text or text.count("\r") != text.count("\r\n"):
+    if '"' in text or "\0" in text or re.search("\r(?!\n)", text):
         return None
     lines = text.split("\n")
     if not lines[-1]:

@@ -41,27 +41,32 @@ The LSTM step has one form: ``lstm_cell_forward(params, x, seq, t)``
 writes step t of an `LstmSeq` in place and returns nothing; `LstmSeq.start`
 allocates the pass, checks its state shapes once, picks the row tiles of
 ``wh`` its recurrent products run over and builds the (4H,) lane vectors of
-its gate activations. Small batches (2-12 rows at H = 512) run tiles of at
-most `TILE_MACS` multiply-adds: there one product over all of ``wh`` makes
-OpenBLAS pack the whole 4 MiB matrix every step, while the tiles take its
-small-matrix kernel, which reads ``wh`` in place (in the spirit of Diamos
+its gate activations. One rule picks the tiles of every batch of n rows:
+while 0 < n * H <= `TILE_MAX_NH`, a tile is the largest power of two of
+rows of ``wh`` (4H at most) with at most `TILE_MACS` multiply-adds, and
+each tile's product writes its gate lanes in place; otherwise there are no
+tiles and the step runs one product over all of ``wh``. At H = 512 that
+is the two halves of ``wh`` (the i, f lanes and the g, o lanes) at one
+row, tiles of 512 to 64 rows at 2-12 rows and one product at 13+. A
+tile's product takes OpenBLAS's gemv or small-matrix kernel, which reads
+``wh`` in place, where one product over all of ``wh`` at 2-12 rows makes
+OpenBLAS pack the whole 4 MiB matrix every step (in the spirit of Diamos
 et al., *Persistent RNNs*, ICML 2016). Both limits come from a sweep of
 tile sizes at H = 512, float32, one BLAS thread (OpenBLAS 0.3.31, SkylakeX
-kernels). One row runs the two halves of ``wh`` (the i, f lanes and the
-g, o lanes) as gemvs that write their gate lanes in place, and 13+ rows
-run one product. A step walks its tiles forward on even steps and backward
-on odd ones, so it starts on the rows of ``wh`` the previous step read
-last, part of which a 2 MiB L2 still holds. Against one product per step,
+kernels). A step walks its tiles forward on even steps and backward on
+odd ones, so it starts on the rows of ``wh`` the previous step read last,
+part of which a 2 MiB L2 still holds. Against one product per step,
 halves made a one-row step 1.08-1.12x faster at one BLAS thread and
 1.18-1.21x at two; quarters ran 1.13-1.16x at one thread but 0.57x at two,
 because OpenBLAS runs a gemv that small on one thread (H = 512, float32,
 40 interleaved 90-step passes per run, OpenBLAS 0.3.31, 2-core Xeon VM
 with 2 MiB L2 per core).
-Every gate's pre-activation is its own dot product, so the split and the
-order leave the bits of one product: a batch of 1 or of 13+ rows gives the
-bits of the untiled step. The gate activations run as three calls over
-all lanes, ``a *= scale``, tanh, then ``a *= scale; a += shift``, with the
-(4H,) vectors `LstmSeq` holds; the g lane's factors 1 and -0.0 are exact.
+Every gate's pre-activation is its own dot product, so the product's form,
+split and order leave the bits of one product: a batch of 1 or of 13+ rows
+gives the bits of the untiled step, and ``tests/bit_ledger.json`` pins
+those bits. The gate activations run as three calls over all lanes,
+``a *= scale``, tanh, then ``a *= scale; a += shift``, with the (4H,)
+vectors `LstmSeq` holds; the g lane's factors 1 and -0.0 are exact.
 Adam runs with the standard hyperparameters of Kingma & Ba (ICLR 2015):
 `ADAM_BETA1`, `ADAM_BETA2` and `ADAM_EPS`.
 """
@@ -98,9 +103,9 @@ __all__ = [
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
-# Row tiles of the recurrent product (see `_lstm_cell_from_preact`): each
-# tile is at most TILE_MACS multiply-adds, and a step tiles only while its
-# flattened batch n has n * H <= TILE_MAX_NH, i.e. 2 <= n <= 12 at H = 512.
+# Row tiles of the recurrent product (see `LstmSeq.start`): each tile is at
+# most TILE_MACS multiply-adds, and a step tiles only while its batch of n
+# rows has 0 < n * H <= TILE_MAX_NH, i.e. 1 <= n <= 12 at H = 512.
 TILE_MACS, TILE_MAX_NH = 1 << 19, 6144
 
 # Per-lane (i, f, g, o) values of `LstmSeq.scale` and `LstmSeq.shift`; the
@@ -173,9 +178,10 @@ class LstmSeq:
             step 1
     cell  : the cell this pass runs, and ``bias`` its summed ``bx + bh``
     tiles : row slices of ``wh`` the recurrent product runs over, one per
-            matrix product: the two halves of ``wh`` at one row, tiles of
-            at most `TILE_MACS` multiply-adds while n * H <= `TILE_MAX_NH`,
-            otherwise a single slice of all 4H rows
+            matrix product, each the largest power of two of rows (4H at
+            most) with at most `TILE_MACS` multiply-adds, while
+            0 < n * H <= `TILE_MAX_NH`; otherwise empty, and the step runs
+            one product over all of ``wh``
     scale, shift : (4H,) lane vectors of the gate activations: 0.5 and 0.5
             in the sigmoid lanes, 1 and -0.0 in the g lane
 
@@ -211,15 +217,13 @@ class LstmSeq:
         c[0] = init.c
         h = np.empty((2, n, H), dtype=dtype)
         h[0] = init.h
-        r = 4 * H
-        if n == 1:
-            r = 2 * H
-        elif n >= 2 and n * H <= TILE_MAX_NH:
-            r = min(r, 1 << ((TILE_MACS // (n * H)).bit_length() - 1))
+        tiles = ()
+        if 0 < n * H <= TILE_MAX_NH:
+            r = min(4 * H, 1 << ((TILE_MACS // (n * H)).bit_length() - 1))
+            tiles = tuple(slice(j, j + r) for j in range(0, 4 * H, r))
         return cls(cell=cell, bias=cell.bx + cell.bh,
                    gates=np.empty((steps, n, 4 * H), dtype=dtype),
-                   c=c, h=h, h0=h[0].copy(),
-                   tiles=tuple(slice(j, j + r) for j in range(0, 4 * H, r)),
+                   c=c, h=h, h0=h[0].copy(), tiles=tiles,
                    scale=np.repeat(np.array(_LANE_SCALE, dtype), H),
                    shift=np.repeat(np.array(_LANE_SHIFT, dtype), H))
 
@@ -254,25 +258,22 @@ def _lstm_cell_from_preact(params: LstmCellParams, x_pre: np.ndarray,
     a = seq.gates[t]
     # Weight-left: with wh as the right operand OpenBLAS packs it slowly at
     # small batch, so ``wh @ h.T`` runs 1.5-2x faster than ``h @ wh.T`` at
-    # batch 2-16 with the same bits (the same gemv at batch 1). At 2-12 rows
-    # even that product packs all of wh each step; split into row tiles of
-    # at most 2^19 multiply-adds, each product takes OpenBLAS's small-matrix
-    # kernel, which reads wh in place: 2-2.5x faster at 2-6 rows, 1.2x at 12
-    # (at H = 512, float32, one thread). 13+ rows run one tile. One row runs
-    # wh's two halves as gemvs that write their gate lanes in place, with
-    # no (r, 1) temporary or transposed copy. Odd steps walk the tiles
-    # backward, so each step starts on the tile the previous one read
-    # last, which the L2 still partly holds (see the module docstring).
-    # Each gate's pre-activation is its own dot product, so neither the
-    # split nor the order moves a bit.
+    # batch 2-16 with the same bits. Each tile's product writes its lanes
+    # of ``a`` in place, with no temporary or transposed copy, and takes
+    # OpenBLAS's gemv or small-matrix kernel, which reads wh in place:
+    # 2-2.5x faster than one product at 2-6 rows, 1.2x at 12 (H = 512,
+    # float32, one thread). With no tiles the step runs one product and
+    # copies it in, which beat the in-place form by 5-67% at 13-100 rows
+    # (thread time, same setting). Odd steps walk the tiles backward, so
+    # each step starts on the tile the previous one read last, which the
+    # L2 still partly holds (see the module docstring). Each gate's
+    # pre-activation is its own dot product, so neither the in-place form
+    # nor the order moves a bit.
     h_prev = seq.h[t % 2]
-    tiles = seq.tiles[::-1] if t % 2 else seq.tiles
-    if len(h_prev) == 1:
-        for tile in tiles:
-            np.matmul(params.wh[tile], h_prev[0], out=a[0, tile])
-    else:
-        for tile in tiles:
-            a[:, tile] = (params.wh[tile] @ h_prev.T).T
+    if not seq.tiles:
+        a[...] = (params.wh @ h_prev.T).T
+    for tile in seq.tiles[::-1] if t % 2 else seq.tiles:
+        np.matmul(params.wh[tile], h_prev.T, out=a[:, tile].T)
     a += x_pre
     # One tanh pass over all four lanes, since sigmoid(x) = (1 + tanh(x/2))/2:
     # halve the sigmoid lanes, tanh everything, then map those lanes back,

@@ -426,13 +426,18 @@ class TestParseMatchesTheRowByRowReference:
 
     def test_plain_files_never_reach_the_csv_reader(self, tmp_path,
                                                     monkeypatch):
+        """CRLF files (as `write_tracks` writes them) take the plain
+        reader; a quoted field or a lone CR sends the file to the csv
+        module."""
         tracks = [make_track(5, track_id="a"), make_track(3, track_id="b")]
         plain, quoted = tmp_path / "plain.csv", tmp_path / "quoted.csv"
-        blank = tmp_path / "blank.csv"
+        blank, lone_cr = tmp_path / "blank.csv", tmp_path / "lone_cr.csv"
         write_tracks(tracks, plain)
+        assert b"\r\n" in plain.read_bytes()
         quoted.write_bytes(plain.read_bytes().replace(b",a,", b',"a",'))
         blank.write_bytes(plain.read_bytes().replace(b"\r\nv", b"\r\n \r\nv")
                           + b"\r\n")
+        lone_cr.write_bytes(plain.read_bytes().replace(b"\r\n", b"\r"))
 
         def no_reader(*args, **kwargs):
             raise AssertionError("csv.reader called")
@@ -441,9 +446,11 @@ class TestParseMatchesTheRowByRowReference:
             m.setattr(data.csv, "reader", no_reader)
             assert parse_tracks(plain) == tracks
             assert parse_tracks(blank) == tracks
-            with pytest.raises(AssertionError, match="csv.reader called"):
-                parse_tracks(quoted)
+            for path in (quoted, lone_cr):
+                with pytest.raises(AssertionError, match="csv.reader called"):
+                    parse_tracks(path)
         assert parse_tracks(quoted) == tracks
+        assert parse_tracks(lone_cr) == tracks
 
     @settings(max_examples=50, deadline=None)
     @given(raw=st.one_of(

@@ -735,8 +735,8 @@ def stacked_windows(rng, batch, k):
 class TestTiledBatchesAtFullSize:
     """The two equivalence properties above on batches whose steps run
     their recurrent product as row tiles of ``wh`` smaller than its
-    halves: 2 to 12 rows at hidden 512. Tiny dims never form such tiles;
-    at one row every size runs the two halves of ``wh``."""
+    halves: 2 to 12 rows at hidden 512. Tiny dims run all of ``wh`` as
+    one tile."""
 
     @pytest.mark.parametrize("batch", [(2,), (2, 3), (12,)], ids=str)
     def test_predict_equals_forward_train_bitwise(self, full_f32, batch):

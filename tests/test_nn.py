@@ -75,6 +75,13 @@ def full_size_step_inputs(rng, batch_shape, H=512, D=8):
     return cell, init, x_pre
 
 
+def shape_only_cell(hidden):
+    """A cell of zero-stride zero weights, for code that reads only their
+    shapes."""
+    zeros = np.broadcast_to(0.0, (4 * hidden, hidden))
+    return LstmCellParams(zeros, zeros, zeros[:, 0], zeros[:, 0])
+
+
 def step_gates(cell, init, x_pre):
     """Gate activations of one `_lstm_cell_from_preact` step."""
     seq = LstmSeq.start(cell, init, 1)
@@ -180,9 +187,9 @@ class TestLstmCell:
         ``wh`` itself: the recurrent product reads ``wh`` in place, neither
         copied to a contiguous transpose nor upcast, and the row tiles of a
         small batch, the halves at one row included, are views of it
-        (measured peaks 3 KB at batch 1, whose halves write their lanes in
-        place, 6 to 76 KB at 2 to 12 rows and 525 KB at 64, against
-        4.19 MB)."""
+        whose products write their gate lanes in place (measured peaks
+        3 KB at batch 1, 18 to 76 KB at 2 to 12 rows and 525 KB at 64,
+        against 4.19 MB)."""
         rng = np.random.default_rng(8)
         cell, init, x_pre = full_size_step_inputs(rng, batch_shape)
         seq = LstmSeq.start(cell, init, 1)
@@ -309,15 +316,16 @@ class TestLstmCell:
 
 def reference_pass(cell, init, x_pres, tiles):
     """The step loop written out: per step ``a = (wh @ h.T).T + x_pre``,
-    its product taken over ``tiles`` in forward order, then the activations
-    lane by lane. Returns the (gates, c, h) stacks: `LstmSeq`'s gates and
+    its product taken over ``tiles`` in forward order (as one product over
+    all of ``wh`` when ``tiles`` is empty), then the activations lane by
+    lane. Returns the (gates, c, h) stacks: `LstmSeq`'s gates and
     c buffers, and the hidden states h[0..T] it keeps no stack of."""
     H = cell.hidden_size
     h, c = init.h, init.c
     gates, cs, hs = [], [c], [h]
     for x_pre in x_pres:
-        a = np.concatenate([(cell.wh[tile] @ h.T).T for tile in tiles],
-                           axis=-1)
+        a = np.concatenate([(cell.wh[tile] @ h.T).T
+                            for tile in tiles or (slice(None),)], axis=-1)
         a += x_pre
         sigmoid_lanes = (a[:, :2 * H], a[:, 3 * H:])
         for lane in sigmoid_lanes:
@@ -339,19 +347,23 @@ def reference_pass(cell, init, x_pres, tiles):
 
 class _SignedZeroProduct(np.ndarray):
     """A ``wh`` whose product with any hidden state is exactly -0.0, which
-    no BLAS product returns (its sums start from +0.0)."""
+    no BLAS product returns (its sums start from +0.0), written into
+    ``out=`` when the product names one and into a new array otherwise."""
 
     def __array_ufunc__(self, ufunc, method, *args, out=None, **kwargs):
-        out[0][...] = -0.0
-        return out[0]
+        result = out[0] if out else ufunc(*(np.asarray(a) for a in args))
+        result[...] = -0.0
+        return result
 
 
 class TestRecurrentTiles:
-    """At one row (hidden 512) a step runs its recurrent product as the two
-    halves of ``wh``, at 2 to 12 rows as smaller row tiles, and at 13 or
-    more as one product over all of ``wh``. Odd steps walk the tiles
-    backward. One row and 13 or more keep the bits of the one product
-    before tiles existed."""
+    """One rule picks a step's row tiles of ``wh``: while 0 < n * H <=
+    `TILE_MAX_NH`, the largest power of two of rows with at most
+    `TILE_MACS` multiply-adds; otherwise none, and the step runs one
+    product over all of ``wh``. At hidden 512 that is the two halves at one
+    row, smaller tiles at 2 to 12 rows and one product at 13 or more. Odd
+    steps walk the tiles backward. One row and 13 or more keep the bits of
+    the one product before tiles existed."""
 
     # Largest gate gap to the float64 step allowed at float32. Pre-
     # activations are sums of 512 products of O(0.04) weights and O(1)
@@ -383,7 +395,7 @@ class TestRecurrentTiles:
         """Bit for bit the gates of ``a = (wh @ h.T).T; a += x_pre`` and
         then the activations: that pre-activation, fed as the projected
         input of a step whose ``wh`` is zero, gives the reference. One row
-        runs the two halves of ``wh``, 13 or more rows one tile."""
+        runs the two halves of ``wh``, 13 or more rows one product."""
         rng = np.random.default_rng(20 + sum(batch_shape))
         cell, init, x_pre = full_size_step_inputs(rng, batch_shape)
         H = cell.hidden_size
@@ -394,7 +406,7 @@ class TestRecurrentTiles:
         want = step_gates(zero, init, rows)
         seq = LstmSeq.start(cell, init, 1)
         assert seq.tiles == ((slice(0, 2 * H), slice(2 * H, 4 * H))
-                             if len(init.h) == 1 else (slice(0, 4 * H),))
+                             if len(init.h) == 1 else ())
         np.testing.assert_array_equal(step_gates(cell, init, x_pre), want)
 
     @pytest.mark.parametrize("batch_shape, dtype", [
@@ -419,7 +431,7 @@ class TestRecurrentTiles:
         x_pres = rng.normal(size=(4,) + batch_shape + (4 * H,)).astype(dtype)
         seq = LstmSeq.start(cell, init, len(x_pres))
         assert len(seq.tiles) > 1
-        tiles = (slice(0, 4 * H),) if len(init.h) == 1 else seq.tiles
+        tiles = () if len(init.h) == 1 else seq.tiles
         gates, c, h = reference_pass(cell, init, x_pres, tiles)
         assert seq.h.shape == (2,) + batch_shape + (H,)
         np.testing.assert_array_equal(seq.h0, h[0])
@@ -449,7 +461,7 @@ class TestRecurrentTiles:
         seq = LstmSeq.start(cell, init, len(x_pres))
         for t, x_pre in enumerate(x_pres):
             _lstm_cell_from_preact(cell, x_pre, seq, t)
-        tiles = (slice(0, 4 * H),) if n == 1 else seq.tiles
+        tiles = () if n == 1 else seq.tiles
         _, _, h = reference_pass(cell, init, x_pres, tiles)
         dh, dc = rng.normal(size=(2, n, H)).astype(dtype)
         grads = LstmCellParams(*(np.zeros_like(t) for t in
@@ -458,42 +470,59 @@ class TestRecurrentTiles:
         assert seq.c.dtype == dtype
         np.testing.assert_array_equal(seq.c, h)
 
+    @pytest.mark.parametrize("n", [1, TILE_MAX_NH // 4 + 1])
     @pytest.mark.parametrize("t", [0, 1])
-    def test_negative_zero_g_lane_stays_negative_zero(self, t):
+    def test_negative_zero_g_lane_stays_negative_zero(self, t, n):
         """A g-lane pre-activation of -0.0 gives tanh -0.0, as it did before
         the lane vectors: the g lane's shift is -0.0, which leaves every
-        value as it is, where +0.0 would turn -0.0 into +0.0."""
+        value as it is, where +0.0 would turn -0.0 into +0.0. At hidden 4,
+        one row runs one tile and 1537 rows one product."""
         H = 4
         cell = random_cell(np.random.default_rng(9), hidden_size=H)
         cell.wh = cell.wh.view(_SignedZeroProduct)
-        seq = LstmSeq.start(cell, LstmCellState.zeros(H, 1), 2)
-        _lstm_cell_from_preact(cell, np.full((1, 4 * H), -0.0), seq, t)
-        g = np.asarray(seq.gates[t, 0, 2 * H:3 * H])
+        seq = LstmSeq.start(cell, LstmCellState.zeros(H, n), 2)
+        assert len(seq.tiles) == (n == 1)
+        _lstm_cell_from_preact(cell, np.full((n, 4 * H), -0.0), seq, t)
+        g = np.asarray(seq.gates[t, :, 2 * H:3 * H])
         assert (g == 0.0).all() and np.signbit(g).all()
-        np.testing.assert_array_equal(seq.gates[t, 0, :2 * H], 0.5)
+        np.testing.assert_array_equal(seq.gates[t, :, :2 * H], 0.5)
+
+    # Tile height (rows of ``wh``) per hidden size at n = 0, 1, 2, 6, 12
+    # and 13 rows; 0 is no tiles, one product.
+    TILE_HEIGHTS = {8: (0, 32, 32, 32, 32, 32),
+                    64: (0, 256, 256, 256, 256, 256),
+                    512: (0, 1024, 512, 128, 64, 0),
+                    1024: (0, 512, 256, 64, 0, 0)}
+
+    @pytest.mark.parametrize("hidden", list(TILE_HEIGHTS))
+    def test_tiling_rule_table(self, hidden):
+        """The rule's tiles at each hidden size and batch: the halves of
+        ``wh`` at one row only at hidden 512, 512-row tiles at hidden 1024,
+        all of ``wh`` as one tile at hidden 64 or less. An empty batch
+        builds its pass, with no tiles and no division by zero."""
+        for n, r in zip((0, 1, 2, 6, 12, 13), self.TILE_HEIGHTS[hidden]):
+            seq = LstmSeq.start(shape_only_cell(hidden),
+                                LstmCellState.zeros(hidden, n), 1)
+            assert seq.tiles == (tuple(slice(j, j + r) for j in
+                                       range(0, 4 * hidden, r)) if r else ())
 
     @pytest.mark.parametrize("n, hidden, tiles", [
-        (1, 512, 2), (1, 8, 2), (2, 512, 4), (3, 512, 8), (4, 512, 8), (6, 512, 16),
-        (8, 512, 16), (12, 512, 32), (13, 512, 1), (64, 512, 1),
-        (2, 8, 1), (12, 128, 2), (2, 3072, 192), (3, 3072, 1)])
+        (2, 512, 4), (3, 512, 8), (4, 512, 8), (6, 512, 16),
+        (8, 512, 16), (12, 512, 32), (13, 512, 0), (64, 512, 0),
+        (2, 8, 1), (12, 128, 2), (2, 3072, 192), (3, 3072, 0)])
     def test_tile_count(self, n, hidden, tiles):
-        """One row runs the two halves of ``wh``. From two rows, tiles are
-        the largest power of two of rows with at most `TILE_MACS`
-        multiply-adds each, and exist only while n * hidden <=
-        `TILE_MAX_NH`."""
-        # zero-stride weights: only their shapes are read
-        zeros = np.broadcast_to(0.0, (4 * hidden, hidden))
-        cell = LstmCellParams(zeros, zeros, zeros[:, 0], zeros[:, 0])
-        seq = LstmSeq.start(cell, LstmCellState.zeros(hidden, n), 0)
+        """Tiles are the largest power of two of rows with at most
+        `TILE_MACS` multiply-adds each, up to all 4 * hidden rows, and
+        exist only while n * hidden <= `TILE_MAX_NH`."""
+        seq = LstmSeq.start(shape_only_cell(hidden),
+                            LstmCellState.zeros(hidden, n), 0)
         assert len(seq.tiles) == tiles
-        assert seq.tiles[0].start == 0 and seq.tiles[-1].stop >= 4 * hidden
-        r = seq.tiles[0].stop
-        assert all(t.stop - t.start == r for t in seq.tiles)
-        if n == 1:
-            assert r == 2 * hidden
-        elif tiles > 1:
+        assert (tiles > 0) == (n * hidden <= TILE_MAX_NH)
+        if tiles > 1:
+            r = seq.tiles[0].stop
+            assert seq.tiles == tuple(slice(j, j + r)
+                                      for j in range(0, 4 * hidden, r))
             assert r * n * hidden <= TILE_MACS < 2 * r * n * hidden
-            assert n * hidden <= TILE_MAX_NH
 
 
 class TestLinear:
