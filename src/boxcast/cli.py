@@ -88,7 +88,8 @@ def _int_list(text: str) -> tuple[int, ...]:
 
 
 def _thread_counts(text: str) -> tuple[int, ...]:
-    # checked before `bench` starts any thread: each count starts that many
+    # checked before `bench` starts any process: each count runs in one
+    # child at that many BLAS threads
     counts, ceiling = _int_list(text), 4 * (os.cpu_count() or 1)
     if not all(1 <= n <= ceiling for n in counts):
         raise ConfigError(f"thread counts must be 1..{ceiling} (4 x the CPU "
@@ -225,8 +226,8 @@ def _command_opts(command: str) -> list[Opt]:
                 Opt("weights", str, None,
                     "weight file (omit to benchmark fresh parameters)"),
                 Opt("threads", _thread_counts, (1,),
-                    "thread counts to measure, e.g. '1,2,4' (at most 4 x "
-                    "the CPU count)"),
+                    "BLAS thread counts to measure, one process each, e.g. "
+                    "'1,2,4' (at most 4 x the CPU count)"),
                 Opt("duration", float, 1.0, "seconds per measurement"),
                 Opt("n_windows", int, 32, "distinct input windows to cycle"),
                 Opt("k", int, TrainConfig.k, "window length (fresh params)"),

@@ -27,13 +27,18 @@ returning a non-finite ADE or FDE. The policy covers `ade`, `fde` and
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
+import tempfile
 import threading
 import time
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import MiniTrack, SynthSpec, synth_tracks
+from .data import MiniTrack, SynthSpec, _check_seed, synth_tracks
 from .errors import ConfigError, DataError, NumericError, ShapeError
 from .model import (
     LOSS_MODES,
@@ -42,7 +47,7 @@ from .model import (
     predict,  # noqa: F401  read only by perfbench/tracing.py::targets
     predict_from_window,
 )
-from .training import stack_minitracks, train
+from .training import load_model, save_model, stack_minitracks, train
 
 BASELINE_KINDS = ("constant-velocity", "constant-acceleration", "stationary")
 
@@ -228,22 +233,19 @@ def baseline_predict(kind: str, past_boxes, steps: int) -> np.ndarray:
 
 @dataclass
 class BenchReport:
-    """One benchmark run at a fixed thread count.
+    """One benchmark run at a fixed BLAS thread count.
 
     ``trajectories_per_second`` counts complete k-in/p-out forecasts;
     ``equivalent_fps`` converts to frames per second as TPS * p (each
     forecast covers p future frames). The timed region spans only the
-    predict calls: windows are built beforehand and parameters are shared
-    read-only across threads.
+    predict calls: the windows are built beforehand.
     """
 
     threads: int
     trajectories_per_second: float
     equivalent_fps: float
     n_predictions: int
-    per_thread: list[int]
     elapsed_s: float
-    duration_s: float
     k: int
     p: int
     hidden: int
@@ -253,11 +255,16 @@ class BenchReport:
 
 def benchmark_tps(params: ModelParams, threads: int = 1, duration: float = 1.0,
                   n_windows: int = 32, seed: int = 0) -> BenchReport:
-    """Measure forecast throughput on shared read-only parameters.
+    """Measure batch-1 forecast throughput at ``threads`` BLAS threads.
 
-    Inference runs in single precision. Each thread loops over pre-built
-    feature windows calling the predict path until the duration elapses;
-    TPS is total completed forecasts over the measured wall-clock.
+    numpy sizes its BLAS thread pool when it is imported, so the loop runs
+    in one child process, ``python -m boxcast.evaluation``, whose
+    ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS``
+    are ``threads``. It loads ``params`` from a temporary weight file, so
+    inference runs in single precision, and forecasts pre-built windows one
+    at a time until ``duration`` seconds have passed; TPS is its forecasts
+    over that loop's wall-clock. A child that fails raises
+    ChildProcessError quoting its last stderr line.
     """
     if threads < 1:
         raise ConfigError(f"threads must be >= 1, got {threads}")
@@ -266,47 +273,44 @@ def benchmark_tps(params: ModelParams, threads: int = 1, duration: float = 1.0,
     if not 0 < duration <= threading.TIMEOUT_MAX:
         raise ConfigError(f"duration must be positive and at most "
                           f"{threading.TIMEOUT_MAX:g} s, got {duration}")
-    d = params.dims
-    p32 = params if params.dtype == np.float32 else params.astype(np.float32)
-    spec = SynthSpec(kind="constant-velocity", length=d.k, noise_std=1.0,
-                     start_jitter=50.0, velocity_jitter=2.0, seed=seed)
+    n = str(threads)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path),
+               OPENBLAS_NUM_THREADS=n, OMP_NUM_THREADS=n, MKL_NUM_THREADS=n)
+    with tempfile.TemporaryDirectory() as tmp:
+        weights = os.path.join(tmp, "bench.bxw")
+        save_model(params, weights)
+        child = subprocess.run(
+            [sys.executable, "-m", "boxcast.evaluation", weights,
+             repr(float(duration)), str(n_windows), str(_check_seed(seed))],
+            env=env, capture_output=True, text=True)
+    if child.returncode != 0:
+        last = (child.stderr.strip().splitlines() or ["no error output"])[-1]
+        raise ChildProcessError(f"the benchmark process (BLAS threads {n}) "
+                                f"exited with code {child.returncode}: {last}")
+    total, elapsed = json.loads(child.stdout.splitlines()[-1])
+    d, tps = params.dims, total / elapsed
+    return BenchReport(threads=threads, trajectories_per_second=tps,
+                       equivalent_fps=tps * d.p, n_predictions=total,
+                       elapsed_s=elapsed, k=d.k, p=d.p, hidden=d.hidden,
+                       latent=d.latent)
+
+
+def _bench_loop(argv: list[str]) -> None:
+    """The child process of `benchmark_tps`, given [weights, duration,
+    n_windows, seed]: prints [forecasts, elapsed seconds] of a timed loop
+    that runs at least one forecast."""
+    params, _meta = load_model(argv[0])
+    duration = float(argv[1])
+    spec = SynthSpec(kind="constant-velocity", length=params.dims.k,
+                     noise_std=1.0, start_jitter=50.0, velocity_jitter=2.0,
+                     seed=int(argv[3]))
     windows = [build_features(t.boxes).astype(np.float32)
-               for t in synth_tracks(spec, n_windows)]
-
-    counts = [0] * threads
-    stop = threading.Event()
-    barrier = threading.Barrier(threads + 1)
-
-    def worker(ti: int) -> None:
-        barrier.wait()
-        n = 0
-        while not stop.is_set():
-            predict_from_window(p32, windows[n % len(windows)])
-            n += 1
-        counts[ti] = n
-
-    pool = [threading.Thread(target=worker, args=(ti,), daemon=True)
-            for ti in range(threads)]
-    for th in pool:
-        th.start()
-    barrier.wait()
-    t0 = time.perf_counter()
-    time.sleep(duration)
-    stop.set()
-    for th in pool:
-        th.join()
-    elapsed = time.perf_counter() - t0
-    total = int(sum(counts))
-    return BenchReport(
-        threads=threads,
-        trajectories_per_second=total / elapsed,
-        equivalent_fps=total / elapsed * d.p,
-        n_predictions=total,
-        per_thread=list(counts),
-        elapsed_s=elapsed,
-        duration_s=duration,
-        k=d.k, p=d.p, hidden=d.hidden, latent=d.latent,
-    )
+               for t in synth_tracks(spec, int(argv[2]))]
+    n, t0, elapsed = 0, time.perf_counter(), 0.0
+    while elapsed < duration:
+        predict_from_window(params, windows[n % len(windows)])
+        n, elapsed = n + 1, time.perf_counter() - t0
+    print(json.dumps([n, elapsed]))
 
 
 # ---------------------------------------------------------------------------
@@ -357,3 +361,6 @@ def ablation_run(minitracks: list[MiniTrack], cfg, modes=LOSS_MODES,
                          "ade": rep.ade, "fde": rep.fde})
     return rows
 
+
+if __name__ == "__main__":
+    _bench_loop(sys.argv[1:])

@@ -11,19 +11,23 @@ Two kinds of entry:
 
 - ``weight_files``: the ``save_model`` bytes of seeded ``init_params``
   models. No BLAS product makes them, so one set holds everywhere.
-- ``environments``: forecasts and ``loss_and_grads`` results, which come
-  from BLAS products and so may round apart from one BLAS build, CPU or
-  thread count to another. Each record is keyed by `environment_stamp`; a
-  test run whose stamp has no record skips these entries.
+- ``environments``: forecasts, ``loss_and_grads`` results and the result
+  files of one tiny command-line run, which come from BLAS products and so
+  may round apart from one BLAS build, CPU or thread count to another.
+  Each record is keyed by `environment_stamp`; a test run whose stamp has
+  no record skips these entries.
 
 The entries cover each class of the recurrent product's tiling (one row,
-small tiled batches, one product, and the two-block forecast set) and the
-training step in every loss mode, carry on and off, untiled and tiled.
+small tiled batches, one product, and the two-block forecast set), the
+training step in every loss mode, carry on and off, untiled and tiled, and
+the files that `synth`, `train`, `eval` and `predict` write.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import sys
@@ -35,6 +39,7 @@ from typing import Callable
 import numpy as np
 
 from boxcast import model
+from boxcast.cli import main as cli_main
 from boxcast.model import (LOSS_MODES, LossWeights, ModelDims, init_params,
                            loss_and_grads, predict_from_window)
 from boxcast.training import save_model
@@ -46,6 +51,8 @@ SMALL = ModelDims(k=30, p=60, hidden=32, latent=16)
 # hidden 64 at 50 rows: each step runs two row tiles of ``wh``
 TILED = ModelDims(k=30, p=60, hidden=64, latent=32)
 FORECAST_ROWS = (1, 2, 6, 12, 13, 70)
+CLI_FILES = ("synth.csv", "train/model.bxw", "train/history.csv",
+             "eval/metrics.csv", "eval/per_step.csv", "predict.csv")
 
 
 def environment_stamp() -> dict:
@@ -130,6 +137,35 @@ def _training(dims: ModelDims, dtype, n: int, mode: str, carry: bool
                    *(p for name, g in grads.items() for p in (name, g)))
 
 
+@lru_cache(maxsize=None)
+def _cli_run() -> dict[str, bytes]:
+    """The result files of one tiny synth -> train -> eval -> predict run,
+    by their `CLI_FILES` name. ``history.csv`` loses its last column, the
+    epoch's wall-clock seconds."""
+    tiny = ["--k", "3", "--p", "4", "--hidden", "8", "--latent", "4",
+            "--stride", "4"]
+    with tempfile.TemporaryDirectory() as tmp, \
+            contextlib.redirect_stdout(io.StringIO()):
+        root = Path(tmp)
+        data, weights = root / "synth.csv", root / "train" / "model.bxw"
+        for argv in (
+                ["synth", "--out", data, "--count", "6", "--length", "14",
+                 "--seed", "3", "--start-jitter", "6"],
+                ["train", "--out", root / "train", "--data", data, *tiny,
+                 "--batch-size", "4", "--epochs", "2", "--seed", "5"],
+                ["eval", "--out", root / "eval", "--data", data,
+                 "--weights", weights, "--stride", "4"],
+                ["predict", "--out", root / "predict.csv",
+                 "--data", data, "--weights", weights]):
+            if cli_main([str(a) for a in argv]) != 0:
+                raise RuntimeError(f"boxcast {argv[0]} failed")
+        files = {name: (root / name).read_bytes() for name in CLI_FILES}
+    files["train/history.csv"] = b"".join(
+        line.rsplit(b",", 1)[0] + b"\n"
+        for line in files["train/history.csv"].splitlines())
+    return files
+
+
 def weight_file_entries() -> dict[str, Callable[[], str]]:
     """Entry name -> the function that computes its digest, for the
     entries every environment shares."""
@@ -153,6 +189,8 @@ def environment_entries() -> dict[str, Callable[[], str]]:
                     entries[name] = (
                         lambda dims=dims, dtype=dtype, n=n, mode=mode,
                         carry=carry: _training(dims, dtype, n, mode, carry))
+    for name in CLI_FILES:
+        entries[f"cli/{name}"] = lambda name=name: _digest(_cli_run()[name])
     return entries
 
 

@@ -369,13 +369,10 @@ def test_07_throughput_benchmark(full_size_params, capsys):
     cores = os.cpu_count() or 1
     single = benchmark_tps(full_size_params, threads=1, duration=1.0,
                            n_windows=16, seed=0)
-    blas = ", ".join(f"{name}={os.environ[name]}"
-                     for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
-                     if name in os.environ) or "unset: BLAS default"
     detail = (f"single-thread {single.trajectories_per_second:.2f} TPS "
               f"(= {single.equivalent_fps:.0f} frames/s, "
               f"{single.n_predictions} forecasts in {single.elapsed_s:.2f}s; "
-              f"one Python thread, BLAS threads {blas}, "
+              f"1 BLAS thread (child process), "
               f"os.cpu_count() {os.cpu_count()})")
     hardware_ok = True
     if cores >= 4:
@@ -384,7 +381,7 @@ def test_07_throughput_benchmark(full_size_params, capsys):
         hardware_ok = (single.trajectories_per_second >= 20.0
                        and multi.trajectories_per_second
                        > single.trajectories_per_second)
-        detail += (f"; 4-thread {multi.trajectories_per_second:.2f} TPS "
+        detail += (f"; 4 BLAS threads {multi.trajectories_per_second:.2f} TPS "
                    f"(floor and scaling asserted: {hardware_ok})")
     else:
         detail += (f"; host has {cores} core(s), so the >= 4-core floor "

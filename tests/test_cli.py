@@ -5,6 +5,7 @@ contract."""
 
 import csv
 import os
+import subprocess
 import tempfile
 import threading
 import warnings
@@ -335,12 +336,12 @@ class TestBench:
     def test_thread_counts_over_the_ceiling_start_nothing(
             self, tmp_path, monkeypatch, capsys, via, counts):
         """A count above 4 x the CPU count (or below 1) exits 2 while the
-        options are read, before any thread starts or any file is
-        written: `Thread.start` raises if it is reached."""
-        def refuse(thread):
-            raise AssertionError("a thread was started")
+        options are read, before any process starts or any file is
+        written: `subprocess.run` raises if it is reached."""
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("a process was started")
 
-        monkeypatch.setattr(threading.Thread, "start", refuse)
+        monkeypatch.setattr(subprocess, "run", refuse)
         ceiling = 4 * (os.cpu_count() or 1)
         value = counts.format(over=ceiling + 1)
         out = tmp_path / "bench"
@@ -393,6 +394,28 @@ class TestBench:
                                                 "float32"]
         assert float(dims["trajectories_per_second"]) > 0.0
         assert f"weights = {weights}" in (out / "config.txt").read_text()
+
+    def test_a_failed_child_exits_three_with_its_last_error_line(
+            self, tmp_path, monkeypatch, capsys):
+        """A measuring process that fails ends `bench` with exit 3 and one
+        line quoting the child's last stderr line, and leaves no output."""
+        def run(argv, **_kwargs):
+            return subprocess.CompletedProcess(
+                argv, 1, stdout="",
+                stderr="Traceback (most recent call last):\n  ...\n"
+                       "MemoryError: Unable to allocate 1.00 GiB\n")
+
+        monkeypatch.setattr(subprocess, "run", run)
+        out = tmp_path / "bench"
+        assert main(["bench", "--out", str(out), "--threads", "2",
+                     "--k", "3", "--p", "3", "--hidden", "4",
+                     "--latent", "2", "--duration", "0.01"]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "data error: the benchmark process (BLAS threads 2) exited "
+            "with code 1: MemoryError: Unable to allocate 1.00 GiB\n")
+        assert captured.out == ""
+        assert not out.exists()
 
     def test_thread_ceiling_itself_is_accepted(self):
         ceiling = 4 * (os.cpu_count() or 1)

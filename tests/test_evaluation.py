@@ -3,7 +3,7 @@ baselines on kinematics they should nail exactly, fold aggregation, the
 throughput benchmark, and the loss-mode ablation harness."""
 
 import math
-import threading
+import subprocess
 from dataclasses import replace
 
 import numpy as np
@@ -458,7 +458,6 @@ class TestBenchmark:
         params = init_params(ModelDims(k=5, p=6, hidden=8, latent=4), seed=5)
         report = benchmark_tps(params, threads=1, duration=0.05, n_windows=4)
         assert report.n_predictions > 0
-        assert report.per_thread == [report.n_predictions]
         assert report.trajectories_per_second == pytest.approx(
             report.n_predictions / report.elapsed_s)
         assert report.equivalent_fps == pytest.approx(
@@ -467,12 +466,26 @@ class TestBenchmark:
         assert report.dtype == "float32"
         assert (report.k, report.p) == (5, 6)
 
-    def test_two_threads_report_per_thread_counts(self):
+    def test_two_threads_start_one_child_at_two_blas_threads(self,
+                                                             monkeypatch):
+        """A count runs in one child process, whose BLAS thread-count
+        variables all hold that count."""
+        calls = []
+        real = subprocess.run
+
+        def run(*args, **kwargs):
+            calls.append(kwargs["env"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(subprocess, "run", run)
         params = init_params(ModelDims(k=5, p=6, hidden=8, latent=4), seed=6)
         report = benchmark_tps(params, threads=2, duration=0.05, n_windows=4)
-        assert len(report.per_thread) == 2
-        assert sum(report.per_thread) == report.n_predictions
-        assert all(c > 0 for c in report.per_thread)
+        [env] = calls
+        assert [env[name] for name in ("OPENBLAS_NUM_THREADS",
+                                       "OMP_NUM_THREADS",
+                                       "MKL_NUM_THREADS")] == ["2", "2", "2"]
+        assert report.threads == 2
+        assert report.n_predictions > 0
 
     def test_validation(self):
         params = init_params(ModelDims(k=5, p=6, hidden=8, latent=4), seed=7)
@@ -485,13 +498,15 @@ class TestBenchmark:
             benchmark_tps(params, n_windows=0)
 
     @pytest.mark.parametrize("duration", [math.inf, 1e300])
-    def test_duration_beyond_the_sleep_limit_starts_no_thread(self,
-                                                              duration):
+    def test_duration_beyond_the_sleep_limit_starts_no_process(
+            self, duration, monkeypatch):
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("a process was started")
+
+        monkeypatch.setattr(subprocess, "run", refuse)
         params = init_params(ModelDims(k=5, p=6, hidden=8, latent=4), seed=7)
-        before = threading.active_count()
         with pytest.raises(ConfigError, match="duration"):
             benchmark_tps(params, duration=duration, n_windows=4)
-        assert threading.active_count() == before
 
 
 class TestAblation:

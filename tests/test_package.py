@@ -1,6 +1,6 @@
 """Package hygiene: every name a module imports is used or exported, every
-exported name exists, no module keeps a separate `validate` step, and
-every weight-gradient product is formed in `nn`."""
+exported name exists, no module keeps a separate `validate` step, every
+weight-gradient product is formed in `nn`, and no module starts a thread."""
 
 import ast
 import importlib
@@ -84,3 +84,19 @@ def test_weight_gradient_products_are_formed_in_nn(name):
                        and isinstance(n.left, ast.Attribute)
                        and n.left.attr == "T"]
     assert transposed_left == []
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_module_starts_a_thread(name):
+    """`benchmark_tps` measures a thread count in a child process at that
+    many BLAS threads, so the package reads nothing from `threading` but
+    its ``TIMEOUT_MAX`` (the duration bound) and imports no other
+    concurrency module."""
+    tree = ast.parse((SRC / f"{name}.py").read_text(encoding="utf-8"))
+    read = {n.attr for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
+            and n.value.id == "threading"}
+    assert read <= {"TIMEOUT_MAX"}
+    assert not {"concurrent", "multiprocessing", "_thread"} & _imported(tree)
+    assert not any(isinstance(n, ast.ImportFrom) and n.module == "threading"
+                   for n in ast.walk(tree))
