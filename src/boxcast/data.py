@@ -439,10 +439,8 @@ def slice_minitracks(track: Track, window: int = 90,
     so the first delta row of the feature window is real. Short tracks give
     an empty list.
     """
-    if window < 2:
-        raise ConfigError(f"window must be at least 2, got {window}")
-    if stride < 1:
-        raise ConfigError(f"stride must be at least 1, got {stride}")
+    _check_int("window", window, 2, "{name} must be at least {lo}, got {v}")
+    _check_int("stride", stride, 1, "{name} must be at least {lo}, got {v}")
     out = []
     boxes = track.boxes
     for offset in range(0, len(boxes) - window + 1, stride):
@@ -497,8 +495,7 @@ class FoldSplit:
 
 def split_folds(tracks, n_folds: int = 3, seed: int = 0) -> FoldSplit:
     """Seeded shuffle then round-robin assignment of tracks to folds."""
-    if n_folds < 2:
-        raise ConfigError(f"need at least 2 folds, got {n_folds}")
+    _check_int("n_folds", n_folds, 2, "need at least {lo} folds, got {v}")
     keys = [t.key for t in tracks]
     if len(set(keys)) != len(keys):
         raise DataError("duplicate track keys in fold input")
@@ -589,6 +586,17 @@ def _is_int(v) -> bool:
     """The one integer test of the field rules: a Python or NumPy integer,
     never a bool."""
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def _check_int(name: str, v, lo: int,
+               message: str = "{name} must be >= {lo}, got {v}") -> None:
+    """A ConfigError unless ``v`` is an int (`_is_int`) of at least ``lo``:
+    ``message``, formatted with ``name``, ``lo`` and ``v``, for an int
+    below ``lo``. A float or a bool would otherwise run as a count."""
+    if not _is_int(v):
+        raise ConfigError(f"{name} must be an int, got {v!r}")
+    if v < lo:
+        raise ConfigError(message.format(name=name, lo=lo, v=v))
 
 
 def _check_seed(seed) -> int:

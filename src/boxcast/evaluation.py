@@ -38,7 +38,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import MiniTrack, SynthSpec, _check_seed, synth_tracks
+from .data import MiniTrack, SynthSpec, _check_int, _check_seed, synth_tracks
 from .errors import ConfigError, DataError, NumericError, ShapeError
 from .model import (
     LOSS_MODES,
@@ -194,8 +194,7 @@ def baseline_predict(kind: str, past_boxes, steps: int) -> np.ndarray:
     if kind not in BASELINE_KINDS:
         raise ConfigError(
             f"unknown baseline {kind!r}; pick one of {BASELINE_KINDS}")
-    if steps < 1:
-        raise ConfigError(f"steps must be >= 1, got {steps}")
+    _check_int("steps", steps, 1)
     try:
         arr = np.asarray(past_boxes)
     except TypeError as e:  # e.g. a `Boxes`, which is not iterable
@@ -266,10 +265,8 @@ def benchmark_tps(params: ModelParams, threads: int = 1, duration: float = 1.0,
     over that loop's wall-clock. A child that fails raises
     ChildProcessError quoting its last stderr line.
     """
-    if threads < 1:
-        raise ConfigError(f"threads must be >= 1, got {threads}")
-    if n_windows < 1:
-        raise ConfigError(f"n_windows must be >= 1, got {n_windows}")
+    _check_int("threads", threads, 1)
+    _check_int("n_windows", n_windows, 1)
     if not 0 < duration <= threading.TIMEOUT_MAX:
         raise ConfigError(f"duration must be positive and at most "
                           f"{threading.TIMEOUT_MAX:g} s, got {duration}")

@@ -393,8 +393,9 @@ def _run_constant_decoder(cell: LstmCellParams, head: LinearParams,
 
     The input projection ``z @ wx.T + bx + bh`` is computed once and reused,
     which is what makes the inference path cheap. The sequence keeps no
-    stack of hidden states, so each step's head product is taken in the
-    loop, as soon as the step has written its h, into that step's rows of
+    stack of hidden states, only its one (n, H) ``seq.h``, so each step's
+    head product is taken in the loop, as soon as the step has written
+    its h and before the next step overwrites it, into that step's rows of
     one (steps, n, out) buffer; the bias is added once after the loop.
     These are the bits of one stacked product over the (steps, n, H)
     hidden states, which numpy runs as the same per-step products. The
@@ -410,7 +411,7 @@ def _run_constant_decoder(cell: LstmCellParams, head: LinearParams,
     w = head.w.T
     for t in range(steps):
         _lstm_cell_from_preact(cell, x_pre, seq, t)
-        np.dot(seq.h[(t + 1) % 2], w, out=rows[t])
+        np.dot(seq.h, w, out=rows[t])
     rows += head.b
     return seq, np.moveaxis(rows, 0, -2)
 
@@ -466,18 +467,19 @@ def encode(params: ModelParams, window: np.ndarray
            ) -> tuple[np.ndarray, LstmCellState]:
     """Map a (..., k, 8) window to (latent vector z, encoder final state).
 
-    The returned state is the raw final (h, c), copied out of the
-    encoder's buffers; the ReLU sits only on the path into the latent
-    projection. All three are in ``params.dtype``, with the window's batch
-    shape.
+    The returned state is the raw final (h, c), which shares no memory
+    with the encoder's stacks; the ReLU sits only on the path into the
+    latent projection. All three are in ``params.dtype``, with the
+    window's batch shape.
     """
     rows, batch = _as_rows(params, "feature window", window,
                            (params.dims.k, INPUT_DIM))
     seq, _, z = _run_encoder(params, rows)
-    # copies, so no view keeps the sequence's buffers alive once it is freed
+    # ``seq.h`` is an array of its own, but the final c is a view into the
+    # cell-state stack: a copy, so no view keeps that stack alive
     final = seq.final
     z, h, c = (a.reshape(batch + a.shape[-1:])
-               for a in (z, final.h.copy(), final.c.copy()))
+               for a in (z, final.h, final.c.copy()))
     return z, LstmCellState(h, c)
 
 

@@ -17,8 +17,9 @@ two are simply added, so the effective bias is ``bx + bh``.
 An unrolled LSTM pass keeps its forward cache as buffers allocated once
 per sequence (`LstmSeq`): each step call writes its gates and new cell
 state into its own index of stacked buffers in place, and its new hidden
-state into one slot of a two-slot rolling buffer; no stack of hidden
-states is kept. The backward pass runs inside that cache:
+state over the one (N, H) hidden state of the pass, once its recurrent
+product has read it; no stack of hidden states is kept. The backward pass
+runs inside that cache:
 `lstm_gate_backward` reads step t's gate activations and overwrites them
 with their gradients, recomputing tanh(c) rather than storing it, and
 rebuilds h[t+1] = tanh(c[t+1]) * o, the forward's own product, in the
@@ -172,10 +173,10 @@ class LstmSeq:
             (`lstm_gate_backward`), and the caller puts ``h0`` into index 0,
             so after it ``c`` holds the hidden states h[0..T]: ``c[:-1]``
             are the steps' previous hidden states, ``c[1:]`` their outputs
-    h     : (2, N, H) rolling hidden state: step t reads h[t] from slot
-            t % 2 and writes h[t+1] into slot (t + 1) % 2
-    h0    : (N, H) copy of the initial hidden state, which slot 0 loses at
-            step 1
+    h     : (N, H) hidden state: step t reads h[t] from it and, once its
+            recurrent product is done, writes h[t+1] over it
+    h0    : (N, H) copy of the initial hidden state, which ``h`` loses at
+            step 0; the backward puts it into ``c[0]``
     cell  : the cell this pass runs, and ``bias`` its summed ``bx + bh``
     tiles : row slices of ``wh`` the recurrent product runs over, one per
             matrix product, each the largest power of two of rows (4H at
@@ -186,11 +187,12 @@ class LstmSeq:
             in the sigmoid lanes, 1 and -0.0 in the g lane
 
     tanh(c) is not kept: the backward pass recomputes it from ``c``.
-    `final` is the state step T-1 wrote, valid only before the backward
-    pass, which turns ``c[-1]`` into h[T]. `start` checks the state shape
-    once for the whole pass: (N, H) rows, a single sample being one row;
-    any other shape is a ShapeError. Each step call fills its own index,
-    and its slot of ``h``, in place. The network runs in the cell's dtype.
+    `final` is ``h`` and ``c[-1]``, the state step T-1 wrote, valid only
+    before the backward pass, which turns ``c[-1]`` into h[T]. `start`
+    checks the state shape once for the whole pass: (N, H) rows, a single
+    sample being one row; any other shape is a ShapeError. Each step call
+    fills its own index, and ``h``, in place. The network runs in the
+    cell's dtype.
     """
 
     cell: LstmCellParams
@@ -215,21 +217,20 @@ class LstmSeq:
         dtype = cell.wh.dtype
         c = np.empty((steps + 1, n, H), dtype=dtype)
         c[0] = init.c
-        h = np.empty((2, n, H), dtype=dtype)
-        h[0] = init.h
+        h = init.h.astype(dtype, order="C")
         tiles = ()
         if 0 < n * H <= TILE_MAX_NH:
             r = min(4 * H, 1 << ((TILE_MACS // (n * H)).bit_length() - 1))
             tiles = tuple(slice(j, j + r) for j in range(0, 4 * H, r))
         return cls(cell=cell, bias=cell.bx + cell.bh,
                    gates=np.empty((steps, n, 4 * H), dtype=dtype),
-                   c=c, h=h, h0=h[0].copy(), tiles=tiles,
+                   c=c, h=h, h0=h.copy(), tiles=tiles,
                    scale=np.repeat(np.array(_LANE_SCALE, dtype), H),
                    shift=np.repeat(np.array(_LANE_SHIFT, dtype), H))
 
     @property
     def final(self) -> LstmCellState:
-        return LstmCellState(self.h[len(self.gates) % 2], self.c[-1])
+        return LstmCellState(self.h, self.c[-1])
 
 
 def _gate_lanes(a: np.ndarray, H: int) -> tuple[np.ndarray, ...]:
@@ -268,12 +269,12 @@ def _lstm_cell_from_preact(params: LstmCellParams, x_pre: np.ndarray,
     # each step starts on the tile the previous one read last, which the
     # L2 still partly holds (see the module docstring). Each gate's
     # pre-activation is its own dot product, so neither the in-place form
-    # nor the order moves a bit.
-    h_prev = seq.h[t % 2]
+    # nor the order moves a bit. Every product reads all of h before the
+    # step writes h[t+1] over it below.
     if not seq.tiles:
-        a[...] = (params.wh @ h_prev.T).T
+        a[...] = (params.wh @ seq.h.T).T
     for tile in seq.tiles[::-1] if t % 2 else seq.tiles:
-        np.matmul(params.wh[tile], h_prev.T, out=a[:, tile].T)
+        np.matmul(params.wh[tile], seq.h.T, out=a[:, tile].T)
     a += x_pre
     # One tanh pass over all four lanes, since sigmoid(x) = (1 + tanh(x/2))/2:
     # halve the sigmoid lanes, tanh everything, then map those lanes back,
@@ -286,7 +287,7 @@ def _lstm_cell_from_preact(params: LstmCellParams, x_pre: np.ndarray,
     c = seq.c[t + 1]
     np.multiply(f, seq.c[t], out=c)
     c += i * g
-    h = np.tanh(c, out=seq.h[(t + 1) % 2])
+    h = np.tanh(c, out=seq.h)
     h *= o
 
 

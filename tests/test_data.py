@@ -574,10 +574,26 @@ class TestSlicing:
         assert [mt.track_id for mt in mts] == ["a", "b", "b", "b"]
 
     def test_bad_window_or_stride(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError,
+                           match="^window must be at least 2, got 1$"):
             slice_minitracks(make_track(10), window=1, stride=30)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError,
+                           match="^stride must be at least 1, got 0$"):
             slice_minitracks(make_track(10), window=5, stride=0)
+
+    @pytest.mark.parametrize("name, value", [
+        ("window", 2.5), ("window", True), ("stride", 1.5),
+        ("stride", True)])
+    def test_window_and_stride_must_be_ints(self, name, value):
+        """A float ended in a bare TypeError from ``range()`` and
+        ``stride=True`` ran as 1; a NumPy int is an int."""
+        kwargs = {"window": 5, "stride": 2, name: value}
+        with pytest.raises(ConfigError, match=f"^{name} must be an int, "
+                                              f"got {value!r}$"):
+            slice_minitracks(make_track(10), **kwargs)
+        mts = slice_minitracks(make_track(10), window=np.int64(5),
+                               stride=np.int64(2))
+        assert [mt.start_frame for mt in mts] == [0, 2, 4]
 
 
 class TestFolds:
@@ -615,9 +631,21 @@ class TestFolds:
         b = split_folds(tracks, n_folds=3, seed=1)
         assert any(a.test_keys(f) != b.test_keys(f) for f in range(3))
 
+    @pytest.mark.parametrize("n_folds", [2.5, True])
+    def test_n_folds_must_be_an_int(self, n_folds):
+        """2.5 ended in a bare TypeError from ``range()``; a NumPy int is
+        an int."""
+        tracks = [make_track(5, track_id=f"t{i}") for i in range(6)]
+        with pytest.raises(ConfigError, match=f"^n_folds must be an int, "
+                                              f"got {n_folds!r}$"):
+            split_folds(tracks, n_folds=n_folds)
+        split = split_folds(tracks, n_folds=np.int64(3))
+        assert [len(split.test_keys(f)) for f in range(3)] == [2, 2, 2]
+
     def test_validation(self):
         tracks = [make_track(5, track_id=f"t{i}") for i in range(3)]
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="^need at least 2 folds, "
+                                              "got 1$"):
             split_folds(tracks, n_folds=1)
         with pytest.raises(ConfigError, match="cannot split"):
             split_folds(tracks[:2], n_folds=3)

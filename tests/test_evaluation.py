@@ -242,6 +242,20 @@ class TestBaselines:
                                        "constant-acceleration", "stationary"}
 
     @pytest.mark.parametrize("kind", BASELINE_KINDS)
+    def test_steps_must_be_an_int(self, kind):
+        """A float or a bool is no step count for any kind: 2.5 gave 2
+        boxes from `np.repeat` but 3 from the velocity kinds'
+        ``np.arange(1, steps + 1)``, and True gave 1. A NumPy int is one."""
+        boxes = np.tile([0.0, 0.0, 2.0, 2.0], (3, 1))
+        for steps in (2.5, True):
+            with pytest.raises(ConfigError, match=f"^steps must be an int, "
+                                                  f"got {steps!r}$"):
+                baseline_predict(kind, boxes, steps)
+        with pytest.raises(ConfigError, match="^steps must be >= 1, got 0$"):
+            baseline_predict(kind, boxes, np.int64(0))
+        assert baseline_predict(kind, boxes, np.int64(3)).shape == (3, 4)
+
+    @pytest.mark.parametrize("kind", BASELINE_KINDS)
     def test_a_boxes_is_refused_for_its_rows(self, kind):
         boxes = Boxes(np.tile([0.0, 0.0, 2.0, 2.0], (3, 1)), range(3))
         with pytest.raises(ShapeError, match="not an array"):
@@ -496,6 +510,25 @@ class TestBenchmark:
         with pytest.raises(ConfigError, match="^n_windows must be >= 1, "
                                               "got 0$"):
             benchmark_tps(params, n_windows=0)
+
+    @pytest.mark.parametrize("name, value", [
+        ("threads", True), ("threads", 1.0), ("n_windows", 2.5),
+        ("n_windows", True)])
+    def test_counts_must_be_ints_and_start_no_process(self, name, value,
+                                                       monkeypatch):
+        """A float or a bool thread or window count is refused before the
+        weight file is written or a process starts: ``n_windows=2.5``
+        started a child that failed, and ``threads=True`` ran with
+        ``OPENBLAS_NUM_THREADS=True``."""
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("a process was started")
+
+        monkeypatch.setattr(subprocess, "run", refuse)
+        monkeypatch.setattr(evaluation, "save_model", refuse)
+        params = init_params(ModelDims(k=5, p=6, hidden=8, latent=4), seed=7)
+        with pytest.raises(ConfigError, match=f"^{name} must be an int, "
+                                              f"got {value!r}$"):
+            benchmark_tps(params, **{name: value})
 
     @pytest.mark.parametrize("duration", [math.inf, 1e300])
     def test_duration_beyond_the_sleep_limit_starts_no_process(

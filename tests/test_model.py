@@ -1000,9 +1000,9 @@ class TestTrainingMemory:
 
 class TestNoHiddenStateStack:
     """No LSTM pass keeps a (T+1, n, H) stack of hidden states: a pass
-    holds its gates, its cell-state stack, a two-slot rolling h and a copy
-    of its initial h, and the backward rebuilds the hidden states in the
-    cell-state stack. Tracemalloc peaks at hidden 64, latent 32, k 30,
+    holds its gates, its cell-state stack, one (n, H) hidden state and a
+    copy of its initial h, and the backward rebuilds the hidden states in
+    the cell-state stack. Tracemalloc peaks at hidden 64, latent 32, k 30,
     p 60, float64, against that cache arithmetic."""
 
     DIMS = ModelDims(k=30, p=60, hidden=64, latent=32)
@@ -1010,10 +1010,10 @@ class TestNoHiddenStateStack:
     @classmethod
     def cache_bytes(cls, steps, rows):
         """Bytes of one float64 pass's caches: (steps, rows, 4H) gates,
-        (steps + 1, rows, H) cell states, and three (rows, H) hidden
-        states (the two rolling slots and the initial copy)."""
+        (steps + 1, rows, H) cell states, and two (rows, H) hidden states
+        (the pass's h and the initial copy)."""
         H = cls.DIMS.hidden
-        return 8 * rows * H * (4 * steps + (steps + 1) + 3)
+        return 8 * rows * H * (4 * steps + (steps + 1) + 2)
 
     @staticmethod
     def traced_peak(fn, *args):
@@ -1044,11 +1044,11 @@ class TestNoHiddenStateStack:
 
     def test_forecast_holds_one_decoder_pass(self):
         """A 64-row `predict_from_window` peaks within 1.12x of the future
-        decoder's caches (measured 1.04): the encoder's buffers are freed
-        before the decoder allocates, since `encode` returns copies of its
-        final state, and neither pass keeps an h stack (the encoder's
-        cell-state stack kept alive by a view, with both h stacks, read
-        1.44)."""
+        decoder's caches (measured 1.04): the encoder's stacks are freed
+        before the decoder allocates, since `encode` returns the encoder's
+        own h and a copy of its final c, and neither pass keeps an h stack
+        (the encoder's cell-state stack kept alive by a view, with both h
+        stacks, read 1.44)."""
         dims, n = self.DIMS, 64
         params = init_params(dims, seed=6)
         window = np.random.default_rng(6).normal(size=(n, dims.k, 8))

@@ -417,11 +417,10 @@ class TestRecurrentTiles:
                                                      dtype):
         """A 4-step pass, whose odd steps walk the tiles backward, equals
         `reference_pass` bit for bit in its gates and cell states, in the
-        hidden state each step leaves in its slot of the rolling buffer,
-        and in its final state. At one row the reference runs the one
-        product over all of ``wh``; at 2 to 12 rows, whose tiles round
-        apart from that product, it runs the same tiles in forward
-        order."""
+        one (N, H) hidden state after each step, and in its final state.
+        At one row the reference runs the one product over all of ``wh``;
+        at 2 to 12 rows, whose tiles round apart from that product, it
+        runs the same tiles in forward order."""
         rng = np.random.default_rng(40 + sum(batch_shape))
         cell, init, _ = full_size_step_inputs(rng, batch_shape)
         cell = LstmCellParams(*(t.astype(dtype) for t in
@@ -433,11 +432,11 @@ class TestRecurrentTiles:
         assert len(seq.tiles) > 1
         tiles = () if len(init.h) == 1 else seq.tiles
         gates, c, h = reference_pass(cell, init, x_pres, tiles)
-        assert seq.h.shape == (2,) + batch_shape + (H,)
+        assert seq.h.shape == batch_shape + (H,)
         np.testing.assert_array_equal(seq.h0, h[0])
         for t, x_pre in enumerate(x_pres):
             _lstm_cell_from_preact(cell, x_pre, seq, t)
-            np.testing.assert_array_equal(seq.h[(t + 1) % 2], h[t + 1])
+            np.testing.assert_array_equal(seq.h, h[t + 1])
         for got, want in ((seq.gates, gates), (seq.c, c),
                           (seq.final.h, h[-1]), (seq.final.c, c[-1])):
             assert got.dtype == dtype
@@ -449,8 +448,8 @@ class TestRecurrentTiles:
         """After `model._unroll_backward` the cell-state stack holds the
         hidden states h[0..T] of `reference_pass` bit for bit: each step's
         backward rebuilds tanh(c) * o in its spent cell-state slot, and
-        the initial h goes into c[0]. A 5-step pass, so both parities of
-        the rolling buffer end a pass."""
+        the initial h goes into c[0]. A 5-step pass, whose odd steps walk
+        the tiles backward."""
         rng = np.random.default_rng(60 + n)
         cell, init, _ = full_size_step_inputs(rng, (n,))
         cell = LstmCellParams(*(t.astype(dtype) for t in
@@ -469,6 +468,24 @@ class TestRecurrentTiles:
         _unroll_backward(seq, dh, dc, None, None, grads)
         assert seq.c.dtype == dtype
         np.testing.assert_array_equal(seq.c, h)
+
+    @pytest.mark.parametrize("n", [1, 6, 100])
+    def test_a_pass_writes_its_hidden_state_in_place(self, n):
+        """Every step of a pass writes over the one (n, H) array ``seq.h``,
+        an array of its own that `final` returns as it is: no step
+        allocates a hidden state. One row runs the halves of ``wh``, 6 rows
+        its tiles and 100 rows one product."""
+        rng = np.random.default_rng(80 + n)
+        cell, init, _ = full_size_step_inputs(rng, (n,))
+        x_pres = rng.normal(size=(3, n, 4 * cell.hidden_size)
+                            ).astype(np.float32)
+        seq = LstmSeq.start(cell, init, len(x_pres))
+        assert len(seq.tiles) == {1: 2, 6: 16, 100: 0}[n]
+        h = seq.h
+        assert h.base is None and h.shape == (n, cell.hidden_size)
+        for t, x_pre in enumerate(x_pres):
+            _lstm_cell_from_preact(cell, x_pre, seq, t)
+        assert seq.h is h and seq.final.h is h
 
     @pytest.mark.parametrize("n", [1, TILE_MAX_NH // 4 + 1])
     @pytest.mark.parametrize("t", [0, 1])
