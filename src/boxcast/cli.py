@@ -20,7 +20,6 @@ from typing import Any, Callable
 import numpy as np
 
 from .data import (
-    CsvFormat,
     SynthSpec,
     _atomic_open,
     _write_rows,
@@ -318,8 +317,7 @@ def _write_echo(path: str, command: str, vals: dict[str, Any],
 
 def _load_tracks(vals: dict[str, Any], key: str = "data"):
     """The tracks of the CSV named by option ``key``; none is a DataError."""
-    fmt = CsvFormat(corner_format=vals.get("corner_format", False))
-    tracks = parse_tracks(vals[key], fmt)
+    tracks = parse_tracks(vals[key], vals.get("corner_format", False))
     if not tracks:
         raise DataError(f"no tracks found in {vals[key]}")
     return tracks
@@ -388,10 +386,9 @@ def _cmd_train(vals: dict[str, Any]) -> None:
 
     # every fold is sliced first, so a fold too short to slice leaves no
     # output behind
-    split = split_folds(tracks, n_folds=vals["folds"], seed=cfg.seed)
     folds = []
-    for fold in range(vals["folds"]):
-        train_tracks, test_tracks = split.partition(tracks, fold)
+    for fold, (train_tracks, test_tracks) in enumerate(
+            split_folds(tracks, n_folds=vals["folds"], seed=cfg.seed)):
         folds.append((len(train_tracks), len(test_tracks),
                       _minitracks(train_tracks, window, vals["stride"],
                                   "the training split"),

@@ -42,8 +42,6 @@ SYNTH_KINDS = ("constant-velocity", "constant-acceleration", "sinusoidal",
 __all__ = [
     "Box",
     "Boxes",
-    "CsvFormat",
-    "FoldSplit",
     "MiniTrack",
     "SYNTH_KINDS",
     "SynthSpec",
@@ -163,15 +161,9 @@ class MiniTrack:
         return len(self.boxes)
 
 
-@dataclass(frozen=True)
-class CsvFormat:
-    """Input CSV dialect: corner columns are converted to centroid/size."""
-
-    corner_format: bool = False
-
-
-def parse_tracks(path, fmt: CsvFormat = CsvFormat()) -> list[Track]:
-    """Read a track CSV into Track records.
+def parse_tracks(path, corner_format: bool = False) -> list[Track]:
+    """Read a track CSV into Track records; with ``corner_format`` its
+    header and boxes are the corner ones, converted to centroid and size.
 
     Rows group by (video_id, track_id) and sort by frame. A group whose
     frames have gaps is split at every gap into separate tracks whose ids
@@ -190,7 +182,8 @@ def parse_tracks(path, fmt: CsvFormat = CsvFormat()) -> list[Track]:
     and checks each row and names the first faulty line.
     """
     text = _read_utf8(path)
-    videos, track_ids, frames, xywh = _columns(text, fmt) or _rows(text, fmt)
+    videos, track_ids, frames, xywh = _columns(text, corner_format) \
+        or _rows(text, corner_format)
     if not videos:
         return []
     # a key is named by the first row that holds it, so keys sort in order
@@ -237,14 +230,14 @@ def _first_appearance_codes(column: list[str]) -> np.ndarray:
                        count=len(column))
 
 
-def _columns(text: str, fmt: CsvFormat):
+def _columns(text: str, corner_format: bool):
     """(videos, track_ids, frames, xywh) of the data rows of a plain
     ``text``: the stripped video_id and track_id columns as lists of
     strings, the int64 frames, and the (n, 4) (cx, cy, w, h) boxes. None
     when the text is not plain or any record is faulty; `_rows` then reads
     it, making the same checks."""
     fields = _plain_fields(text)
-    if fields is None or _header_error(fields[:7], fmt):
+    if fields is None or _header_error(fields[:7], corner_format):
         return None
     del fields[:7]
     try:
@@ -252,7 +245,7 @@ def _columns(text: str, fmt: CsvFormat):
         vals = np.array([list(map(float, fields[i::7])) for i in range(3, 7)])
     except (ValueError, OverflowError):
         return None
-    if fmt.corner_format:
+    if corner_format:
         x1, y1, x2, y2 = vals
         with np.errstate(over="ignore", invalid="ignore"):
             vals = np.stack([(x1 + x2) / 2.0, (y1 + y2) / 2.0,
@@ -300,8 +293,8 @@ def _blank(row: list[str]) -> bool:
     return not row or (len(row) == 1 and not row[0].strip())
 
 
-def _header_error(row: list[str], fmt: CsvFormat) -> ParseError | None:
-    expected = CORNER_HEADER if fmt.corner_format else CENTROID_HEADER
+def _header_error(row: list[str], corner_format: bool) -> ParseError | None:
+    expected = CORNER_HEADER if corner_format else CENTROID_HEADER
     if [c.strip() for c in row] == expected:
         return None
     return ParseError(f"header {row!r} does not match expected {expected!r}",
@@ -317,14 +310,14 @@ def _data_line(text: str, j: int) -> int:
     return next(islice(lines, j, None))
 
 
-def _rows(text: str, fmt: CsvFormat):
+def _rows(text: str, corner_format: bool):
     """`_columns` of any ``text``, read by the csv module one record at a
     time; blank records are dropped. Raises the ParseError of the first
     faulty record in file order: the header, then each row's CSV syntax,
     column count, numbers, frame range, and finite, positive box."""
     records = _records(text)
     first = next(records, None)
-    err = first and _header_error(first[1], fmt)
+    err = first and _header_error(first[1], corner_format)
     if err:
         raise err
     videos, track_ids, frames, vals = [], [], [], []
@@ -341,7 +334,7 @@ def _rows(text: str, fmt: CsvFormat):
         if not -2**63 <= frame < 2**63:
             raise ParseError(f"frame {frame} is outside the int64 range",
                              line=line)
-        if fmt.corner_format:
+        if corner_format:
             x1, y1, x2, y2 = box
             box = [(x1 + x2) / 2.0, (y1 + y2) / 2.0, x2 - x1, y2 - y1]
         w, h = box[2:]
@@ -462,39 +455,16 @@ def slice_all_minitracks(tracks, window: int = 90, stride: int = 30
     return out
 
 
-@dataclass
-class FoldSplit:
-    """Assignment of whole tracks to folds.
+def split_folds(tracks, n_folds: int = 3, seed: int = 0
+                ) -> list[tuple[list[Track], list[Track]]]:
+    """Each fold's (train, test) tracks: a seeded shuffle of the tracks is
+    dealt round-robin to ``n_folds`` folds; a fold's test side is its own
+    tracks and its train side those of every other fold, each sorted by
+    key, so the split alone fixes the order a fold's model is trained on.
 
     Splitting is always by track, never by mini-track, so overlapping
     windows of one track can never straddle the train/test boundary.
     """
-
-    n_folds: int
-    seed: int
-    folds: list[list[tuple[str, str]]]
-
-    def test_keys(self, fold: int) -> set[tuple[str, str]]:
-        return set(self.folds[fold])
-
-    def train_keys(self, fold: int) -> set[tuple[str, str]]:
-        keys: set[tuple[str, str]] = set()
-        for i, f in enumerate(self.folds):
-            if i != fold:
-                keys.update(f)
-        return keys
-
-    def partition(self, tracks, fold: int) -> tuple[list[Track], list[Track]]:
-        """(train, test): the tracks of the other folds and those of
-        ``fold``, each sorted by key, so the split alone fixes the order
-        a fold's model is trained on."""
-        by_key = {t.key: t for t in tracks}
-        return ([by_key[k] for k in sorted(self.train_keys(fold))],
-                [by_key[k] for k in sorted(self.test_keys(fold))])
-
-
-def split_folds(tracks, n_folds: int = 3, seed: int = 0) -> FoldSplit:
-    """Seeded shuffle then round-robin assignment of tracks to folds."""
     _check_int("n_folds", n_folds, 2, "need at least {lo} folds, got {v}")
     keys = [t.key for t in tracks]
     if len(set(keys)) != len(keys):
@@ -503,10 +473,11 @@ def split_folds(tracks, n_folds: int = 3, seed: int = 0) -> FoldSplit:
         raise ConfigError(
             f"cannot split {len(keys)} tracks into {n_folds} folds")
     order = np.random.default_rng(_check_seed(seed)).permutation(len(keys))
-    folds: list[list[tuple[str, str]]] = [[] for _ in range(n_folds)]
-    for j, idx in enumerate(order):
-        folds[j % n_folds].append(keys[int(idx)])
-    return FoldSplit(n_folds=n_folds, seed=seed, folds=folds)
+    fold_of = {keys[i]: j % n_folds for j, i in enumerate(order.tolist())}
+    ranked = sorted(tracks, key=lambda t: t.key)
+    return [([t for t in ranked if fold_of[t.key] != fold],
+             [t for t in ranked if fold_of[t.key] == fold])
+            for fold in range(n_folds)]
 
 
 @dataclass(frozen=True)

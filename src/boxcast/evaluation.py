@@ -168,11 +168,9 @@ def summarize_folds(reports: list[MetricReport]) -> dict:
     if not reports:
         raise ConfigError("no fold reports to summarize")
     return {
-        "n_folds": len(reports),
         "ade": float(np.mean([r.ade for r in reports])),
         "fde": float(np.mean([r.fde for r in reports])),
         "n_samples": int(sum(r.n_samples for r in reports)),
-        "weighting": "equal weight per fold (mean of fold means)",
     }
 
 
@@ -328,9 +326,12 @@ def ablation_run(minitracks: list[MiniTrack], cfg, modes=LOSS_MODES,
     Both protocols score the same set, ``eval_minitracks`` (the training
     set by default) of length cfg.k + cfg.p, stacked once; a horizon h
     scores the first h forecast and target steps, so a horizon beyond cfg.p
-    is a ConfigError in both protocols, raised before any model trains.
+    is a ConfigError in both protocols, raised before any model trains, as
+    is a horizon that is not an int (`data._is_int`) or is below 1.
     """
-    horizons = sorted(int(h) for h in horizons)
+    for h in horizons:  # a float or a bool would score a truncated horizon
+        _check_int("horizon", h, -np.inf)
+    horizons = sorted(map(int, horizons))
     if not horizons or horizons[0] < 1:
         raise ConfigError(f"bad horizons {horizons}")
     # built before any training, so a bad mode fails first

@@ -20,7 +20,8 @@ Two kinds of entry:
 The entries cover each class of the recurrent product's tiling (one row,
 small tiled batches, one product, and the two-block forecast set), the
 training step in every loss mode, carry on and off, untiled and tiled, and
-the files that `synth`, `train`, `eval` and `predict` write.
+the files that `synth`, `train` (one model and two folds), `eval` and
+`predict` write.
 """
 
 from __future__ import annotations
@@ -52,7 +53,9 @@ SMALL = ModelDims(k=30, p=60, hidden=32, latent=16)
 TILED = ModelDims(k=30, p=60, hidden=64, latent=32)
 FORECAST_ROWS = (1, 2, 6, 12, 13, 70)
 CLI_FILES = ("synth.csv", "train/model.bxw", "train/history.csv",
-             "eval/metrics.csv", "eval/per_step.csv", "predict.csv")
+             "train-folds/cv_summary.csv", "train-folds/fold_0/model.bxw",
+             "train-folds/fold_1/model.bxw", "eval/metrics.csv",
+             "eval/per_step.csv", "predict.csv")
 
 
 def environment_stamp() -> dict:
@@ -139,9 +142,9 @@ def _training(dims: ModelDims, dtype, n: int, mode: str, carry: bool
 
 @lru_cache(maxsize=None)
 def _cli_run() -> dict[str, bytes]:
-    """The result files of one tiny synth -> train -> eval -> predict run,
-    by their `CLI_FILES` name. ``history.csv`` loses its last column, the
-    epoch's wall-clock seconds."""
+    """The result files of one tiny synth -> train -> train --folds 2 ->
+    eval -> predict run, by their `CLI_FILES` name. ``history.csv`` loses
+    its last column, the epoch's wall-clock seconds."""
     tiny = ["--k", "3", "--p", "4", "--hidden", "8", "--latent", "4",
             "--stride", "4"]
     with tempfile.TemporaryDirectory() as tmp, \
@@ -153,6 +156,9 @@ def _cli_run() -> dict[str, bytes]:
                  "--seed", "3", "--start-jitter", "6"],
                 ["train", "--out", root / "train", "--data", data, *tiny,
                  "--batch-size", "4", "--epochs", "2", "--seed", "5"],
+                ["train", "--out", root / "train-folds", "--data", data,
+                 *tiny, "--batch-size", "4", "--epochs", "2", "--seed", "5",
+                 "--folds", "2"],
                 ["eval", "--out", root / "eval", "--data", data,
                  "--weights", weights, "--stride", "4"],
                 ["predict", "--out", root / "predict.csv",
@@ -205,20 +211,33 @@ def recorded_entries(ledger: dict, stamp: dict) -> dict[str, str] | None:
                  if rec["stamp"] == stamp), None)
 
 
+def update(ledger: dict, stamp: dict, weight_files: dict[str, str],
+           entries: dict[str, str]) -> list[str]:
+    """Record ``weight_files`` and, under ``stamp``, ``entries`` in
+    ``ledger``; returns the names whose recorded digest changed. The
+    record of a stamp already in the ledger is replaced where it stands,
+    and a new stamp's record goes last, so the order of the records does
+    not depend on the order of the runs."""
+    old = {**ledger["weight_files"],
+           **(recorded_entries(ledger, stamp) or {})}
+    changed = [name for name, d in {**weight_files, **entries}.items()
+               if name in old and old[name] != d]
+    ledger["weight_files"] = weight_files
+    record = {"stamp": stamp, "entries": entries}
+    records = ledger["environments"]
+    i = next((i for i, rec in enumerate(records) if rec["stamp"] == stamp),
+             len(records))
+    records[i:i + 1] = [record]
+    return changed
+
+
 def main() -> int:
     ledger = load() if LEDGER.exists() else {"weight_files": {},
                                              "environments": []}
     stamp = environment_stamp()
     fresh = {name: fn() for name, fn in weight_file_entries().items()}
     env_fresh = {name: fn() for name, fn in environment_entries().items()}
-    old = {**ledger["weight_files"],
-           **(recorded_entries(ledger, stamp) or {})}
-    changed = [name for name, d in {**fresh, **env_fresh}.items()
-               if name in old and old[name] != d]
-    ledger["weight_files"] = fresh
-    ledger["environments"] = [rec for rec in ledger["environments"]
-                              if rec["stamp"] != stamp]
-    ledger["environments"].append({"stamp": stamp, "entries": env_fresh})
+    changed = update(ledger, stamp, fresh, env_fresh)
     with open(LEDGER, "w", encoding="utf-8") as fh:
         json.dump(ledger, fh, indent=1, sort_keys=True)
         fh.write("\n")

@@ -25,7 +25,6 @@ from boxcast.data import (
     CENTROID_HEADER,
     CORNER_HEADER,
     Boxes,
-    CsvFormat,
     Track,
 )
 from boxcast.errors import NumericError, ParseError, ShapeError
@@ -196,7 +195,7 @@ def fd_grad(f, x, flat_indices=None, eps=1e-5):
     return out.reshape(x.shape) if flat_indices is None else out
 
 
-def reference_parse_tracks(path, fmt: CsvFormat = CsvFormat()) -> list[Track]:
+def reference_parse_tracks(path, corner_format: bool = False) -> list[Track]:
     """`parse_tracks` one row at a time, as the reference it must match:
     the same tracks (ids, frames, boxes bit for bit), or a ParseError with
     the same message and line.
@@ -216,7 +215,7 @@ def reference_parse_tracks(path, fmt: CsvFormat = CsvFormat()) -> list[Track]:
         line = len(io.StringIO(prefix, newline="").readlines())
         raise ParseError(f"not UTF-8 text: {e.reason} at byte {e.start}",
                          line=line) from None
-    expected = CORNER_HEADER if fmt.corner_format else CENTROID_HEADER
+    expected = CORNER_HEADER if corner_format else CENTROID_HEADER
     groups: dict[tuple[str, str], list[tuple[int, int, list[float]]]] = {}
     records = _reference_records(text)
     first = next(records, None)
@@ -239,7 +238,7 @@ def reference_parse_tracks(path, fmt: CsvFormat = CsvFormat()) -> list[Track]:
         if not -2**63 <= frame < 2**63:
             raise ParseError(f"frame {frame} is outside the int64 range",
                              line=line)
-        if fmt.corner_format:
+        if corner_format:
             x1, y1, x2, y2 = vals
             vals = [(x1 + x2) / 2.0, (y1 + y2) / 2.0, x2 - x1, y2 - y1]
         w, h = vals[2:]

@@ -29,7 +29,6 @@ import numpy as np
 import pytest
 
 from boxcast.data import (
-    CsvFormat,
     SynthSpec,
     parse_tracks,
     slice_all_minitracks,
@@ -441,8 +440,8 @@ def test_09_external_tracks_three_fold_protocol(capsys):
     """Runs only when BOXCAST_EVAL_TRACKS points at a tracking CSV (or a
     directory of them): full 3-fold cross-validation at the default
     protocol, mean-of-folds ADE/FDE compared to the reference values
-    21.61/44.77 within +-10%. Each fold splits its tracks with
-    `FoldSplit.partition`, as `train --folds` does. Skipped otherwise: the
+    21.61/44.77 within +-10%. The folds are the (train, test) tracks
+    of `split_folds`, as in `train --folds`. Skipped otherwise: the
     protocol needs a real multi-thousand-track dataset, which this
     repository does not ship."""
     source = os.environ.get("BOXCAST_EVAL_TRACKS", "")
@@ -452,17 +451,14 @@ def test_09_external_tracks_three_fold_protocol(capsys):
                 "to a CSV file or directory (add BOXCAST_EVAL_TRACKS_CORNER=1 "
                 "for corner-format boxes) to run the 3-fold protocol")
         pytest.skip("BOXCAST_EVAL_TRACKS not set")
-    fmt = CsvFormat(
-        corner_format=os.environ.get("BOXCAST_EVAL_TRACKS_CORNER", "") == "1")
+    corner = os.environ.get("BOXCAST_EVAL_TRACKS_CORNER", "") == "1"
     root = Path(source)
     paths = sorted(root.glob("*.csv")) if root.is_dir() else [root]
     tracks = []
     for path in paths:
-        tracks.extend(parse_tracks(path, fmt))
-    split = split_folds(tracks, n_folds=3, seed=0)
+        tracks.extend(parse_tracks(path, corner))
     reports = []
-    for fold in range(3):
-        train_tracks, test_tracks = split.partition(tracks, fold)
+    for train_tracks, test_tracks in split_folds(tracks, n_folds=3, seed=0):
         params, _ = train(TrainConfig(),
                           slice_all_minitracks(train_tracks, 90, 30))
         reports.append(

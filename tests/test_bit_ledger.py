@@ -30,3 +30,22 @@ def test_environment_bits(name):
     if RECORDED is None:
         pytest.skip(f"no ledger record for environment stamp {STAMP}")
     assert ENVIRONMENT[name]() == RECORDED[name]
+
+
+def test_update_keeps_each_record_in_place():
+    one, default, new = {"threads": "1"}, {"threads": None}, {"threads": "2"}
+    ledger = {"weight_files": {"w": "0"},
+              "environments": [{"stamp": one, "entries": {"e": "a"}},
+                               {"stamp": default, "entries": {"e": "b"}}]}
+    # host default first, then one thread: the records keep their order
+    assert bit_ledger.update(ledger, default, {"w": "0"}, {"e": "c"}) == ["e"]
+    assert bit_ledger.update(ledger, one, {"w": "0"}, {"e": "a"}) == []
+    assert ledger["environments"] == [
+        {"stamp": one, "entries": {"e": "a"}},
+        {"stamp": default, "entries": {"e": "c"}}]
+    # a new stamp's record goes last; a new entry name is not a change
+    assert bit_ledger.update(ledger, new, {"w": "1"},
+                             {"e": "d", "f": "e"}) == ["w"]
+    assert [rec["stamp"] for rec in ledger["environments"]] == \
+        [one, default, new]
+    assert ledger["weight_files"] == {"w": "1"}

@@ -149,7 +149,7 @@ class TestTrain:
         short test tracks stop the run before any fold trains and leave no
         output directory."""
         tracks = parse_tracks(synth_file(tmp_path, count=4))
-        short = split_folds(tracks, n_folds=2, seed=0).test_keys(0)
+        short = {t.key for t in split_folds(tracks, n_folds=2, seed=0)[0][1]}
         data = tmp_path / "cut.csv"
         write_tracks([Track(t.video_id, t.track_id,
                             t.boxes[:5] if t.key in short else t.boxes)

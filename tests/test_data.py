@@ -21,8 +21,6 @@ from boxcast.data import (
     SYNTH_KINDS,
     Box,
     Boxes,
-    CsvFormat,
-    FoldSplit,
     MiniTrack,
     SynthSpec,
     Track,
@@ -162,7 +160,7 @@ class TestCsvRoundTrip:
         path.write_text(
             "video_id,track_id,frame,x1,y1,x2,y2\n"
             "v,t,0,10,20,30,60\n")
-        [track] = parse_tracks(path, CsvFormat(corner_format=True))
+        [track] = parse_tracks(path, True)
         assert track.boxes[0] == make_boxes([(20.0, 40.0, 20.0, 40.0)])
 
     def test_empty_and_header_only_files(self, tmp_path):
@@ -295,7 +293,7 @@ class TestParseErrors:
         path = tmp_path / "t.csv"
         path.write_text("\n".join([",".join(header), *body]) + "\n")
         with pytest.raises(ParseError, match=match) as exc:
-            parse_tracks(path, CsvFormat(corner_format=corner))
+            parse_tracks(path, corner)
         assert exc.value.line == line
         assert str(exc.value).startswith(f"line {line}: ")
 
@@ -321,7 +319,7 @@ class TestParseProperty:
             path = Path(tmp) / "t.csv"
             path.write_text(text, encoding="utf-8")
             try:
-                tracks = parse_tracks(path, CsvFormat(corner_format=corner))
+                tracks = parse_tracks(path, corner)
             except ParseError as e:
                 assert e.line is not None
                 # physical lines as the csv module counts them: a lone CR
@@ -341,10 +339,10 @@ class TestParseProperty:
             pass
 
 
-def _outcome(parse, path, fmt):
+def _outcome(parse, path, corner_format):
     """A parse's tracks as (ids, frames, box bytes), or its error."""
     try:
-        tracks = parse(path, fmt)
+        tracks = parse(path, corner_format)
     except ParseError as e:
         return ("ParseError", str(e), e.line)
     return [(t.video_id, t.track_id, t.boxes.frames.tolist(),
@@ -359,12 +357,11 @@ class TestParseMatchesTheRowByRowReference:
     @given(csv_file=track_csvs())
     def test_same_tracks_or_same_error(self, csv_file):
         text, corner = csv_file
-        fmt = CsvFormat(corner_format=corner)
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "t.csv"
             path.write_text(text, encoding="utf-8")
-            assert _outcome(parse_tracks, path, fmt) == \
-                _outcome(reference_parse_tracks, path, fmt)
+            assert _outcome(parse_tracks, path, corner) == \
+                _outcome(reference_parse_tracks, path, corner)
 
     @pytest.mark.parametrize("at,bad", [
         (None, None),
@@ -385,8 +382,8 @@ class TestParseMatchesTheRowByRowReference:
             rows.insert(at, bad)
         path = tmp_path / "t.csv"
         path.write_text("\n".join([",".join(CENTROID_HEADER), *rows]) + "\n")
-        want = _outcome(reference_parse_tracks, path, CsvFormat())
-        assert _outcome(parse_tracks, path, CsvFormat()) == want
+        want = _outcome(reference_parse_tracks, path, False)
+        assert _outcome(parse_tracks, path, False) == want
         assert (bad is None) == isinstance(want, list)
 
     @pytest.mark.parametrize("text,ok", [
@@ -420,8 +417,8 @@ class TestParseMatchesTheRowByRowReference:
                            blank_over_limit=" " * (limit + 1))
         path = tmp_path / "t.csv"
         path.write_bytes(text.encode())
-        want = _outcome(reference_parse_tracks, path, CsvFormat())
-        assert _outcome(parse_tracks, path, CsvFormat()) == want
+        want = _outcome(reference_parse_tracks, path, False)
+        assert _outcome(parse_tracks, path, False) == want
         assert ok == isinstance(want, list)
 
     def test_plain_files_never_reach_the_csv_reader(self, tmp_path,
@@ -596,40 +593,53 @@ class TestSlicing:
         assert [mt.start_frame for mt in mts] == [0, 2, 4]
 
 
+def _fold_keys(folds):
+    return [([t.key for t in train], [t.key for t in test])
+            for train, test in folds]
+
+
 class TestFolds:
     def test_ten_tracks_three_folds_partition(self):
         tracks = [make_track(5, track_id=f"t{i}") for i in range(10)]
-        split = split_folds(tracks, n_folds=3, seed=0)
-        sizes = sorted(len(split.test_keys(f)) for f in range(3))
-        assert sizes == [3, 3, 4]
+        folds = split_folds(tracks, n_folds=3, seed=0)
+        assert sorted(len(test) for _, test in folds) == [3, 3, 4]
+        keys = {t.key for t in tracks}
         union = set()
-        for f in range(3):
-            test = split.test_keys(f)
-            assert test.isdisjoint(union)
-            union |= test
-            assert split.train_keys(f) == {t.key for t in tracks} - test
-        assert union == {t.key for t in tracks}
+        for train, test in folds:
+            test_keys = {t.key for t in test}
+            assert test_keys.isdisjoint(union)
+            union |= test_keys
+            assert {t.key for t in train} == keys - test_keys
+            assert len(train) + len(test) == len(tracks)
+        assert union == keys
 
     def test_partition_sorts_each_side_by_key(self):
         tracks = [make_track(5, track_id=f"t{i}") for i in (3, 0, 2, 1, 4)]
-        split = split_folds(tracks, n_folds=2, seed=0)
-        for f in range(2):
-            train, test = split.partition(tracks, f)
-            assert [t.key for t in train] == sorted(split.train_keys(f))
-            assert [t.key for t in test] == sorted(split.test_keys(f))
+        for train, test in split_folds(tracks, n_folds=2, seed=0):
+            for side in (train, test):
+                assert [t.key for t in side] == sorted(t.key for t in side)
             assert all(any(t is u for u in tracks) for t in train + test)
+
+    def test_round_robin_over_a_seeded_shuffle(self):
+        """The j-th track of the seeded permutation is in fold j mod
+        n_folds."""
+        tracks = [make_track(5, track_id=f"t{i}") for i in range(11)]
+        order = np.random.default_rng(4).permutation(len(tracks))
+        want = [sorted(tracks[i].key for i in order[f::3]) for f in range(3)]
+        assert [test for _, test in _fold_keys(
+            split_folds(tracks, n_folds=3, seed=4))] == want
 
     def test_same_seed_same_split(self):
         tracks = [make_track(5, track_id=f"t{i}") for i in range(12)]
         a = split_folds(tracks, n_folds=3, seed=7)
         b = split_folds(tracks, n_folds=3, seed=7)
-        assert all(a.test_keys(f) == b.test_keys(f) for f in range(3))
+        assert _fold_keys(a) == _fold_keys(b)
 
     def test_seed_changes_the_assignment(self):
         tracks = [make_track(5, track_id=f"t{i}") for i in range(30)]
         a = split_folds(tracks, n_folds=3, seed=0)
         b = split_folds(tracks, n_folds=3, seed=1)
-        assert any(a.test_keys(f) != b.test_keys(f) for f in range(3))
+        assert _fold_keys(a) != _fold_keys(b)
 
     @pytest.mark.parametrize("n_folds", [2.5, True])
     def test_n_folds_must_be_an_int(self, n_folds):
@@ -639,8 +649,8 @@ class TestFolds:
         with pytest.raises(ConfigError, match=f"^n_folds must be an int, "
                                               f"got {n_folds!r}$"):
             split_folds(tracks, n_folds=n_folds)
-        split = split_folds(tracks, n_folds=np.int64(3))
-        assert [len(split.test_keys(f)) for f in range(3)] == [2, 2, 2]
+        folds = split_folds(tracks, n_folds=np.int64(3))
+        assert [len(test) for _, test in folds] == [2, 2, 2]
 
     def test_validation(self):
         tracks = [make_track(5, track_id=f"t{i}") for i in range(3)]
@@ -807,12 +817,3 @@ class TestSynthTracks:
                                                                   value):
         with pytest.raises(ConfigError, match=field):
             synth_tracks(SynthSpec(**{field: value}), 1)
-
-
-class TestFoldSplitContainer:
-    def test_fold_index_bounds(self):
-        split = FoldSplit(n_folds=2, seed=0,
-                          folds=[[("v", "a")], [("v", "b")]])
-        with pytest.raises(IndexError):
-            split.test_keys(2)
-        assert split.train_keys(0) == {("v", "b")}
