@@ -327,7 +327,8 @@ def ablation_run(minitracks: list[MiniTrack], cfg, modes=LOSS_MODES,
     set by default) of length cfg.k + cfg.p, stacked once; a horizon h
     scores the first h forecast and target steps, so a horizon beyond cfg.p
     is a ConfigError in both protocols, raised before any model trains, as
-    is a horizon that is not an int (`data._is_int`) or is below 1.
+    is a horizon that is not an int (`data._is_int`) or is below 1, and a
+    mode or horizon listed twice.
     """
     for h in horizons:  # a float or a bool would score a truncated horizon
         _check_int("horizon", h, -np.inf)
@@ -336,6 +337,11 @@ def ablation_run(minitracks: list[MiniTrack], cfg, modes=LOSS_MODES,
         raise ConfigError(f"bad horizons {horizons}")
     # built before any training, so a bad mode fails first
     mode_cfgs = [replace(cfg, loss_mode=mode) for mode in modes]
+    for what, values in (("loss mode", [c.loss_mode for c in mode_cfgs]),
+                         ("horizon", horizons)):
+        repeated = [v for i, v in enumerate(values) if v in values[:i]]
+        if repeated:  # each would train or score again and repeat its rows
+            raise ConfigError(f"{what} {repeated[0]!r} is listed twice")
     if eval_minitracks is None:
         eval_minitracks = minitracks
     if horizons[-1] > cfg.p:

@@ -4,10 +4,13 @@ loss-mode selection, and versioned binary weight serialization.
 
 from __future__ import annotations
 
+import os
+import stat
 import struct
 import time
 import zlib
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -285,27 +288,30 @@ def save_model(params: ModelParams, path) -> None:
     """Write the versioned single-precision weight file described above.
 
     A tensor that is not finite at single precision raises NumericError
-    before any file is opened, so no weight file holds inf or NaN. The
-    bytes go through `data._atomic_open`, so ``path`` is either its old
-    file or the whole new one."""
+    before any file is opened, so no weight file holds inf or NaN. Each
+    tensor is converted to little-endian float32 once (a float32 C-order
+    tensor is not copied at all), the checksum runs over those arrays, and
+    they are written as they are, so the file's bytes are never joined into
+    one more copy. The bytes go through `data._atomic_open`, so ``path`` is
+    either its old file or the whole new one."""
     d = params.dims
-    chunks = []
+    stored, crc = [], 0
     for name, t in params.tensors().items():
         with np.errstate(over="ignore"):  # an overflow is refused just below
-            stored = np.ascontiguousarray(t, dtype="<f4")
-        if not np.isfinite(stored).all():
+            arr = np.ascontiguousarray(t, dtype="<f4")
+        if not np.isfinite(arr).all():
             raise NumericError(f"tensor {name} is not finite at float32; "
                                f"no weight file written")
-        chunks.append(stored.tobytes())
-    payload = b"".join(chunks)
+        crc = zlib.crc32(arr, crc)
+        stored.append(arr)
     dec_tag = b"hc" if params.carry_cell_state else b"h"
     header = _HEADER.pack(
         MAGIC, FORMAT_VERSION, d.k, d.p, d.hidden, d.latent,
         INPUT_DIM, OUTPUT_DIM, 4,
         GATE_ORDER_TAG, BIAS_CONVENTION_TAG, LATENT_ACTIVATION_TAG,
-        dec_tag.ljust(4, b"\x00"), N_TENSORS, zlib.crc32(payload))
+        dec_tag.ljust(4, b"\x00"), N_TENSORS, crc)
     with _atomic_open(path, binary=True) as fh:
-        fh.writelines((header, payload))
+        fh.writelines((header, *stored))
 
 
 def load_model(path, expect_dims: ModelDims | None = None
@@ -314,64 +320,70 @@ def load_model(path, expect_dims: ModelDims | None = None
 
     The tensors hold the stored float32 values as writable arrays, so a
     loaded model runs inference at the precision it was saved in and
-    ``save_model`` writes the same bytes back.
+    ``save_model`` writes the same bytes back. They are views of one
+    float32 array, into which the payload is read once.
 
     Rejects wrong magic bytes, unsupported versions or convention tags,
     truncated or oversized payloads, and checksum mismatches. When
-    ``expect_dims`` is given, a file with different dims is refused.
+    ``expect_dims`` is given, a file with different dims is refused. Every
+    header check runs on the first 60 bytes, before the payload is read,
+    and no byte past the payload the header promises is held: a regular
+    file of any other size is refused from its `os.fstat` size before
+    anything is allocated (see `_read_payload`).
     """
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < _HEADER.size:
-        raise DataError(f"weight file too short ({len(raw)} bytes)")
-    (magic, version, k, p, hidden, latent, input_dim, output_dim,
-     float_width, gate, bias, act, dec_tag, n_tensors, crc) = \
-        _HEADER.unpack_from(raw)
-    if magic != MAGIC:
-        raise DataError(f"bad magic {magic!r}; not a weight file")
-    if version != FORMAT_VERSION:
-        raise ConfigError(
-            f"unsupported weight-file version {version} "
-            f"(this build reads version {FORMAT_VERSION})")
-    if float_width != 4:
-        raise ConfigError(f"unsupported float width {float_width}")
-    for tag, expected, what in ((gate, GATE_ORDER_TAG, "gate order"),
-                                (bias, BIAS_CONVENTION_TAG, "bias convention"),
-                                (act, LATENT_ACTIVATION_TAG, "latent activation")):
-        if tag != expected:
-            raise ConfigError(f"unsupported {what} tag {tag!r} "
-                              f"(expected {expected!r})")
-    dec_tag = dec_tag.rstrip(b"\x00")
-    if dec_tag not in (b"hc", b"h"):
-        raise ConfigError(f"unsupported decoder init tag {dec_tag!r}")
-    if input_dim != INPUT_DIM or output_dim != OUTPUT_DIM:
-        raise ConfigError(
-            f"weight file has input/output dims {input_dim}/{output_dim}, "
-            f"this build uses {INPUT_DIM}/{OUTPUT_DIM}")
-    if n_tensors != N_TENSORS:
-        raise ConfigError(f"weight file lists {n_tensors} tensors, "
-                          f"expected {N_TENSORS}")
-    dims = ModelDims(k=k, p=p, hidden=hidden, latent=latent)
-    if expect_dims is not None and dims != expect_dims:
-        raise ConfigError(
-            f"weight file dims {dims} do not match the configured {expect_dims}")
-    expected_size = _HEADER.size + 4 * param_count_for(dims)
-    if len(raw) != expected_size:
+        head = fh.read(_HEADER.size)
+        if len(head) < _HEADER.size:
+            raise DataError(f"weight file too short ({len(head)} bytes)")
+        (magic, version, k, p, hidden, latent, input_dim, output_dim,
+         float_width, gate, bias, act, dec_tag, n_tensors, crc) = \
+            _HEADER.unpack(head)
+        if magic != MAGIC:
+            raise DataError(f"bad magic {magic!r}; not a weight file")
+        if version != FORMAT_VERSION:
+            raise ConfigError(
+                f"unsupported weight-file version {version} "
+                f"(this build reads version {FORMAT_VERSION})")
+        if float_width != 4:
+            raise ConfigError(f"unsupported float width {float_width}")
+        for tag, expected, what in (
+                (gate, GATE_ORDER_TAG, "gate order"),
+                (bias, BIAS_CONVENTION_TAG, "bias convention"),
+                (act, LATENT_ACTIVATION_TAG, "latent activation")):
+            if tag != expected:
+                raise ConfigError(f"unsupported {what} tag {tag!r} "
+                                  f"(expected {expected!r})")
+        dec_tag = dec_tag.rstrip(b"\x00")
+        if dec_tag not in (b"hc", b"h"):
+            raise ConfigError(f"unsupported decoder init tag {dec_tag!r}")
+        if input_dim != INPUT_DIM or output_dim != OUTPUT_DIM:
+            raise ConfigError(
+                f"weight file has input/output dims {input_dim}/{output_dim}, "
+                f"this build uses {INPUT_DIM}/{OUTPUT_DIM}")
+        if n_tensors != N_TENSORS:
+            raise ConfigError(f"weight file lists {n_tensors} tensors, "
+                              f"expected {N_TENSORS}")
+        dims = ModelDims(k=k, p=p, hidden=hidden, latent=latent)
+        if expect_dims is not None and dims != expect_dims:
+            raise ConfigError(f"weight file dims {dims} do not match the "
+                              f"configured {expect_dims}")
+        n_bytes = 4 * param_count_for(dims)
+        payload, left = _read_payload(fh, n_bytes)
+    if left != n_bytes:
         raise DataError(
-            f"weight file is {len(raw)} bytes, expected {expected_size}; "
-            f"truncated or corrupt")
-    payload = memoryview(raw)[_HEADER.size:]
+            f"weight file is {_HEADER.size + left} bytes, expected "
+            f"{_HEADER.size + n_bytes}; truncated or corrupt")
     if zlib.crc32(payload) != crc:
         raise DataError("weight-file checksum mismatch; payload is corrupt")
 
+    floats = payload.view("<f4").astype(np.float32, copy=False)
     offset = 0
 
     def take(_name: str, shape: tuple) -> np.ndarray:
         nonlocal offset
         n = int(np.prod(shape))
-        arr = np.frombuffer(payload, dtype="<f4", count=n, offset=offset)
-        offset += 4 * n
-        return arr.reshape(shape).astype(np.float32)
+        offset += n
+        return floats[offset - n:offset].reshape(shape)
 
     params = ModelParams.build(dims, take, carry_cell_state=(dec_tag == b"hc"))
     meta = {
@@ -385,6 +397,31 @@ def load_model(path, expect_dims: ModelDims | None = None
         "decoder_init": dec_tag.decode(),
     }
     return params, meta
+
+
+def _read_payload(fh, n: int) -> tuple[np.ndarray | None, int]:
+    """The next ``n`` bytes of ``fh`` as one writable uint8 array, and the
+    count of bytes from the position to the end of the file.
+
+    A regular file's length is known first, so one of any other length is
+    neither allocated for nor read (the array is None), and one of the
+    right length is read once into an array of exactly ``n`` bytes. A pipe
+    or a device (whose `os.fstat` size reads 0) may hold less than its
+    header promises, so it is read in 1 MiB steps up to ``n`` bytes. Past
+    ``n`` bytes, the rest is counted in 64 KiB reads and not held."""
+    st = os.fstat(fh.fileno())
+    if stat.S_ISREG(st.st_mode):
+        left = st.st_size - fh.tell()
+        if left != n:
+            return None, left
+        payload = np.empty(n, dtype=np.uint8)
+        got = fh.readinto(payload)
+    else:
+        buf = bytearray()
+        while len(buf) < n and (chunk := fh.read(min(n - len(buf), 1 << 20))):
+            buf += chunk
+        payload, got = np.frombuffer(buf, dtype=np.uint8), len(buf)
+    return payload, got + sum(map(len, iter(partial(fh.read, 1 << 16), b"")))
 
 
 def param_count_for(dims: ModelDims) -> int:

@@ -515,6 +515,27 @@ class TestAblate:
             "('traj-del', 'traj', 'traj+auto-enc')\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("option, value, message", [
+        ("--modes", "traj,traj", "loss mode 'traj' is listed twice"),
+        ("--horizons", "3,2,3", "horizon 3 is listed twice")],
+        ids=["modes", "horizons"])
+    def test_a_repeated_mode_or_horizon_exits_two_before_any_training(
+            self, tmp_path, capsys, monkeypatch, option, value, message):
+        """A repeated mode would train its model twice and a repeated
+        horizon would score its rows twice; both are refused first."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("a model was trained")
+
+        monkeypatch.setattr(evaluation, "train", refuse)
+        data = synth_file(tmp_path, count=4, length=6)
+        capsys.readouterr()
+        out = tmp_path / "ablation"
+        assert main(["ablate", "--data", str(data), "--out", str(out),
+                     "--k", "3", "--p", "3", "--hidden", "8", "--latent", "4",
+                     "--epochs", "1", option, value]) == 2
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
+        assert not out.exists()
+
     def test_data_without_mini_tracks_exits_three(self, tmp_path, capsys):
         data = synth_file(tmp_path, length=5)
         out = tmp_path / "ablation"

@@ -598,6 +598,24 @@ class TestAblation:
             ablation_run(mts, self.CFG, modes=(MODE_TRAJ,),
                          horizons=(2, np.int64(0)))
 
+    @pytest.mark.parametrize("modes, horizons, message", [
+        ((MODE_TRAJ, MODE_TRAJ), (2,), "loss mode 'traj' is listed twice"),
+        ((MODE_TRAJ,), (2, 4, np.int64(2)), "horizon 2 is listed twice")],
+        ids=["mode", "horizon"])
+    @pytest.mark.parametrize("retrain", [False, True])
+    def test_a_repeated_mode_or_horizon_is_refused_before_any_training(
+            self, modes, horizons, message, retrain, monkeypatch):
+        """Each repeat would train or score again and write its rows
+        twice."""
+        def no_training(*_args, **_kwargs):
+            raise AssertionError("a model was trained")
+
+        monkeypatch.setattr(evaluation, "train", no_training)
+        mts = cv_minitracks(k=5, p=4, count=4, seed=10)
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            ablation_run(mts, self.CFG, modes=modes, horizons=horizons,
+                         retrain_per_horizon=retrain)
+
     def test_retrain_per_horizon_fits_shorter_models(self):
         mts = cv_minitracks(k=5, p=4, count=4, start_jitter=5.0, seed=11)
         rows = ablation_run(mts, self.CFG, modes=(MODE_TRAJ,),

@@ -7,6 +7,8 @@ import dataclasses
 import os
 import re
 import tempfile
+import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -592,6 +594,132 @@ class TestWeightFile:
         path.write_bytes(bytes(raw))
         with pytest.raises(ConfigError, match="gate order"):
             load_model(path)
+
+
+def _traced_peak(fn):
+    """``fn()``'s result and the peak bytes traced while it ran."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+class TestWeightFileReads:
+    """`load_model` holds one payload array and reads no further than the
+    header promises; `save_model` writes the converted tensors as they
+    are. Both stay within 1.25x of the payload bytes on a full-size model,
+    where a whole-file read, or a payload joined from per-tensor bytes,
+    holds 2x."""
+
+    FULL = ModelDims(k=30, p=60)
+    PAYLOAD_BYTES = 4 * 4_360_460
+
+    @pytest.fixture(scope="class")
+    def full_file(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("full") / "full.bxw"
+        save_model(init_params(self.FULL, seed=21), path)
+        return path
+
+    def test_load_holds_the_payload_once(self, full_file):
+        load_model(full_file)  # imports and caches outside the trace
+        _, peak = _traced_peak(lambda: load_model(full_file))
+        assert peak <= 1.25 * self.PAYLOAD_BYTES
+
+    def test_save_of_double_parameters_holds_the_payload_once(self,
+                                                              tmp_path):
+        params = init_params(self.FULL, seed=22)
+        path = tmp_path / "m.bxw"
+        save_model(params, path)
+        _, peak = _traced_peak(lambda: save_model(params, path))
+        assert peak <= 1.25 * self.PAYLOAD_BYTES
+        assert path.stat().st_size == 60 + self.PAYLOAD_BYTES
+
+    def test_tensors_are_independent_writable_float32_file_values(
+            self, full_file, tmp_path):
+        raw = full_file.read_bytes()
+        loaded, _ = load_model(full_file)
+        tensors = loaded.tensors()
+        offset = 60
+        for name, t in tensors.items():
+            want = np.frombuffer(raw, "<f4", t.size, offset).reshape(t.shape)
+            offset += 4 * t.size
+            assert t.dtype == np.float32 and t.flags.writeable, name
+            np.testing.assert_array_equal(t, want, err_msg=name)
+        assert offset == len(raw)
+        before = {name: t.copy() for name, t in tensors.items()}
+        tensors["auto_dec.wh"][...] = 7.0
+        for name, t in tensors.items():
+            if name != "auto_dec.wh":
+                np.testing.assert_array_equal(t, before[name], err_msg=name)
+        copy_path = tmp_path / "copy.bxw"
+        save_model(load_model(full_file)[0], copy_path)
+        assert copy_path.read_bytes() == raw
+
+    def test_an_oversized_file_is_refused_without_reading_its_tail(
+            self, tmp_path):
+        """A file 64 MiB longer than its header promises (sparse here) is
+        refused with its true size, holding less than 1 MiB more than the
+        payload, where a whole-file read would hold all of it."""
+        path = tmp_path / "m.bxw"
+        save_model(init_params(ModelDims(k=3, p=2, hidden=4, latent=2),
+                               seed=23), path)
+        expected = path.stat().st_size
+        size = expected + (64 << 20)
+        with open(path, "r+b") as fh:
+            fh.truncate(size)
+
+        def refused() -> str:
+            with pytest.raises(DataError) as err:
+                load_model(path)
+            return str(err.value)
+
+        message, peak = _traced_peak(refused)
+        assert message == (f"weight file is {size} bytes, expected "
+                           f"{expected}; truncated or corrupt")
+        assert peak < (1 << 20) + expected - 60
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    @pytest.mark.parametrize("damage", ["none", "tail", "cut", "big-header"])
+    def test_a_pipe_is_read_like_a_file(self, tmp_path, damage):
+        """A pipe has no size to check in advance: it loads as its bytes
+        would from a file, or is refused with the true count of its bytes,
+        even when its header promises more than memory could hold."""
+        path = tmp_path / "m.bxw"
+        save_model(init_params(ModelDims(k=3, p=2, hidden=4, latent=2),
+                               seed=24), path)
+        raw = path.read_bytes()
+        expected = len(raw)
+        if damage == "tail":
+            raw += b"x" * 100_000
+        elif damage == "cut":
+            raw = raw[:-100]
+        elif damage == "big-header":  # hidden 2**24: 18 PB of payload
+            raw = raw[:16] + (1 << 24).to_bytes(4, "little") + raw[20:]
+            expected = 60 + 4 * param_count_for(
+                ModelDims(k=3, p=2, hidden=1 << 24, latent=2))
+        fifo = tmp_path / "pipe.bxw"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(raw,),
+                                  daemon=True)
+        writer.start()
+        try:
+            if damage != "none":
+                with pytest.raises(DataError, match=(
+                        f"^weight file is {len(raw)} bytes, expected "
+                        f"{expected}; truncated or corrupt$")):
+                    load_model(fifo)
+            else:
+                piped, meta = load_model(fifo)
+                from_file, file_meta = load_model(path)
+                assert meta == file_meta
+                for name, t in from_file.tensors().items():
+                    np.testing.assert_array_equal(piped.tensors()[name], t)
+        finally:
+            writer.join(timeout=60)
+        assert not writer.is_alive()
 
 
 def _saved_model_bytes() -> bytes:
