@@ -93,6 +93,9 @@ def _thread_counts(text: str) -> tuple[int, ...]:
     if not all(1 <= n <= ceiling for n in counts):
         raise ConfigError(f"thread counts must be 1..{ceiling} (4 x the CPU "
                           f"count), got {text!r}")
+    repeated = [n for i, n in enumerate(counts) if n in counts[:i]]
+    if repeated:  # each would be measured again and repeat its row
+        raise ConfigError(f"thread count {repeated[0]} is listed twice")
     return counts
 
 

@@ -9,11 +9,15 @@ A track's boxes are a `Boxes`: a read-only (n, 4) float64 ``xywh`` array
 and an (n,) int64 ``frames`` array. Slices and single boxes (`Box`) are
 zero-copy views of those arrays, so parsing, mini-track slicing and
 stacking copy no box row by row. `parse_tracks` has two readers. It
-splits a plain file with `str.split`, converts each CSV column once and
-checks every row with vectorised tests: 25 520 rows take ~45 ms on one
-core of a 2-core Xeon VM, against ~52 ms through the csv module. Any
-other file, or a plain one that fails a check, is read by the csv module
-one row at a time, which also names the first faulty line.
+splits a plain file with `str.split` and converts and checks it column
+by column with vectorised tests, in chunks of ~64 KiB of text
+(`PLAIN_CHUNK_CHARS`): 25 520 rows take ~45 ms on one core of a 2-core
+Xeon VM, against ~52 ms through the csv module. Beyond the file's text
+it keeps only the numeric columns and the distinct ids, so its
+tracemalloc peak is ~2.25 bytes per input byte, where one string per
+field of the file took 7.43. Any other file, or a plain one that fails a
+check, is read by the csv module one row at a time, which also names the
+first faulty line.
 """
 
 from __future__ import annotations
@@ -176,20 +180,20 @@ def parse_tracks(path, corner_format: bool = False) -> list[Track]:
 
     There are two readers. A plain file (no quote, no NUL, LF or CRLF
     line ends, seven fields on every line but blank ones) is split with
-    `str.split`, and each column is converted once, over the whole file,
-    and checked as a whole. Any other text, and a plain file that fails a
-    check, is read by the csv module one record at a time, which converts
-    and checks each row and names the first faulty line.
+    `str.split` and converted column by column, `PLAIN_CHUNK_CHARS` of
+    text at a time, and each chunk is checked as a whole; only the whole
+    text, the distinct ids and the numeric columns are held. Any other
+    text, and a plain file that fails a check, is read by the csv module
+    one record at a time, which converts and checks each row and names the
+    first faulty line.
     """
     text = _read_utf8(path)
-    videos, track_ids, frames, xywh = _columns(text, corner_format) \
+    names, vid, tid, frames, xywh = _columns(text, corner_format) \
         or _rows(text, corner_format)
-    if not videos:
+    if not frames.size:
         return []
     # a key is named by the first row that holds it, so keys sort in order
     # of first appearance
-    vid = _first_appearance_codes(videos)
-    tid = _first_appearance_codes(track_ids)
     _, first, pair = np.unique(vid * (tid.max() + 1) + tid,
                                return_index=True, return_inverse=True)
     kid = first[pair]
@@ -203,7 +207,7 @@ def parse_tracks(path, corner_format: bool = False) -> list[Track]:
     if dup.size:
         j = int(dup[0]) + 1
         row = int(order[j])
-        raise ParseError(f"track ({videos[row]}, {track_ids[row]}) has "
+        raise ParseError(f"track ({names[vid[row]]}, {names[tid[row]]}) has "
                          f"duplicate frame {frames[j]}",
                          line=_data_line(text, row))
     bounds = [0, *(np.flatnonzero(~same_key | (step != 1)) + 1).tolist(),
@@ -214,7 +218,7 @@ def parse_tracks(path, corner_format: bool = False) -> list[Track]:
     for a, b in zip(bounds, bounds[1:]):
         key = int(kid[a])
         segment = segment + 1 if a and kid[a - 1] == key else 0
-        video_id, track_id = videos[key], track_ids[key]
+        video_id, track_id = names[vid[key]], names[tid[key]]
         if n_segments[key] > 1:
             track_id = f"{track_id}~{segment}"
         tracks.append(Track(video_id=video_id, track_id=track_id,
@@ -222,24 +226,82 @@ def parse_tracks(path, corner_format: bool = False) -> list[Track]:
     return tracks
 
 
-def _first_appearance_codes(column: list[str]) -> np.ndarray:
-    """Each entry's int64 index among the column's distinct strings in
-    order of first appearance."""
-    ids = dict(zip(dict.fromkeys(column), range(len(column))))
+def _codes(ids: dict[str, int], column: list[str]) -> np.ndarray:
+    """Each string's int64 code in ``ids``, which numbers strings in order
+    of first appearance, so ``list(ids)`` lists them by code; the column's
+    new strings are added to it."""
+    for s in dict.fromkeys(column):
+        ids.setdefault(s, len(ids))
     return np.fromiter(map(ids.__getitem__, column), dtype=np.int64,
                        count=len(column))
 
 
+# The text the plain reader splits, checks and converts at a time: its
+# transient strings are bounded by this, not by the file's size
+PLAIN_CHUNK_CHARS = 1 << 16
+
+
 def _columns(text: str, corner_format: bool):
-    """(videos, track_ids, frames, xywh) of the data rows of a plain
-    ``text``: the stripped video_id and track_id columns as lists of
-    strings, the int64 frames, and the (n, 4) (cx, cy, w, h) boxes. None
-    when the text is not plain or any record is faulty; `_rows` then reads
-    it, making the same checks."""
-    fields = _plain_fields(text)
-    if fields is None or _header_error(fields[:7], corner_format):
+    """(names, vid, tid, frames, xywh) of the data rows of a plain
+    ``text``: the distinct stripped strings of both id columns, each row's
+    int64 indices of its video_id and track_id in ``names``, its int64
+    frame and its (cx, cy, w, h) box, as an (n, 4) array. None when the text is not plain or any record is faulty;
+    `_rows` then reads it, making the same checks.
+
+    Plain text has no quote, no NUL (the csv module of Python 3.10
+    rejects it), a line feed after every carriage return, no line longer
+    than the csv module's field size limit (so no field is) and seven
+    fields on every line but blank data lines. The csv module splits such
+    a line at its commas alone, so both give the same fields, except that
+    a CRLF line's last field keeps its CR: whitespace that the header
+    check and `float` strip. Blank data lines are dropped, as `_rows`
+    drops blank records. The text is read in chunks of whole lines, each
+    ending at the first line feed ``PLAIN_CHUNK_CHARS`` characters or
+    more after its start (`_plain_chunk`).
+    """
+    if '"' in text or "\0" in text or re.search("\r(?!\n)", text):
         return None
-    del fields[:7]
+    ids: dict[str, int] = {}
+    parts = []
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + PLAIN_CHUNK_CHARS) + 1 or len(text)
+        part = _plain_chunk(text[start:end], start == 0, ids, corner_format)
+        if part is None:
+            return None
+        parts.append(part)
+        start = end
+    if not parts:
+        return None
+    vid, tid, frames, vals = (np.concatenate(c, axis=-1)
+                              for c in zip(*parts))
+    return list(ids), vid, tid, frames, vals.T
+
+
+def _plain_chunk(chunk: str, header: bool, ids: dict[str, int],
+                 corner_format: bool):
+    """(vid, tid, frames, vals) of the data rows of one chunk of whole
+    lines of a plain text, ``vals`` as (4, n): `_columns`' checks and
+    conversions of those lines, with the ids numbered in ``ids``. The
+    first line of the ``header`` chunk is the header. None when a line is
+    not plain or a record is faulty."""
+    lines = chunk.split("\n")
+    if not lines[-1]:
+        lines.pop()  # what follows the final line feed: no line to filter
+    if max(map(len, lines), default=0) > csv.field_size_limit():
+        return None
+    counts = set(map(str.count, lines, repeat(",")))
+    if 0 in counts:
+        lines[header:] = [line for line in lines[header:] if line.strip()]
+        counts = set(map(str.count, lines, repeat(",")))
+    if not counts <= {6}:
+        return None
+    # a chunk of blank lines has no field, where "".split gives one
+    fields = ",".join(lines).split(",") if lines else []
+    if header:
+        if _header_error(fields[:7], corner_format):
+            return None
+        del fields[:7]
     try:
         frames = np.array(list(map(int, fields[2::7])), dtype=np.int64)
         vals = np.array([list(map(float, fields[i::7])) for i in range(3, 7)])
@@ -252,41 +314,8 @@ def _columns(text: str, corner_format: bool):
                              x2 - x1, y2 - y1])
     if not (np.isfinite(vals).all() and (vals[2:] > 0).all()):
         return None
-    return (list(map(str.strip, fields[0::7])),
-            list(map(str.strip, fields[1::7])), frames, vals.T)
-
-
-def _plain_fields(text: str) -> list[str] | None:
-    """The fields of every line of ``text`` that is not blank, seven a
-    line, split at commas and line feeds; None unless the text is plain.
-
-    Plain text has no quote, no NUL (the csv module of Python 3.10
-    rejects it), a line feed after every carriage return, no line longer
-    than the csv module's field size limit (so no field is) and seven
-    fields on every line but blank data lines. The csv module splits such
-    a line at its commas alone, so both give the same fields, except that
-    a CRLF line's last field keeps its CR: whitespace that the header
-    check and `float` strip. Blank data lines are dropped, as `_rows`
-    drops blank records.
-    """
-    if '"' in text or "\0" in text or re.search("\r(?!\n)", text):
-        return None
-    lines = text.split("\n")
-    if not lines[-1]:
-        lines.pop()  # what follows the final line feed: no line to filter
-    if max(map(len, lines), default=0) > csv.field_size_limit():
-        return None
-    counts = set(map(str.count, lines, repeat(",")))
-    if 0 in counts:
-        lines[1:] = [line for line in islice(lines, 1, None) if line.strip()]
-        counts = set(map(str.count, lines, repeat(",")))
-    if counts != {6}:
-        return None
-    # the line list is freed before the split, so it is never held
-    # together with the field list
-    text = ",".join(lines)
-    del lines
-    return text.split(",")
+    return (_codes(ids, list(map(str.strip, fields[0::7]))),
+            _codes(ids, list(map(str.strip, fields[1::7]))), frames, vals)
 
 
 def _blank(row: list[str]) -> bool:
@@ -346,7 +375,9 @@ def _rows(text: str, corner_format: bool):
         track_ids.append(row[1].strip())
         frames.append(frame)
         vals += box
-    return (videos, track_ids, np.array(frames, dtype=np.int64),
+    ids: dict[str, int] = {}
+    vid, tid = _codes(ids, videos), _codes(ids, track_ids)
+    return (list(ids), vid, tid, np.array(frames, dtype=np.int64),
             np.array(vals, dtype=np.float64).reshape(-1, 4))
 
 

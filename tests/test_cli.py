@@ -361,6 +361,27 @@ class TestBench:
                             f"1..{ceiling} (4 x the CPU count), got {value!r}")
         assert not out.exists()
 
+    @pytest.mark.parametrize("value, repeated", [
+        ("1,1", 1), ("2, 1,2", 2), ("1,2,1,2", 1)],
+        ids=["pair", "spaced", "two-pairs"])
+    def test_a_repeated_thread_count_starts_nothing(
+            self, tmp_path, monkeypatch, capsys, value, repeated):
+        """A repeated count would be measured again and write a second
+        row; it exits 2 while the options are read, before any process
+        starts or any file is written."""
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("a process was started")
+
+        monkeypatch.setattr(subprocess, "run", refuse)
+        out = tmp_path / "bench"
+        assert main(["bench", "--out", str(out), "--threads", value,
+                     "--duration", "0.01", "--k", "3", "--p", "3",
+                     "--hidden", "4", "--latent", "2"]) == 2
+        assert capsys.readouterr().err == (
+            f"configuration error: bad value for --threads: thread count "
+            f"{repeated} is listed twice\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag, value, reason", [
         ("--duration", "0", "duration must be positive and at most "
                             f"{threading.TIMEOUT_MAX:g} s, got 0.0"),

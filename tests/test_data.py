@@ -386,6 +386,64 @@ class TestParseMatchesTheRowByRowReference:
         assert _outcome(parse_tracks, path, False) == want
         assert (bad is None) == isinstance(want, list)
 
+    @staticmethod
+    def _chunked_text(n_rows, blank_at=()):
+        """A plain CRLF file: tracks a and b interleaved row by row, each
+        with a frame gap halfway, and a blank line before each data row
+        index in ``blank_at``."""
+        rows = [f"v,{'ab'[f % 2]},{f // 2 + 5 * (f >= n_rows // 2)},"
+                f"{f}.25,2.5,3,4" for f in range(n_rows)]
+        for j in sorted(blank_at, reverse=True):
+            rows.insert(j, " \t")
+        return "\r\n".join([",".join(CENTROID_HEADER), *rows]) + "\r\n"
+
+    @pytest.mark.parametrize("bad", [
+        None, "v,a,{f},1,1.5e,3,4", "v,a,{f},1,1,3", "v,b,0,1,1,3,4"],
+        ids=["clean", "bad-float", "six-fields", "duplicate-frame"])
+    def test_a_file_of_several_chunks(self, tmp_path, monkeypatch, bad):
+        """A plain file of ~5 chunks, with a blank line starting the
+        second chunk, reads as the row-by-row reference reads it, without
+        the csv module; a fault in its last chunk gives the reference's
+        error and line."""
+        size = data.PLAIN_CHUNK_CHARS
+        n_rows = size // 5  # rows of 24-27 characters
+        text = self._chunked_text(n_rows)
+        # the blank line goes just after the first chunk's final line feed
+        end = text.find("\n", size) + 1
+        text = text[:end] + " \t\r\n" + text[end:]
+        if bad is not None:
+            # frame f of track a is new; track b's frame 0 is on line 3
+            line = bad.format(f=n_rows)
+            text += line + "\r\n" + "".join(f"v,c,{f},1,1,3,4\r\n"
+                                             for f in range(50))
+        assert len(text) > 4 * size
+        path = tmp_path / "t.csv"
+        path.write_bytes(text.encode())
+        want = _outcome(reference_parse_tracks, path, False)
+        if bad is None:
+            assert [t.track_id for t in parse_tracks(path)] == \
+                ["a~0", "a~1", "b~0", "b~1"]
+            # a fallback to the csv module would now raise TypeError
+            monkeypatch.setattr(data.csv, "reader", None)
+        else:
+            assert want[0] == "ParseError" and want[2] == n_rows + 3
+        assert _outcome(parse_tracks, path, False) == want
+
+    def test_every_cut_of_a_small_file(self, tmp_path, monkeypatch):
+        """With chunks of 1 to 160 characters, every line of a short plain
+        file starts a chunk in some run, blank ones too: each reads as the
+        reference reads it, without the csv module."""
+        text = self._chunked_text(12, blank_at=(0, 5, 6, 12))
+        path = tmp_path / "t.csv"
+        path.write_bytes(text.encode())
+        want = _outcome(reference_parse_tracks, path, False)
+        assert len(want) == 4 and len(text) < 400
+        # a fallback to the csv module would raise TypeError
+        monkeypatch.setattr(data.csv, "reader", None)
+        for size in range(1, 161):
+            monkeypatch.setattr(data, "PLAIN_CHUNK_CHARS", size)
+            assert _outcome(parse_tracks, path, False) == want, size
+
     @pytest.mark.parametrize("text,ok", [
         ("{h}\nv\0,t,0,1,1,2,2\nv\0,t,1,1,1,2,2\n", True),
         ("{h}\nv,{at_limit},0,1,1,2,2\n", True),
@@ -464,31 +522,54 @@ class TestParseMatchesTheRowByRowReference:
                 assert e.line is not None
 
 
+def _traced_parse_peak(path) -> tuple[list[Track], int]:
+    """``parse_tracks(path)`` and its tracemalloc peak, after one untraced
+    call (first-call allocations are not rows)."""
+    parse_tracks(path)
+    tracemalloc.start()
+    try:
+        tracks = parse_tracks(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return tracks, peak
+
+
 class TestParseMemory:
     """`parse_tracks`' tracemalloc peak per input byte on each reader, on
     a ~1 MB `write_tracks` file (four synthetic kinds, 12 tracks of 200
     frames each, 9600 rows); the quoted file differs by one quoted id,
-    which sends it to the csv module's row reader. Measured at 7.43
-    (plain) and 8.03 (csv) bytes per input byte with CPython 3.11 and
-    numpy 2.4. Each bound is 1.25x the figure first measured on its path:
-    7.43, and 9.79 for the csv path when it still converted whole
-    columns."""
+    which sends it to the csv module's row reader. Measured at 2.25
+    (plain) and 7.69 (csv) bytes per input byte with CPython 3.11 and
+    numpy 2.4 (`tests/mem_peaks.py`); the plain reader took 7.43 when it
+    held one string per field of the file. Each bound in ``BOUND`` is
+    1.25x the figure first measured on its path: 7.43, and 9.79 for the
+    csv path when it still converted whole columns. ``CHUNKED`` bounds the
+    plain reader that converts `data.PLAIN_CHUNK_CHARS` of text at a
+    time."""
 
     BOUND = {"plain": 1.25 * 7.43, "csv": 1.25 * 9.79}
+    CHUNKED = 4.0
 
-    @pytest.fixture(scope="class")
-    def files(self, tmp_path_factory):
+    @staticmethod
+    def _write(path, per_kind):
         tracks = []
         for i, kind in enumerate(SYNTH_KINDS):
             tracks += synth_tracks(SynthSpec(
                 kind=kind, length=200, noise_std=0.5, start_jitter=100.0,
-                velocity_jitter=1.0, seed=i), 12)
-        plain = tmp_path_factory.mktemp("memory") / "plain.csv"
-        write_tracks(tracks, plain)
+                velocity_jitter=1.0, seed=i), per_kind)
+        write_tracks(tracks, path)
+        return path
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        plain = self._write(tmp_path_factory.mktemp("memory") / "plain.csv",
+                            12)
         quoted = plain.with_name("quoted.csv")
         quoted.write_bytes(plain.read_bytes().replace(
             b",constant-velocity-0000,", b',"constant-velocity-0000",', 1))
-        return {"plain": plain, "csv": quoted}
+        large = self._write(plain.with_name("large.csv"), 36)
+        return {"plain": plain, "csv": quoted, "large": large}
 
     @pytest.mark.parametrize("path", ["plain", "csv"])
     def test_peak_per_input_byte_is_bounded(self, files, path):
@@ -496,7 +577,7 @@ class TestParseMemory:
         size = csv_path.stat().st_size
         assert 0.9e6 < size < 1.1e6
         text = csv_path.read_text(encoding="utf-8")
-        assert (data._plain_fields(text) is None) == (path == "csv")
+        assert (data._columns(text, False) is None) == (path == "csv")
         del text
         parse_tracks(csv_path)  # warm: first-call allocations are not rows
         tracemalloc.start()
@@ -508,13 +589,28 @@ class TestParseMemory:
         assert sum(map(len, tracks)) == 9600
         assert peak / size <= self.BOUND[path], (peak / size, path)
 
+    def test_plain_parse_holds_no_string_per_field(self, files):
+        """The chunked plain reader keeps the text, the distinct ids and
+        the numeric columns, so its peak per input byte is bounded and
+        does not grow with the file: a file ~3x larger gives no higher
+        ratio (measured 2.25 and 2.24)."""
+        ratios = []
+        for name, rows in (("plain", 9600), ("large", 28800)):
+            tracks, peak = _traced_parse_peak(files[name])
+            assert sum(map(len, tracks)) == rows
+            ratios.append(peak / files[name].stat().st_size)
+        assert files["large"].stat().st_size > \
+            2.9 * files["plain"].stat().st_size
+        assert ratios[0] <= self.CHUNKED, ratios
+        assert ratios[1] <= ratios[0], ratios
+
     def test_plain_parse_runs_no_older_gc_generation(self, files):
-        """The plain reader keeps the id columns as lists of strings,
-        which the garbage collector does not track, and numbers the keys
-        in numpy, so the 9600-row parse triggers no collection of
-        generation 1 or 2 (measured: none of any generation; one
-        (video_id, track_id) tuple per row ran 12 gen-0 collections and
-        one of gen 1)."""
+        """The plain reader holds its ids as strings, which the garbage
+        collector does not track, in a few lists a chunk and one dict of
+        strings and ints (untracked too), and numbers the keys in numpy,
+        so the 9600-row parse triggers no collection of generation 1 or 2
+        (measured: none of any generation; one (video_id, track_id) tuple
+        per row ran 12 gen-0 collections and one of gen 1)."""
         assert gc.isenabled()
         parse_tracks(files["plain"])
         collections = []
