@@ -438,13 +438,14 @@ def _cmd_predict(vals: dict[str, Any]) -> None:
     for t in short:
         print(f"warning: track {t.key} has {len(t)} frames, needs {k}; "
               f"skipped", file=sys.stderr)
-    rows = [[t.video_id, t.track_id, step, *map(repr, box)]
-            for t, boxes in zip(kept, pred.tolist())
-            for step, box in enumerate(boxes, start=1)]
+    # each track's rows are formed as they are written, never all at once
+    rows = ([t.video_id, t.track_id, step, *map(repr, box)]
+            for t, boxes in zip(kept, pred)
+            for step, box in enumerate(boxes.tolist(), start=1))
     _write_rows(vals["out"],
                 ["video_id", "track_id", "step", "cx", "cy", "w", "h"], rows)
-    print(f"wrote {len(rows)} rows ({len(kept)} tracks, {len(short)} "
-          f"skipped) to {vals['out']}")
+    print(f"wrote {len(kept) * pred.shape[1]} rows ({len(kept)} tracks, "
+          f"{len(short)} skipped) to {vals['out']}")
 
 
 def _cmd_eval(vals: dict[str, Any]) -> None:
@@ -480,7 +481,9 @@ def _cmd_bench(vals: dict[str, Any]) -> None:
     if vals["weights"] is not None:
         params, _meta = load_model(vals["weights"])
     else:
-        params = init_params(_of(ModelDims, vals), seed=vals["seed"])
+        # float32 draws save the bytes of float64 ones, at half the memory
+        params = init_params(_of(ModelDims, vals), seed=vals["seed"],
+                             dtype=np.float32)
     rows = []
     for n in vals["threads"]:
         rep = benchmark_tps(params, threads=n, duration=vals["duration"],

@@ -4,6 +4,7 @@ loss-mode selection, and versioned binary weight serialization.
 
 from __future__ import annotations
 
+import math
 import os
 import stat
 import struct
@@ -11,7 +12,7 @@ import time
 import zlib
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -282,32 +283,35 @@ BIAS_CONVENTION_TAG = b"dual"
 LATENT_ACTIVATION_TAG = b"none"
 _HEADER = struct.Struct("<4s8I4s4s4s4s2I")
 N_TENSORS = 18
+# values per converted block of a save: 256 KiB of float32
+SAVE_SLICE_VALUES = 1 << 16
 
 
 def save_model(params: ModelParams, path) -> None:
     """Write the versioned single-precision weight file described above.
 
     It makes two passes over the tensors, converting each to little-endian
-    C-order float32 in both (a float32 C-order tensor is not copied at
-    all), so at most one converted tensor is held at a time: 0.30x the
-    payload bytes for float64 parameters at full size, where holding every
-    converted tensor until the write took 1.06x. The first pass checks
-    each tensor and folds it into the checksum, and opens no file: a
-    tensor that is not finite at single precision raises NumericError
-    before any file is opened, so no weight file holds inf or NaN. The
-    second writes the header and then each tensor, in order, so a pipe is
-    written like a file. The bytes go through `data._atomic_open`, so
-    ``path`` is either its old file or the whole new one."""
+    C-order float32 in both, a block of whole rows at a time (see
+    `_stored`; a float32 C-order tensor is not copied at all). So at most
+    one converted block of `SAVE_SLICE_VALUES` values, or one row when a
+    row is longer, is held at a time: 0.03x the payload bytes for float64
+    parameters at full size, where holding one converted tensor at a time
+    took 0.30x. The first pass checks each block and folds it into the
+    checksum, and opens no file: a tensor that is not finite at single
+    precision raises NumericError before any file is opened, so no weight
+    file holds inf or NaN. The second writes the header and then each
+    block, in order, so a pipe is written like a file. The bytes go
+    through `data._atomic_open`, so ``path`` is either its old file or the
+    whole new one."""
     d = params.dims
     tensors = params.tensors()
     crc = 0
     for name, t in tensors.items():
-        arr = _stored(t)
-        if not np.isfinite(arr).all():
-            raise NumericError(f"tensor {name} is not finite at float32; "
-                               f"no weight file written")
-        crc = zlib.crc32(arr, crc)
-        del arr  # freed before the next tensor is converted
+        for block in _stored(t):
+            if not np.isfinite(block).all():
+                raise NumericError(f"tensor {name} is not finite at float32; "
+                                   f"no weight file written")
+            crc = zlib.crc32(block, crc)
     dec_tag = b"hc" if params.carry_cell_state else b"h"
     header = _HEADER.pack(
         MAGIC, FORMAT_VERSION, d.k, d.p, d.hidden, d.latent,
@@ -316,16 +320,23 @@ def save_model(params: ModelParams, path) -> None:
         dec_tag.ljust(4, b"\x00"), N_TENSORS, crc)
     with _atomic_open(path, binary=True) as fh:
         fh.write(header)
-        # writelines drops each array before it takes the next
-        fh.writelines(map(_stored, tensors.values()))
+        for t in tensors.values():
+            fh.writelines(_stored(t))
 
 
-def _stored(t: np.ndarray) -> np.ndarray:
-    """``t`` as the weight file stores it: little-endian C-order float32,
-    ``t`` itself when it is already that. A value past the float32 range
-    becomes inf, which `save_model` refuses."""
-    with np.errstate(over="ignore"):
-        return np.ascontiguousarray(t, dtype="<f4")
+def _stored(t: np.ndarray) -> Iterator[np.ndarray]:
+    """``t`` as the weight file stores it, in order: little-endian C-order
+    float32 blocks of whole rows (axis 0), each of at most
+    `SAVE_SLICE_VALUES` values or of one row when a row is longer. Rows in
+    order are the C order of any memory layout, so a block of a
+    Fortran-order tensor is converted alone; a block of a float32 C-order
+    tensor is a view of ``t``. A value past the float32 range becomes inf,
+    which `save_model` refuses."""
+    rows = max(1, SAVE_SLICE_VALUES // math.prod(t.shape[1:]))
+    for start in range(0, len(t), rows):
+        with np.errstate(over="ignore"):
+            block = np.ascontiguousarray(t[start:start + rows], dtype="<f4")
+        yield block
 
 
 def load_model(path, expect_dims: ModelDims | None = None

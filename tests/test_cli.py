@@ -8,6 +8,7 @@ import os
 import subprocess
 import tempfile
 import threading
+import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -230,6 +231,27 @@ class TestPredict:
         assert f"wrote {5 * len(kept)} rows ({len(kept)} tracks, " \
             f"{len(short)} skipped)" in captured.out
 
+    def test_rows_are_written_as_they_are_formed(self, tmp_path, capsys):
+        """The rows of a many-track run are never all held: the traced peak
+        stays within 5x the (tracks, p, 4) float64 forecast array (3.1x),
+        where a list of every row took 21x."""
+        k, p, n = 4, 60, 500
+        weights = self.make_weights(tmp_path, k=k, p=p)
+        data = synth_file(tmp_path, count=n, length=k)
+        args = ["predict", "--weights", str(weights), "--data", str(data),
+                "--out", str(tmp_path / "pred.csv")]
+        assert main(args) == 0  # imports and caches outside the trace
+        tracemalloc.start()
+        try:
+            assert main(args) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * n * p * 4 * np.dtype(np.float64).itemsize
+        assert len(read_csv(tmp_path / "pred.csv")) == 1 + n * p
+        assert f"wrote {n * p} rows ({n} tracks, 0 skipped)" in \
+            capsys.readouterr().out
+
     def test_short_track_warns_and_is_skipped(self, tmp_path, capsys):
         weights = self.make_weights(tmp_path)
         tracks = parse_tracks(synth_file(tmp_path, count=2, length=6))
@@ -400,6 +422,23 @@ class TestBench:
         assert captured.err == f"configuration error: {reason}\n"
         assert captured.out == ""
         assert not out.exists()
+
+    def test_drawn_parameters_are_float32(self, tmp_path, monkeypatch):
+        """Without --weights, `bench` draws float32 parameters, whose weight
+        file is that of the float64 draw (see test_training)."""
+        seen = []
+
+        def measure(params, **kwargs):
+            seen.append(params.dtype)
+            return evaluation.BenchReport(
+                threads=kwargs["threads"], trajectories_per_second=1.0,
+                equivalent_fps=3.0, n_predictions=1, elapsed_s=1.0, k=4,
+                p=3, hidden=8, latent=4)
+
+        monkeypatch.setattr(cli, "benchmark_tps", measure)
+        assert main(["bench", "--out", str(tmp_path / "bench"), "--k", "4",
+                     "--p", "3", "--hidden", "8", "--latent", "4"]) == 0
+        assert seen == [np.float32]
 
     def test_weights_file_sets_the_benchmarked_model(self, tmp_path):
         weights = tmp_path / "w.bxw"
