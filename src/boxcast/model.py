@@ -76,6 +76,7 @@ supervises.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -124,6 +125,12 @@ TRAIN_BLOCK_ROWS = 100
 # 1/8/32/64/128 (best of 5 runs of best of 5).
 FORECAST_CHUNK = 64
 
+# Most learnable scalars a model may hold (`param_count_for`): 1 GiB of
+# float32, 61x the reference model's 4,360,460. `ModelDims` refuses larger
+# dims when it is made, so neither a flag nor a weight-file header can size
+# an allocation past it.
+MAX_PARAMS = 1 << 28
+
 MODE_TRAJ_DEL = "traj-del"
 MODE_TRAJ = "traj"
 MODE_TRAJ_AUTOENC = "traj+auto-enc"
@@ -132,6 +139,7 @@ LOSS_MODES = (MODE_TRAJ_DEL, MODE_TRAJ, MODE_TRAJ_AUTOENC)
 __all__ = [
     "INPUT_DIM",
     "LOSS_MODES",
+    "MAX_PARAMS",
     "MODE_TRAJ",
     "MODE_TRAJ_AUTOENC",
     "MODE_TRAJ_DEL",
@@ -148,6 +156,7 @@ __all__ = [
     "forward_train",
     "init_params",
     "loss_and_grads",
+    "param_count_for",
     "predict",
     "predict_from_window",
     "reconstruct",
@@ -160,8 +169,9 @@ class ModelDims:
     """Shape record: observed steps k, forecast steps p, LSTM width, latent
     width.
 
-    It checks itself when it is made: a field that is not a positive int
-    is a ConfigError, so every built record is valid.
+    It checks itself when it is made: a field that is not a positive int,
+    or dims whose model would hold more than `MAX_PARAMS` scalars, is a
+    ConfigError, so every built record is valid.
     """
 
     k: int
@@ -172,6 +182,9 @@ class ModelDims:
     def __post_init__(self) -> None:
         _check_positive_ints(k=self.k, p=self.p, hidden=self.hidden,
                              latent=self.latent)
+        if (n := param_count_for(self)) > MAX_PARAMS:
+            raise ConfigError(f"hidden {self.hidden} and latent {self.latent} "
+                              f"make {n} parameters, above {MAX_PARAMS}")
 
 
 @dataclass
@@ -230,7 +243,9 @@ def _layout(dims: ModelDims) -> dict[str, tuple[type, dict[str, tuple]]]:
     """The parameter layout: each layer's type and its tensors' shapes, in
     serialization order (the weight-file payload order and the draw order of
     `init_params`). LSTM tensors are gate-major (i, f, g, o) on the 4H axis."""
-    H, Z, G = dims.hidden, dims.latent, 4 * dims.hidden
+    # Python ints, so `param_count_for` of NumPy-int dims cannot wrap
+    H, Z = int(dims.hidden), int(dims.latent)
+    G = 4 * H
 
     def cell(d: int):
         return LstmCellParams, {"wx": (G, d), "wh": (G, H), "bx": (G,), "bh": (G,)}
@@ -241,6 +256,14 @@ def _layout(dims: ModelDims) -> dict[str, tuple[type, dict[str, tuple]]]:
     return {"enc": cell(INPUT_DIM), "fc_latent": affine(H, Z),
             "auto_dec": cell(Z), "fc_recon": affine(H, INPUT_DIM),
             "fut_dec": cell(Z), "fc_delta": affine(H, OUTPUT_DIM)}
+
+
+def param_count_for(dims: ModelDims) -> int:
+    """The number of learnable scalars of a model of ``dims``: the sum of
+    the sizes of `_layout`'s shapes, computed without allocating a tensor.
+    A weight file's payload is 4 bytes for each."""
+    return sum(math.prod(shape) for _kind, shapes in _layout(dims).values()
+               for shape in shapes.values())
 
 
 def init_params(dims: ModelDims, seed: int | np.random.Generator = 0,
@@ -531,8 +554,10 @@ def concat_trajectory(deltas: np.ndarray, anchor: np.ndarray) -> np.ndarray:
             f"{deltas.shape[:-2] + (OUTPUT_DIM,)}")
     rows = np.concatenate([anchor[..., None, :], deltas], axis=-2,
                           dtype=np.result_type(deltas, anchor))
-    # np.add.accumulate adds row by row, so no pairwise summation reorders it
-    return np.cumsum(rows, axis=-2)[..., 1:, :]
+    # np.add.accumulate adds row by row, so no pairwise summation reorders
+    # it; summed in place, so no second (..., p + 1, 4) array is held
+    np.cumsum(rows, axis=-2, out=rows)
+    return rows[..., 1:, :]
 
 
 def forward_train(params: ModelParams, window: np.ndarray

@@ -29,6 +29,7 @@ from .model import (
     feature_windows,
     init_params,
     loss_and_grads,
+    param_count_for,
 )
 from .nn import AdamState, adam_step
 
@@ -351,10 +352,13 @@ def load_model(path, expect_dims: ModelDims | None = None
     Rejects wrong magic bytes, unsupported versions or convention tags,
     truncated or oversized payloads, and checksum mismatches. When
     ``expect_dims`` is given, a file with different dims is refused. Every
-    header check runs on the first 60 bytes, before the payload is read,
-    and no byte past the payload the header promises is held: a regular
-    file of any other size is refused from its `os.fstat` size before
-    anything is allocated (see `_read_payload`).
+    header check runs on the first 60 bytes, before the payload is read:
+    the dims are a `ModelDims`, so dims that are not positive or whose
+    model would pass `model.MAX_PARAMS` are a ConfigError before any
+    payload byte is allocated or read. No byte past the payload the header
+    promises is held: a regular file of any other size is refused from its
+    `os.fstat` size before anything is allocated, and every file is read
+    one way (see `_read_payload`).
     """
     with open(path, "rb") as fh:
         head = fh.read(_HEADER.size)
@@ -429,42 +433,17 @@ def _read_payload(fh, n: int) -> tuple[np.ndarray | None, int]:
     count of bytes from the position to the end of the file.
 
     A regular file's length is known first, so one of any other length is
-    neither allocated for nor read (the array is None), and one of the
-    right length is read once into an array of exactly ``n`` bytes. A pipe
-    or a device (whose `os.fstat` size reads 0) may hold less than its
-    header promises, so it is read in 1 MiB steps up to ``n`` bytes. Past
-    ``n`` bytes, the rest is counted in 64 KiB reads and not held."""
+    neither allocated for nor read (the array is None). Every other input,
+    a regular file of the right length, a pipe or a device (whose
+    `os.fstat` size reads 0), is read one way: one ``readinto`` into an
+    array of exactly ``n`` bytes, which waits for a pipe's writer until
+    the array is full or the input ends. ``n`` is at most 4 *
+    `model.MAX_PARAMS`, since the header's dims passed `ModelDims`'s
+    ceiling. Past ``n`` bytes, the rest is counted in 64 KiB reads and not
+    held."""
     st = os.fstat(fh.fileno())
-    if stat.S_ISREG(st.st_mode):
-        left = st.st_size - fh.tell()
-        if left != n:
-            return None, left
-        payload = np.empty(n, dtype=np.uint8)
-        got = fh.readinto(payload)
-    else:
-        buf = bytearray()
-        while len(buf) < n and (chunk := fh.read(min(n - len(buf), 1 << 20))):
-            buf += chunk
-        payload, got = np.frombuffer(buf, dtype=np.uint8), len(buf)
+    if stat.S_ISREG(st.st_mode) and (left := st.st_size - fh.tell()) != n:
+        return None, left
+    payload = np.empty(n, dtype=np.uint8)
+    got = fh.readinto(payload)
     return payload, got + sum(map(len, iter(partial(fh.read, 1 << 16), b"")))
-
-
-def param_count_for(dims: ModelDims) -> int:
-    """Parameter count implied by a dims record, from layer arithmetic.
-
-    An LSTM cell with input D and width H holds 4H*(D + H + 2) scalars (the
-    +2 covers the two bias vectors); an affine map holds out*(in + 1). Kept
-    closed-form so file-size validation has an oracle independent of the
-    tensor allocation.
-    """
-    H, Z = dims.hidden, dims.latent
-
-    def cell(d: int) -> int:
-        return 4 * H * (d + H + 2)
-
-    def affine(n_in: int, n_out: int) -> int:
-        return n_out * (n_in + 1)
-
-    return (cell(INPUT_DIM) + affine(H, Z)
-            + cell(Z) + affine(H, INPUT_DIM)
-            + cell(Z) + affine(H, OUTPUT_DIM))

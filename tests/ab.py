@@ -23,7 +23,10 @@ is run as it is in each tree; no file of it is changed.
 The result goes to ``BENCH_<label>.json`` at the root of the checkout:
 both revisions, the command, the order of every pair, the environment
 stamp of each side (from the ``.perfbench/<tag>.json`` that run.py writes
-in its tree), each run's metrics, and per workload and metric:
+in its tree), each run's metrics, each run's per-operation spread (the
+count, median, quartiles and interquartile range of that file's
+``untraced_op_seconds``, under ``op_seconds``), and per workload and
+metric:
 
 - each side's median and interquartile range (inclusive quartiles);
 - the median over pairs of the work/base ratio;
@@ -76,9 +79,9 @@ def export(repo: Path, treeish: str, dest: Path) -> None:
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float
-             ) -> tuple[dict, dict]:
-    """One perfbench run in ``tree``: its JSON result and the environment
-    stamp of the result file it wrote."""
+             ) -> tuple[dict, dict, dict]:
+    """One perfbench run in ``tree``: its JSON result, and the environment
+    stamp and the `op_spread` of the result file it wrote."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
@@ -89,9 +92,10 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float
         tail = (proc.stderr.strip().splitlines() or ["no error output"])[-1]
         raise RuntimeError(f"{workload} in {tree} exited with "
                            f"{proc.returncode}: {tail}")
-    stamp = json.loads((tree / ".perfbench" / f"{workload}-seed{seed}-trace0"
-                        ".json").read_text(encoding="utf-8"))["environment"]
-    return json.loads(lines[-1]), stamp
+    record = json.loads((tree / ".perfbench" / f"{workload}-seed{seed}-trace0"
+                         ".json").read_text(encoding="utf-8"))
+    return (json.loads(lines[-1]), record["environment"],
+            op_spread(record["untraced_op_seconds"]))
 
 
 def spread(values: list[float]) -> dict:
@@ -99,6 +103,12 @@ def spread(values: list[float]) -> dict:
     q1, med, q3 = (statistics.quantiles(values, n=4, method="inclusive")
                    if len(values) > 1 else values * 3)
     return {"median": med, "q1": q1, "q3": q3, "iqr": q3 - q1}
+
+
+def op_spread(seconds: list[float]) -> dict:
+    """The count of one run's operations and, when it ran any, the
+    `spread` of their seconds."""
+    return {"n": len(seconds), **(spread(seconds) if seconds else {})}
 
 
 def summarize(runs: dict[str, list[dict]], better: dict[str, str]) -> dict:
@@ -167,14 +177,16 @@ def main(argv: list[str] | None = None) -> int:
         export(repo, work_tree, trees["work"])
         for workload in workloads:
             runs: dict[str, list[dict]] = {side: [] for side in SIDES}
+            ops: dict[str, list[dict]] = {side: [] for side in SIDES}
             order = []
             for i in range(args.pairs):
                 sides = SIDES if i % 2 == 0 else SIDES[::-1]
                 order.append(sides[0])
                 for side in sides:
-                    res, stamp = run_once(trees[side], workload, args.seed,
-                                          args.seconds)
+                    res, stamp, op = run_once(trees[side], workload,
+                                              args.seed, args.seconds)
                     runs[side].append(res)
+                    ops[side].append(op)
                     result["environment"][side] = stamp
                 print(f"{workload} pair {i + 1}/{args.pairs}: " + "  ".join(
                     f"{side} peak_rss_mb "
@@ -189,6 +201,7 @@ def main(argv: list[str] | None = None) -> int:
                 "metrics": metrics,
                 "runs": {s: [{k: m["value"] for k, m in r["metrics"].items()}
                              for r in runs[s]] for s in SIDES},
+                "op_seconds": ops,
             }
             for name, m in metrics.items():
                 print(f"{workload} {name}: base {m['base']['median']:.6g} "

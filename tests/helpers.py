@@ -88,9 +88,26 @@ def concat_trajectory_loop(deltas, anchor):
 
 
 def param_count(params):
-    """Total number of learnable scalars, summed over the allocated tensors
-    (the independent check on `param_count_for`'s layer arithmetic)."""
+    """Total number of learnable scalars, summed over the allocated tensors."""
     return sum(t.size for t in params.tensors().values())
+
+
+def closed_form_param_count(hidden, latent):
+    """The parameter count of a model of width ``hidden`` and latent width
+    ``latent`` from layer arithmetic, independent of `model._layout`: an
+    LSTM cell with input D and width H holds 4H * (D + H + 2) scalars (the
+    +2 covers its two bias vectors), an affine map out * (in + 1). The
+    encoder reads the 8 features, both decoders the latent vector."""
+    H, Z = hidden, latent
+
+    def cell(d):
+        return 4 * H * (d + H + 2)
+
+    def affine(n_in, n_out):
+        return n_out * (n_in + 1)
+
+    return (cell(8) + affine(H, Z) + cell(Z) + affine(H, 8) + cell(Z)
+            + affine(H, 4))
 
 
 def random_window_and_targets(rng, k, p):

@@ -14,7 +14,11 @@ once under tracemalloc, on seeded inputs written to a temporary directory:
   `tests/test_data.py::TestParseMemory`), and of one with 36 tracks a kind
   (~3 MB), per input byte;
 - ``parse csv``: the ~1 MB file with one id quoted, which sends it to the
-  csv module's row reader, per input byte.
+  csv module's row reader, per input byte;
+- ``forecast``: `predict_from_window` of 500 seeded float64 windows on a
+  float32 model of hidden 8 (k 3, p 60, latent 8), where the boxes, not
+  the LSTM caches, set the peak, per byte of the (500, 60, 4) float64
+  boxes it returns.
 """
 
 from __future__ import annotations
@@ -24,6 +28,8 @@ import tempfile
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
+
 from boxcast.data import (
     SYNTH_KINDS,
     SynthSpec,
@@ -31,8 +37,9 @@ from boxcast.data import (
     synth_tracks,
     write_tracks,
 )
-from boxcast.model import ModelDims, init_params
-from boxcast.training import load_model, param_count_for, save_model
+from boxcast.model import (ModelDims, init_params, param_count_for,
+                           predict_from_window)
+from boxcast.training import load_model, save_model
 
 
 def traced_peak(fn) -> int:
@@ -78,6 +85,12 @@ def main() -> int:
                            ("parse csv", quoted)):
             rows.append((name, traced_peak(lambda: parse_tracks(path)),
                          path.stat().st_size))
+    small = init_params(ModelDims(k=3, p=60, hidden=8, latent=8),
+                        seed=0).astype(np.float32)
+    windows = np.random.default_rng(0).normal(size=(500, 3, 8))
+    rows.append(("forecast",
+                 traced_peak(lambda: predict_from_window(small, windows)),
+                 predict_from_window(small, windows).nbytes))
     for name, peak, size in rows:
         print(f"{name:12s} {size / 1e6:6.2f} MB  peak {peak / 1e6:6.2f} MB"
               f"  {peak / size:5.2f}x")

@@ -2,7 +2,7 @@
 
 import pytest
 
-from ab import spread, summarize
+from ab import op_spread, spread, summarize
 
 
 def _runs(values):
@@ -32,3 +32,10 @@ def test_a_zero_base_has_no_ratio():
     runs = {"base": _runs([{"failed": 0.0}] * 2),
             "work": _runs([{"failed": 0.0}] * 2)}
     assert summarize(runs, {})["failed"]["median_pair_ratio"] is None
+
+
+def test_op_spread_counts_the_operations_and_spreads_their_seconds():
+    assert op_spread([0.4, 0.1, 0.3, 0.2, 0.5]) == {
+        "n": 5, "median": 0.3, "q1": 0.2, "q3": 0.4,
+        "iqr": pytest.approx(0.2)}
+    assert op_spread([]) == {"n": 0}

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import track_csvs
+from helpers import closed_form_param_count, track_csvs
 
 from boxcast import cli, evaluation, training
 from boxcast.cli import _command_opts, main
@@ -34,6 +34,7 @@ from boxcast.evaluation import BASELINE_KINDS, ablation_run
 from boxcast.model import (
     FORECAST_CHUNK,
     LOSS_MODES,
+    MAX_PARAMS,
     ModelDims,
     build_features,
     init_params,
@@ -1074,6 +1075,11 @@ class TestConfigFilesAndExitCodes:
 
 
 _HOSTILE = ["inf", "nan", "1e400", "-1", "", "x"]
+# model sizes past `MAX_PARAMS` whatever the other width is (at least 1,
+# checked arithmetically by `test_over_ceiling_values_pass_the_ceiling`),
+# hostile only to the options of these keys
+_OVER_CEILING = {"hidden": ["4727", str(1 << 32)],
+                 "latent": ["26843537", str(10 ** 12)]}
 # tiny valid values; sizes, counts, epochs and durations stay small because
 # larger ones only allocate more or run longer and reach no other exit
 _TINY = {
@@ -1125,8 +1131,9 @@ def _cli_cases(draw):
     for key in draw(st.lists(st.sampled_from(keys), max_size=3,
                              unique=True), label="keys"):
         valid = ["<input>"] if key in _PATHS else _TINY[key]
+        hostile = _HOSTILE + _OVER_CEILING.get(key, [])
         value = draw(st.one_of(st.sampled_from(valid),
-                               st.sampled_from(_HOSTILE)), label=key)
+                               st.sampled_from(hostile)), label=key)
         via = draw(st.sampled_from(["flag", "file"]), label="via")
         overrides.append((key, value, via))
     text, corner = draw(st.one_of(
@@ -1137,12 +1144,18 @@ def _cli_cases(draw):
 
 class TestEveryFailureHasItsExitCode:
     """Whatever a subcommand's flags, config file and input CSV hold,
-    `main` returns 0, 2, 3 or 4 and never lets an exception escape."""
+    `main` returns 0, 2, 3 or 4 and never lets an exception escape. A
+    model width past the ceiling is exit 2 with no output directory,
+    unless `bench` loads its model from a weight file instead."""
 
     @settings(max_examples=50, deadline=None)
     @given(case=_cli_cases())
     @example(case=("synth", [("go_frames", "inf,3", "file")], "", False))
     @example(case=("train", [("seed", "-1", "flag")], "", False))
+    @example(case=("train", [("hidden", "4727", "file")], _LONG_CSV, False))
+    @example(case=("ablate", [("latent", str(10 ** 12), "flag")], _LONG_CSV,
+                   False))
+    @example(case=("bench", [("hidden", str(1 << 32), "flag")], "", False))
     def test_exit_code_is_documented(self, case):
         command, overrides, text, corner = case
         with tempfile.TemporaryDirectory() as tmp:
@@ -1171,4 +1184,43 @@ class TestEveryFailureHasItsExitCode:
             config.write_text("".join(f"{k} = {v}\n"
                                       for k, v in file_vals.items()))
             code = main([command, "--config", str(config), *flags])
+            over = any(value in _OVER_CEILING.get(key, ())
+                       for key, value, _via in overrides)
+            if over and "weights" not in {key for key, *_ in overrides}:
+                assert code == 2
+                assert not (tmp / "out").exists()
         assert code in (0, 2, 3, 4)
+
+    def test_over_ceiling_values_pass_the_ceiling(self):
+        """Each over-ceiling value makes too large a model with the other
+        width at 1, the smallest it can be, by the layer arithmetic alone,
+        and the smaller of each pair is the first width that does."""
+        for hidden in map(int, _OVER_CEILING["hidden"]):
+            assert closed_form_param_count(hidden, 1) > MAX_PARAMS
+        for latent in map(int, _OVER_CEILING["latent"]):
+            assert closed_form_param_count(1, latent) > MAX_PARAMS
+        assert closed_form_param_count(4726, 1) <= MAX_PARAMS
+        assert closed_form_param_count(1, 26843536) <= MAX_PARAMS
+
+    @pytest.mark.parametrize("command", ["train", "ablate", "bench"])
+    @pytest.mark.parametrize("option, value", [("hidden", "4727"),
+                                               ("latent", "26843537")])
+    def test_an_over_ceiling_width_exits_two_before_any_output(
+            self, tmp_path, capsys, command, option, value):
+        """`--hidden` or `--latent` past the ceiling is refused when the
+        options are read, with one line and no output directory."""
+        data = synth_file(tmp_path)
+        out = tmp_path / "run"
+        widths = {"hidden": "1", "latent": "1", option: value}
+        args = [command, "--out", str(out), "--k", "3", "--p", "3",
+                "--hidden", widths["hidden"], "--latent", widths["latent"]]
+        if command != "bench":
+            args += ["--data", str(data), "--epochs", "1"]
+        capsys.readouterr()
+        assert main(args) == 2
+        n = closed_form_param_count(int(widths["hidden"]),
+                                    int(widths["latent"]))
+        assert capsys.readouterr().err == (
+            f"configuration error: hidden {widths['hidden']} and latent "
+            f"{widths['latent']} make {n} parameters, above {MAX_PARAMS}\n")
+        assert not out.exists()

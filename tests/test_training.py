@@ -8,6 +8,7 @@ import os
 import re
 import tempfile
 import threading
+import time
 import tracemalloc
 import zlib
 from pathlib import Path
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import make_boxes, param_count
+from helpers import closed_form_param_count, make_boxes, param_count
 
 from boxcast import model, training
 from boxcast.data import (
@@ -30,6 +31,7 @@ from boxcast.data import (
 )
 from boxcast.errors import ConfigError, DataError, NumericError
 from boxcast.model import (
+    MAX_PARAMS,
     MODE_TRAJ,
     LossWeights,
     ModelDims,
@@ -166,6 +168,37 @@ class TestRecordsCheckThemselves:
             dataclasses.replace(record, **{field: bad})
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(record, field, bad)
+
+    CEILING_CASES = [
+        (ModelDims, {"k": 3, "p": 2}, "hidden", 5000,
+         "hidden 5000 and latent 256 make 311860268 parameters, above "
+         "268435456"),
+        (TrainConfig, {}, "latent", 57552,
+         "hidden 512 and latent 57552 make 268437724 parameters, above "
+         "268435456"),
+        (TrainConfig, {}, "hidden", 1 << 40,
+         f"hidden {1 << 40} and latent 256 make "
+         f"{closed_form_param_count(1 << 40, 256)} parameters, above "
+         f"268435456"),
+        # 4 * hidden**2 would wrap to 0 in int64
+        (ModelDims, {"k": 3, "p": 2}, "hidden", np.int64(1 << 40),
+         f"hidden {1 << 40} and latent 256 make "
+         f"{closed_form_param_count(1 << 40, 256)} parameters, above "
+         f"268435456"),
+    ]
+
+    @pytest.mark.parametrize("cls, valid, field, bad, message", CEILING_CASES,
+                             ids=[f"{c[0].__name__}.{c[2]}={c[3]!r}"
+                                  for c in CEILING_CASES])
+    def test_dims_past_the_ceiling_are_refused_when_the_record_is_made(
+            self, cls, valid, field, bad, message):
+        """Dims whose model would hold more than `MAX_PARAMS` scalars are
+        refused as a bad field is, from the layout's arithmetic alone; the
+        largest latent at hidden 512 is accepted."""
+        self.test_a_bad_field_is_refused_when_the_record_is_made(
+            cls, valid, field, bad, message)
+        assert param_count_for(ModelDims(k=3, p=2, latent=57551)) \
+            <= MAX_PARAMS == 1 << 28
 
     BOOL_CASES = [(ModelDims, {"k": 3, "p": 2}, "k", "k must be a positive int"),
                   (ModelDims, {"k": 3, "p": 2}, "p", "p must be a positive int"),
@@ -757,15 +790,50 @@ class TestWeightFileReads:
                            f"{expected}; truncated or corrupt")
         assert peak < (1 << 20) + expected - 60
 
-    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
-    @pytest.mark.parametrize("damage", ["none", "tail", "cut", "big-header"])
-    def test_a_pipe_is_read_like_a_file(self, tmp_path, damage):
-        """A pipe has no size to check in advance: it loads as its bytes
-        would from a file, or is refused with the true count of its bytes,
-        even when its header promises more than memory could hold."""
+    @pytest.mark.parametrize("hidden, latent, below", [
+        (4632, 256, (4631, 256)), (512, 57552, (512, 57551)),
+        (1 << 31, 2, None)])
+    def test_an_over_ceiling_header_is_refused_from_its_dims(
+            self, tmp_path, hidden, latent, below):
+        """Header dims one past `MAX_PARAMS` (or far past it) are the
+        ConfigError the same dims are as flags, raised before the file's
+        size is compared or any payload byte allocated; the dims just
+        under the ceiling, ``below``, are a size mismatch instead."""
         path = tmp_path / "m.bxw"
         save_model(init_params(ModelDims(k=3, p=2, hidden=4, latent=2),
-                               seed=24), path)
+                               seed=26), path)
+        raw = path.read_bytes()
+
+        def with_dims(h: int, z: int) -> Path:
+            path.write_bytes(raw[:16] + h.to_bytes(4, "little")
+                             + z.to_bytes(4, "little") + raw[24:])
+            return path
+
+        message, peak = _traced_peak(
+            lambda: _refusal(with_dims(hidden, latent)))
+        assert message == (f"hidden {hidden} and latent {latent} make "
+                           f"{closed_form_param_count(hidden, latent)} "
+                           f"parameters, above {MAX_PARAMS}")
+        assert peak < 1 << 20
+        if below is not None:
+            with pytest.raises(DataError, match="^weight file is 2260 bytes, "
+                               "expected [0-9]+; truncated or corrupt$"):
+                load_model(with_dims(*below))
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    @pytest.mark.parametrize("damage", ["none", "slow-writer", "tail", "cut",
+                                        "big-header"])
+    def test_a_pipe_is_read_like_a_file(self, tmp_path, damage):
+        """A pipe has no size to check in advance: it loads as its bytes
+        would from a file, also when its writer sends them in small pieces,
+        or is refused with the true count of its bytes. A header whose dims
+        pass `MAX_PARAMS` is refused from the header alone, before its
+        payload is allocated."""
+        dims = ModelDims(k=3, p=2, hidden=4, latent=2)
+        if damage == "slow-writer":  # ~400 KB, several pipe buffers long
+            dims = ModelDims(k=3, p=2, hidden=64, latent=32)
+        path = tmp_path / "m.bxw"
+        save_model(init_params(dims, seed=24), path)
         raw = path.read_bytes()
         expected = len(raw)
         if damage == "tail":
@@ -774,15 +842,19 @@ class TestWeightFileReads:
             raw = raw[:-100]
         elif damage == "big-header":  # hidden 2**24: 18 PB of payload
             raw = raw[:16] + (1 << 24).to_bytes(4, "little") + raw[20:]
-            expected = 60 + 4 * param_count_for(
-                ModelDims(k=3, p=2, hidden=1 << 24, latent=2))
         fifo = tmp_path / "pipe.bxw"
         os.mkfifo(fifo)
-        writer = threading.Thread(target=fifo.write_bytes, args=(raw,),
-                                  daemon=True)
+        writer = threading.Thread(target=_write_slowly if damage ==
+                                  "slow-writer" else Path.write_bytes,
+                                  args=(fifo, raw), daemon=True)
         writer.start()
         try:
-            if damage != "none":
+            if damage == "big-header":
+                message, peak = _traced_peak(lambda: _refusal(fifo))
+                assert re.fullmatch("hidden 16777216 and latent 2 make [0-9]+"
+                                    " parameters, above 268435456", message)
+                assert peak < 1 << 20
+            elif damage in ("tail", "cut"):
                 with pytest.raises(DataError, match=(
                         f"^weight file is {len(raw)} bytes, expected "
                         f"{expected}; truncated or corrupt$")):
@@ -796,6 +868,22 @@ class TestWeightFileReads:
         finally:
             writer.join(timeout=60)
         assert not writer.is_alive()
+
+
+def _write_slowly(path: Path, raw: bytes) -> None:
+    """Write ``raw`` to ``path`` unbuffered, in 7 000-byte pieces with a
+    pause after each, so a reader of a pipe finds it short many times."""
+    with open(path, "wb", buffering=0) as fh:
+        for start in range(0, len(raw), 7000):
+            fh.write(raw[start:start + 7000])
+            time.sleep(0.001)
+
+
+def _refusal(path) -> str:
+    """The message of the ConfigError `load_model` refuses ``path`` with."""
+    with pytest.raises(ConfigError) as err:
+        load_model(path)
+    return str(err.value)
 
 
 def _saved_model_bytes() -> bytes:
