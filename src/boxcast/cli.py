@@ -4,9 +4,11 @@ Subcommands: synth | train | predict | eval | bench | ablate. Every option
 can come from a flat ``key = value`` config file (``--config``); precedence
 is CLI flag > config file > built-in default, and the effective merged
 configuration is echoed into the run's output so any run can be reproduced
-from its echo alone. Exit codes: 0 success, 2 configuration errors, 3 data,
-I/O and memory errors, 4 numeric failures such as a forecast or metric
-that is not finite.
+from its echo alone. The width options (k, p, hidden, latent) are defined
+once and checked by `ModelDims` in every run; a run that reads
+``--weights`` then echoes the file's widths, the model that ran. Exit
+codes: 0 success, 2 configuration errors, 3 data, I/O and memory errors,
+4 numeric failures such as a forecast or metric that is not finite.
 """
 
 from __future__ import annotations
@@ -136,13 +138,21 @@ class Opt:
         return "--" + self.key.replace("_", "-")
 
 
-def _train_opts() -> list[Opt]:
+def _width_opts() -> list[Opt]:
+    """k, p, hidden, latent: the model's widths, in `ModelDims` order."""
     d = TrainConfig()
     return [
         Opt("k", int, d.k, "observed window length in frames"),
         Opt("p", int, d.p, "forecast horizon in frames"),
         Opt("hidden", int, d.hidden, "recurrent state width"),
         Opt("latent", int, d.latent, "latent vector width"),
+    ]
+
+
+def _train_opts() -> list[Opt]:
+    d = TrainConfig()
+    return [
+        *_width_opts(),
         Opt("batch_size", int, d.batch_size, "mini-batch size"),
         Opt("epochs", int, d.epochs, "training epochs"),
         Opt("base_lr", float, d.base_lr, "initial learning rate"),
@@ -219,10 +229,7 @@ def _command_opts(command: str) -> list[Opt]:
                 Opt("baseline", str, None,
                     "score an analytic baseline instead of a model: "
                     + ", ".join(BASELINE_KINDS)),
-                Opt("k", int, TrainConfig.k,
-                    "observed window length (baseline scoring)"),
-                Opt("p", int, TrainConfig.p,
-                    "forecast horizon (baseline scoring)")]
+                *_width_opts()[:2]]
     if command == "bench":
         return [out_dir,
                 Opt("weights", str, None,
@@ -232,12 +239,7 @@ def _command_opts(command: str) -> list[Opt]:
                     "'1,2,4' (at most 4 x the CPU count)"),
                 Opt("duration", float, 1.0, "seconds per measurement"),
                 Opt("n_windows", int, 32, "distinct input windows to cycle"),
-                Opt("k", int, TrainConfig.k, "window length (fresh params)"),
-                Opt("p", int, TrainConfig.p, "horizon (fresh params)"),
-                Opt("hidden", int, TrainConfig.hidden,
-                    "state width (fresh params)"),
-                Opt("latent", int, TrainConfig.latent,
-                    "latent width (fresh params)"),
+                *_width_opts(),
                 Opt("seed", int, 0, "seed for fresh params and windows")]
     if command == "ablate":
         return [out_dir, *_DATA_OPTS, *_train_opts(),
@@ -350,6 +352,16 @@ def _of(cls, vals: dict[str, Any]):
     return cls(**{k: v for k, v in vals.items() if k in keys})
 
 
+def _load_weights(vals: dict[str, Any]):
+    """The model in the ``weights`` file. Its widths replace the command's
+    width options in ``vals``, so the run's echo names the model that
+    ran."""
+    params, _meta = load_model(vals["weights"])
+    vals.update((f.name, getattr(params.dims, f.name))
+                for f in fields(ModelDims) if f.name in vals)
+    return params
+
+
 # ---------------------------------------------------------------------------
 # commands
 
@@ -452,12 +464,9 @@ def _cmd_eval(vals: dict[str, Any]) -> None:
     baseline = vals["baseline"]
     if baseline is None and vals["weights"] is None:
         raise ConfigError("eval needs --weights or --baseline")
-    if vals["weights"] is not None:
-        params, _meta = load_model(vals["weights"])
-        k, p = params.dims.k, params.dims.p
-    else:
-        params, k, p = None, vals["k"], vals["p"]
-        ModelDims(k=k, p=p)  # checks k and p before k + p sizes the slices
+    _of(ModelDims, vals)  # checks k and p with or without weights
+    params = None if vals["weights"] is None else _load_weights(vals)
+    k, p = vals["k"], vals["p"]
     mts = _minitracks(_load_tracks(vals), k + p, vals["stride"], vals["data"])
     if baseline is not None:
         report = evaluate_baseline(baseline, mts, k, p)
@@ -478,12 +487,12 @@ def _cmd_eval(vals: dict[str, Any]) -> None:
 
 
 def _cmd_bench(vals: dict[str, Any]) -> None:
+    dims = _of(ModelDims, vals)  # checks the widths with or without weights
     if vals["weights"] is not None:
-        params, _meta = load_model(vals["weights"])
+        params = _load_weights(vals)
     else:
         # float32 draws save the bytes of float64 ones, at half the memory
-        params = init_params(_of(ModelDims, vals), seed=vals["seed"],
-                             dtype=np.float32)
+        params = init_params(dims, seed=vals["seed"], dtype=np.float32)
     rows = []
     for n in vals["threads"]:
         rep = benchmark_tps(params, threads=n, duration=vals["duration"],

@@ -27,7 +27,6 @@ import io
 import math
 import os
 import re
-import secrets
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain, islice, repeat
@@ -431,7 +430,7 @@ def _atomic_open(path, binary: bool = False):
         return
     # A random name that open() creates exclusively: no other writer's file
     # is taken over, and the file gets the umask's mode (mkstemp's is 0600).
-    tmp = path.with_name(f".{path.name}.{secrets.token_hex(4)}.tmp")
+    tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
     fh = open(tmp, "xb" if binary else "x", **text)
     try:
         with fh:

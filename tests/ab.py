@@ -17,16 +17,18 @@ parent, so they are built the same way and differ only in their files:
 For each workload, pair i runs
 ``python3 perfbench/run.py --workload W --seed S --seconds T`` once in
 each tree, base first when i is even and work first when it is odd, and
-reads the run's last stdout line, perfbench's JSON result. ``perfbench/``
-is run as it is in each tree; no file of it is changed.
+reads the run's last stdout line, perfbench's JSON result. ``train`` runs
+for ``TRAIN_SECONDS_FACTOR`` times T, since one of its steps takes
+seconds. ``perfbench/`` is run as it is in each tree; no file of it is
+changed.
 
 The result goes to ``BENCH_<label>.json`` at the root of the checkout:
-both revisions, the command, the order of every pair, the environment
-stamp of each side (from the ``.perfbench/<tag>.json`` that run.py writes
-in its tree), each run's metrics, each run's per-operation spread (the
-count, median, quartiles and interquartile range of that file's
-``untraced_op_seconds``, under ``op_seconds``), and per workload and
-metric:
+both revisions, each workload's command, the order of every pair, the
+environment stamp of each side (from the ``.perfbench/<tag>.json`` that
+run.py writes in its tree), each run's metrics, each run's
+per-operation spread (the count, median, quartiles and interquartile
+range of that file's ``untraced_op_seconds``, under ``op_seconds``), and
+per workload and metric:
 
 - each side's median and interquartile range (inclusive quartiles);
 - the median over pairs of the work/base ratio;
@@ -52,6 +54,9 @@ from pathlib import Path
 
 WORKLOADS = ("stream", "dataset", "train")
 SIDES = ("base", "work")
+# a `train` step takes ~2.4 s at one BLAS thread, so a 15 s run holds 3-5
+# steps and its p50 is about the middle one; three times as long holds ~15
+TRAIN_SECONDS_FACTOR = 3
 
 
 def _git(repo: Path, *args: str, env: dict | None = None) -> str:
@@ -78,14 +83,22 @@ def export(repo: Path, treeish: str, dest: Path) -> None:
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
 
 
+def command(workload: str, seed: int, seconds: float) -> list[str]:
+    """The arguments after the interpreter of one perfbench run of
+    ``workload`` when each run is asked for ``seconds``."""
+    if workload == "train":
+        seconds *= TRAIN_SECONDS_FACTOR
+    return ["perfbench/run.py", "--workload", workload, "--seed", str(seed),
+            "--seconds", repr(float(seconds))]
+
+
 def run_once(tree: Path, workload: str, seed: int, seconds: float
              ) -> tuple[dict, dict, dict]:
     """One perfbench run in ``tree``: its JSON result, and the environment
     stamp and the `op_spread` of the result file it wrote."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", repr(float(seconds))],
+        [sys.executable, *command(workload, seed, seconds)],
         cwd=tree, env=env, capture_output=True, text=True)
     lines = proc.stdout.splitlines()
     if proc.returncode != 0 or not lines:
@@ -164,8 +177,6 @@ def main(argv: list[str] | None = None) -> int:
                  "tree": work_tree},
         "src_trees": {side: _git(repo, "rev-parse", f"{rev}:src")
                       for side, rev in zip(SIDES, (base_rev, work_tree))},
-        "command": f"python3 perfbench/run.py --workload W --seed "
-                   f"{args.seed} --seconds {args.seconds:g}",
         "pairs": args.pairs,
         "environment": {},
         "workloads": {},
@@ -194,6 +205,8 @@ def main(argv: list[str] | None = None) -> int:
                     for side in SIDES), flush=True)
             metrics = summarize(runs, better)
             result["workloads"][workload] = {
+                "command": " ".join(["python3", *command(
+                    workload, args.seed, args.seconds)]),
                 "first": order,
                 "correct": all(r["correct"] for s in SIDES for r in runs[s]),
                 "failed": {s: sum(r["failed"] for r in runs[s])

@@ -1,8 +1,9 @@
-"""`tests/ab.py`'s summary: spreads, pair ratios and wins by direction."""
+"""`tests/ab.py`'s summary (spreads, pair ratios and wins by direction)
+and its per-workload commands."""
 
 import pytest
 
-from ab import op_spread, spread, summarize
+from ab import TRAIN_SECONDS_FACTOR, command, op_spread, spread, summarize
 
 
 def _runs(values):
@@ -39,3 +40,12 @@ def test_op_spread_counts_the_operations_and_spreads_their_seconds():
         "n": 5, "median": 0.3, "q1": 0.2, "q3": 0.4,
         "iqr": pytest.approx(0.2)}
     assert op_spread([]) == {"n": 0}
+
+
+def test_train_runs_longer_than_the_other_workloads():
+    assert command("stream", 1, 15.0) == [
+        "perfbench/run.py", "--workload", "stream", "--seed", "1",
+        "--seconds", "15.0"]
+    assert command("train", 7, 15) == [
+        "perfbench/run.py", "--workload", "train", "--seed", "7",
+        "--seconds", repr(15.0 * TRAIN_SECONDS_FACTOR)]

@@ -484,6 +484,51 @@ class TestBench:
         assert threads.type(f"1,{ceiling}") == (1, ceiling)
 
 
+def read_echo(out):
+    """The ``key = value`` lines of a run's ``config.txt``."""
+    lines = (out / "config.txt").read_text(encoding="utf-8").splitlines()
+    return dict(line.split(" = ", 1) for line in lines
+                if not line.startswith("#"))
+
+
+class TestWeightsEchoTheFileWidths:
+    """A run that reads --weights echoes the file's widths in place of the
+    width options it was given, so its ``config.txt`` names the model that
+    ran and a rerun from it runs that model again."""
+
+    def test_eval(self, tmp_path):
+        weights = TestPredict().make_weights(tmp_path, k=3, p=4)
+        data = synth_file(tmp_path, count=3, length=12)
+        first, again = tmp_path / "first", tmp_path / "again"
+        assert main(["eval", "--weights", str(weights), "--data", str(data),
+                     "--out", str(first), "--stride", "3", "--k", "5",
+                     "--p", "2"]) == 0
+        echo = read_echo(first)
+        assert (echo["k"], echo["p"]) == ("3", "4")
+        assert main(["eval", "--config", str(first / "config.txt"),
+                     "--out", str(again)]) == 0
+        assert read_echo(again) == {**echo, "out": str(again)}
+        assert (again / "metrics.csv").read_bytes() == \
+               (first / "metrics.csv").read_bytes()
+
+    def test_bench(self, tmp_path):
+        weights = TestPredict().make_weights(tmp_path, k=3, p=4)
+        first, again = tmp_path / "first", tmp_path / "again"
+        assert main(["bench", "--weights", str(weights), "--out", str(first),
+                     "--duration", "0.05", "--n-windows", "2", "--k", "9",
+                     "--hidden", "16", "--latent", "2"]) == 0
+        echo = read_echo(first)
+        widths = ("k", "p", "hidden", "latent")
+        assert [echo[w] for w in widths] == ["3", "4", "8", "4"]
+        assert main(["bench", "--config", str(first / "config.txt"),
+                     "--out", str(again)]) == 0
+        assert read_echo(again) == {**echo, "out": str(again)}
+        rows = [dict(zip(*read_csv(out / "bench.csv")))
+                for out in (first, again)]
+        assert [[r[w] for w in widths] for r in rows] == [["3", "4", "8",
+                                                           "4"]] * 2
+
+
 class TestAblate:
     def test_grid_matches_the_library_run(self, tmp_path):
         data = synth_file(tmp_path, count=4, length=6)
@@ -1145,8 +1190,8 @@ def _cli_cases(draw):
 class TestEveryFailureHasItsExitCode:
     """Whatever a subcommand's flags, config file and input CSV hold,
     `main` returns 0, 2, 3 or 4 and never lets an exception escape. A
-    model width past the ceiling is exit 2 with no output directory,
-    unless `bench` loads its model from a weight file instead."""
+    model width past the ceiling is exit 2 with no output directory, with
+    or without a weight file."""
 
     @settings(max_examples=50, deadline=None)
     @given(case=_cli_cases())
@@ -1156,6 +1201,8 @@ class TestEveryFailureHasItsExitCode:
     @example(case=("ablate", [("latent", str(10 ** 12), "flag")], _LONG_CSV,
                    False))
     @example(case=("bench", [("hidden", str(1 << 32), "flag")], "", False))
+    @example(case=("bench", [("weights", "<input>", "flag"),
+                             ("hidden", "4727", "file")], "", False))
     def test_exit_code_is_documented(self, case):
         command, overrides, text, corner = case
         with tempfile.TemporaryDirectory() as tmp:
@@ -1184,9 +1231,8 @@ class TestEveryFailureHasItsExitCode:
             config.write_text("".join(f"{k} = {v}\n"
                                       for k, v in file_vals.items()))
             code = main([command, "--config", str(config), *flags])
-            over = any(value in _OVER_CEILING.get(key, ())
-                       for key, value, _via in overrides)
-            if over and "weights" not in {key for key, *_ in overrides}:
+            if any(value in _OVER_CEILING.get(key, ())
+                   for key, value, _via in overrides):
                 assert code == 2
                 assert not (tmp / "out").exists()
         assert code in (0, 2, 3, 4)
@@ -1202,19 +1248,24 @@ class TestEveryFailureHasItsExitCode:
         assert closed_form_param_count(4726, 1) <= MAX_PARAMS
         assert closed_form_param_count(1, 26843536) <= MAX_PARAMS
 
-    @pytest.mark.parametrize("command", ["train", "ablate", "bench"])
+    @pytest.mark.parametrize("command", ["train", "ablate", "bench",
+                                         "bench-weights"])
     @pytest.mark.parametrize("option, value", [("hidden", "4727"),
                                                ("latent", "26843537")])
     def test_an_over_ceiling_width_exits_two_before_any_output(
             self, tmp_path, capsys, command, option, value):
         """`--hidden` or `--latent` past the ceiling is refused when the
-        options are read, with one line and no output directory."""
+        options are read, with one line and no output directory, also when
+        `bench` would load its model from a weight file."""
         data = synth_file(tmp_path)
         out = tmp_path / "run"
         widths = {"hidden": "1", "latent": "1", option: value}
-        args = [command, "--out", str(out), "--k", "3", "--p", "3",
-                "--hidden", widths["hidden"], "--latent", widths["latent"]]
-        if command != "bench":
+        args = [command.split("-")[0], "--out", str(out), "--k", "3",
+                "--p", "3", "--hidden", widths["hidden"],
+                "--latent", widths["latent"]]
+        if command == "bench-weights":
+            args += ["--weights", str(TestPredict().make_weights(tmp_path))]
+        elif command != "bench":
             args += ["--data", str(data), "--epochs", "1"]
         capsys.readouterr()
         assert main(args) == 2

@@ -1,9 +1,13 @@
 """Package hygiene: every name a module imports is used or exported, every
 exported name exists, no module keeps a separate `validate` step, every
-weight-gradient product is formed in `nn`, and no module starts a thread."""
+weight-gradient product is formed in `nn`, no module starts a thread, and
+importing the CLI loads no hash library."""
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -100,3 +104,16 @@ def test_no_module_starts_a_thread(name):
     assert not {"concurrent", "multiprocessing", "_thread"} & _imported(tree)
     assert not any(isinstance(n, ast.ImportFrom) and n.module == "threading"
                    for n in ast.walk(tree))
+
+
+def test_importing_the_cli_loads_no_hash_library():
+    """Every command and every `bench` child imports `boxcast.cli`; it
+    leaves `hashlib`, and the OpenSSL that `hashlib` loads, unimported.
+    Weight files are checked with `zlib`'s CRC-32 and temporary names come
+    from `os.urandom`."""
+    code = "import sys, boxcast.cli; print('hashlib' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code],
+                         env={**os.environ, "PYTHONPATH": str(SRC.parent)},
+                         capture_output=True, text=True, timeout=60,
+                         check=True)
+    assert out.stdout == "False\n"
